@@ -92,8 +92,6 @@ from .homotopies import (
     count_homotopies_from,
     enumerate_homotopies_from,
     eval_derivation,
-    eval_h2_on_crossed,
-    eval_hk_on_module,
     homotopy_classes,
     homotopy_target,
     homotopy_value_space,

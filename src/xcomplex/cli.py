@@ -7,9 +7,9 @@
     xcomplex library
     xcomplex selfcheck
 
-Common options: --cap N (overrides the XCOMPLEX_CAP environment variable,
-which overrides the per-operation defaults) and --threads N.  X is a JSON
-file path or, when no such file exists, a builtin name from `library`.
+Common option: --cap N (overrides the XCOMPLEX_CAP environment variable,
+which overrides the per-operation defaults).  X is a JSON file path or,
+when no such file exists, a builtin name from `library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
 go to stderr.  Exit codes: 0 success, 1 input error, 2 validation failure,
@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Any, Optional
 
@@ -128,15 +129,18 @@ def _report_violations(report) -> list[list]:
 
 
 def _cap(args: argparse.Namespace, fallback: int) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("XCOMPLEX_CAP")
-    if env:
+    cap, source = getattr(args, "cap", None), "--cap"
+    if cap is None:
+        env = os.environ.get("XCOMPLEX_CAP")
+        if not env:
+            return fallback
         try:
-            return int(env)
+            cap, source = int(env), "XCOMPLEX_CAP"
         except ValueError as exc:
             raise ParseError(f"XCOMPLEX_CAP={env!r} is not an integer") from exc
-    return fallback
+    if cap < 0:
+        raise ParseError(f"{source} {cap} is negative")
+    return cap
 
 
 def _require_valid(p: Optional[CWPresentation], cx: Optional[FiniteCrossedComplex],
@@ -207,11 +211,10 @@ def cmd_count(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
     cx = inputs.coefficients(args.complex)
     if not _require_valid(p, cx, result):
         return EXIT_INVALID
-    n = count_homs(p, cx, threads=args.threads)
+    n = count_homs(p, cx)
     result["count"] = n
     if args.enumerate:
-        morphisms = enumerate_homs(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP),
-                                   threads=args.threads)
+        morphisms = enumerate_homs(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
         result["morphisms"] = [[list(layer) for layer in m.colours] for m in morphisms]
     if args.oracle:
         oracle = count_homs_bruteforce(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
@@ -227,15 +230,15 @@ def cmd_invariant(args: argparse.Namespace, inputs: _Inputs, result: dict) -> in
     cx = inputs.coefficients(args.complex)
     if not _require_valid(p, cx, result):
         return EXIT_INVALID
-    n = count_homs(p, cx, threads=args.threads)
-    inv = n * normalization_factor(p, cx)
+    n = count_homs(p, cx)
+    norm = normalization_factor(p, cx)
+    inv = n * norm
     result["count"] = n
-    result["normalization"] = format_rational(normalization_factor(p, cx))
+    result["normalization"] = format_rational(norm)
     result["invariant"] = format_rational(inv)
     if args.euler:
         eul = euler_char_mapping_space(
-            p, cx, cap=_cap(args, DEFAULT_ENUM_CAP),
-            verify_homotopy_count=True, threads=args.threads)
+            p, cx, cap=_cap(args, DEFAULT_ENUM_CAP), verify_homotopy_count=True)
         result["euler"] = format_rational(eul)
         result["euler_agrees"] = eul == inv
         if eul != inv:
@@ -250,7 +253,7 @@ def cmd_classes(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
     cx = inputs.coefficients(args.complex)
     if not _require_valid(p, cx, result):
         return EXIT_INVALID
-    dec = homotopy_classes(p, cx, cap=_cap(args, DEFAULT_EDGE_CAP), threads=args.threads)
+    dec = homotopy_classes(p, cx, cap=_cap(args, DEFAULT_EDGE_CAP))
     result["count"] = dec.count
     result["sizes"] = list(dec.sizes)
     result["representatives"] = [
@@ -288,8 +291,16 @@ def cmd_selfcheck(args: argparse.Namespace, inputs: _Inputs, result: dict) -> in
     return EXIT_OK if ok else EXIT_INVALID
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become ParseError, so they end in a run report (exit 1)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xcomplex",
         description="Exact morphism counting of CW presentations against "
                     "finite crossed complexes.")
@@ -304,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="JSON file or builtin coefficient name")
         sp.add_argument("--cap", type=int, default=None,
                         help="result/size cap (default from XCOMPLEX_CAP or builtin)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads over the layer-1 space")
 
     sp = sub.add_parser("validate", help="validate documents without computing")
     sp.add_argument("--presentation", help="JSON file or builtin space name")
@@ -314,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check-boundaries", action="store_true",
                     help="also sweep dimension >= 4 attaching data against the complex")
     sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("count", help="count morphisms")
     add_common(sp, presentation=True, complex_=True)
@@ -333,11 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("library", help="list builtin spaces and coefficients")
     sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("selfcheck", help="run the acceptance criteria")
     sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
 
     return parser
 
@@ -353,13 +359,14 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     inputs = _Inputs()
     result: dict[str, Any] = {}
+    command = None
     started = time.perf_counter()
     try:
-        code = _COMMANDS[args.command](args, inputs, result)
+        args = build_parser().parse_args(argv)
+        command = args.command
+        code = _COMMANDS[command](args, inputs, result)
     except ParseError as exc:
         result["error"] = str(exc)
         code = EXIT_INPUT
@@ -375,10 +382,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except XComplexError as exc:
         result["error"] = str(exc)
         code = EXIT_INVALID
+    except Exception as exc:  # any other failure still ends in a report
+        traceback.print_exc(file=sys.stderr)
+        result["error"] = f"internal error: {type(exc).__name__}: {exc}"
+        code = EXIT_INTERNAL
     if "error" in result:
         print(f"error: {result['error']}", file=sys.stderr)
     report = {
-        "command": args.command,
+        "command": command,
         "version": __version__,
         "inputs": inputs.provenance,
         "result": result,

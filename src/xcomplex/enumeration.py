@@ -14,9 +14,7 @@ admissible values per cell form a precomputed boundary fiber over a target
 that only depends on lower layers, so pruning on an empty fiber is exact,
 and when no kill constraints exist the last layer contributes a plain
 product of fiber sizes.  Enumeration order is lexicographic by (dimension,
-cell index, element index).  Parallel runs split the layer-1 odometer range
-into contiguous blocks whose results are recombined in block order, so
-counts, listings and everything built on them do not depend on --threads.
+cell index, element index).
 
 Counts are Python ints, hence arbitrary precision.
 """
@@ -24,7 +22,6 @@ Counts are Python ints, hence arbitrary precision.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,17 +52,23 @@ def eval_crossed(
     f1: tuple[int, ...],
     f2: tuple[int, ...],
     cw: CrossedWord,
+    k: int,
 ) -> int:
-    """Image of a crossed word in A_2: product of (f1(conj) |> f2(gen))^exp."""
-    if cx.length < 2:
-        raise DimensionMismatch("crossed words need a complex of length >= 2")
-    a2 = cx.groups[1]
-    act = cx.actions[0].act
+    """Image of a crossed word in A_k: product of (f1(conj) |> f2(gen))^exp.
+
+    A morphism evaluates 3-cells at k = 2; a homotopy's H_2 at k = 3.
+    """
+    if k < 2:
+        raise IndexOutOfRange(f"crossed word degree {k} < 2")
+    if cx.length < k:
+        raise DimensionMismatch(f"complex of length {cx.length} has no A_{k}")
+    ak = cx.groups[k - 1]
+    act = cx.actions[k - 2].act
     acc = 0
     for conj, gen, exp in cw:
         x = eval_word(cx, f1, conj)
         v = act[x][f2[gen]]
-        acc = a2.mul[acc][v if exp == 1 else a2.inv[v]]
+        acc = ak.mul[acc][v if exp == 1 else ak.inv[v]]
     return acc
 
 
@@ -93,6 +96,22 @@ def eval_module(
     return acc
 
 
+def eval_attaching(
+    p: CWPresentation,
+    cx: FiniteCrossedComplex,
+    f1: tuple[int, ...],
+    below: tuple[int, ...],
+    n: int,
+    cell: int,
+    k: int,
+) -> int:
+    """Evaluate the attaching data of an n-cell (n >= 3) in A_k, with `below`
+    colouring the (n-1)-cells in A_k."""
+    if n == 3:
+        return eval_crossed(cx, f1, below, p.attach3[cell], k)
+    return eval_module(cx, f1, below, p.attach_module(n)[cell], k)
+
+
 @dataclass(frozen=True)
 class Morphism:
     """A colouring of P's cells in A, one tuple per layer 1..L."""
@@ -115,9 +134,7 @@ def attaching_target(
     """
     if n == 2:
         return eval_word(cx, colours[0], p.attach2[cell])
-    if n == 3:
-        return eval_crossed(cx, colours[0], colours[1], p.attach3[cell])
-    return eval_module(cx, colours[0], colours[n - 2], p.attach_module(n)[cell], n - 1)
+    return eval_attaching(p, cx, colours[0], colours[n - 2], n, cell, n - 1)
 
 
 def morphism_violation(
@@ -167,15 +184,10 @@ class _Search:
         self.kill_count = self.counts[self.length + 1]
         # boundary fibers, indexed by degree then target element
         self.fibers = {n: fibers_of(cx.boundary(n)) for n in range(2, self.length + 1)}
-        self.base = cx.groups[0].order
-        self.l1 = self.counts[1]
-        self.total1 = self.base ** self.l1
 
-    def f1_at(self, idx: int) -> tuple[int, ...]:
-        out = [0] * self.l1
-        for i in range(self.l1 - 1, -1, -1):
-            idx, out[i] = divmod(idx, self.base)
-        return tuple(out)
+    def layer1(self):
+        """Every 1-cell colouring, in lexicographic order."""
+        return itertools.product(range(self.cx.groups[0].order), repeat=self.counts[1])
 
     def kill_ok(self, colours: list[tuple[int, ...]]) -> bool:
         kd = self.length + 1
@@ -229,46 +241,18 @@ class _Search:
             colours.pop()
 
 
-def _split_range(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    step, extra = divmod(total, parts)
-    out = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out
-
-
-def count_homs(
-    p: CWPresentation,
-    cx: FiniteCrossedComplex,
-    threads: int = 1,
-) -> int:
+def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     """Number of morphisms P -> A.  Assumes both inputs validated."""
     s = _Search(p, cx)
     if s.length == 1 and s.kill_count == 0:
-        return s.total1
-
-    def block(lo: int, hi: int) -> int:
-        acc = 0
-        for idx in range(lo, hi):
-            acc += s.count_below([s.f1_at(idx)])
-        return acc
-
-    if threads <= 1 or s.total1 <= 1:
-        return block(0, s.total1)
-    ranges = _split_range(s.total1, threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return sum(ex.map(lambda r: block(*r), ranges))
+        return cx.groups[0].order ** s.counts[1]
+    return sum(s.count_below([f1]) for f1 in s.layer1())
 
 
 def enumerate_homs(
     p: CWPresentation,
     cx: FiniteCrossedComplex,
     cap: int = DEFAULT_ENUM_CAP,
-    threads: int = 1,
 ) -> list[Morphism]:
     """All morphisms P -> A in lexicographic order.
 
@@ -276,22 +260,9 @@ def enumerate_homs(
     returned morphism is re-verified against the morphism constraints.
     """
     s = _Search(p, cx)
-
-    def block(lo: int, hi: int) -> list[Colouring]:
-        acc: list[Colouring] = []
-        for idx in range(lo, hi):
-            s.enum_below([s.f1_at(idx)], acc)
-        return acc
-
-    if threads <= 1 or s.total1 <= 1:
-        chunks = [block(0, s.total1)]
-    else:
-        ranges = _split_range(s.total1, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(lambda r: block(*r), ranges))
     found: list[Colouring] = []
-    for chunk in chunks:
-        found.extend(chunk)
+    for f1 in s.layer1():
+        s.enum_below([f1], found)
         if len(found) > cap:
             raise ResultTooLarge(f"more than {cap} morphisms; raise the cap to list them")
     out = [Morphism(p, cx, c) for c in found]
@@ -356,8 +327,7 @@ def boundary_defect_report(
         kerbd = cx.boundary(n - 1).image
         for m in enumerate_homs(trunc, cx, cap=cap):
             for cell in range(p.count(n)):
-                val = eval_module(cx, m.colours[0], m.colours[n - 2],
-                                  p.attach_module(n)[cell], n - 1)
+                val = attaching_target(p, cx, m.colours, n, cell)
                 if kerbd[val] != 0:
                     out.append((n, cell, m.colours, val))
     return out

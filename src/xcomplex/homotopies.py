@@ -5,11 +5,12 @@ H_n: C_n -> A_{n+1} for n = 1 .. L-1; there are no compatibility equations,
 so the number of homotopies out of f is a plain product of coefficient
 sizes.  The target morphism is computed from f and H by
 
-    g_1(x) = f_1(x) * d2(H_1(x))
-    g_n(c) = f_n(c) * H_{n-1}(attach(c)) * d_{n+1}(H_n(c))   (2 <= n <= L)
+    g_n(c) = f_n(c) * H_{n-1}(attach(c)) * d_{n+1}(H_n(c))   (1 <= n <= L)
 
-where H_{n-1} extends to attaching data as a derivation (n = 2) or an
-action-twisted morphism (n >= 3), and the last factor is dropped for n = L.
+where the middle factor is 1 for n = 1, H_1 extends to words as a
+derivation (n = 2), and for n >= 3 H_{n-1} is evaluated on the attaching
+data exactly as a morphism's f_{n-1} is, one degree up, in A_n.  The last
+factor is dropped for n = L.
 Every computed target is verified; a failure raises TargetNotMorphism.
 
 Homotopy classes are the connected components of the graph whose edges are
@@ -20,7 +21,6 @@ union-find.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -30,10 +30,10 @@ from .enumeration import (
     Colouring,
     Morphism,
     enumerate_homs,
-    eval_word,
+    eval_attaching,
     morphism_violation,
 )
-from .presentations import CrossedWord, CWPresentation, ModuleElt, Word
+from .presentations import CWPresentation, Word
 
 DEFAULT_EDGE_CAP = 10**7
 
@@ -74,49 +74,6 @@ def eval_derivation(
     return s
 
 
-def eval_h2_on_crossed(
-    cx: FiniteCrossedComplex,
-    f1: tuple[int, ...],
-    h2: tuple[int, ...],
-    cw: CrossedWord,
-) -> int:
-    """Extend H_2 to a crossed word; lands in A_3."""
-    if cx.length < 3:
-        raise DimensionMismatch("H_2 values need a complex of length >= 3")
-    a3 = cx.groups[2]
-    act = cx.actions[1].act
-    acc = 0
-    for conj, gen, exp in cw:
-        x = eval_word(cx, f1, conj)
-        v = act[x][h2[gen]]
-        acc = a3.mul[acc][v if exp == 1 else a3.inv[v]]
-    return acc
-
-
-def eval_hk_on_module(
-    cx: FiniteCrossedComplex,
-    f1: tuple[int, ...],
-    hk: tuple[int, ...],
-    m: ModuleElt,
-    k: int,
-) -> int:
-    """Extend H_k (k >= 3) to a ModuleElt of degree k; lands in A_{k+1}."""
-    if k < 3:
-        raise IndexOutOfRange(f"H_k degree {k} < 3")
-    if cx.length < k + 1:
-        raise DimensionMismatch(f"complex of length {cx.length} has no A_{k + 1}")
-    ak1 = cx.groups[k]
-    act = cx.actions[k - 1].act
-    acc = 0
-    for coef, twist, gen in m:
-        x = eval_word(cx, f1, twist)
-        v = act[x][hk[gen]]
-        c = coef % ak1.order
-        for _ in range(c):
-            acc = ak1.mul[acc][v]
-    return acc
-
-
 def homotopy_target(k: Homotopy1, verify: bool = True) -> Morphism:
     """Morphism at the far end of a homotopy; raises TargetNotMorphism if the
     computed colouring fails verification."""
@@ -127,42 +84,20 @@ def homotopy_target(k: Homotopy1, verify: bool = True) -> Morphism:
     if len(h) != max(length - 1, 0):
         raise DimensionMismatch(
             f"homotopy needs {length - 1} value tables, got {len(h)}")
+    f1 = f.colours[0]
     out: list[tuple[int, ...]] = []
-
-    a1 = cx.groups[0]
-    if length >= 2:
-        bd2 = cx.boundary(2).image
-        out.append(tuple(
-            a1.mul[f.colours[0][c]][bd2[h[0][c]]]
-            for c in range(p.count(1))))
-    else:
-        out.append(f.colours[0])
-
-    if length >= 2:
-        a2 = cx.groups[1]
-        bd3 = cx.boundary(3).image if length >= 3 else None
-        layer = []
-        for c in range(p.count(2)):
-            val = a2.mul[f.colours[1][c]][
-                eval_derivation(cx, f.colours[0], h[0], p.attach2[c])]
-            if bd3 is not None:
-                val = a2.mul[val][bd3[h[1][c]]]
-            layer.append(val)
-        out.append(tuple(layer))
-
-    for n in range(3, length + 1):
+    for n in range(1, length + 1):
         an = cx.groups[n - 1]
-        bdn1 = cx.boundary(n + 1).image if length >= n + 1 else None
+        bd = cx.boundary(n + 1).image if n < length else None
         layer = []
         for c in range(p.count(n)):
-            if n == 3:
-                step = eval_h2_on_crossed(cx, f.colours[0], h[1], p.attach3[c])
-            else:
-                step = eval_hk_on_module(
-                    cx, f.colours[0], h[n - 2], p.attach_module(n)[c], n - 1)
-            val = an.mul[f.colours[n - 1][c]][step]
-            if bdn1 is not None:
-                val = an.mul[val][bdn1[h[n - 1][c]]]
+            val = f.colours[n - 1][c]
+            if n == 2:
+                val = an.mul[val][eval_derivation(cx, f1, h[0], p.attach2[c])]
+            elif n >= 3:
+                val = an.mul[val][eval_attaching(p, cx, f1, h[n - 2], n, c, n)]
+            if bd is not None:
+                val = an.mul[val][bd[h[n - 1][c]]]
             layer.append(val)
         out.append(tuple(layer))
 
@@ -229,14 +164,13 @@ def homotopy_classes(
     p: CWPresentation,
     cx: FiniteCrossedComplex,
     cap: int = DEFAULT_EDGE_CAP,
-    threads: int = 1,
 ) -> ClassDecomposition:
     """Connected components of the 1-fold homotopy graph on Hom(P, A).
 
     Raises ResultTooLarge when morphisms times homotopies per morphism
-    exceeds `cap`.  The partition does not depend on `threads`.
+    exceeds `cap`.
     """
-    homs = enumerate_homs(p, cx, cap=cap, threads=threads)
+    homs = enumerate_homs(p, cx, cap=cap)
     if not homs:
         return ClassDecomposition(0, (), ())
     per = count_homotopies_from(homs[0])
@@ -244,20 +178,6 @@ def homotopy_classes(
         raise ResultTooLarge(
             f"{len(homs)} morphisms x {per} homotopies exceeds edge cap {cap}")
     index: dict[Colouring, int] = {m.colours: i for i, m in enumerate(homs)}
-
-    def targets_for(i: int) -> list[int]:
-        f = homs[i]
-        out = []
-        for values in homotopy_value_space(p, cx):
-            g = homotopy_target(Homotopy1(f, values))
-            out.append(index[g.colours])
-        return out
-
-    if threads <= 1:
-        all_targets = [targets_for(i) for i in range(len(homs))]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            all_targets = list(ex.map(targets_for, range(len(homs))))
 
     parent = list(range(len(homs)))
 
@@ -267,8 +187,9 @@ def homotopy_classes(
             i = parent[i]
         return i
 
-    for i, targets in enumerate(all_targets):
-        for j in targets:
+    for i, f in enumerate(homs):
+        for values in homotopy_value_space(p, cx):
+            j = index[homotopy_target(Homotopy1(f, values)).colours]
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)

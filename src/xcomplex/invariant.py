@@ -34,13 +34,9 @@ def normalization_factor(p: CWPresentation, cx: FiniteCrossedComplex) -> Fractio
     return out
 
 
-def invariant_ia(
-    p: CWPresentation,
-    cx: FiniteCrossedComplex,
-    threads: int = 1,
-) -> Fraction:
+def invariant_ia(p: CWPresentation, cx: FiniteCrossedComplex) -> Fraction:
     """Exact rational homotopy invariant of P against A."""
-    return count_homs(p, cx, threads=threads) * normalization_factor(p, cx)
+    return count_homs(p, cx) * normalization_factor(p, cx)
 
 
 def euler_char_mapping_space(
@@ -48,7 +44,6 @@ def euler_char_mapping_space(
     cx: FiniteCrossedComplex,
     cap: int = DEFAULT_ENUM_CAP,
     verify_homotopy_count: bool = False,
-    threads: int = 1,
 ) -> Fraction:
     """Euler characteristic of the mapping space, summed morphism by morphism.
 
@@ -58,7 +53,7 @@ def euler_char_mapping_space(
     also established by direct enumeration of its value tables, not just by
     the product formula.
     """
-    homs = enumerate_homs(p, cx, cap=cap, threads=threads)
+    homs = enumerate_homs(p, cx, cap=cap)
     total = Fraction(0)
     for f in homs:
         term = Fraction(1)

@@ -90,31 +90,34 @@ def _norm(name: str) -> str:
     return name.strip().lower().replace("_", "-")
 
 
+def _sized(build: Callable[[int], object], size: str, name: str):
+    """Build a sized builtin; an out-of-range size is an input error."""
+    try:
+        return build(int(size))
+    except ValueError as exc:
+        raise ParseError(f"builtin '{name}': {exc}") from exc
+
+
 def resolve_space(name: str) -> CWPresentation:
-    """Builtin space by name; ParseError when unknown."""
+    """Builtin space by name; ParseError when unknown or out of range."""
     key = _norm(name)
     if key in _SPACES:
         return _SPACES[key]()
-    m = re.fullmatch(r"sphere:?(\d+)", key)
-    if m:
-        return sphere(int(m.group(1)))
-    m = re.fullmatch(r"disk:?(\d+)", key)
-    if m:
-        return disk(int(m.group(1)))
-    m = re.fullmatch(r"genus:?(\d+)", key)
-    if m:
-        return genus_surface(int(m.group(1)))
+    for prefix, build in (("sphere", sphere), ("disk", disk), ("genus", genus_surface)):
+        m = re.fullmatch(prefix + r":?(\d+)", key)
+        if m:
+            return _sized(build, m.group(1), name)
     raise ParseError(f"unknown builtin space '{name}'")
 
 
 def resolve_coefficients(name: str) -> FiniteCrossedComplex:
-    """Builtin coefficient complex by name; ParseError when unknown."""
+    """Builtin coefficient complex by name; ParseError when unknown or out of range."""
     key = _norm(name)
     if key in _COEFFICIENTS:
         return _COEFFICIENTS[key]()
     m = re.fullmatch(r"z:?(\d+)", key)
     if m:
-        return from_group(cyclic_group(int(m.group(1))))
+        return from_group(_sized(cyclic_group, m.group(1), name))
     raise ParseError(f"unknown builtin coefficients '{name}'")
 
 

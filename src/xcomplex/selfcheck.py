@@ -23,7 +23,7 @@ from .homotopies import (
 )
 from .invariant import euler_char_mapping_space, format_rational, invariant_ia
 from .library import resolve_coefficients, resolve_space, standard_coefficients, standard_spaces
-from .presentations import disk, point, rp2, sphere, torus, wedge
+from .presentations import disk, point, relabel_cells, rp2, sphere, torus, wedge
 from .randomgen import random_instances
 
 SEED = 20260819
@@ -293,28 +293,29 @@ def check_mutation_fuzzing() -> CheckResult:
     return CheckResult(8, "mutation fuzzing names axioms", not bad, details)
 
 
-def check_thread_determinism() -> CheckResult:
-    """Counts, invariants and class partitions agree for 1 and 8 threads."""
+def check_relabelling_invariance() -> CheckResult:
+    """Counts, invariants and class sizes survive reversing the cell order
+    in every dimension, on random and builtin instances."""
+    instances = random_instances(SEED, RANDOM_INSTANCES) + _suite_pairs()
     bad = []
-    for p, cx in _suite_pairs():
-        c1, c8 = count_homs(p, cx, threads=1), count_homs(p, cx, threads=8)
-        if c1 != c8:
-            bad.append(f"count {p.name} x {cx.name}: {c1} != {c8}")
-        i1, i8 = invariant_ia(p, cx, threads=1), invariant_ia(p, cx, threads=8)
-        if i1 != i8:
+    for p, cx in instances:
+        q = relabel_cells(
+            p, {n: tuple(reversed(range(p.count(n)))) for n in range(1, p.dim + 1)})
+        cp, cq = count_homs(p, cx), count_homs(q, cx)
+        if cp != cq:
+            bad.append(f"count {p.name} x {cx.name}: {cp} != {cq}")
+        if invariant_ia(p, cx) != invariant_ia(q, cx):
             bad.append(f"invariant {p.name} x {cx.name}")
         homs = enumerate_homs(p, cx)
         if homs and count_homotopies_from(homs[0]) * len(homs) <= EDGE_BUDGET:
-            d1 = homotopy_classes(p, cx, threads=1)
-            d8 = homotopy_classes(p, cx, threads=8)
-            if (d1.sizes != d8.sizes
-                    or [m.colours for m in d1.representatives]
-                    != [m.colours for m in d8.representatives]):
-                bad.append(f"classes {p.name} x {cx.name}")
-    details = f"{len(_suite_pairs())} instances"
+            sp = sorted(homotopy_classes(p, cx).sizes)
+            sq = sorted(homotopy_classes(q, cx).sizes)
+            if sp != sq:
+                bad.append(f"classes {p.name} x {cx.name}: {sp} != {sq}")
+    details = f"{len(instances)} instances"
     if bad:
-        details += "; nondeterminism: " + "; ".join(bad)
-    return CheckResult(9, "thread-count determinism", not bad, details)
+        details += "; changed by relabelling: " + "; ".join(bad)
+    return CheckResult(9, "cell relabelling invariance", not bad, details)
 
 
 def run_all() -> list[CheckResult]:
@@ -327,5 +328,5 @@ def run_all() -> list[CheckResult]:
         check_class_counts(),
         check_connection_validity(),
         check_mutation_fuzzing(),
-        check_thread_determinism(),
+        check_relabelling_invariance(),
     ]

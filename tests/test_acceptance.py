@@ -18,7 +18,7 @@ EXPECTED = [
     (6, "circle classes count pi1"),
     (7, "homotopy targets are morphisms"),
     (8, "mutation fuzzing names axioms"),
-    (9, "thread-count determinism"),
+    (9, "cell relabelling invariance"),
 ]
 
 

@@ -190,13 +190,54 @@ def test_bad_env_cap_is_input_error():
     assert "XCOMPLEX_CAP" in report["result"]["error"]
 
 
-def test_threads_flag_changes_nothing():
-    _, single, _ = run_cli("count", "--presentation", "torus",
-                           "--complex", "s3")
-    code, pooled, _ = run_cli("count", "--presentation", "torus",
-                              "--complex", "s3", "--threads", "8")
-    assert code == 0
-    assert pooled["result"]["count"] == single["result"]["count"] == 18
+@pytest.mark.parametrize("flag,name", [
+    ("--presentation", "sphere:0"),
+    ("--presentation", "disk:1"),
+    ("--complex", "z0"),
+])
+def test_out_of_range_builtin_is_input_error(flag, name):
+    args = {"--presentation": "torus", "--complex": "z2", flag: name}
+    code, report, _ = run_cli("count", *[x for kv in args.items() for x in kv])
+    assert code == 1
+    assert name in report["result"]["error"]
+
+
+def test_negative_cap_is_input_error():
+    code, report, _ = run_cli("count", "--presentation", "torus", "--complex",
+                              "s3", "--enumerate", "--cap", "-5")
+    assert code == 1
+    assert "--cap -5" in report["result"]["error"]
+    code, report, _ = run_cli("count", "--presentation", "torus", "--complex",
+                              "s3", "--enumerate", env_extra={"XCOMPLEX_CAP": "-1"})
+    assert code == 1
+    assert "XCOMPLEX_CAP -1" in report["result"]["error"]
+
+
+def test_usage_error_is_input_error():
+    code, report, stderr = run_cli("count", "--presentation", "torus",
+                                   "--complex", "s3", "--threads", "2")
+    assert code == 1
+    assert report["command"] is None
+    assert "--threads" in report["result"]["error"]
+    assert "usage:" in stderr
+    shown = subprocess.run([sys.executable, "-m", "xcomplex.cli", "count", "--help"],
+                           capture_output=True, text=True)
+    assert shown.returncode == 0
+    assert "--presentation" in shown.stdout
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    from xcomplex import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "count_homs", broken)
+    code = cli.main(["count", "--presentation", "torus", "--complex", "s3"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert json.loads(out)["result"]["error"] == "internal error: RuntimeError: planted"
+    assert "Traceback" in err
 
 
 def test_reports_are_deterministic():

@@ -63,18 +63,38 @@ def test_eval_word_inverse_letters():
     assert eval_word(z4, (3,), ((0, 1), (0, 1))) == 2
 
 
+def mixed_action_tower():
+    """Z/2, Z/3, Z/3, Z/3 with zero boundaries; Z/2 negates A_2 and A_4 but
+    acts trivially on A_3, so each degree reads its own action."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    flip = GroupAction(z2, z3, ((0, 1, 2), (0, 2, 1)))
+    cx = FiniteCrossedComplex(
+        (z2, z3, z3, z3),
+        (zero_hom(z3, z2), zero_hom(z3, z3), zero_hom(z3, z3)),
+        (flip, trivial_action(z2, z3), flip),
+    )
+    from xcomplex.complexes import validate
+    assert validate(cx).ok
+    return cx
+
+
 def test_eval_crossed_flip_action():
     """Single letters through the order-2 twist on Z/3, by hand."""
     cx = resolve_coefficients("cm-z2-z3-flip")
     f1, f2 = (1,), (2,)
-    assert eval_crossed(cx, f1, f2, ()) == 0
+    assert eval_crossed(cx, f1, f2, (), 2) == 0
     # x |> c with f1(x) = 1 flipping the fibre: 1 |> 2 = 1
-    assert eval_crossed(cx, f1, f2, ((((0, 1),), 0, 1),)) == 1
+    assert eval_crossed(cx, f1, f2, ((((0, 1),), 0, 1),), 2) == 1
     # inverse term: (x |> c)^-1 = 2
-    assert eval_crossed(cx, f1, f2, ((((0, 1),), 0, -1),)) == 2
+    assert eval_crossed(cx, f1, f2, ((((0, 1),), 0, -1),), 2) == 2
     # untwisted letter then twisted letter: 2 + 1 = 0 in Z/3
     cw = (((), 0, 1), (((0, 1),), 0, 1))
-    assert eval_crossed(cx, f1, f2, cw) == 0
+    assert eval_crossed(cx, f1, f2, cw, 2) == 0
+    # one degree up the same letter meets the trivial action on A_3
+    tower = mixed_action_tower()
+    assert eval_crossed(tower, f1, f2, ((((0, 1),), 0, 1),), 2) == 1
+    assert eval_crossed(tower, f1, f2, ((((0, 1),), 0, 1),), 3) == 2
+    assert eval_crossed(tower, f1, f2, ((((0, 1),), 0, -1),), 3) == 1
 
 
 def test_eval_module_coefficients_wrap():
@@ -93,6 +113,11 @@ def test_eval_module_coefficients_wrap():
     assert eval_module(cx, f1, f3, ((-1, (), 0),), 3) == 2
     assert eval_module(cx, f1, f3, ((2, ((0, 1),), 0),), 3) == 1  # 2*(1|>1) = 2*2
     assert eval_module(cx, f1, f3, ((0, (), 0),), 3) == 0
+    # A_3 ignores the twist, A_4 negates under it
+    tower = mixed_action_tower()
+    assert eval_module(tower, f1, f3, ((1, ((0, 1),), 0),), 3) == 1
+    assert eval_module(tower, f1, f3, ((1, ((0, 1),), 0),), 4) == 2
+    assert eval_module(tower, f1, f3, ((2, ((0, 1),), 0),), 4) == 1
 
 
 @pytest.mark.parametrize("space,coeff,expected", [
@@ -250,14 +275,6 @@ def test_enumeration_cap():
 def test_bruteforce_cap():
     with pytest.raises(InstanceTooLarge):
         count_homs_bruteforce(torus(), resolve_coefficients("s3"), cap=10)
-
-
-def test_threads_do_not_change_results():
-    p, cx = wedge(torus(), rp2()), resolve_coefficients("s3")
-    assert count_homs(p, cx, threads=3) == count_homs(p, cx, threads=1)
-    single = [m.colours for m in enumerate_homs(p, cx, threads=1)]
-    pooled = [m.colours for m in enumerate_homs(p, cx, threads=3)]
-    assert single == pooled
 
 
 def test_defect_report_clean_on_disk4():

@@ -220,15 +220,6 @@ def test_classes_singleton_hom_set():
     assert dec.representatives[0].colours == ((0,),)
 
 
-def test_classes_threads_agree():
-    p, cx = torus(), resolve_coefficients("cm-z4-z2-incl")
-    a = homotopy_classes(p, cx, threads=1)
-    b = homotopy_classes(p, cx, threads=2)
-    assert a.count == b.count and a.sizes == b.sizes
-    assert [m.colours for m in a.representatives] == \
-        [m.colours for m in b.representatives]
-
-
 def test_classes_edge_cap():
     with pytest.raises(ResultTooLarge):
         homotopy_classes(torus(), resolve_coefficients("cm-z4-z2-incl"), cap=8)

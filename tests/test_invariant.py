@@ -114,11 +114,6 @@ def test_euler_identity_with_verified_homotopy_counts():
     assert got == Fraction(2)
 
 
-def test_invariant_threads_agree():
-    p, cx = torus(), resolve_coefficients("cm-z4-z2-incl")
-    assert invariant_ia(p, cx, threads=4) == invariant_ia(p, cx)
-
-
 def test_format_rational():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(6, 3)) == "2"
