@@ -71,6 +71,7 @@ from .presentations import (
 from .enumeration import (
     Morphism,
     boundary_defect_report,
+    count_engine,
     count_homs,
     count_homs_bruteforce,
     enumerate_homs,

@@ -42,6 +42,7 @@ from .documents import (
 from .enumeration import (
     DEFAULT_ENUM_CAP,
     boundary_defect_report,
+    count_engine,
     count_homs,
     count_homs_bruteforce,
     enumerate_homs,
@@ -213,9 +214,12 @@ def cmd_count(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
         return EXIT_INVALID
     n = count_homs(p, cx)
     result["count"] = n
+    result["engine"] = count_engine(p, cx)
     if args.enumerate:
         morphisms = enumerate_homs(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
         result["morphisms"] = [[list(layer) for layer in m.colours] for m in morphisms]
+        if len(morphisms) != n:
+            raise AssertionError(f"listing disagrees: counted {n}, listed {len(morphisms)}")
     if args.oracle:
         oracle = count_homs_bruteforce(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
         result["oracle"] = oracle
@@ -234,6 +238,7 @@ def cmd_invariant(args: argparse.Namespace, inputs: _Inputs, result: dict) -> in
     norm = normalization_factor(p, cx)
     inv = n * norm
     result["count"] = n
+    result["engine"] = count_engine(p, cx)
     result["normalization"] = format_rational(norm)
     result["invariant"] = format_rational(inv)
     if args.euler:

@@ -1,4 +1,4 @@
-"""Morphism counting and enumeration by dimension-layered backtracking.
+"""Morphism counting and enumeration.
 
 A morphism from a presentation P into a complex A of length L is a family
 of cell colourings f_n: C_n -> A_n (n = 1..L) such that
@@ -8,13 +8,27 @@ of cell colourings f_n: C_n -> A_n (n = 1..L) such that
   * the attaching data of every (L+1)-cell evaluates to the identity
     (the "kill" constraints forced by truncation).
 
-Cells of dimension greater than L+1 impose nothing.  The search assigns
-layer 1 by an odometer over all colourings of the 1-cells; at layer n the
-admissible values per cell form a precomputed boundary fiber over a target
-that only depends on lower layers, so pruning on an empty fiber is exact,
-and when no kill constraints exist the last layer contributes a plain
-product of fiber sizes.  Enumeration order is lexicographic by (dimension,
-cell index, element index).
+Cells of dimension greater than L+1 impose nothing.  Two engines count:
+
+  * Elimination, when no cell of dimension 3..L+1 exists, so every
+    constraint comes from a 2-cell's word.  The relator letters are read in
+    order; a state is the running product plus the colours of the live
+    1-cells (seen and used again later), and a cell is summed out at its
+    last letter.  A finished relator with value t weighs [t == 0] when
+    L = 1 and |d_2^{-1}(t)| otherwise.  This is bucket elimination on the
+    cell-relator incidence graph.
+  * Layered backtracking otherwise: layer 1 by an odometer over all
+    colourings of the 1-cells; at layer n the admissible values per cell
+    form a precomputed boundary fiber over a target that only depends on
+    lower layers, so pruning on an empty fiber is exact, and when no kill
+    constraints exist the last layer contributes a plain product of fiber
+    sizes.
+
+`count_engine` picks one: elimination when it applies and its transition
+estimate (elimination_cost) is at most the |A_1|^{l_1} colourings the
+odometer would visit, so its state table never outgrows the odometer's
+walk; backtracking otherwise.  Enumeration always backtracks, in
+lexicographic order by (dimension, cell index, element index).
 
 Counts are Python ints, hence arbitrary precision.
 """
@@ -241,11 +255,117 @@ class _Search:
             colours.pop()
 
 
+def elimination_cost(p: CWPresentation, cx: FiniteCrossedComplex) -> Optional[int]:
+    """Bound on the state transitions elimination would make, or None when
+    some cell of dimension 3..L+1 constrains the count.
+
+    Before each letter the states number at most min(|A_1|^(live+1),
+    |A_1|^seen), with |A_1|^live in place of the first term at a relator's
+    first letter, where the product is the identity; a letter whose cell
+    is new multiplies them by |A_1|.
+    """
+    if any(p.count(n) for n in range(3, cx.length + 2)):
+        return None
+    order = cx.groups[0].order
+    last = _last_letters(p.attach2)
+    seen: set[int] = set()
+    live = 0
+    cost = 0
+    for i, w in enumerate(p.attach2):
+        for j, (gen, _) in enumerate(w):
+            states = order ** min(live + (j > 0), len(seen))
+            if gen in seen:
+                cost += states
+            else:
+                seen.add(gen)
+                live += 1
+                cost += states * order
+            if last[gen] == (i, j):
+                live -= 1
+    return cost
+
+
+def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> str:
+    """The engine count_homs runs: "elimination" or "backtrack"."""
+    cost = elimination_cost(p, cx)
+    if cost is not None and cost <= cx.groups[0].order ** p.count(1):
+        return "elimination"
+    return "backtrack"
+
+
+def _last_letters(words: tuple[Word, ...]) -> dict[int, tuple[int, int]]:
+    """(relator, letter) position of each 1-cell's last occurrence."""
+    return {gen: (i, j) for i, w in enumerate(words) for j, (gen, _) in enumerate(w)}
+
+
+def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
+    """Count by summing out 1-cells letter by letter (see module docstring).
+
+    A state is one int: the running product in the lowest base-|A_1| digit
+    and each live cell's colour in the digit of the slot it holds while live.
+    """
+    a1 = cx.groups[0]
+    order, mul = a1.order, a1.mul
+    # letter (gen, e) multiplies by colour v through mul[acc][factor[e][v]]
+    factor = {1: range(order), -1: a1.inv}
+    if cx.length == 1:
+        weight = [1] + [0] * (order - 1)
+    else:
+        weight = [len(fib) for fib in fibers_of(cx.boundary(2))]
+    last = _last_letters(p.attach2)
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    states = {0: 1}
+    for i, w in enumerate(p.attach2):
+        for j, (gen, e) in enumerate(w):
+            src = factor[e]
+            drop = last[gen] == (i, j)
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            if gen in slot_of:
+                place = order ** (slot_of[gen] + 1)
+                for state, cnt in states.items():
+                    acc = state % order
+                    v = state // place % order
+                    key = state - acc + mul[acc][src[v]] - (v * place if drop else 0)
+                    nxt[key] = get(key, 0) + cnt
+                if drop:
+                    free.append(slot_of.pop(gen))
+            else:
+                place = 0  # a cell used only here is summed out at once
+                if not drop:
+                    slot_of[gen] = slot = free.pop() if free else len(slot_of)
+                    place = order ** (slot + 1)
+                for state, cnt in states.items():
+                    acc = state % order
+                    rest = state - acc
+                    row = mul[acc]
+                    for v in range(order):
+                        key = rest + v * place + row[src[v]]
+                        nxt[key] = get(key, 0) + cnt
+            states = nxt
+        closed: dict[int, int] = {}
+        for state, cnt in states.items():
+            acc = state % order
+            if weight[acc]:
+                key = state - acc
+                closed[key] = closed.get(key, 0) + cnt * weight[acc]
+        states = closed
+    return sum(states.values()) * order ** (p.count(1) - len(last))
+
+
 def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
-    """Number of morphisms P -> A.  Assumes both inputs validated."""
+    """Number of morphisms P -> A, by the engine count_engine picks.
+
+    Assumes both inputs validated.
+    """
+    if count_engine(p, cx) == "elimination":
+        return _eliminate(p, cx)
+    return _backtrack(p, cx)
+
+
+def _backtrack(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     s = _Search(p, cx)
-    if s.length == 1 and s.kill_count == 0:
-        return cx.groups[0].order ** s.counts[1]
     return sum(s.count_below([f1]) for f1 in s.layer1())
 
 
@@ -278,7 +398,7 @@ def count_homs_bruteforce(
 ) -> int:
     """Oracle count: sweep the full colouring space, check every constraint.
 
-    Shares nothing with the layered search except the constraint checker.
+    Shares nothing with the counting engines but attaching-data evaluation.
     Raises InstanceTooLarge when the space exceeds `cap`.
     """
     length = cx.length

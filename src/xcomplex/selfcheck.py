@@ -23,7 +23,16 @@ from .homotopies import (
 )
 from .invariant import euler_char_mapping_space, format_rational, invariant_ia
 from .library import resolve_coefficients, resolve_space, standard_coefficients, standard_spaces
-from .presentations import disk, point, relabel_cells, rp2, sphere, torus, wedge
+from .presentations import (
+    disk,
+    genus_surface,
+    point,
+    relabel_cells,
+    rp2,
+    sphere,
+    torus,
+    wedge,
+)
 from .randomgen import random_instances
 
 SEED = 20260819
@@ -45,7 +54,8 @@ def _suite_pairs():
 
 
 def check_oracle_equivalence() -> CheckResult:
-    """Layered count equals brute-force count on random and builtin instances."""
+    """count_homs, by either engine, equals the brute-force count on random
+    and builtin instances."""
     bad = []
     tried = 0
     for p, cx in random_instances(SEED, RANDOM_INSTANCES):
@@ -125,12 +135,26 @@ def check_euler_identity() -> CheckResult:
 
 
 def check_named_values() -> CheckResult:
-    """Frozen reference values."""
+    """Frozen reference values and values from the literature.
+
+    A genus-g surface has |G| sum_chi (|G|/chi(1))^(2g-2) morphisms into a
+    group G (Mednykh 1978); S3's character degrees are 1, 1, 2.  The
+    projective plane's morphisms into G are the x in G with x^2 = 1.
+    """
+    s3 = resolve_coefficients("s3")
     cases = [
-        ("torus x s3", torus(), resolve_coefficients("s3"), "18"),
+        ("torus x s3", torus(), s3, "18"),
         ("rp2 x z2", rp2(), resolve_coefficients("z2"), "2"),
         ("rp2 x z3", rp2(), resolve_coefficients("z3"), "1"),
     ]
+    for g in range(2, 9):
+        mednykh = sum(6 * (6 // d) ** (2 * g - 2) for d in (1, 1, 2))
+        cases.append((f"genus:{g} x s3", genus_surface(g), s3, str(mednykh)))
+    for name in ("z2", "z3", "z4", "s3", "z2xz2"):
+        cx = resolve_coefficients(name)
+        a1 = cx.groups[0]
+        roots = sum(1 for x in range(a1.order) if a1.mul[x][x] == 0)
+        cases.append((f"rp2 x {name}", rp2(), cx, str(roots)))
     for cx in standard_coefficients():
         cases.append((f"point x {cx.name}", point(), cx, "1"))
     bad = []

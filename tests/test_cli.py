@@ -240,14 +240,32 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert "Traceback" in err
 
 
+def test_enumerate_disagreeing_count_is_internal_error(monkeypatch, capsys):
+    """count --enumerate checks the listing's length against the count."""
+    from xcomplex import cli
+
+    real = cli.count_homs
+    monkeypatch.setattr(cli, "count_homs", lambda p, cx: real(p, cx) + 1)
+    code = cli.main(["count", "--presentation", "genus:2", "--complex", "z2",
+                     "--enumerate"])
+    out, _ = capsys.readouterr()
+    assert code == 4
+    assert "listing disagrees" in json.loads(out)["result"]["error"]
+
+
 def test_reports_are_deterministic():
-    _, a, _ = run_cli("invariant", "--presentation", "torus",
-                      "--complex", "cm-z4-z2-incl")
-    _, b, _ = run_cli("invariant", "--presentation", "torus",
-                      "--complex", "cm-z4-z2-incl")
-    a.pop("timing_ms")
-    b.pop("timing_ms")
-    assert a == b
+    """Equal reports apart from timing, naming the engine that counted."""
+    for command, space, coeff, engine in (
+            ("invariant", "torus", "cm-z4-z2-incl", "backtrack"),
+            ("invariant", "genus:2", "s3", "elimination"),
+            ("count", "disk:3", "l3-z2", "backtrack"),
+            ("count", "genus:3", "z3", "elimination")):
+        _, a, _ = run_cli(command, "--presentation", space, "--complex", coeff)
+        _, b, _ = run_cli(command, "--presentation", space, "--complex", coeff)
+        a.pop("timing_ms")
+        b.pop("timing_ms")
+        assert a == b
+        assert a["result"]["engine"] == engine, (command, space, coeff)
 
 
 def test_library_lists_builtins():

@@ -1,14 +1,20 @@
 """Morphism evaluation, counting, enumeration and the brute-force oracle."""
 
+import random
+
 import pytest
 
 from xcomplex.complexes import FiniteCrossedComplex, from_group
 from xcomplex.enumeration import (
     Morphism,
+    _backtrack,
+    _eliminate,
     attaching_target,
     boundary_defect_report,
+    count_engine,
     count_homs,
     count_homs_bruteforce,
+    elimination_cost,
     enumerate_homs,
     eval_crossed,
     eval_module,
@@ -37,7 +43,7 @@ from xcomplex.presentations import (
     torus,
     wedge,
 )
-from xcomplex.randomgen import random_instances
+from xcomplex.randomgen import random_complex, random_instances
 
 
 def test_eval_word_empty_is_identity():
@@ -193,6 +199,66 @@ def test_layered_search_agrees_with_bruteforce():
     """Dual-route oracle on a handful of seeded random instances."""
     for p, cx in random_instances(seed=5, count=6):
         assert count_homs(p, cx) == count_homs_bruteforce(p, cx), (p, cx)
+
+
+def random_2d_instances(seed, length, count):
+    """Presentations of dimension <= 2 on random towers of one length: up to
+    four 1-cells and three relators of up to five letters each."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        cx = random_complex(rng)
+        if cx.length != length:
+            continue
+        l1, l2 = rng.randint(0, 4), rng.randint(0, 3)
+        words = tuple(
+            tuple((rng.randrange(l1), rng.choice((1, -1)))
+                  for _ in range(rng.randint(0, 5) if l1 else 0))
+            for _ in range(l2))
+        out.append((CWPresentation((1, l1, l2), attach2=words, name="random-2d"), cx))
+    return out
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_elimination_agrees_with_backtracker_and_bruteforce(length):
+    instances = random_2d_instances(seed=40 + length, length=length, count=30)
+    features = set()
+    for p, cx in instances:
+        assert elimination_cost(p, cx) is not None
+        eliminated = _eliminate(p, cx)
+        assert eliminated == _backtrack(p, cx) == count_homs_bruteforce(p, cx), p.attach2
+        used = [g for w in p.attach2 for g, _ in w]
+        if len(set(used)) < p.count(1):
+            features.add("unused cell")
+        if () in p.attach2:
+            features.add("empty relator")
+        if any(len({g for g, _ in w}) < len(w) for w in p.attach2):
+            features.add("repeat within a relator")
+        if any({g for g, _ in v} & {g for g, _ in w}
+               for i, v in enumerate(p.attach2) for w in p.attach2[i + 1:]):
+            features.add("cell shared across relators")
+    assert features == {"unused cell", "empty relator", "repeat within a relator",
+                        "cell shared across relators"}
+
+
+def test_engine_choice():
+    """Elimination runs only within the odometer's colourings and never
+    past the 2-cells; otherwise the backtracker counts."""
+    s3 = resolve_coefficients("s3")
+    # torus: 6 + 3 * 6^2 transitions against 6^2 colourings
+    assert elimination_cost(torus(), s3) == 114
+    assert count_engine(torus(), s3) == "backtrack"
+    assert count_homs(torus(), s3) == _eliminate(torus(), s3) == 18
+    assert count_engine(genus_surface(2), s3) == "elimination"
+    assert count_engine(point(), s3) == "elimination"
+    # a 3-cell below the kill dimension keeps the backtracker, whatever it costs
+    for space, coeff in (("disk:3", "cm-z2-z2-zero"), ("sphere:3", "l3-z2")):
+        p, cx = resolve_space(space), resolve_coefficients(coeff)
+        assert elimination_cost(p, cx) is None
+        assert count_engine(p, cx) == "backtrack"
+        assert count_homs(p, cx) == count_homs_bruteforce(p, cx)
+    # above the kill dimension a 3-cell is inert
+    assert count_engine(wedge(genus_surface(2), sphere(3)), s3) == "elimination"
 
 
 def test_bruteforce_on_named_pairs():
