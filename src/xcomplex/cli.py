@@ -242,8 +242,7 @@ def cmd_invariant(args: argparse.Namespace, inputs: _Inputs, result: dict) -> in
     result["normalization"] = format_rational(norm)
     result["invariant"] = format_rational(inv)
     if args.euler:
-        eul = euler_char_mapping_space(
-            p, cx, cap=_cap(args, DEFAULT_ENUM_CAP), verify_homotopy_count=True)
+        eul = euler_char_mapping_space(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
         result["euler"] = format_rational(eul)
         result["euler_agrees"] = eul == inv
         if eul != inv:

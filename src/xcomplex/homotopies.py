@@ -13,9 +13,19 @@ data exactly as a morphism's f_{n-1} is, one degree up, in A_n.  The last
 factor is dropped for n = L.
 Every computed target is verified; a failure raises TargetNotMorphism.
 
-Homotopy classes are the connected components of the graph whose edges are
-(f, target of some H out of f), with symmetric closure, computed by
-union-find.
+Homotopy classes are the connected components of the graph on Hom(P, A)
+whose edges join f to the target of a homotopy out of f.  The graph walked
+has only the *elementary* homotopies as edges: those whose value table is
+the identity everywhere except at one cell, sum_k l_k (|A_{k+1}| - 1) of
+them per morphism instead of prod_k |A_{k+1}|^{l_k}.  They give the same
+components.  Homotopies compose by pointwise product of their value tables
+(Brown and Higgins, J. Pure Appl. Algebra 47, 1987): following H out of f
+and then K out of its target ends where H * K out of f does.  A table with
+m non-identity values is the pointwise product of the m elementary tables
+that carry one value each, and since no two of them share a cell, the
+product does not depend on their order.  So the target of any homotopy out
+of f is reached from f along m elementary edges.  `homotopy_value_space`
+walks the full graph and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -146,6 +156,28 @@ def homotopy_value_space(
         yield tuple(values)
 
 
+def elementary_value_tables(
+    p: CWPresentation,
+    cx: FiniteCrossedComplex,
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Value tables of the elementary homotopies: identity everywhere except
+    h[k-1][c] = v, for k = 1 .. L-1, c < l_k and v = 1 .. |A_{k+1}|-1."""
+    identity = tuple((0,) * p.count(k) for k in range(1, cx.length))
+    for k, layer in enumerate(identity, start=1):
+        for c in range(len(layer)):
+            for v in range(1, cx.groups[k].order):
+                values = list(identity)
+                values[k - 1] = layer[:c] + (v,) + layer[c + 1:]
+                yield tuple(values)
+
+
+def count_class_edges(p: CWPresentation, cx: FiniteCrossedComplex, morphisms: int) -> int:
+    """Edges `homotopy_classes` walks on `morphisms` morphisms:
+    morphisms * sum_k l_k (|A_{k+1}| - 1)."""
+    return morphisms * sum(
+        p.count(k) * (cx.groups[k].order - 1) for k in range(1, cx.length))
+
+
 @dataclass(frozen=True)
 class ClassDecomposition:
     """Partition of the morphism set into homotopy classes.
@@ -167,16 +199,18 @@ def homotopy_classes(
 ) -> ClassDecomposition:
     """Connected components of the 1-fold homotopy graph on Hom(P, A).
 
-    Raises ResultTooLarge when morphisms times homotopies per morphism
-    exceeds `cap`.
+    Raises ResultTooLarge when the elementary edges to walk,
+    `count_class_edges(p, cx, #morphisms)`, exceed `cap`.
     """
     homs = enumerate_homs(p, cx, cap=cap)
     if not homs:
         return ClassDecomposition(0, (), ())
-    per = count_homotopies_from(homs[0])
-    if per * len(homs) > cap:
+    edges = count_class_edges(p, cx, len(homs))
+    if edges > cap:
         raise ResultTooLarge(
-            f"{len(homs)} morphisms x {per} homotopies exceeds edge cap {cap}")
+            f"{len(homs)} morphisms x {edges // len(homs)} elementary homotopies"
+            f" = {edges} edges exceeds edge cap {cap}")
+    tables = tuple(elementary_value_tables(p, cx))
     index: dict[Colouring, int] = {m.colours: i for i, m in enumerate(homs)}
 
     parent = list(range(len(homs)))
@@ -188,7 +222,7 @@ def homotopy_classes(
         return i
 
     for i, f in enumerate(homs):
-        for values in homotopy_value_space(p, cx):
+        for values in tables:
             j = index[homotopy_target(Homotopy1(f, values)).colours]
             ri, rj = find(i), find(j)
             if ri != rj:
@@ -203,6 +237,19 @@ def homotopy_classes(
         representatives=tuple(homs[r] for r in roots),
         sizes=tuple(len(members[r]) for r in roots),
     )
+
+
+def homotopy_orbit(f: Morphism) -> tuple[int, int]:
+    """Orbit size and stabiliser order of f over the full value space:
+    the number of distinct targets of homotopies out of f, and the number of
+    homotopies whose target is f itself."""
+    targets = set()
+    fixing = 0
+    for k in enumerate_homotopies_from(f):
+        g = homotopy_target(k).colours
+        targets.add(g)
+        fixing += g == f.colours
+    return len(targets), fixing
 
 
 def enumerate_homotopies_from(f: Morphism) -> Iterator[Homotopy1]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .complexes import FiniteCrossedComplex, size_at
 from .enumeration import DEFAULT_ENUM_CAP, count_homs, enumerate_homs
-from .homotopies import count_homotopies_from, homotopy_value_space
+from .homotopies import count_homotopies_from
 from .presentations import CWPresentation
 
 
@@ -43,15 +43,11 @@ def euler_char_mapping_space(
     p: CWPresentation,
     cx: FiniteCrossedComplex,
     cap: int = DEFAULT_ENUM_CAP,
-    verify_homotopy_count: bool = False,
 ) -> Fraction:
     """Euler characteristic of the mapping space, summed morphism by morphism.
 
     Each morphism contributes prod_k (#homotopies in fold k)^{(-1)^k}; the
-    total equals the invariant (asserted by tests, not here).  With
-    `verify_homotopy_count` the fold-1 homotopy count of every morphism is
-    also established by direct enumeration of its value tables, not just by
-    the product formula.
+    total equals the invariant (asserted by tests, not here).
     """
     homs = enumerate_homs(p, cx, cap=cap)
     total = Fraction(0)
@@ -60,12 +56,6 @@ def euler_char_mapping_space(
         for fold in range(1, cx.length + 1):
             cnt = count_homotopies_from(f, fold)
             term *= cnt if fold % 2 == 0 else Fraction(1, cnt)
-        if verify_homotopy_count:
-            direct = sum(1 for _ in homotopy_value_space(p, cx))
-            formula = count_homotopies_from(f, 1)
-            assert direct == formula, (
-                f"fold-1 homotopy count mismatch: enumerated {direct}, "
-                f"formula {formula}")
         total += term
     return total
 

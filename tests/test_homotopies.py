@@ -9,15 +9,24 @@ from xcomplex.errors import IndexOutOfRange, ResultTooLarge
 from xcomplex.homotopies import (
     ClassDecomposition,
     Homotopy1,
+    count_class_edges,
     count_homotopies_from,
+    elementary_value_tables,
     enumerate_homotopies_from,
     eval_derivation,
     homotopy_classes,
     homotopy_target,
     homotopy_value_space,
 )
-from xcomplex.complexes import pi1
-from xcomplex.library import resolve_coefficients, resolve_space
+from xcomplex.complexes import from_crossed_module, pi1
+from xcomplex.groups import GroupAction, GroupHom, symmetric_group_3
+from xcomplex.library import (
+    resolve_coefficients,
+    resolve_space,
+    standard_coefficients,
+    standard_spaces,
+)
+from xcomplex.randomgen import random_instances
 from xcomplex.presentations import free_reduce, rp2, sphere, torus, wedge
 
 
@@ -221,8 +230,75 @@ def test_classes_singleton_hom_set():
 
 
 def test_classes_edge_cap():
+    """The cap counts elementary edges: 16 morphisms x 2 homotopies each."""
+    p, cx = torus(), resolve_coefficients("cm-z4-z2-incl")
     with pytest.raises(ResultTooLarge):
-        homotopy_classes(torus(), resolve_coefficients("cm-z4-z2-incl"), cap=8)
+        homotopy_classes(p, cx, cap=8)
+    with pytest.raises(ResultTooLarge, match="= 32 edges"):
+        homotopy_classes(p, cx, cap=31)
+    assert count_class_edges(p, cx, 16) == 32
+    assert homotopy_classes(p, cx, cap=32).count == 4
+
+
+def test_elementary_value_tables():
+    """One non-identity value per table, in (layer, cell, value) order."""
+    tables = list(elementary_value_tables(torus(), resolve_coefficients("l3-z2")))
+    assert tables == [((1, 0), (0,)), ((0, 1), (0,)), ((0, 0), (1,))]
+    assert list(elementary_value_tables(torus(), resolve_coefficients("s3"))) == []
+    p, cx = sphere(1), resolve_coefficients("cm-z2-z3-flip")
+    assert list(elementary_value_tables(p, cx)) == [((1,),), ((2,),)]
+    assert count_class_edges(p, cx, 5) == 10
+
+
+def _full_graph_classes(p, cx, homs):
+    """Union-find over every value table of homotopy_value_space: the oracle."""
+    index = {m.colours: i for i, m in enumerate(homs)}
+    parent = list(range(len(homs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, f in enumerate(homs):
+        for values in homotopy_value_space(p, cx):
+            ri = find(i)
+            rj = find(index[homotopy_target(Homotopy1(f, values)).colours])
+            parent[max(ri, rj)] = min(ri, rj)
+    roots = [find(i) for i in range(len(homs))]
+    reps = sorted(set(roots))
+    return [homs[r].colours for r in reps], [roots.count(r) for r in reps]
+
+
+def _conjugation_crossed_module():
+    """S3 acting on itself by conjugation, with the identity as boundary."""
+    s3 = symmetric_group_3()
+    act = tuple(tuple(s3.mul[s3.mul[g][e]][s3.inv[g]] for e in range(6))
+                for g in range(6))
+    return from_crossed_module(s3, s3, GroupHom(s3, s3, tuple(range(6))),
+                               GroupAction(s3, s3, act), name="s3-conj")
+
+
+def test_elementary_classes_match_full_graph():
+    """Elementary edges give the components of the full homotopy graph."""
+    instances = (
+        [(p, cx) for p in standard_spaces() for cx in standard_coefficients()]
+        + [(p, _conjugation_crossed_module()) for p in (sphere(1), torus(), rp2())]
+        + random_instances(20260819, 60))
+    compared = []
+    for p, cx in instances:
+        homs = enumerate_homs(p, cx)
+        if not homs or count_homotopies_from(homs[0]) * len(homs) > 2_000:
+            continue
+        dec = homotopy_classes(p, cx)
+        reps, sizes = _full_graph_classes(p, cx, homs)
+        assert [m.colours for m in dec.representatives] == reps, (p, cx.name)
+        assert list(dec.sizes) == sizes, (p, cx.name)
+        compared.append((cx, dec.sizes))
+    assert any(cx.length == 3 and max(sizes) > 1 for cx, sizes in compared)
+    assert any(cx.length >= 2 and max(sizes) > 1
+               and cx.groups[0].mul != tuple(zip(*cx.groups[0].mul))
+               for cx, sizes in compared)
 
 
 def test_wedge_classes_spot_check():

@@ -7,6 +7,7 @@ import pytest
 from xcomplex.complexes import FiniteCrossedComplex, validate
 from xcomplex.enumeration import count_homs
 from xcomplex.groups import cyclic_group, trivial_action, zero_hom
+from xcomplex.homotopies import count_homotopies_from, homotopy_classes, homotopy_orbit
 from xcomplex.invariant import (
     euler_char_mapping_space,
     format_rational,
@@ -109,9 +110,23 @@ def test_euler_identity(space, coeff):
 
 
 def test_euler_identity_with_verified_homotopy_counts():
-    p, cx = sphere(1), resolve_coefficients("l3-z2")
-    got = euler_char_mapping_space(p, cx, verify_homotopy_count=True)
-    assert got == Fraction(2)
+    """Class sizes again, by orbit and stabiliser over every value table.
+
+    rp2 into the flip: the mobile class has three members and a trivial
+    stabiliser, each rigid morphism is fixed by all three homotopies, and
+    #homotopies / |Stab| summed over the classes gives back the six
+    morphisms.
+    """
+    p, cx = rp2(), resolve_coefficients("cm-z2-z3-flip")
+    dec = homotopy_classes(p, cx)
+    orbits = [homotopy_orbit(f) for f in dec.representatives]
+    assert orbits == [(3, 1), (1, 3), (1, 3), (1, 3)]
+    assert tuple(size for size, _ in orbits) == dec.sizes
+    total = sum(Fraction(count_homotopies_from(f), stab)
+                for f, (_, stab) in zip(dec.representatives, orbits))
+    assert total == 6
+    assert normalization_factor(p, cx) * total == invariant_ia(p, cx) == 2
+    assert euler_char_mapping_space(p, cx) == 2
 
 
 def test_format_rational():
