@@ -25,6 +25,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     action_violation,
+    associativity_witness,
     check_action,
     check_hom,
     cyclic_group,

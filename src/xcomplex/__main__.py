@@ -1,0 +1,3 @@
+import sys
+from . import cli
+sys.exit(cli.main())

@@ -370,6 +370,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         command = args.command
+        _cap(args, 0)  # every subcommand takes --cap: reject a bad one before any work
         code = _COMMANDS[command](args, inputs, result)
     except ParseError as exc:
         result["error"] = str(exc)

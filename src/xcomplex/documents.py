@@ -18,7 +18,8 @@ Formats (all indices 0-based, identity at 0):
   moduleelt      [[coef, word, gen], ...]    coef any integer
 
 Shape and schema problems raise ParseError naming the offending path;
-algebraic validity is the business of the validators, not this module.
+algebraic validity is the business of the validators, not this module
+(`load_group` alone validates, through `make_group`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Any
 
 from .complexes import FiniteCrossedComplex
 from .errors import DimensionMismatch, ParseError
-from .groups import FiniteGroup, GroupAction, GroupHom, make_group
+from .groups import FiniteGroup, GroupAction, GroupHom, make_group, table_group
 from .presentations import CrossedWord, CWPresentation, ModuleElt, Word
 
 
@@ -43,14 +44,19 @@ def _int_matrix(obj: Any, path: str) -> list[list[int]]:
     out = []
     for i, row in enumerate(obj):
         _expect(isinstance(row, list), f"{path}[{i}]", "expected an array")
-        for j, v in enumerate(row):
-            _expect(isinstance(v, int) and not isinstance(v, bool),
-                    f"{path}[{i}][{j}]", "expected an integer")
+        if not all(type(v) is int for v in row):
+            for j, v in enumerate(row):
+                _expect(isinstance(v, int) and not isinstance(v, bool),
+                        f"{path}[{i}][{j}]", "expected an integer")
         out.append(list(row))
     return out
 
 
 def load_group(obj: Any, path: str = "group") -> FiniteGroup:
+    return _load_table(obj, path, make_group)
+
+
+def _load_table(obj: Any, path: str, build) -> FiniteGroup:
     _expect(isinstance(obj, dict), path, "expected an object")
     _expect("mul" in obj, path, "missing key 'mul'")
     mul = _int_matrix(obj["mul"], f"{path}.mul")
@@ -60,7 +66,7 @@ def load_group(obj: Any, path: str = "group") -> FiniteGroup:
     name = obj.get("name", "")
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
     try:
-        return make_group(mul, name=name)
+        return build(mul, name=name)
     except DimensionMismatch as exc:
         raise ParseError(f"{path}.mul: {exc}") from exc
 
@@ -74,7 +80,8 @@ def load_complex(obj: Any, path: str = "complex") -> FiniteCrossedComplex:
     gs = obj["groups"]
     _expect(isinstance(gs, list) and len(gs) == length,
             f"{path}.groups", f"expected {length} groups")
-    groups = tuple(load_group(g, f"{path}.groups[{i}]") for i, g in enumerate(gs))
+    groups = tuple(_load_table(g, f"{path}.groups[{i}]", table_group)
+                   for i, g in enumerate(gs))
     bds = obj["boundaries"]
     acts = obj["actions"]
     _expect(isinstance(bds, list) and len(bds) == length - 1,

@@ -6,15 +6,18 @@ Conventions used everywhere in the package:
   * index 0 is always the identity;
   * tables are tuples of tuples and never change after construction.
 
-`make_group` is the only validating constructor; the dataclass constructor
-itself is dumb on purpose, so tests can build deliberately broken tables.
+`make_group` is the only validating constructor.  `table_group` checks the
+shape only, so that complex documents leave the group axioms to
+`complexes.validate`; the dataclass constructor itself is dumb on purpose,
+so tests can build deliberately broken tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -38,14 +41,12 @@ class FiniteGroup:
         return f"FiniteGroup({self.name or '?'}, order={self.order})"
 
 
-def make_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
-    """Validate a multiplication table and return the group it defines.
+def table_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
+    """The square table over 0..n-1 as a FiniteGroup, no axiom checked.
 
-    The table must be square over 0..n-1 with the identity at index 0.
-    Raises NoIdentityAtZero / MissingInverse / NotAssociative naming the
-    first violating tuple, DimensionMismatch for shape problems.
+    inv[x] is the least two-sided inverse of x, or -1 when x has none.
     """
-    mul = tuple(tuple(int(v) for v in row) for row in mul_table)
+    mul = tuple(tuple(map(int, row)) for row in mul_table)
     n = len(mul)
     if n == 0:
         raise DimensionMismatch("empty multiplication table")
@@ -55,24 +56,94 @@ def make_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGrou
         for b, v in enumerate(row):
             if not 0 <= v < n:
                 raise DimensionMismatch(f"mul entry ({a},{b}) = {v} out of range", (a, b))
-    for x in range(n):
-        if mul[0][x] != x or mul[x][0] != x:
-            raise NoIdentityAtZero(f"index 0 is not a two-sided identity at x={x}", (x,))
-    inv = []
-    for x in range(n):
-        y = next((y for y in range(n) if mul[x][y] == 0 and mul[y][x] == 0), None)
-        if y is None:
-            raise MissingInverse(f"element {x} has no two-sided inverse", (x,))
-        inv.append(y)
-    for a in range(n):
-        ma = mul[a]
-        for b in range(n):
-            mab = mul[ma[b]]
-            mb = mul[b]
-            for c in range(n):
-                if mab[c] != ma[mb[c]]:
-                    raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})", (a, b, c))
-    return FiniteGroup(n, mul, tuple(inv), name)
+    inv = tuple(
+        next((y for y in range(n) if mul[x][y] == 0 and mul[y][x] == 0), -1)
+        for x in range(n))
+    return FiniteGroup(n, mul, inv, name)
+
+
+_AXIOM_ERRORS = {
+    "group-identity": (NoIdentityAtZero, "index 0 is not a two-sided identity at x={}"),
+    "group-inverse": (MissingInverse, "element {} has no two-sided inverse"),
+    "group-associativity": (NotAssociative, "({0}*{1})*{2} != {0}*({1}*{2})"),
+}
+
+
+def make_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
+    """Validate a multiplication table and return the group it defines.
+
+    Raises DimensionMismatch for shape problems, else the error of the first
+    of `group_violations` with its witness: NoIdentityAtZero, MissingInverse,
+    or NotAssociative naming a genuine violating triple (x, s, y) that need
+    not be the lexicographically first.
+    """
+    g = table_group(mul_table, name)
+    for axiom, w in group_violations(g):
+        error, message = _AXIOM_ERRORS[axiom]
+        raise error(message.format(*w), w)
+    return g
+
+
+def group_violations(g: FiniteGroup) -> Iterator[tuple[str, tuple]]:
+    """(axiom, witness) per failing axiom of a raw table, in this order:
+    group-identity and group-inverse at the first failing element x, and
+    group-associativity at the triple of `associativity_witness`."""
+    order, mul, inv = g.order, g.mul, g.inv
+    x = next((x for x in range(order) if mul[0][x] != x or mul[x][0] != x), None)
+    if x is not None:
+        yield ("group-identity", (x,))
+    x = next((x for x in range(order) if not 0 <= inv[x] < order
+              or mul[x][inv[x]] != 0 or mul[inv[x]][x] != 0), None)
+    if x is not None:
+        yield ("group-inverse", (x,))
+    w = associativity_witness(mul)
+    if w is not None:
+        yield ("group-associativity", w)
+
+
+def associativity_witness(mul: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """A triple (x, s, y) with (x*s)*y != x*(s*y), or None if `mul` is associative.
+
+    Light's associativity test (Clifford & Preston, The Algebraic Theory of
+    Semigroups I, section 1.2) checks s over a generating set S only, so a
+    table of order N costs O(N^2 |S|) lookups instead of N^3.  S is chosen
+    greedily: each new generator is the least element not yet reached, and
+    the reached set is S closed under right multiplication by S, grown from
+    S itself (the table may be broken, and its reached set need not hold 0).
+
+    Soundness holds for any finite magma.  T = {t : (x*t)*y = x*(t*y) for
+    all x, y} is closed under the product: for t, u in T, x*(t*u) = (x*t)*u
+    (t at y = u), so (x*(t*u))*y = ((x*t)*u)*y = (x*t)*(u*y) = x*(t*(u*y))
+    = x*((t*u)*y), using u at x*t, then t at u*y, then u at t.  T contains S,
+    hence every product reached from S, which is the whole table; so no
+    violation with s in S means no violation at all.  A returned triple is
+    always a genuine violation; it need not be the lexicographically first.
+    """
+    n = len(mul)
+    if n == 1:
+        return None  # [[0]]; itemgetter below returns tuples only for n >= 2
+    reached = [False] * n
+    members: list[int] = []
+    gens: list[int] = []
+    for g in range(n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        # old members need the new generator, new members every generator
+        queue = [g] + [mul[r][g] for r in members]
+        for r in queue:
+            if not reached[r]:
+                reached[r] = True
+                members.append(r)
+                queue.extend(mul[r][s] for s in gens)
+    rows = [tuple(row) for row in mul]
+    for s in gens:
+        through_s = itemgetter(*rows[s])  # row x -> (x*(s*y) for every y)
+        for x, mx in enumerate(rows):
+            lhs, rhs = rows[mx[s]], through_s(mx)
+            if lhs != rhs:
+                return (x, s, next(y for y in range(n) if lhs[y] != rhs[y]))
+    return None
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -86,13 +157,8 @@ def cyclic_group(n: int) -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product on index pairs packed as a*|H| + b."""
     m = h.order
-    size = g.order * m
-    table = [[0] * size for _ in range(size)]
-    for a in range(g.order):
-        for b in range(m):
-            for c in range(g.order):
-                for d in range(m):
-                    table[a * m + b][c * m + d] = g.mul[a][c] * m + h.mul[b][d]
+    table = [[g.mul[a][c] * m + h.mul[b][d] for c in range(g.order) for d in range(m)]
+             for a in range(g.order) for b in range(m)]
     return make_group(table, name=f"{g.name}x{h.name}")
 
 

@@ -109,6 +109,33 @@ def test_validate_bad_group_file(tmp_path):
         [["group-inverse", [1]]]
 
 
+def test_non_associative_witness_at_both_entry_points(tmp_path):
+    """make_group and `validate --complex` name a genuine violating triple.
+
+    The witness (x, s, y) comes from Light's test on a generating set, so it
+    need not be the lexicographically first violation: on this table that is
+    (1, 2, 1), and only genuineness is asserted.  Identity and inverses hold.
+    """
+    from xcomplex.errors import NotAssociative
+    from xcomplex.groups import make_group
+    mul = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 0, 0], [3, 0, 0, 0]]
+
+    def genuine(x, s, y):
+        return mul[mul[x][s]][y] != mul[x][mul[s][y]]
+
+    with pytest.raises(NotAssociative) as exc:
+        make_group(mul)
+    assert genuine(*exc.value.witness)
+    f = tmp_path / "loop_complex.json"
+    f.write_text(json.dumps({"L": 1, "groups": [{"mul": mul}],
+                             "boundaries": [], "actions": []}))
+    code, report, _ = run_cli("validate", "--complex", str(f))
+    assert code == 2
+    [[axiom, [n, x, s, y]]] = report["result"]["reports"]["complex"]["violations"]
+    assert axiom == "group-associativity" and n == 1
+    assert genuine(x, s, y)
+
+
 def test_validate_broken_complex_file(tmp_path):
     doc = dump_complex(resolve_coefficients("cm-z4-z2-incl"))
     doc["boundaries"] = [[0, 1]]
@@ -211,6 +238,23 @@ def test_negative_cap_is_input_error():
                               "s3", "--enumerate", env_extra={"XCOMPLEX_CAP": "-1"})
     assert code == 1
     assert "XCOMPLEX_CAP -1" in report["result"]["error"]
+
+
+@pytest.mark.parametrize("command", ["count", "invariant"])
+def test_negative_cap_is_input_error_without_enumeration(command):
+    """The cap is read up front, also when nothing enumerates."""
+    code, report, _ = run_cli(command, "--presentation", "torus", "--complex",
+                              "s3", "--cap", "-5")
+    assert code == 1
+    assert "--cap -5" in report["result"]["error"]
+    assert "count" not in report["result"]
+
+
+def test_module_entry_point():
+    proc = subprocess.run([sys.executable, "-m", "xcomplex", "count", "--presentation",
+                           "torus", "--complex", "s3"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"]["count"] == 18
 
 
 def test_usage_error_is_input_error():

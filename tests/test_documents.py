@@ -111,6 +111,9 @@ def test_load_complex_does_not_validate_algebra():
     doc["boundaries"] = [[0, 1]]  # no longer a hom into Z/4
     cx = load_complex(doc)
     assert not validate(cx).ok
+    doc = dump_complex(resolve_coefficients("cm-z4-z2-incl"))
+    doc["groups"][1]["mul"] = [[0, 1], [1, 1]]  # 1 has no inverse
+    assert validate(load_complex(doc)).violations[0] == ("group-inverse", (2, 1))
 
 
 def test_load_presentation_minimal():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xcomplex.errors import (
     DimensionMismatch,
@@ -15,6 +16,7 @@ from xcomplex.groups import (
     GroupAction,
     GroupHom,
     action_violation,
+    associativity_witness,
     check_action,
     check_hom,
     cyclic_group,
@@ -31,6 +33,7 @@ from xcomplex.groups import (
     trivial_action,
     zero_hom,
 )
+from xcomplex.randomgen import group_pool
 
 
 def element_order(g, x):
@@ -68,6 +71,57 @@ def test_not_associative_rejected():
     with pytest.raises(NotAssociative) as exc:
         make_group([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
     assert exc.value.witness is not None
+
+
+def sweep_violates(mul):
+    """Brute-force oracle: does any (a, b, c) break associativity?"""
+    n = len(mul)
+    return any(mul[mul[a][b]][c] != mul[a][mul[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def assert_witness_agrees(mul):
+    w = associativity_witness(mul)
+    assert (w is None) == (not sweep_violates(mul)), mul
+    if w is not None:
+        x, s, y = w
+        assert mul[mul[x][s]][y] != mul[x][mul[s][y]], (mul, w)
+
+
+def test_associativity_witness_matches_sweep_on_mutations():
+    """Light's test against the full sweep on every single-entry mutation.
+
+    Covers each cell and each other value of the pool's tables and of S3,
+    Z/6 and Z/2 x S3, whose mutations include tables with no identity, no
+    inverses and submagmas missing 0.
+    """
+    s3 = symmetric_group_3()
+    tables = [g.mul for g in group_pool()]
+    tables += [s3.mul, cyclic_group(6).mul, direct_product(cyclic_group(2), s3).mul]
+    checked = broken = 0
+    for mul in tables:
+        assert associativity_witness(mul) is None
+        n = len(mul)
+        for a in range(n):
+            for b in range(n):
+                for v in range(n):
+                    if v == mul[a][b]:
+                        continue
+                    mutated = [list(row) for row in mul]
+                    mutated[a][b] = v
+                    assert_witness_agrees(mutated)
+                    checked += 1
+                    broken += sweep_violates(mutated)
+    assert checked == 2062
+    assert 0 < broken < checked
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_associativity_witness_matches_sweep_on_any_table(mul):
+    """Arbitrary n x n tables, n <= 5, with no identity assumed."""
+    assert_witness_agrees(mul)
 
 
 @pytest.mark.parametrize("table", [
