@@ -83,7 +83,6 @@ from .enumeration import (
     verify_morphism,
 )
 from .invariant import (
-    euler_char_mapping_space,
     format_rational,
     invariant_ia,
     normalization_factor,

@@ -19,7 +19,8 @@ Formats (all indices 0-based, identity at 0):
 
 Shape and schema problems raise ParseError naming the offending path;
 algebraic validity is the business of the validators, not this module
-(`load_group` alone validates, through `make_group`).
+(`load_group` alone validates, through `make_group`; `load_group_table`
+checks the shape only).
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def load_group(obj: Any, path: str = "group") -> FiniteGroup:
     return _load_table(obj, path, make_group)
 
 
+def load_group_table(obj: Any, path: str = "group") -> FiniteGroup:
+    """A group document with the shape checks of `table_group` only."""
+    return _load_table(obj, path, table_group)
+
+
 def _load_table(obj: Any, path: str, build) -> FiniteGroup:
     _expect(isinstance(obj, dict), path, "expected an object")
     _expect("mul" in obj, path, "missing key 'mul'")
@@ -80,7 +86,7 @@ def load_complex(obj: Any, path: str = "complex") -> FiniteCrossedComplex:
     gs = obj["groups"]
     _expect(isinstance(gs, list) and len(gs) == length,
             f"{path}.groups", f"expected {length} groups")
-    groups = tuple(_load_table(g, f"{path}.groups[{i}]", table_group)
+    groups = tuple(load_group_table(g, f"{path}.groups[{i}]")
                    for i, g in enumerate(gs))
     bds = obj["boundaries"]
     acts = obj["actions"]

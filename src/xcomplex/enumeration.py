@@ -17,18 +17,35 @@ Cells of dimension greater than L+1 impose nothing.  Two engines count:
     last letter.  A finished relator with value t weighs [t == 0] when
     L = 1 and |d_2^{-1}(t)| otherwise.  This is bucket elimination on the
     cell-relator incidence graph.
-  * Layered backtracking otherwise: layer 1 by an odometer over all
-    colourings of the 1-cells; at layer n the admissible values per cell
-    form a precomputed boundary fiber over a target that only depends on
-    lower layers, so pruning on an empty fiber is exact, and when no kill
-    constraints exist the last layer contributes a plain product of fiber
-    sizes.
+  * Layered search otherwise: layer 1 by an odometer over all colourings
+    of the 1-cells, and layers 2..L below each of them.  At layer n the
+    admissible values per cell form a precomputed boundary fiber over its
+    entry of the target vector t_n, the n-cells' attaching data evaluated
+    in A_{n-1}; an empty fiber prunes exactly.
 
 `count_engine` picks one: elimination when it applies and its transition
 estimate (elimination_cost) is at most the |A_1|^{l_1} colourings the
 odometer would visit, so its state table never outgrows the odometer's
-walk; backtracking otherwise.  Enumeration always backtracks, in
-lexicographic order by (dimension, cell index, element index).
+walk; backtracking otherwise.  Enumeration always runs the layered search,
+in lexicographic order by (dimension, cell index, element index).
+
+Attaching data of a cell of dimension >= 3 is evaluated in two steps, for
+morphisms, homotopies and the search alike.  Compiling reads f1: a term
+(twisting word w, lower cell c, exponent or coefficient e) becomes (row, c)
+with row: y -> (f1(w) |> y)^e in the target degree.  Applying reads the
+lower layer only: the cell's value is the product of row[f(c)].
+
+So with f1 fixed, layers n..L depend only on t_n.  When P has a cell of
+dimension 3..L+1 the search compiles those cells once per twist key (the
+twisting words' values, each mapped to the least element of A_1 with the
+same action row) and memoises layers n..L on (n, t_n) under that key:
+their count, or their suffixes (f_n, .., f_L) in lexicographic order.
+Layer-1 colourings with equal keys share one memo; under trivial actions
+all do.  Entries are made only at visited nodes: at most (#twist keys) x
+sum_{n=2..top} |A_{n-1}|^{l_n}, top the highest dimension in 3..L+1 with
+cells.  Without such cells nothing is compiled or memoised: a layer-1
+colouring counts the product of layer 2's fiber sizes (for L = 1, whether
+every 2-cell's word dies).
 
 Counts are Python ints, hence arbitrary precision.
 """
@@ -36,8 +53,10 @@ Counts are Python ints, hence arbitrary precision.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Optional, Sequence
 
 from .complexes import FiniteCrossedComplex
 from .errors import DimensionMismatch, IndexOutOfRange, InstanceTooLarge, ResultTooLarge
@@ -61,6 +80,43 @@ def eval_word(cx: FiniteCrossedComplex, f1: tuple[int, ...], w: Word) -> int:
     return acc
 
 
+def _triples(n: int, data) -> Sequence[tuple[Word, int, int]]:
+    """(twisting word, lower cell, power) per term of an n-cell's data (n >= 3):
+    a crossed word's exponent, or a ModuleElt's coefficient."""
+    if n == 3:
+        return data  # already (conj, gen, exp)
+    return [(twist, gen, coef) for coef, twist, gen in data]
+
+
+def _compile(cx: FiniteCrossedComplex, k: int, cells, twist) -> list[list[tuple]]:
+    """Each cell's (twisting word, lower cell, power) triples as degree-k
+    terms (row, lower cell) with row[y] = (x |> y)^power in A_k, where
+    x = twist(word) in A_1.  A power reduces mod |A_k|, which every element
+    order divides; a zero power contributes nothing and is dropped."""
+    order = cx.groups[k - 1].order
+    act, powered = cx.actions[k - 2].act, cx.actions[k - 2].powered
+    return [[((act if e == 1 else powered(e))[twist(w)], gen)
+             for w, gen, power in triples if (e := power % order)]
+            for triples in cells]
+
+
+def _apply(mul, compiled, below: tuple[int, ...]) -> tuple[int, ...]:
+    """Target vector of a layer: per cell, the product over its compiled
+    terms (row, lower cell) of row[below[cell]]."""
+    out = []
+    for terms in compiled:
+        acc = 0
+        for row, gen in terms:
+            acc = mul[acc][row[below[gen]]]
+        out.append(acc)
+    return tuple(out)
+
+
+def _evaluate(cx, f1, below, cells, k: int) -> tuple[int, ...]:
+    """Compile the cells' triples at f1 into degree-k terms, then apply them."""
+    return _apply(cx.groups[k - 1].mul, _compile(cx, k, cells, partial(eval_word, cx, f1)), below)
+
+
 def eval_crossed(
     cx: FiniteCrossedComplex,
     f1: tuple[int, ...],
@@ -76,14 +132,7 @@ def eval_crossed(
         raise IndexOutOfRange(f"crossed word degree {k} < 2")
     if cx.length < k:
         raise DimensionMismatch(f"complex of length {cx.length} has no A_{k}")
-    ak = cx.groups[k - 1]
-    act = cx.actions[k - 2].act
-    acc = 0
-    for conj, gen, exp in cw:
-        x = eval_word(cx, f1, conj)
-        v = act[x][f2[gen]]
-        acc = ak.mul[acc][v if exp == 1 else ak.inv[v]]
-    return acc
+    return _evaluate(cx, f1, f2, [_triples(3, cw)], k)[0]
 
 
 def eval_module(
@@ -98,16 +147,7 @@ def eval_module(
         raise IndexOutOfRange(f"ModuleElt degree {k} < 3")
     if cx.length < k:
         raise DimensionMismatch(f"complex of length {cx.length} has no A_{k}")
-    ak = cx.groups[k - 1]
-    act = cx.actions[k - 2].act
-    acc = 0
-    for coef, twist, gen in m:
-        x = eval_word(cx, f1, twist)
-        v = act[x][fk[gen]]
-        c = coef % ak.order  # element order divides the group order
-        for _ in range(c):
-            acc = ak.mul[acc][v]
-    return acc
+    return _evaluate(cx, f1, fk, [_triples(4, m)], k)[0]
 
 
 def eval_attaching(
@@ -142,13 +182,22 @@ def attaching_target(
     n: int,
     cell: int,
 ) -> int:
-    """Evaluate the attaching data of an n-cell (2 <= n <= L+1) in A_{n-1}.
+    """Entry `cell` of layer_targets."""
+    return layer_targets(p, cx, colours, n)[cell]
 
-    Only layers below n are read from `colours`.
-    """
+
+def layer_targets(
+    p: CWPresentation,
+    cx: FiniteCrossedComplex,
+    colours: list[tuple[int, ...]] | Colouring,
+    n: int,
+) -> tuple[int, ...]:
+    """The attaching data of every n-cell (2 <= n <= L+1) evaluated in
+    A_{n-1}, as one vector; only layers below n are read from `colours`."""
     if n == 2:
-        return eval_word(cx, colours[0], p.attach2[cell])
-    return eval_attaching(p, cx, colours[0], colours[n - 2], n, cell, n - 1)
+        return tuple([eval_word(cx, colours[0], w) for w in p.attach2])
+    data = p.attach3 if n == 3 else p.attach_module(n)
+    return _evaluate(cx, colours[0], colours[n - 2], [_triples(n, d) for d in data], n - 1)
 
 
 def morphism_violation(
@@ -164,22 +213,23 @@ def morphism_violation(
     length = cx.length
     if len(colours) != length:
         return ("shape", len(colours), length)
-    for n in range(1, length + 1):
-        layer = colours[n - 1]
+    for n, layer in enumerate(colours, 1):
         if len(layer) != p.count(n):
             return ("shape", n, len(layer))
-        order = cx.groups[n - 1].order
-        if any(not 0 <= v < order for v in layer):
+        if layer and not (0 <= min(layer) and max(layer) < cx.groups[n - 1].order):
             return ("shape", n)
-    for n in range(2, length + 1):
-        bd = cx.boundary(n).image
-        for cell in range(p.count(n)):
-            if bd[colours[n - 1][cell]] != attaching_target(p, cx, colours, n, cell):
-                return ("layer", n, cell)
-    kd = length + 1
-    for cell in range(p.count(kd)):
-        if attaching_target(p, cx, colours, kd, cell) != 0:
-            return ("kill", kd, cell)
+    for n in range(2, length + 2):
+        if not p.count(n):
+            continue
+        got = layer_targets(p, cx, colours, n)
+        if n <= length:
+            bd = cx.boundary(n).image
+            want = tuple([bd[v] for v in colours[n - 1]])
+        else:
+            want = (0,) * len(got)
+        if got != want:
+            cell = next(c for c, (a, b) in enumerate(zip(got, want)) if a != b)
+            return ("layer" if n <= length else "kill", n, cell)
     return None
 
 
@@ -188,71 +238,107 @@ def verify_morphism(m: Morphism) -> bool:
 
 
 class _Search:
-    """Shared machinery for counting and enumeration; one instance per (P, A)."""
+    """Layered search for one (P, A): `below(f1)` gives the colourings of
+    layers 2..L under the layer-1 colouring f1, as their number or, with
+    `listing`, as their suffixes (f_2, .., f_L) in lexicographic order."""
 
-    def __init__(self, p: CWPresentation, cx: FiniteCrossedComplex):
+    def __init__(self, p: CWPresentation, cx: FiniteCrossedComplex, listing: bool = False):
         self.p = p
         self.cx = cx
         self.length = cx.length
-        self.counts = [p.count(n) for n in range(self.length + 2)]
-        self.kill_count = self.counts[self.length + 1]
+        self.listing = listing
         # boundary fibers, indexed by degree then target element
         self.fibers = {n: fibers_of(cx.boundary(n)) for n in range(2, self.length + 1)}
+        # per value x in A_1 of a 2-cell's word, the colours the cell may
+        # take: |d_2^{-1}(x)|, or [x == 0] when L = 1 and 2-cells are killed
+        self.weight = ([len(fib) for fib in self.fibers[2]] if self.length > 1
+                       else [1] + [0] * (cx.groups[0].order - 1))
+        # the highest dimension in 3..L+1 holding cells, or 2 when there is
+        # none: from layer `top` on, each layer's fibers are free choices
+        self.top = max((n for n in range(3, self.length + 2) if p.count(n)), default=2)
+        # each cell of dimension 3..top as (twisting word, lower cell, power)
+        # triples, and the distinct (degree, twisting word) pairs among them
+        self.cells = {n: [_triples(n, d) for d in (p.attach3 if n == 3 else p.attach_module(n))]
+                      for n in range(3, self.top + 1)}
+        self.slots = list(dict.fromkeys(
+            (n - 1, w) for n, cells in self.cells.items() for ts in cells for w, _, _ in ts))
+        # per degree, the least element of A_1 with each action row
+        self.canon = {}
+        for k in range(2, self.top):
+            first: dict[tuple[int, ...], int] = {}
+            self.canon[k] = [first.setdefault(tuple(row), x)
+                             for x, row in enumerate(cx.actions[k - 2].act)]
+        self.towers: dict[tuple[int, ...], _Tower] = {}
 
     def layer1(self):
         """Every 1-cell colouring, in lexicographic order."""
-        return itertools.product(range(self.cx.groups[0].order), repeat=self.counts[1])
+        return itertools.product(range(self.cx.groups[0].order), repeat=self.p.count(1))
 
-    def kill_ok(self, colours: list[tuple[int, ...]]) -> bool:
-        kd = self.length + 1
-        return all(
-            attaching_target(self.p, self.cx, colours, kd, cell) == 0
-            for cell in range(self.kill_count)
-        )
+    def below(self, f1: tuple[int, ...]):
+        cx, weight = self.cx, self.weight
+        t = []
+        size = 1  # product of layer 2's fiber sizes so far
+        for w in self.p.attach2:
+            v = eval_word(cx, f1, w)
+            size *= weight[v]
+            if not size:  # this 2-cell has no admissible colour
+                return [] if self.listing else 0
+            t.append(v)
+        if self.top == 2:
+            return self.leaf(2, tuple(t)) if self.listing else size
+        key = tuple([self.canon[k][eval_word(cx, f1, w)] for k, w in self.slots])
+        tower = self.towers.get(key)
+        if tower is None:
+            tower = self.towers[key] = _Tower(self, key)
+        return tower.below(2, tuple(t))
 
-    def layer_fibers(self, colours: list[tuple[int, ...]], n: int) -> Optional[list]:
-        """Admissible values per n-cell, or None if some fiber is empty."""
-        fibs = []
-        fiber_table = self.fibers[n]
-        for cell in range(self.counts[n]):
-            fib = fiber_table[attaching_target(self.p, self.cx, colours, n, cell)]
-            if not fib:
-                return None
-            fibs.append(fib)
-        return fibs
-
-    def count_below(self, colours: list[tuple[int, ...]]) -> int:
-        n = len(colours) + 1
+    def leaf(self, n: int, t: tuple[int, ...]):
+        """Layers n..L over the n-cells' targets t when no cell of a higher
+        dimension constrains them: the kill check past L, else free choices
+        in layer n's fibers and the empty colouring above."""
         if n > self.length:
-            return 1 if self.kill_ok(colours) else 0
-        fibs = self.layer_fibers(colours, n)
-        if fibs is None:
-            return 0
-        if n == self.length and self.kill_count == 0:
-            out = 1
-            for fib in fibs:
-                out *= len(fib)
-            return out
-        total = 0
-        for combo in itertools.product(*fibs):
-            colours.append(combo)
-            total += self.count_below(colours)
-            colours.pop()
-        return total
+            ok = not any(t)
+            return ([()] if ok else []) if self.listing else int(ok)
+        fibs = [self.fibers[n][v] for v in t]
+        if self.listing:
+            rest = ((),) * (self.length - n)
+            return [(combo,) + rest for combo in itertools.product(*fibs)]
+        return math.prod(map(len, fibs))
 
-    def enum_below(self, colours: list[tuple[int, ...]], out: list[Colouring]) -> None:
-        n = len(colours) + 1
-        if n > self.length:
-            if self.kill_ok(colours):
-                out.append(tuple(colours))
-            return
-        fibs = self.layer_fibers(colours, n)
-        if fibs is None:
-            return
-        for combo in itertools.product(*fibs):
-            colours.append(combo)
-            self.enum_below(colours, out)
-            colours.pop()
+
+class _Tower:
+    """Layers 2..L for the layer-1 colourings of one twist key: the cells'
+    compiled terms and the memo on (n, t_n)."""
+
+    def __init__(self, s: _Search, key: tuple[int, ...]):
+        self.s = s
+        twists = {n: {} for n in s.cells}
+        for (k, w), x in zip(s.slots, key):
+            twists[k + 1][w] = x
+        self.terms = {n: _compile(s.cx, n - 1, cells, twists[n].__getitem__)
+                      for n, cells in s.cells.items()}
+        self.memo: dict[tuple[int, tuple[int, ...]], int | list[Colouring]] = {}
+
+    def below(self, n: int, t: tuple[int, ...]):
+        """Layers n..L over the n-cells' target vector t: their number, or
+        their suffixes (f_n, .., f_L) in lexicographic order."""
+        got = self.memo.get((n, t))
+        if got is not None:
+            return got
+        s = self.s
+        if n >= s.top:
+            got = s.leaf(n, t)
+        else:
+            got = [] if s.listing else 0
+            terms, mul = self.terms[n + 1], s.cx.groups[n - 1].mul
+            for combo in itertools.product(*[s.fibers[n][v] for v in t]):
+                sub = self.below(n + 1, _apply(mul, terms, combo))
+                if s.listing:
+                    got.extend([(combo,) + tail for tail in sub])
+                else:
+                    got += sub
+        self.memo[(n, t)] = got
+        return got
 
 
 def elimination_cost(p: CWPresentation, cx: FiniteCrossedComplex) -> Optional[int]:
@@ -366,7 +452,7 @@ def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
 
 def _backtrack(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     s = _Search(p, cx)
-    return sum(s.count_below([f1]) for f1 in s.layer1())
+    return sum(s.below(f1) for f1 in s.layer1())
 
 
 def enumerate_homs(
@@ -379,10 +465,10 @@ def enumerate_homs(
     Raises ResultTooLarge when more than `cap` morphisms exist.  Every
     returned morphism is re-verified against the morphism constraints.
     """
-    s = _Search(p, cx)
+    s = _Search(p, cx, listing=True)
     found: list[Colouring] = []
     for f1 in s.layer1():
-        s.enum_below([f1], found)
+        found.extend([(f1,) + tail for tail in s.below(f1)])
         if len(found) > cap:
             raise ResultTooLarge(f"more than {cap} morphisms; raise the cap to list them")
     out = [Morphism(p, cx, c) for c in found]

@@ -222,6 +222,19 @@ class GroupAction:
     actor: FiniteGroup
     space: FiniteGroup
     act: tuple[tuple[int, ...], ...]
+    _powered: dict[int, tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def powered(self, e: int) -> tuple[tuple[int, ...], ...]:
+        """Rows of y -> (g |> y)^e per g, for 0 < e < |space|; built once per e."""
+        rows = self._powered.get(e)
+        if rows is None:
+            mul = self.space.mul
+            pw = range(self.space.order)
+            for _ in range(e - 1):
+                pw = [mul[a][y] for y, a in enumerate(pw)]
+            rows = self._powered[e] = tuple(tuple(pw[v] for v in row) for row in self.act)
+        return rows
 
 
 def action_violation(a: GroupAction) -> Optional[tuple[str, tuple]]:

@@ -1,4 +1,4 @@
-"""The exact counting invariant and its mapping-space Euler characteristic.
+"""The exact counting invariant.
 
 For a presentation P with l_m cells in dimension m and a complex A of
 length L, the invariant is
@@ -6,9 +6,7 @@ length L, the invariant is
     I_A(P) = #Hom(P, A) * prod_{n>=1} ( prod_{m>=1} |A_{m+n}|^{l_m} )^{(-1)^n}
 
 where sizes above the truncation degree are 1, so only terms with
-m + n <= L contribute.  The same number arises as an Euler characteristic:
-each morphism contributes the alternating product of its homotopy counts
-in every fold.  All arithmetic is exact rational.
+m + n <= L contribute.  All arithmetic is exact rational.
 """
 
 from __future__ import annotations
@@ -16,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import FiniteCrossedComplex, size_at
-from .enumeration import DEFAULT_ENUM_CAP, count_homs, enumerate_homs
-from .homotopies import count_homotopies_from
+from .enumeration import count_homs
 from .presentations import CWPresentation
 
 
@@ -37,27 +34,6 @@ def normalization_factor(p: CWPresentation, cx: FiniteCrossedComplex) -> Fractio
 def invariant_ia(p: CWPresentation, cx: FiniteCrossedComplex) -> Fraction:
     """Exact rational homotopy invariant of P against A."""
     return count_homs(p, cx) * normalization_factor(p, cx)
-
-
-def euler_char_mapping_space(
-    p: CWPresentation,
-    cx: FiniteCrossedComplex,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> Fraction:
-    """Euler characteristic of the mapping space, summed morphism by morphism.
-
-    Each morphism contributes prod_k (#homotopies in fold k)^{(-1)^k}; the
-    total equals the invariant (asserted by tests, not here).
-    """
-    homs = enumerate_homs(p, cx, cap=cap)
-    total = Fraction(0)
-    for f in homs:
-        term = Fraction(1)
-        for fold in range(1, cx.length + 1):
-            cnt = count_homotopies_from(f, fold)
-            term *= cnt if fold % 2 == 0 else Fraction(1, cnt)
-        total += term
-    return total
 
 
 def format_rational(q: Fraction) -> str:

@@ -61,16 +61,6 @@ def test_invariant_values():
     assert res["invariant"] == "2"
 
 
-def test_invariant_euler_agrees():
-    code, report, _ = run_cli("invariant", "--presentation", "rp2",
-                              "--complex", "cm-z2-z3-flip", "--euler")
-    assert code == 0
-    res = report["result"]
-    assert res["invariant"] == "2"
-    assert res["euler"] == "2"
-    assert res["euler_agrees"] is True
-
-
 def test_classes_circle():
     code, report, _ = run_cli("classes", "--presentation", "sphere:1",
                               "--complex", "cm-z4-z2-incl")
@@ -107,6 +97,18 @@ def test_validate_bad_group_file(tmp_path):
     assert code == 2
     assert report["result"]["reports"]["group"]["violations"] == \
         [["group-inverse", [1]]]
+
+
+def test_validate_group_reports_every_failing_axiom(tmp_path):
+    """Like `validate --complex`, `--group` names each failing axiom: this
+    table lacks an inverse of 2 and is not associative at (1, 1, 2)."""
+    f = tmp_path / "two_faults.json"
+    f.write_text(json.dumps({"mul": [[0, 1, 2], [1, 0, 0], [2, 1, 1]]}))
+    code, report, _ = run_cli("validate", "--group", str(f))
+    assert code == 2
+    assert report["result"]["reports"]["group"] == {
+        "ok": False,
+        "violations": [["group-inverse", [2]], ["group-associativity", [1, 1, 2]]]}
 
 
 def test_non_associative_witness_at_both_entry_points(tmp_path):
@@ -264,6 +266,10 @@ def test_usage_error_is_input_error():
     assert report["command"] is None
     assert "--threads" in report["result"]["error"]
     assert "usage:" in stderr
+    code, report, stderr = run_cli("invariant", "--presentation", "rp2",
+                                   "--complex", "cm-z2-z3-flip", "--euler")
+    assert code == 1
+    assert "--euler" in report["result"]["error"]
     shown = subprocess.run([sys.executable, "-m", "xcomplex.cli", "count", "--help"],
                            capture_output=True, text=True)
     assert shown.returncode == 0

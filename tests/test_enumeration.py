@@ -1,5 +1,6 @@
 """Morphism evaluation, counting, enumeration and the brute-force oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from xcomplex.complexes import FiniteCrossedComplex, from_group
 from xcomplex.enumeration import (
     Morphism,
     _backtrack,
+    _Search,
     _eliminate,
     attaching_target,
     boundary_defect_report,
@@ -259,6 +261,108 @@ def test_engine_choice():
         assert count_homs(p, cx) == count_homs_bruteforce(p, cx)
     # above the kill dimension a 3-cell is inert
     assert count_engine(wedge(genus_surface(2), sphere(3)), s3) == "elimination"
+
+
+def lexicographic_sweep(p, cx):
+    """Every colouring of the full space that morphism_violation accepts,
+    in lexicographic order."""
+    sizes = [cx.groups[n - 1].order for n in range(1, cx.length + 1)]
+    cuts = list(itertools.accumulate([p.count(n) for n in range(1, cx.length + 1)], initial=0))
+    out = []
+    for flat in itertools.product(*(range(sizes[n]) for n in range(cx.length)
+                                     for _ in range(p.count(n + 1)))):
+        colours = tuple(flat[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+        if morphism_violation(p, cx, colours) is None:
+            out.append(colours)
+    return out
+
+
+def twisted_tower4():
+    """Z/2, Z/3, Z/3, Z/3 with zero boundaries, Z/2 negating every degree."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    flip = GroupAction(z2, z3, ((0, 1, 2), (0, 2, 1)))
+    cx = FiniteCrossedComplex(
+        (z2, z3, z3, z3),
+        (zero_hom(z3, z2), zero_hom(z3, z3), zero_hom(z3, z3)),
+        (flip, flip, flip),
+    )
+    from xcomplex.complexes import validate
+    assert validate(cx).ok
+    return cx
+
+
+def tower4_presentation():
+    """Two 1-cells, spherical 2-cells, and twisted data in dimensions 3..5:
+    the 4-cells are evaluated in A_3, the 5-cell is killed in A_4."""
+    a, b = (0, 1), (1, 1)
+    return CWPresentation(
+        (1, 2, 2, 2, 2, 1),
+        attach2=((), ()),
+        attach3=((((a,), 0, 1), ((), 1, -1)), (((b, a), 1, 1),)),
+        attach_high=(
+            (((1, (a,), 0), (2, (b,), 1)), ((-1, (a, b), 1),)),
+            (((1, (b,), 0), (1, (), 1)),),
+        ),
+        name="tower4",
+    )
+
+
+def parity_complexes():
+    """Z/4 acting on Z/3 through its parity, or trivially, in degrees 2 and
+    3; zero boundaries.  Under parity a twisting word's row depends on its
+    value mod 2 only, so colourings of equal parities share compiled data."""
+    z4, z3 = cyclic_group(4), cyclic_group(3)
+    parity = GroupAction(z4, z3, ((0, 1, 2), (0, 2, 1)) * 2)
+    trivial = trivial_action(z4, z3)
+    bds = (zero_hom(z3, z4), zero_hom(z3, z3))
+    return {name: FiniteCrossedComplex((z4, z3, z3), bds, (act, act))
+            for name, act in (("parity", parity), ("trivial", trivial))}
+
+
+def parity_presentation():
+    a, b = (0, 1), (1, 1)
+    return CWPresentation(
+        (1, 2, 2, 2, 2),
+        attach2=((), ()),
+        attach3=((((a,), 0, 1), ((), 1, -1)), (((b,), 1, 1), ((a, b), 0, 1))),
+        attach_high=((((1, (a,), 0), (1, (b,), 1)), ((1, (b,), 0), (1, (), 1))),),
+        name="parity",
+    )
+
+
+def test_memoised_search_matches_sweep_and_bruteforce():
+    """Counts and listings of the memoised layered search against the
+    brute-force count and a lexicographic sweep of the full space, on towers
+    whose cells of dimension 3..L+1 read twisted action rows."""
+    cases = [(p, cx) for p, cx in random_instances(seed=11, count=120)
+             if cx.length == 3 and any(len(set(a.act)) > 1 for a in cx.actions)
+             and any(p.count(n) for n in (3, 4))]
+    assert len(cases) == 8
+    cases.append((tower4_presentation(), twisted_tower4()))
+    cases += [(parity_presentation(), cx) for cx in parity_complexes().values()]
+    nonzero = 0
+    for p, cx in cases:
+        assert count_engine(p, cx) == "backtrack"
+        listed = [m.colours for m in enumerate_homs(p, cx)]
+        assert listed == lexicographic_sweep(p, cx), p
+        assert count_homs(p, cx) == len(listed) == count_homs_bruteforce(p, cx), p
+        nonzero += bool(listed)
+    assert nonzero >= 8
+
+
+def test_memo_shared_across_equal_action_rows():
+    """The 16 layer-1 colourings share one memo under the trivial action and
+    fall into four, one per parity of the two 1-cells, under parity, where
+    the count differs."""
+    p = parity_presentation()
+    counts, towers = {}, {}
+    for name, cx in parity_complexes().items():
+        s = _Search(p, cx)
+        counts[name] = sum(s.below(f1) for f1 in s.layer1())
+        assert counts[name] == count_homs_bruteforce(p, cx)
+        towers[name] = len(s.towers)
+    assert counts == {"trivial": 48, "parity": 32}
+    assert towers == {"trivial": 1, "parity": 4}
 
 
 def test_bruteforce_on_named_pairs():
