@@ -33,7 +33,6 @@ from .groups import (
     fibers_of,
     hom_violation,
     image_of,
-    kernel_of,
     make_group,
     quotient,
     subgroup,
@@ -76,8 +75,6 @@ from .enumeration import (
     count_homs,
     count_homs_bruteforce,
     enumerate_homs,
-    eval_crossed,
-    eval_module,
     eval_word,
     morphism_violation,
     verify_morphism,

@@ -340,41 +340,46 @@ def main(argv: Optional[list[str]] = None) -> int:
     result: dict[str, Any] = {}
     command = None
     started = time.perf_counter()
+    # CPython's int/str digit limit, lifted for the command: answers print in full
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        args = build_parser().parse_args(argv)
-        command = args.command
-        _cap(args, 0)  # every subcommand takes --cap: reject a bad one before any work
-        code = _COMMANDS[command](args, inputs, result)
-    except ParseError as exc:
-        result["error"] = str(exc)
-        code = EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
-        result["error"] = str(exc)
-        code = EXIT_INPUT
-    except (ResultTooLarge, InstanceTooLarge) as exc:
-        result["error"] = str(exc)
-        code = EXIT_CAP
-    except (TargetNotMorphism, AssertionError) as exc:
-        result["error"] = f"internal check failed: {exc}"
-        code = EXIT_INTERNAL
-    except XComplexError as exc:
-        result["error"] = str(exc)
-        code = EXIT_INVALID
-    except Exception as exc:  # any other failure still ends in a report
-        traceback.print_exc(file=sys.stderr)
-        result["error"] = f"internal error: {type(exc).__name__}: {exc}"
-        code = EXIT_INTERNAL
-    if "error" in result:
-        print(f"error: {result['error']}", file=sys.stderr)
-    report = {
-        "command": command,
-        "version": __version__,
-        "inputs": inputs.provenance,
-        "result": result,
-        "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
-    }
-    print(json.dumps(report, sort_keys=True))
-    return code
+        try:
+            args = build_parser().parse_args(argv)
+            command = args.command
+            _cap(args, 0)  # every subcommand takes --cap: reject a bad one before any work
+            if limit:
+                sys.set_int_max_str_digits(0)
+            code = _COMMANDS[command](args, inputs, result)
+        except (ParseError, OSError) as exc:
+            result["error"] = str(exc)
+            code = EXIT_INPUT
+        except (ResultTooLarge, InstanceTooLarge) as exc:
+            result["error"] = str(exc)
+            code = EXIT_CAP
+        except (TargetNotMorphism, AssertionError) as exc:
+            result["error"] = f"internal check failed: {exc}"
+            code = EXIT_INTERNAL
+        except XComplexError as exc:
+            result["error"] = str(exc)
+            code = EXIT_INVALID
+        except Exception as exc:  # any other failure still ends in a report
+            traceback.print_exc(file=sys.stderr)
+            result["error"] = f"internal error: {type(exc).__name__}: {exc}"
+            code = EXIT_INTERNAL
+        if "error" in result:
+            print(f"error: {result['error']}", file=sys.stderr)
+        report = {
+            "command": command,
+            "version": __version__,
+            "inputs": inputs.provenance,
+            "result": result,
+            "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
+        }
+        print(json.dumps(report, sort_keys=True))
+        return code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

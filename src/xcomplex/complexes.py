@@ -23,7 +23,6 @@ from .groups import (
     FiniteGroup,
     GroupAction,
     GroupHom,
-    Subgroup,
     action_violation,
     group_violations,
     hom_violation,
@@ -205,8 +204,3 @@ def homology(cx: FiniteCrossedComplex, n: int) -> FiniteGroup:
     q, _ = quotient(k, subgroup(k, img_in_k))
     return q
 
-
-def kernel_subgroup(cx: FiniteCrossedComplex, n: int) -> Subgroup:
-    """ker d_n as a subgroup of A_n; convenience for fiber reasoning."""
-    bd = cx.boundary(n)
-    return subgroup(bd.source, (x for x, v in enumerate(bd.image) if v == 0))

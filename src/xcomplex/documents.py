@@ -18,9 +18,12 @@ Formats (all indices 0-based, identity at 0):
   moduleelt      [[coef, word, gen], ...]    coef any integer
 
 Shape and schema problems raise ParseError naming the offending path;
-algebraic validity is the business of the validators, not this module
-(`load_group` alone validates, through `make_group`; `load_group_table`
-checks the shape only).
+algebraic validity is the business of the validators, not this module.
+`read_json` turns every unreadable file into a ParseError too: bytes that
+are not UTF-8, nesting past the parser's recursion limit, and integer
+literals of more than MAX_DIGITS digits, which it refuses before converting
+them, so the cost of parsing stays linear in the file's size whatever
+CPython's own int/str limit is set to.
 """
 
 from __future__ import annotations
@@ -31,8 +34,12 @@ from typing import Any
 
 from .complexes import FiniteCrossedComplex
 from .errors import DimensionMismatch, ParseError
-from .groups import FiniteGroup, GroupAction, GroupHom, make_group, table_group
+from .groups import FiniteGroup, GroupAction, GroupHom, table_group
 from .presentations import CrossedWord, CWPresentation, ModuleElt, Word
+
+# CPython's default bound on int/str conversion (sys.int_info)
+MAX_DIGITS = 4300
+_DIGITS = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))  # digit -> "0", else " "
 
 
 def _expect(cond: bool, path: str, note: str) -> None:
@@ -53,16 +60,8 @@ def _int_matrix(obj: Any, path: str) -> list[list[int]]:
     return out
 
 
-def load_group(obj: Any, path: str = "group") -> FiniteGroup:
-    return _load_table(obj, path, make_group)
-
-
 def load_group_table(obj: Any, path: str = "group") -> FiniteGroup:
     """A group document with the shape checks of `table_group` only."""
-    return _load_table(obj, path, table_group)
-
-
-def _load_table(obj: Any, path: str, build) -> FiniteGroup:
     _expect(isinstance(obj, dict), path, "expected an object")
     _expect("mul" in obj, path, "missing key 'mul'")
     mul = _int_matrix(obj["mul"], f"{path}.mul")
@@ -72,7 +71,7 @@ def _load_table(obj: Any, path: str, build) -> FiniteGroup:
     name = obj.get("name", "")
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
     try:
-        return build(mul, name=name)
+        return table_group(mul, name=name)
     except DimensionMismatch as exc:
         raise ParseError(f"{path}.mul: {exc}") from exc
 
@@ -179,9 +178,8 @@ def load_presentation(obj: Any, path: str = "presentation") -> CWPresentation:
     dim = len(cells) - 1
     known = {}
     for key, val in attach.items():
-        _expect(key.isdigit() and int(key) >= 2, f"{path}.attach.{key}",
-                "keys must be dimensions >= 2")
-        n = int(key)
+        _expect(key.isascii() and key.isdigit() and key == str(n := parse_int(key)) and n >= 2,
+                f"{path}.attach.{key}", "keys must be dimensions >= 2 without leading zeros")
         _expect(n <= dim, f"{path}.attach.{key}", f"presentation has dimension {dim}")
         _expect(isinstance(val, list), f"{path}.attach.{key}", "expected an array")
         known[n] = val
@@ -240,10 +238,23 @@ def dump_presentation(p: CWPresentation) -> dict:
     return out
 
 
+def parse_int(literal: str) -> int:
+    """An integer literal of at most MAX_DIGITS digits; longer ones raise
+    ParseError before any conversion."""
+    _expect(len(literal.lstrip("-")) <= MAX_DIGITS, "integer literal",
+            f"more than {MAX_DIGITS} digits")
+    return int(literal)
+
+
 def read_json(path: str | Path) -> Any:
-    """Read a JSON file; malformed content raises ParseError with position."""
-    text = Path(path).read_text()
+    """Read a UTF-8 JSON file; malformed content raises ParseError with
+    position, unreadable content a ParseError naming the cause."""
     try:
-        return json.loads(text)
+        data = Path(path).read_bytes()
+        # a Python parse_int costs ten times the parse: hook it only past a long digit run
+        hook = parse_int if b"0" * (MAX_DIGITS + 1) in data.translate(_DIGITS) else None
+        return json.loads(data.decode("utf-8"), parse_int=hook)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError, ParseError) as exc:  # see module docstring
+        raise ParseError(f"{path}: {exc}") from exc

@@ -32,8 +32,11 @@ in lexicographic order by (dimension, cell index, element index).
 Attaching data of a cell of dimension >= 3 is evaluated in two steps, for
 morphisms, homotopies and the search alike.  Compiling reads f1: a term
 (twisting word w, lower cell c, exponent or coefficient e) becomes (row, c)
-with row: y -> (f1(w) |> y)^e in the target degree.  Applying reads the
+with row: y -> (f1(w) |> y)^e in the target degree k.  Applying reads the
 lower layer only: the cell's value is the product of row[f(c)].
+`layer_targets` does both for all n-cells at once, in A_{n-1} for a
+morphism's f_{n-1} (`morphism_violation`, `boundary_defect_report`) and in
+A_n for a homotopy's H_{n-1} (`homotopies.homotopy_target`).
 
 So with f1 fixed, layers n..L depend only on t_n.  When P has a cell of
 dimension 3..L+1 the search compiles those cells once per twist key (the
@@ -59,9 +62,9 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .complexes import FiniteCrossedComplex
-from .errors import DimensionMismatch, IndexOutOfRange, InstanceTooLarge, ResultTooLarge
+from .errors import DimensionMismatch, InstanceTooLarge, ResultTooLarge
 from .groups import fibers_of
-from .presentations import CrossedWord, CWPresentation, ModuleElt, Word
+from .presentations import CWPresentation, Word
 
 DEFAULT_ENUM_CAP = 10**6
 DEFAULT_BRUTE_CAP = 10**6
@@ -80,12 +83,12 @@ def eval_word(cx: FiniteCrossedComplex, f1: tuple[int, ...], w: Word) -> int:
     return acc
 
 
-def _triples(n: int, data) -> Sequence[tuple[Word, int, int]]:
-    """(twisting word, lower cell, power) per term of an n-cell's data (n >= 3):
+def _triples(p: CWPresentation, n: int) -> Sequence[Sequence[tuple[Word, int, int]]]:
+    """Per n-cell (n >= 3), its terms as (twisting word, lower cell, power):
     a crossed word's exponent, or a ModuleElt's coefficient."""
     if n == 3:
-        return data  # already (conj, gen, exp)
-    return [(twist, gen, coef) for coef, twist, gen in data]
+        return p.attach3  # already (conj, gen, exp)
+    return [[(twist, gen, coef) for coef, twist, gen in d] for d in p.attach_module(n)]
 
 
 def _compile(cx: FiniteCrossedComplex, k: int, cells, twist) -> list[list[tuple]]:
@@ -112,60 +115,6 @@ def _apply(mul, compiled, below: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _evaluate(cx, f1, below, cells, k: int) -> tuple[int, ...]:
-    """Compile the cells' triples at f1 into degree-k terms, then apply them."""
-    return _apply(cx.groups[k - 1].mul, _compile(cx, k, cells, partial(eval_word, cx, f1)), below)
-
-
-def eval_crossed(
-    cx: FiniteCrossedComplex,
-    f1: tuple[int, ...],
-    f2: tuple[int, ...],
-    cw: CrossedWord,
-    k: int,
-) -> int:
-    """Image of a crossed word in A_k: product of (f1(conj) |> f2(gen))^exp.
-
-    A morphism evaluates 3-cells at k = 2; a homotopy's H_2 at k = 3.
-    """
-    if k < 2:
-        raise IndexOutOfRange(f"crossed word degree {k} < 2")
-    if cx.length < k:
-        raise DimensionMismatch(f"complex of length {cx.length} has no A_{k}")
-    return _evaluate(cx, f1, f2, [_triples(3, cw)], k)[0]
-
-
-def eval_module(
-    cx: FiniteCrossedComplex,
-    f1: tuple[int, ...],
-    fk: tuple[int, ...],
-    m: ModuleElt,
-    k: int,
-) -> int:
-    """Image of a degree-k ModuleElt in A_k: sum of coef * (f1(twist) |> fk(gen))."""
-    if k < 3:
-        raise IndexOutOfRange(f"ModuleElt degree {k} < 3")
-    if cx.length < k:
-        raise DimensionMismatch(f"complex of length {cx.length} has no A_{k}")
-    return _evaluate(cx, f1, fk, [_triples(4, m)], k)[0]
-
-
-def eval_attaching(
-    p: CWPresentation,
-    cx: FiniteCrossedComplex,
-    f1: tuple[int, ...],
-    below: tuple[int, ...],
-    n: int,
-    cell: int,
-    k: int,
-) -> int:
-    """Evaluate the attaching data of an n-cell (n >= 3) in A_k, with `below`
-    colouring the (n-1)-cells in A_k."""
-    if n == 3:
-        return eval_crossed(cx, f1, below, p.attach3[cell], k)
-    return eval_module(cx, f1, below, p.attach_module(n)[cell], k)
-
-
 @dataclass(frozen=True)
 class Morphism:
     """A colouring of P's cells in A, one tuple per layer 1..L."""
@@ -175,29 +124,28 @@ class Morphism:
     colours: Colouring
 
 
-def attaching_target(
-    p: CWPresentation,
-    cx: FiniteCrossedComplex,
-    colours: list[tuple[int, ...]] | Colouring,
-    n: int,
-    cell: int,
-) -> int:
-    """Entry `cell` of layer_targets."""
-    return layer_targets(p, cx, colours, n)[cell]
-
-
 def layer_targets(
     p: CWPresentation,
     cx: FiniteCrossedComplex,
-    colours: list[tuple[int, ...]] | Colouring,
+    f1: tuple[int, ...],
+    below: tuple[int, ...],
     n: int,
+    k: int,
 ) -> tuple[int, ...]:
-    """The attaching data of every n-cell (2 <= n <= L+1) evaluated in
-    A_{n-1}, as one vector; only layers below n are read from `colours`."""
-    if n == 2:
-        return tuple([eval_word(cx, colours[0], w) for w in p.attach2])
-    data = p.attach3 if n == 3 else p.attach_module(n)
-    return _evaluate(cx, colours[0], colours[n - 2], [_triples(n, d) for d in data], n - 1)
+    """The attaching data of every n-cell evaluated in A_k, as one vector,
+    with `below` colouring the (n-1)-cells.
+
+    2-cell words evaluate in A_1 (k = 1, `below` = f1).  Cells of dimension
+    n >= 3 evaluate at k = n-1 for a morphism's f_{n-1} and at k = n for a
+    homotopy's H_{n-1}.
+    """
+    if n == 2 and k == 1:
+        return tuple([eval_word(cx, below, w) for w in p.attach2])
+    if n < 3 or not n - 1 <= k <= min(n, cx.length):
+        raise DimensionMismatch(
+            f"{n}-cell data has no value in A_{k} of a length-{cx.length} complex")
+    return _apply(cx.groups[k - 1].mul,
+                  _compile(cx, k, _triples(p, n), partial(eval_word, cx, f1)), below)
 
 
 def morphism_violation(
@@ -221,7 +169,7 @@ def morphism_violation(
     for n in range(2, length + 2):
         if not p.count(n):
             continue
-        got = layer_targets(p, cx, colours, n)
+        got = layer_targets(p, cx, colours[0], colours[n - 2], n, n - 1)
         if n <= length:
             bd = cx.boundary(n).image
             want = tuple([bd[v] for v in colours[n - 1]])
@@ -258,8 +206,7 @@ class _Search:
         self.top = max((n for n in range(3, self.length + 2) if p.count(n)), default=2)
         # each cell of dimension 3..top as (twisting word, lower cell, power)
         # triples, and the distinct (degree, twisting word) pairs among them
-        self.cells = {n: [_triples(n, d) for d in (p.attach3 if n == 3 else p.attach_module(n))]
-                      for n in range(3, self.top + 1)}
+        self.cells = {n: _triples(p, n) for n in range(3, self.top + 1)}
         self.slots = list(dict.fromkeys(
             (n - 1, w) for n, cells in self.cells.items() for ts in cells for w, _, _ in ts))
         # per degree, the least element of A_1 with each action row
@@ -532,8 +479,7 @@ def boundary_defect_report(
         trunc = CWPresentation(cells, p.attach2, p.attach3, high, name=p.name)
         kerbd = cx.boundary(n - 1).image
         for m in enumerate_homs(trunc, cx, cap=cap):
-            for cell in range(p.count(n)):
-                val = attaching_target(p, cx, m.colours, n, cell)
-                if kerbd[val] != 0:
-                    out.append((n, cell, m.colours, val))
+            got = layer_targets(p, cx, m.colours[0], m.colours[n - 2], n, n - 1)
+            out.extend([(n, cell, m.colours, val)
+                        for cell, val in enumerate(got) if kerbd[val] != 0])
     return out

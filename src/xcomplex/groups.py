@@ -329,10 +329,6 @@ def fibers_of(h: GroupHom) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in buckets)
 
 
-def kernel_of(h: GroupHom) -> Subgroup:
-    return subgroup(h.source, (x for x, v in enumerate(h.image) if v == 0))
-
-
 def image_of(h: GroupHom) -> Subgroup:
     return subgroup(h.target, set(h.image))
 

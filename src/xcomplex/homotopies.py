@@ -9,8 +9,9 @@ sizes.  The target morphism is computed from f and H by
 
 where the middle factor is 1 for n = 1, H_1 extends to words as a
 derivation (n = 2), and for n >= 3 H_{n-1} is evaluated on the attaching
-data exactly as a morphism's f_{n-1} is, one degree up, in A_n.  The last
-factor is dropped for n = L.
+data by the evaluator that reads a morphism's f_{n-1},
+`enumeration.layer_targets`, one degree up: in A_n instead of A_{n-1},
+once per layer.  The last factor is dropped for n = L.
 Every computed target is verified; a failure raises TargetNotMorphism.
 
 Homotopy classes are the connected components of the graph on Hom(P, A)
@@ -35,12 +36,12 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .complexes import FiniteCrossedComplex, size_at
-from .errors import DimensionMismatch, IndexOutOfRange, ResultTooLarge, TargetNotMorphism
+from .errors import DimensionMismatch, ResultTooLarge, TargetNotMorphism
 from .enumeration import (
     Colouring,
     Morphism,
     enumerate_homs,
-    eval_attaching,
+    layer_targets,
     morphism_violation,
 )
 from .presentations import CWPresentation, Word
@@ -84,7 +85,7 @@ def eval_derivation(
     return s
 
 
-def homotopy_target(k: Homotopy1, verify: bool = True) -> Morphism:
+def homotopy_target(k: Homotopy1) -> Morphism:
     """Morphism at the far end of a homotopy; raises TargetNotMorphism if the
     computed colouring fails verification."""
     f = k.source
@@ -99,38 +100,35 @@ def homotopy_target(k: Homotopy1, verify: bool = True) -> Morphism:
     for n in range(1, length + 1):
         an = cx.groups[n - 1]
         bd = cx.boundary(n + 1).image if n < length else None
+        mid = layer_targets(p, cx, f1, h[n - 2], n, n) if n >= 3 and p.count(n) else None
         layer = []
         for c in range(p.count(n)):
             val = f.colours[n - 1][c]
             if n == 2:
                 val = an.mul[val][eval_derivation(cx, f1, h[0], p.attach2[c])]
-            elif n >= 3:
-                val = an.mul[val][eval_attaching(p, cx, f1, h[n - 2], n, c, n)]
+            elif mid is not None:
+                val = an.mul[val][mid[c]]
             if bd is not None:
                 val = an.mul[val][bd[h[n - 1][c]]]
             layer.append(val)
         out.append(tuple(layer))
-
-    target = Morphism(p, cx, tuple(out))
-    if verify:
-        w = morphism_violation(p, cx, target.colours)
-        if w is not None:
-            raise TargetNotMorphism(f"homotopy target violates {w}", w)
-    return target
+    colours = tuple(out)
+    w = morphism_violation(p, cx, colours)
+    if w is not None:
+        raise TargetNotMorphism(f"homotopy target violates {w}", w)
+    return Morphism(p, cx, colours)
 
 
-def count_homotopies_from(f: Morphism, fold: int = 1) -> int:
-    """Number of fold-step homotopies out of f: prod_k |A_{k+fold}|^{l_k}.
+def count_homotopies_from(f: Morphism) -> int:
+    """Number of homotopies out of f: prod_k |A_{k+1}|^{l_k}.
 
     The count does not depend on f; sizes above the truncation degree
-    contribute 1, so the product is finite and equals 1 when fold >= L.
+    contribute 1, so the product is finite and equals 1 when L = 1.
     """
-    if fold < 1:
-        raise IndexOutOfRange(f"fold {fold} < 1")
     p, cx = f.presentation, f.coefficients
     out = 1
     for k in range(1, p.dim + 1):
-        out *= size_at(cx, k + fold) ** p.count(k)
+        out *= size_at(cx, k + 1) ** p.count(k)
     return out
 
 

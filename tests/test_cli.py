@@ -219,6 +219,48 @@ def test_bad_env_cap_is_input_error():
     assert "XCOMPLEX_CAP" in report["result"]["error"]
 
 
+def test_env_cap_past_digit_limit_is_input_error():
+    """The cap is parsed under CPython's int/str digit limit, before main
+    lifts it for the command."""
+    code, report, _ = run_cli(
+        "count", "--presentation", "torus", "--complex", "s3",
+        env_extra={"XCOMPLEX_CAP": "9" * 5000})
+    assert code == 1
+    assert "XCOMPLEX_CAP" in report["result"]["error"]
+
+
+@pytest.fixture
+def exact_ints():
+    """This process without CPython's int/str digit limit, where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", ["count", "invariant"])
+def test_exact_answer_past_digit_limit(tmp_path, exact_ints, command):
+    """2^20000 has 6,021 digits, past CPython's default limit of 4,300."""
+    f = tmp_path / "wide.json"
+    f.write_text('{"cells": [1, 20000]}')
+    code, report, stderr = run_cli(command, "--presentation", str(f), "--complex", "z2")
+    assert code == 0, stderr
+    assert report["result"]["count"] == 2 ** 20000
+    if command == "invariant":
+        assert report["result"]["invariant"] == str(2 ** 20000)
+
+
+def test_main_restores_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    from xcomplex import cli
+    assert cli.main(["count", "--presentation", "torus", "--complex", "s3"]) == 0
+    assert cli.main(["count", "--presentation", "no-such-space", "--complex", "s3"]) == 1
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag,name", [
     ("--presentation", "sphere:0"),
     ("--presentation", "disk:1"),

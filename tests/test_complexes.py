@@ -7,7 +7,6 @@ from xcomplex.complexes import (
     from_crossed_module,
     from_group,
     homology,
-    kernel_subgroup,
     pi1,
     size_at,
     validate,
@@ -200,7 +199,7 @@ def test_kernel_times_image_is_order():
     for cx in standard_coefficients():
         for n in range(2, cx.length + 1):
             bd = cx.boundary(n)
-            ker = len(kernel_subgroup(cx, n).members)
+            ker = bd.image.count(0)
             img = len(set(bd.image))
             assert ker * img == bd.source.order, (cx.name, n)
 

@@ -9,7 +9,7 @@ from xcomplex.documents import (
     dump_group,
     dump_presentation,
     load_complex,
-    load_group,
+    load_group_table,
     load_presentation,
     read_json,
 )
@@ -26,7 +26,7 @@ from xcomplex.library import (
 @pytest.mark.parametrize("g", [cyclic_group(1), cyclic_group(4),
                                symmetric_group_3()], ids=lambda g: g.name)
 def test_group_round_trip(g):
-    again = load_group(dump_group(g))
+    again = load_group_table(dump_group(g))
     assert again == g
     assert again.name == g.name
 
@@ -53,29 +53,22 @@ def test_presentation_round_trip(p):
 
 def test_load_group_requires_mul():
     with pytest.raises(ParseError, match="mul"):
-        load_group({"order": 2})
+        load_group_table({"order": 2})
 
 
 def test_load_group_rejects_bool_entries():
     with pytest.raises(ParseError, match="integer"):
-        load_group({"mul": [[0, 1], [1, True]]})
+        load_group_table({"mul": [[0, 1], [1, True]]})
 
 
 def test_load_group_order_mismatch():
     with pytest.raises(ParseError, match="order"):
-        load_group({"order": 3, "mul": [[0, 1], [1, 0]]})
+        load_group_table({"order": 3, "mul": [[0, 1], [1, 0]]})
 
 
 def test_load_group_ragged_table_is_parse_error():
     with pytest.raises(ParseError):
-        load_group({"mul": [[0, 1], [1]]})
-
-
-def test_load_group_keeps_algebra_errors():
-    """A Latin-shaped but inverse-free table is an algebra error, not parse."""
-    from xcomplex.errors import MissingInverse
-    with pytest.raises(MissingInverse):
-        load_group({"mul": [[0, 1], [1, 1]]})
+        load_group_table({"mul": [[0, 1], [1]]})
 
 
 def test_load_complex_missing_keys():
@@ -126,6 +119,10 @@ def test_load_presentation_attach_keys():
         load_presentation({"cells": [1, 1], "attach": {"1": []}})
     with pytest.raises(ParseError, match="dimension"):
         load_presentation({"cells": [1, 1], "attach": {"5": []}})
+    # "²" passes str.isdigit; "02" would stand for "2" and replace its data
+    for key in ("²", "02"):
+        with pytest.raises(ParseError, match="dimensions >= 2"):
+            load_presentation({"cells": [1, 2, 1], "attach": {"2": [[]], key: [[]]}})
 
 
 def test_load_presentation_word_schema():

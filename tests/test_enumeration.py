@@ -11,20 +11,18 @@ from xcomplex.enumeration import (
     _backtrack,
     _Search,
     _eliminate,
-    attaching_target,
     boundary_defect_report,
     count_engine,
     count_homs,
     count_homs_bruteforce,
     elimination_cost,
     enumerate_homs,
-    eval_crossed,
-    eval_module,
     eval_word,
+    layer_targets,
     morphism_violation,
     verify_morphism,
 )
-from xcomplex.errors import InstanceTooLarge, ResultTooLarge
+from xcomplex.errors import DimensionMismatch, InstanceTooLarge, ResultTooLarge
 from xcomplex.groups import (
     GroupAction,
     GroupHom,
@@ -84,6 +82,18 @@ def mixed_action_tower():
     from xcomplex.complexes import validate
     assert validate(cx).ok
     return cx
+
+
+def eval_crossed(cx, f1, f2, cw, k):
+    """A crossed word's value in A_k, as the data of a lone 3-cell."""
+    p = CWPresentation((1, len(f1), len(f2), 1), attach3=(cw,))
+    return layer_targets(p, cx, f1, f2, 3, k)[0]
+
+
+def eval_module(cx, f1, f3, m, k):
+    """A ModuleElt's value in A_k, as the data of a lone 4-cell."""
+    p = CWPresentation((1, len(f1), 0, len(f3), 1), attach_high=((m,),))
+    return layer_targets(p, cx, f1, f3, 4, k)[0]
 
 
 def test_eval_crossed_flip_action():
@@ -431,10 +441,19 @@ def test_morphism_violation_kinds():
 
 def test_attaching_target_dispatch():
     incl = resolve_coefficients("cm-z4-z2-incl")
-    assert attaching_target(disk(2), incl, [(2,)], 2, 0) == 2
+    assert layer_targets(disk(2), incl, (2,), (2,), 2, 1) == (2,)
     l3 = resolve_coefficients("l3-z2")
-    assert attaching_target(disk(3), l3, [(), (1,)], 3, 0) == 1
-    assert attaching_target(disk(4), l3, [(), (), (1,)], 4, 0) == 1
+    assert layer_targets(disk(3), l3, (), (1,), 3, 2) == (1,)
+    assert layer_targets(disk(4), l3, (), (1,), 4, 3) == (1,)
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (3, 4), (4, 2), (4, 4), (5, 3), (3, 3)])
+def test_layer_targets_degree_guard(n, k):
+    """Data of an n-cell (n >= 3) has a value in A_{n-1} or A_n only, and only
+    in a degree the complex has; 2-cell words only in A_1.  (3, 3) is the
+    degree of a homotopy's H_2, which a length-2 complex lacks."""
+    with pytest.raises(DimensionMismatch):
+        layer_targets(disk(n), resolve_coefficients("cm-z4-z2-incl"), (0,), (0,), n, k)
 
 
 def test_enumeration_cap():

@@ -24,7 +24,6 @@ from xcomplex.groups import (
     fibers_of,
     hom_violation,
     image_of,
-    kernel_of,
     make_group,
     quotient,
     subgroup,
@@ -202,7 +201,7 @@ def test_inclusion_fibers_image_kernel():
     assert fibers[1] == ()
     assert image_of(h).members == (0, 2)
     assert image_of(h).normal
-    assert kernel_of(h).members == (0,)
+    assert fibers[0] == (0,)  # the kernel
 
 
 def test_fiber_sizes_property():
@@ -219,7 +218,7 @@ def test_fiber_sizes_property():
     for h in homs:
         fibers = fibers_of(h)
         assert sum(len(f) for f in fibers) == 6
-        ker = len(kernel_of(h).members)
+        ker = len(fibers[0])
         assert all(len(f) == ker for f in fibers if f)
         assert len(image_of(h).members) * ker == 6
 
@@ -231,7 +230,7 @@ def test_quotient_z4_by_even():
     q, proj = quotient(z4, n)
     assert q.order == 2
     assert check_hom(proj)
-    assert kernel_of(proj).members == (0, 2)
+    assert [x for x in range(4) if proj.image[x] == 0] == [0, 2]  # the kernel
 
 
 def test_quotient_by_trivial_is_bijective():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from xcomplex.enumeration import Morphism, enumerate_homs, eval_word
-from xcomplex.errors import IndexOutOfRange, ResultTooLarge
+from xcomplex.errors import ResultTooLarge
 from xcomplex.homotopies import (
     ClassDecomposition,
     Homotopy1,
@@ -132,14 +132,9 @@ def test_homotopy_count_formula():
     cx = resolve_coefficients("cm-z4-z2-incl")
     f = enumerate_homs(torus(), cx)[0]
     assert count_homotopies_from(f) == 4  # |A_2|^2 for the two 1-cells
-    assert count_homotopies_from(f, fold=2) == 1
     l3 = resolve_coefficients("l3-z2")
     g = enumerate_homs(torus(), l3)[0]
-    assert count_homotopies_from(g, fold=1) == 8  # 2^2 * 2^1
-    assert count_homotopies_from(g, fold=2) == 4  # 2^2 * 1
-    assert count_homotopies_from(g, fold=3) == 1
-    with pytest.raises(IndexOutOfRange):
-        count_homotopies_from(g, fold=0)
+    assert count_homotopies_from(g) == 8  # 2^2 * 2^1
 
 
 def test_count_matches_value_space():
