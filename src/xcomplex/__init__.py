@@ -69,7 +69,6 @@ from .presentations import (
     word_inverse,
 )
 from .enumeration import (
-    Morphism,
     boundary_defect_report,
     count_engine,
     count_homs,
@@ -77,7 +76,6 @@ from .enumeration import (
     enumerate_homs,
     eval_word,
     morphism_violation,
-    verify_morphism,
 )
 from .invariant import (
     format_rational,
@@ -86,9 +84,7 @@ from .invariant import (
 )
 from .homotopies import (
     ClassDecomposition,
-    Homotopy1,
-    count_homotopies_from,
-    enumerate_homotopies_from,
+    count_homotopies,
     eval_derivation,
     homotopy_classes,
     homotopy_target,

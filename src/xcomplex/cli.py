@@ -7,9 +7,10 @@
     xcomplex library
     xcomplex selfcheck
 
-Common option: --cap N (overrides the XCOMPLEX_CAP environment variable,
-which overrides the per-operation defaults).  X is a JSON file path or,
-when no such file exists, a builtin name from `library`.
+validate, count, invariant and classes take --cap N (overrides the
+XCOMPLEX_CAP environment variable, which overrides the per-operation
+defaults).  X is a JSON file path or, when no such file exists, a builtin
+name from `library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
 go to stderr.  Exit codes: 0 success, 1 input error, 2 validation failure,
@@ -54,7 +55,7 @@ from .errors import (
     TargetNotMorphism,
     XComplexError,
 )
-from .groups import group_violations
+from .groups import FiniteGroup, group_violations
 from .homotopies import DEFAULT_EDGE_CAP, homotopy_classes
 from .invariant import format_rational, normalization_factor
 from .library import resolve_coefficients, resolve_space, standard_coefficients, standard_spaces
@@ -76,49 +77,36 @@ def _canonical(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _builtin_group(ref: str) -> FiniteGroup:
+    cx = resolve_coefficients(ref)
+    if cx.length != 1:
+        raise ParseError(f"'{ref}' is not a group document or group name")
+    return cx.groups[0]
+
+
 class _Inputs:
     """Resolved inputs plus provenance hashes for the run report."""
 
     def __init__(self) -> None:
         self.provenance: dict[str, dict[str, str]] = {}
 
-    def presentation(self, ref: str) -> CWPresentation:
+    def resolve(self, kind: str, ref: str) -> Any:
+        """The "presentation", "complex" or "group" named by ref: a JSON file
+        or, when no such file exists, a builtin name."""
+        # looked up at call time, so that wrappers installed on this module apply
+        load, builtin, dump = {
+            "presentation": (load_presentation, resolve_space, dump_presentation),
+            "complex": (load_complex, resolve_coefficients, dump_complex),
+            "group": (load_group_table, _builtin_group, dump_group),
+        }[kind]
         if Path(ref).is_file():
-            p = load_presentation(read_json(ref))
-            self.provenance["presentation"] = {
-                "source": ref, "sha256": _sha(Path(ref).read_bytes())}
+            obj = load(read_json(ref))
+            self.provenance[kind] = {"source": ref, "sha256": _sha(Path(ref).read_bytes())}
         else:
-            p = resolve_space(ref)
-            self.provenance["presentation"] = {
-                "source": f"builtin:{ref}",
-                "sha256": _sha(_canonical(dump_presentation(p)))}
-        return p
-
-    def coefficients(self, ref: str) -> FiniteCrossedComplex:
-        if Path(ref).is_file():
-            cx = load_complex(read_json(ref))
-            self.provenance["complex"] = {
-                "source": ref, "sha256": _sha(Path(ref).read_bytes())}
-        else:
-            cx = resolve_coefficients(ref)
-            self.provenance["complex"] = {
-                "source": f"builtin:{ref}",
-                "sha256": _sha(_canonical(dump_complex(cx)))}
-        return cx
-
-    def group(self, ref: str):
-        if Path(ref).is_file():
-            g = load_group_table(read_json(ref))
-            self.provenance["group"] = {
-                "source": ref, "sha256": _sha(Path(ref).read_bytes())}
-        else:
-            cx = resolve_coefficients(ref)
-            if cx.length != 1:
-                raise ParseError(f"'{ref}' is not a group document or group name")
-            g = cx.groups[0]
-            self.provenance["group"] = {
-                "source": f"builtin:{ref}", "sha256": _sha(_canonical(dump_group(g)))}
-        return g
+            obj = builtin(ref)
+            self.provenance[kind] = {
+                "source": f"builtin:{ref}", "sha256": _sha(_canonical(dump(obj)))}
+        return obj
 
 
 def _report_violations(report) -> list[list]:
@@ -165,16 +153,17 @@ def cmd_validate(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int
     cx = None
     p = None
     if args.group:
-        violations = [[axiom, list(w)] for axiom, w in group_violations(inputs.group(args.group))]
+        group = inputs.resolve("group", args.group)
+        violations = [[axiom, list(w)] for axiom, w in group_violations(group)]
         reports["group"] = {"ok": not violations, "violations": violations}
         ok = not violations
     if args.complex:
-        cx = inputs.coefficients(args.complex)
+        cx = inputs.resolve("complex", args.complex)
         rep = validate(cx)
         reports["complex"] = {"ok": rep.ok, "violations": _report_violations(rep)}
         ok = ok and rep.ok
     if args.presentation:
-        p = inputs.presentation(args.presentation)
+        p = inputs.resolve("presentation", args.presentation)
         rep = validate_presentation(p)
         reports["presentation"] = {"ok": rep.ok, "violations": _report_violations(rep)}
         ok = ok and rep.ok
@@ -192,8 +181,8 @@ def cmd_validate(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int
 
 
 def cmd_count(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
-    p = inputs.presentation(args.presentation)
-    cx = inputs.coefficients(args.complex)
+    p = inputs.resolve("presentation", args.presentation)
+    cx = inputs.resolve("complex", args.complex)
     if not _require_valid(p, cx, result):
         return EXIT_INVALID
     n = count_homs(p, cx)
@@ -201,7 +190,7 @@ def cmd_count(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
     result["engine"] = count_engine(p, cx)
     if args.enumerate:
         morphisms = enumerate_homs(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
-        result["morphisms"] = [[list(layer) for layer in m.colours] for m in morphisms]
+        result["morphisms"] = [[list(layer) for layer in f] for f in morphisms]
         if len(morphisms) != n:
             raise AssertionError(f"listing disagrees: counted {n}, listed {len(morphisms)}")
     if args.oracle:
@@ -214,8 +203,8 @@ def cmd_count(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
 
 
 def cmd_invariant(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
-    p = inputs.presentation(args.presentation)
-    cx = inputs.coefficients(args.complex)
+    p = inputs.resolve("presentation", args.presentation)
+    cx = inputs.resolve("complex", args.complex)
     if not _require_valid(p, cx, result):
         return EXIT_INVALID
     n = count_homs(p, cx)
@@ -229,15 +218,14 @@ def cmd_invariant(args: argparse.Namespace, inputs: _Inputs, result: dict) -> in
 
 
 def cmd_classes(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
-    p = inputs.presentation(args.presentation)
-    cx = inputs.coefficients(args.complex)
+    p = inputs.resolve("presentation", args.presentation)
+    cx = inputs.resolve("complex", args.complex)
     if not _require_valid(p, cx, result):
         return EXIT_INVALID
     dec = homotopy_classes(p, cx, cap=_cap(args, DEFAULT_EDGE_CAP))
     result["count"] = dec.count
     result["sizes"] = list(dec.sizes)
-    result["representatives"] = [
-        [list(layer) for layer in m.colours] for m in dec.representatives]
+    result["representatives"] = [[list(layer) for layer in f] for f in dec.representatives]
     return EXIT_OK
 
 
@@ -316,11 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classes", help="homotopy class decomposition")
     add_common(sp, presentation=True, complex_=True)
 
-    sp = sub.add_parser("library", help="list builtin spaces and coefficients")
-    sp.add_argument("--cap", type=int, default=None)
-
-    sp = sub.add_parser("selfcheck", help="run the acceptance criteria")
-    sp.add_argument("--cap", type=int, default=None)
+    sub.add_parser("library", help="list builtin spaces and coefficients")
+    sub.add_parser("selfcheck", help="run the acceptance criteria")
 
     return parser
 
@@ -346,7 +331,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             args = build_parser().parse_args(argv)
             command = args.command
-            _cap(args, 0)  # every subcommand takes --cap: reject a bad one before any work
+            _cap(args, 0)  # reject a bad --cap or XCOMPLEX_CAP before any work
             if limit:
                 sys.set_int_max_str_digits(0)
             code = _COMMANDS[command](args, inputs, result)

@@ -47,15 +47,19 @@ def _expect(cond: bool, path: str, note: str) -> None:
         raise ParseError(f"{path}: {note}")
 
 
+def _is_int(v: Any) -> bool:
+    """A JSON integer: not a float, and not a boolean, which Python counts as an int."""
+    return type(v) is int
+
+
 def _int_matrix(obj: Any, path: str) -> list[list[int]]:
     _expect(isinstance(obj, list) and obj, path, "expected a non-empty array of arrays")
     out = []
     for i, row in enumerate(obj):
         _expect(isinstance(row, list), f"{path}[{i}]", "expected an array")
-        if not all(type(v) is int for v in row):
+        if not all(type(v) is int for v in row):  # _is_int inlined: tables are large
             for j, v in enumerate(row):
-                _expect(isinstance(v, int) and not isinstance(v, bool),
-                        f"{path}[{i}][{j}]", "expected an integer")
+                _expect(_is_int(v), f"{path}[{i}][{j}]", "expected an integer")
         out.append(list(row))
     return out
 
@@ -66,8 +70,9 @@ def load_group_table(obj: Any, path: str = "group") -> FiniteGroup:
     _expect("mul" in obj, path, "missing key 'mul'")
     mul = _int_matrix(obj["mul"], f"{path}.mul")
     if "order" in obj:
-        _expect(obj["order"] == len(mul), f"{path}.order",
-                f"declared order {obj['order']} but mul has {len(mul)} rows")
+        _expect(_is_int(obj["order"]) and obj["order"] == len(mul), f"{path}.order",
+                f"declared order {obj['order']!r}; expected the integer {len(mul)}, "
+                "the rows of mul")
     name = obj.get("name", "")
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
     try:
@@ -81,7 +86,7 @@ def load_complex(obj: Any, path: str = "complex") -> FiniteCrossedComplex:
     for key in ("L", "groups", "boundaries", "actions"):
         _expect(key in obj, path, f"missing key '{key}'")
     length = obj["L"]
-    _expect(isinstance(length, int) and length >= 1, f"{path}.L", "expected an integer >= 1")
+    _expect(_is_int(length) and length >= 1, f"{path}.L", "expected an integer >= 1")
     gs = obj["groups"]
     _expect(isinstance(gs, list) and len(gs) == length,
             f"{path}.groups", f"expected {length} groups")
@@ -98,8 +103,7 @@ def load_complex(obj: Any, path: str = "complex") -> FiniteCrossedComplex:
         where = f"{path}.boundaries[{i}]"
         _expect(isinstance(img, list), where, "expected an array")
         for j, v in enumerate(img):
-            _expect(isinstance(v, int) and not isinstance(v, bool),
-                    f"{where}[{j}]", "expected an integer")
+            _expect(_is_int(v), f"{where}[{j}]", "expected an integer")
         _expect(len(img) == groups[i + 1].order, where,
                 f"expected {groups[i + 1].order} entries")
         boundaries.append(GroupHom(groups[i + 1], groups[i], tuple(img)))
@@ -126,9 +130,8 @@ def _load_word(obj: Any, path: str) -> Word:
         _expect(isinstance(letter, list) and len(letter) == 2,
                 f"{path}[{i}]", "expected [gen, exp]")
         g, e = letter
-        _expect(isinstance(g, int) and not isinstance(g, bool), f"{path}[{i}][0]",
-                "expected an integer generator index")
-        _expect(e in (1, -1), f"{path}[{i}][1]", "expected exponent 1 or -1")
+        _expect(_is_int(g), f"{path}[{i}][0]", "expected an integer generator index")
+        _expect(_is_int(e) and e in (1, -1), f"{path}[{i}][1]", "expected exponent 1 or -1")
         out.append((g, e))
     return tuple(out)
 
@@ -141,9 +144,8 @@ def _load_crossedword(obj: Any, path: str) -> CrossedWord:
                 f"{path}[{i}]", "expected [word, gen, exp]")
         w, g, e = term
         word = _load_word(w, f"{path}[{i}][0]")
-        _expect(isinstance(g, int) and not isinstance(g, bool), f"{path}[{i}][1]",
-                "expected an integer 2-cell index")
-        _expect(e in (1, -1), f"{path}[{i}][2]", "expected exponent 1 or -1")
+        _expect(_is_int(g), f"{path}[{i}][1]", "expected an integer 2-cell index")
+        _expect(_is_int(e) and e in (1, -1), f"{path}[{i}][2]", "expected exponent 1 or -1")
         out.append((word, g, e))
     return tuple(out)
 
@@ -155,11 +157,9 @@ def _load_moduleelt(obj: Any, path: str) -> ModuleElt:
         _expect(isinstance(term, list) and len(term) == 3,
                 f"{path}[{i}]", "expected [coef, word, gen]")
         c, w, g = term
-        _expect(isinstance(c, int) and not isinstance(c, bool), f"{path}[{i}][0]",
-                "expected an integer coefficient")
+        _expect(_is_int(c), f"{path}[{i}][0]", "expected an integer coefficient")
         word = _load_word(w, f"{path}[{i}][1]")
-        _expect(isinstance(g, int) and not isinstance(g, bool), f"{path}[{i}][2]",
-                "expected an integer cell index")
+        _expect(_is_int(g), f"{path}[{i}][2]", "expected an integer cell index")
         out.append((c, word, g))
     return tuple(out)
 
@@ -171,8 +171,7 @@ def load_presentation(obj: Any, path: str = "presentation") -> CWPresentation:
     _expect(isinstance(cells, list) and cells, f"{path}.cells",
             "expected a non-empty array of counts")
     for i, v in enumerate(cells):
-        _expect(isinstance(v, int) and not isinstance(v, bool),
-                f"{path}.cells[{i}]", "expected an integer")
+        _expect(_is_int(v), f"{path}.cells[{i}]", "expected an integer")
     attach = obj.get("attach", {})
     _expect(isinstance(attach, dict), f"{path}.attach", "expected an object")
     dim = len(cells) - 1

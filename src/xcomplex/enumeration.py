@@ -8,6 +8,9 @@ of cell colourings f_n: C_n -> A_n (n = 1..L) such that
   * the attaching data of every (L+1)-cell evaluates to the identity
     (the "kill" constraints forced by truncation).
 
+A morphism is passed around as its plain colouring (`Colouring`): one
+tuple of element indices per layer 1..L, compared and hashed by value.
+
 Cells of dimension greater than L+1 impose nothing.  Two engines count:
 
   * Elimination, when no cell of dimension 3..L+1 exists, so every
@@ -57,9 +60,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .complexes import FiniteCrossedComplex
 from .errors import DimensionMismatch, InstanceTooLarge, ResultTooLarge
@@ -113,15 +115,6 @@ def _apply(mul, compiled, below: tuple[int, ...]) -> tuple[int, ...]:
             acc = mul[acc][row[below[gen]]]
         out.append(acc)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Morphism:
-    """A colouring of P's cells in A, one tuple per layer 1..L."""
-
-    presentation: CWPresentation
-    coefficients: FiniteCrossedComplex
-    colours: Colouring
 
 
 def layer_targets(
@@ -179,10 +172,6 @@ def morphism_violation(
             cell = next(c for c, (a, b) in enumerate(zip(got, want)) if a != b)
             return ("layer" if n <= length else "kill", n, cell)
     return None
-
-
-def verify_morphism(m: Morphism) -> bool:
-    return morphism_violation(m.presentation, m.coefficients, m.colours) is None
 
 
 class _Search:
@@ -406,11 +395,11 @@ def enumerate_homs(
     p: CWPresentation,
     cx: FiniteCrossedComplex,
     cap: int = DEFAULT_ENUM_CAP,
-) -> list[Morphism]:
-    """All morphisms P -> A in lexicographic order.
+) -> list[Colouring]:
+    """All morphisms P -> A as colourings, in lexicographic order.
 
     Raises ResultTooLarge when more than `cap` morphisms exist.  Every
-    returned morphism is re-verified against the morphism constraints.
+    returned colouring is re-verified against the morphism constraints.
     """
     s = _Search(p, cx, listing=True)
     found: list[Colouring] = []
@@ -418,10 +407,9 @@ def enumerate_homs(
         found.extend([(f1,) + tail for tail in s.below(f1)])
         if len(found) > cap:
             raise ResultTooLarge(f"more than {cap} morphisms; raise the cap to list them")
-    out = [Morphism(p, cx, c) for c in found]
-    for m in out:
-        assert verify_morphism(m), f"search produced a non-morphism: {m.colours}"
-    return out
+    for c in found:
+        assert morphism_violation(p, cx, c) is None, f"search produced a non-morphism: {c}"
+    return found
 
 
 def count_homs_bruteforce(
@@ -434,27 +422,27 @@ def count_homs_bruteforce(
     Shares nothing with the counting engines but attaching-data evaluation.
     Raises InstanceTooLarge when the space exceeds `cap`.
     """
-    length = cx.length
-    sizes: list[int] = []
-    layout: list[tuple[int, int]] = []
-    at = 0
-    for n in range(1, length + 1):
-        ln = p.count(n)
-        order = cx.groups[n - 1].order
-        sizes.extend([order] * ln)
-        layout.append((at, at + ln))
-        at += ln
-    total = 1
-    for sz in sizes:
-        total *= sz
+    shape = [(p.count(n), cx.groups[n - 1].order) for n in range(1, cx.length + 1)]
+    total = math.prod(order ** ln for ln, order in shape)
     if total > cap:
         raise InstanceTooLarge(f"brute-force space {total} exceeds cap {cap}")
-    count = 0
-    for flat in itertools.product(*(range(sz) for sz in sizes)):
-        colours = tuple(flat[lo:hi] for lo, hi in layout)
-        if morphism_violation(p, cx, colours) is None:
-            count += 1
-    return count
+    return sum(morphism_violation(p, cx, c) is None for c in layered_product(shape))
+
+
+def layered_product(shape: Sequence[tuple[int, int]]) -> Iterator[Colouring]:
+    """Every colouring with l cells in range(order) per layer (l, order) of
+    `shape`, one tuple per layer, in lexicographic order.
+
+    Lazy in every layer: itertools.product would hold each layer's
+    colourings, up to the whole space, in memory.
+    """
+    if not shape:
+        yield ()
+        return
+    (ln, order), rest = shape[0], shape[1:]
+    for head in itertools.product(range(order), repeat=ln):
+        for tail in layered_product(rest):
+            yield (head,) + tail
 
 
 def boundary_defect_report(
@@ -478,8 +466,8 @@ def boundary_defect_report(
         high = tuple(p.attach_module(d) for d in range(4, n))
         trunc = CWPresentation(cells, p.attach2, p.attach3, high, name=p.name)
         kerbd = cx.boundary(n - 1).image
-        for m in enumerate_homs(trunc, cx, cap=cap):
-            got = layer_targets(p, cx, m.colours[0], m.colours[n - 2], n, n - 1)
-            out.extend([(n, cell, m.colours, val)
+        for f in enumerate_homs(trunc, cx, cap=cap):
+            got = layer_targets(p, cx, f[0], f[n - 2], n, n - 1)
+            out.extend([(n, cell, f, val)
                         for cell, val in enumerate(got) if kerbd[val] != 0])
     return out

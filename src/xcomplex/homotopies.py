@@ -3,7 +3,10 @@
 A 1-fold homotopy out of a morphism f is a free choice of values
 H_n: C_n -> A_{n+1} for n = 1 .. L-1; there are no compatibility equations,
 so the number of homotopies out of f is a plain product of coefficient
-sizes.  The target morphism is computed from f and H by
+sizes, the same for every f.  Morphisms are plain colourings (see
+`enumeration`) and a homotopy is its value table h, one tuple per degree
+with h[n-1] = H_n, taken together with the colouring f it starts from.
+The target morphism is computed from f and H by
 
     g_n(c) = f_n(c) * H_{n-1}(attach(c)) * d_{n+1}(H_n(c))   (1 <= n <= L)
 
@@ -31,17 +34,17 @@ walks the full graph and serves as the independent oracle.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .complexes import FiniteCrossedComplex, size_at
+from .complexes import FiniteCrossedComplex
 from .errors import DimensionMismatch, ResultTooLarge, TargetNotMorphism
 from .enumeration import (
     Colouring,
-    Morphism,
     enumerate_homs,
     layer_targets,
+    layered_product,
     morphism_violation,
 )
 from .presentations import CWPresentation, Word
@@ -49,12 +52,9 @@ from .presentations import CWPresentation, Word
 DEFAULT_EDGE_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class Homotopy1:
-    """Source morphism plus value tables; values[n-1] maps C_n into A_{n+1}."""
-
-    source: Morphism
-    values: tuple[tuple[int, ...], ...]
+def _value_shape(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[int, int]]:
+    """(l_k, |A_{k+1}|) for k = 1 .. L-1: H_k colours the l_k k-cells in A_{k+1}."""
+    return [(p.count(k), cx.groups[k].order) for k in range(1, cx.length)]
 
 
 def eval_derivation(
@@ -85,17 +85,19 @@ def eval_derivation(
     return s
 
 
-def homotopy_target(k: Homotopy1) -> Morphism:
-    """Morphism at the far end of a homotopy; raises TargetNotMorphism if the
-    computed colouring fails verification."""
-    f = k.source
-    p, cx = f.presentation, f.coefficients
+def homotopy_target(
+    p: CWPresentation,
+    cx: FiniteCrossedComplex,
+    f: Colouring,
+    h: Colouring,
+) -> Colouring:
+    """Colouring at the far end of the homotopy with value table h out of
+    the morphism f; raises TargetNotMorphism if it fails verification."""
     length = cx.length
-    h = k.values
     if len(h) != max(length - 1, 0):
         raise DimensionMismatch(
             f"homotopy needs {length - 1} value tables, got {len(h)}")
-    f1 = f.colours[0]
+    f1 = f[0]
     out: list[tuple[int, ...]] = []
     for n in range(1, length + 1):
         an = cx.groups[n - 1]
@@ -103,7 +105,7 @@ def homotopy_target(k: Homotopy1) -> Morphism:
         mid = layer_targets(p, cx, f1, h[n - 2], n, n) if n >= 3 and p.count(n) else None
         layer = []
         for c in range(p.count(n)):
-            val = f.colours[n - 1][c]
+            val = f[n - 1][c]
             if n == 2:
                 val = an.mul[val][eval_derivation(cx, f1, h[0], p.attach2[c])]
             elif mid is not None:
@@ -116,77 +118,53 @@ def homotopy_target(k: Homotopy1) -> Morphism:
     w = morphism_violation(p, cx, colours)
     if w is not None:
         raise TargetNotMorphism(f"homotopy target violates {w}", w)
-    return Morphism(p, cx, colours)
+    return colours
 
 
-def count_homotopies_from(f: Morphism) -> int:
-    """Number of homotopies out of f: prod_k |A_{k+1}|^{l_k}.
-
-    The count does not depend on f; sizes above the truncation degree
-    contribute 1, so the product is finite and equals 1 when L = 1.
-    """
-    p, cx = f.presentation, f.coefficients
-    out = 1
-    for k in range(1, p.dim + 1):
-        out *= size_at(cx, k + 1) ** p.count(k)
-    return out
+def count_homotopies(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
+    """Number of homotopies out of any morphism P -> A: prod_k |A_{k+1}|^{l_k},
+    which is 1 when L = 1."""
+    return math.prod(order ** ln for ln, order in _value_shape(p, cx))
 
 
-def homotopy_value_space(
-    p: CWPresentation,
-    cx: FiniteCrossedComplex,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def homotopy_value_space(p: CWPresentation, cx: FiniteCrossedComplex) -> Iterator[Colouring]:
     """All 1-fold homotopy value tables, lexicographic by (layer, cell, value).
 
     Yields exactly one empty table when L = 1 (the identity homotopy).
     """
-    length = cx.length
-    shapes = [(p.count(n), cx.groups[n].order) for n in range(1, length)]
-    ranges = []
-    for ln, order in shapes:
-        ranges.extend([range(order)] * ln)
-    for flat in itertools.product(*ranges):
-        values = []
-        at = 0
-        for ln, _ in shapes:
-            values.append(tuple(flat[at:at + ln]))
-            at += ln
-        yield tuple(values)
+    return layered_product(_value_shape(p, cx))
 
 
-def elementary_value_tables(
-    p: CWPresentation,
-    cx: FiniteCrossedComplex,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def elementary_value_tables(p: CWPresentation, cx: FiniteCrossedComplex) -> Iterator[Colouring]:
     """Value tables of the elementary homotopies: identity everywhere except
     h[k-1][c] = v, for k = 1 .. L-1, c < l_k and v = 1 .. |A_{k+1}|-1."""
-    identity = tuple((0,) * p.count(k) for k in range(1, cx.length))
-    for k, layer in enumerate(identity, start=1):
-        for c in range(len(layer)):
-            for v in range(1, cx.groups[k].order):
+    shape = _value_shape(p, cx)
+    identity = tuple((0,) * ln for ln, _ in shape)
+    for k, (ln, order) in enumerate(shape):
+        for c in range(ln):
+            for v in range(1, order):
                 values = list(identity)
-                values[k - 1] = layer[:c] + (v,) + layer[c + 1:]
+                values[k] = identity[k][:c] + (v,) + identity[k][c + 1:]
                 yield tuple(values)
 
 
 def count_class_edges(p: CWPresentation, cx: FiniteCrossedComplex, morphisms: int) -> int:
     """Edges `homotopy_classes` walks on `morphisms` morphisms:
     morphisms * sum_k l_k (|A_{k+1}| - 1)."""
-    return morphisms * sum(
-        p.count(k) * (cx.groups[k].order - 1) for k in range(1, cx.length))
+    return morphisms * sum(ln * (order - 1) for ln, order in _value_shape(p, cx))
 
 
 @dataclass(frozen=True)
 class ClassDecomposition:
     """Partition of the morphism set into homotopy classes.
 
-    Representatives are the least-index morphisms of their classes, listed
-    in index order; sizes align with representatives and sum to the number
-    of morphisms.
+    Representatives are the least-index morphisms of their classes, as
+    colourings listed in index order; sizes align with representatives and
+    sum to the number of morphisms.
     """
 
     count: int
-    representatives: tuple[Morphism, ...]
+    representatives: tuple[Colouring, ...]
     sizes: tuple[int, ...]
 
 
@@ -209,7 +187,7 @@ def homotopy_classes(
             f"{len(homs)} morphisms x {edges // len(homs)} elementary homotopies"
             f" = {edges} edges exceeds edge cap {cap}")
     tables = tuple(elementary_value_tables(p, cx))
-    index: dict[Colouring, int] = {m.colours: i for i, m in enumerate(homs)}
+    index: dict[Colouring, int] = {f: i for i, f in enumerate(homs)}
 
     parent = list(range(len(homs)))
 
@@ -221,7 +199,7 @@ def homotopy_classes(
 
     for i, f in enumerate(homs):
         for values in tables:
-            j = index[homotopy_target(Homotopy1(f, values)).colours]
+            j = index[homotopy_target(p, cx, f, values)]
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
@@ -237,20 +215,14 @@ def homotopy_classes(
     )
 
 
-def homotopy_orbit(f: Morphism) -> tuple[int, int]:
-    """Orbit size and stabiliser order of f over the full value space:
-    the number of distinct targets of homotopies out of f, and the number of
-    homotopies whose target is f itself."""
+def homotopy_orbit(p: CWPresentation, cx: FiniteCrossedComplex, f: Colouring) -> tuple[int, int]:
+    """Orbit size and stabiliser order of the morphism f over the full value
+    space: the number of distinct targets of homotopies out of f, and the
+    number of homotopies whose target is f itself."""
     targets = set()
     fixing = 0
-    for k in enumerate_homotopies_from(f):
-        g = homotopy_target(k).colours
+    for values in homotopy_value_space(p, cx):
+        g = homotopy_target(p, cx, f, values)
         targets.add(g)
-        fixing += g == f.colours
+        fixing += g == f
     return len(targets), fixing
-
-
-def enumerate_homotopies_from(f: Morphism) -> Iterator[Homotopy1]:
-    """All 1-fold homotopies out of f, in value-table order."""
-    for values in homotopy_value_space(f.presentation, f.coefficients):
-        yield Homotopy1(f, values)

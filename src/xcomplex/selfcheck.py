@@ -16,9 +16,8 @@ from .enumeration import count_homs, count_homs_bruteforce, enumerate_homs
 from .errors import TargetNotMorphism
 from .groups import FiniteGroup, GroupAction, GroupHom, hom_violation
 from .homotopies import (
-    Homotopy1,
     count_class_edges,
-    count_homotopies_from,
+    count_homotopies,
     homotopy_classes,
     homotopy_orbit,
     homotopy_target,
@@ -138,11 +137,11 @@ def check_euler_identity() -> CheckResult:
             continue
         dec = homotopy_classes(p, cx)
         total = Fraction(0)
+        per = count_homotopies(p, cx)
         for f, size in zip(dec.representatives, dec.sizes):
-            orbit, stab = homotopy_orbit(f)
-            per = count_homotopies_from(f)
+            orbit, stab = homotopy_orbit(p, cx, f)
             if orbit != size or size * stab != per:
-                bad.append(f"{p.name} x {cx.name} class of {f.colours}: size {size},"
+                bad.append(f"{p.name} x {cx.name} class of {f}: size {size},"
                            f" orbit {orbit}, stabiliser {stab}, homotopies {per}")
             total += Fraction(per, stab)
         inv = invariant_ia(p, cx)
@@ -212,16 +211,13 @@ def check_connection_validity() -> CheckResult:
     edges = 0
     for p, cx in _suite_pairs():
         homs = enumerate_homs(p, cx)
-        if not homs:
-            continue
-        per = count_homotopies_from(homs[0])
-        if per * len(homs) > EDGE_BUDGET:
+        if not homs or count_homotopies(p, cx) * len(homs) > EDGE_BUDGET:
             continue
         for f in homs:
             for values in homotopy_value_space(p, cx):
                 edges += 1
                 try:
-                    homotopy_target(Homotopy1(f, values))
+                    homotopy_target(p, cx, f, values)
                 except TargetNotMorphism as exc:
                     failures.append(f"{p.name} x {cx.name}: {exc}")
     details = f"{edges} homotopy targets verified"

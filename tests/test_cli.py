@@ -8,7 +8,10 @@ import sys
 import pytest
 
 from xcomplex.documents import dump_complex, dump_group, dump_presentation
+from xcomplex.enumeration import enumerate_homs
+from xcomplex.homotopies import homotopy_classes, homotopy_target
 from xcomplex.library import resolve_coefficients, resolve_space
+from xcomplex.presentations import rp2
 
 
 def run_cli(*args, env_extra=None):
@@ -69,6 +72,21 @@ def test_classes_circle():
     assert res["count"] == 2
     assert res["sizes"] == [2, 2]
     assert res["representatives"] == [[[0], []], [[1], []]]
+
+
+def test_library_results_are_the_listed_colourings():
+    """enumerate_homs, class representatives and homotopy targets are plain
+    colourings, equal to the morphisms `count --enumerate` prints."""
+    p, cx = rp2(), resolve_coefficients("cm-z2-z3-flip")
+    code, report, _ = run_cli("count", "--presentation", "rp2",
+                              "--complex", "cm-z2-z3-flip", "--enumerate")
+    assert code == 0
+    listed = [tuple(map(tuple, f)) for f in report["result"]["morphisms"]]
+    homs = enumerate_homs(p, cx)
+    assert homs == listed and len(homs) == 6
+    assert all(f in listed for f in homotopy_classes(p, cx).representatives)
+    for f in homs:
+        assert homotopy_target(p, cx, f, ((0,),)) == f
 
 
 def test_classes_twisted():
@@ -312,6 +330,10 @@ def test_usage_error_is_input_error():
                                    "--complex", "cm-z2-z3-flip", "--euler")
     assert code == 1
     assert "--euler" in report["result"]["error"]
+    for command in ("library", "selfcheck"):  # neither reads a cap
+        code, report, _ = run_cli(command, "--cap", "3")
+        assert code == 1
+        assert "--cap" in report["result"]["error"]
     shown = subprocess.run([sys.executable, "-m", "xcomplex.cli", "count", "--help"],
                            capture_output=True, text=True)
     assert shown.returncode == 0

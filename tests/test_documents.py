@@ -64,6 +64,10 @@ def test_load_group_rejects_bool_entries():
 def test_load_group_order_mismatch():
     with pytest.raises(ParseError, match="order"):
         load_group_table({"order": 3, "mul": [[0, 1], [1, 0]]})
+    # equal to the row count, but not JSON integers
+    for order, mul in ((2.0, [[0, 1], [1, 0]]), (True, [[0]])):
+        with pytest.raises(ParseError, match=r"group\.order"):
+            load_group_table({"order": order, "mul": mul})
 
 
 def test_load_group_ragged_table_is_parse_error():
@@ -74,6 +78,14 @@ def test_load_group_ragged_table_is_parse_error():
 def test_load_complex_missing_keys():
     with pytest.raises(ParseError, match="missing key"):
         load_complex({"L": 1, "groups": [{"mul": [[0]]}]})
+
+
+def test_load_complex_length_must_be_an_integer():
+    doc = dump_complex(resolve_coefficients("z2"))
+    for length in (True, 1.0):
+        doc["L"] = length
+        with pytest.raises(ParseError, match=r"complex\.L"):
+            load_complex(doc)
 
 
 def test_load_complex_wrong_boundary_count():
@@ -130,6 +142,10 @@ def test_load_presentation_word_schema():
         load_presentation({"cells": [1, 1, 1], "attach": {"2": [[[0, 2]]]}})
     with pytest.raises(ParseError, match="gen"):
         load_presentation({"cells": [1, 1, 1], "attach": {"2": [[[0]]]}})
+    # equal to 1 or -1, but not JSON integers
+    for exp in (True, 1.0, -1.0):
+        with pytest.raises(ParseError, match=r"attach\.2\[0\]\[0\]\[1\].*exponent"):
+            load_presentation({"cells": [1, 1, 1], "attach": {"2": [[[0, exp]]]}})
 
 
 def test_load_presentation_crossedword_schema():
@@ -137,6 +153,11 @@ def test_load_presentation_crossedword_schema():
            "attach": {"2": [[[0, 1]]], "3": [[[[[0, 1]], 0]]]}}
     with pytest.raises(ParseError, match="word, gen, exp"):
         load_presentation(doc)
+    for exp in (True, 1.0, -1.0):
+        doc = {"cells": [1, 1, 1, 1],
+               "attach": {"2": [[[0, 1]]], "3": [[[[[0, 1]], 0, exp]]]}}
+        with pytest.raises(ParseError, match=r"attach\.3\[0\]\[0\]\[2\].*exponent"):
+            load_presentation(doc)
 
 
 def test_load_presentation_moduleelt_schema():

@@ -2,12 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from xcomplex.complexes import FiniteCrossedComplex, from_group
 from xcomplex.enumeration import (
-    Morphism,
     _backtrack,
     _Search,
     _eliminate,
@@ -19,8 +19,8 @@ from xcomplex.enumeration import (
     enumerate_homs,
     eval_word,
     layer_targets,
+    layered_product,
     morphism_violation,
-    verify_morphism,
 )
 from xcomplex.errors import DimensionMismatch, InstanceTooLarge, ResultTooLarge
 from xcomplex.groups import (
@@ -186,16 +186,16 @@ def test_rp2_counts_involutions():
 
 def test_disk2_enumeration_frozen():
     """The filled disk admits exactly the kernel-lift and the shifted lift."""
-    homs = enumerate_homs(disk(2), resolve_coefficients("cm-z4-z2-incl"))
-    assert [m.colours for m in homs] == [((0,), (0,)), ((2,), (1,))]
-    assert all(verify_morphism(m) for m in homs)
+    p, cx = disk(2), resolve_coefficients("cm-z4-z2-incl")
+    homs = enumerate_homs(p, cx)
+    assert homs == [((0,), (0,)), ((2,), (1,))]
+    assert all(morphism_violation(p, cx, f) is None for f in homs)
 
 
 def test_enumeration_is_lexicographic():
     homs = enumerate_homs(sphere(1), resolve_coefficients("s3"))
-    assert [m.colours for m in homs] == [((i,),) for i in range(6)]
-    bigger = enumerate_homs(torus(), resolve_coefficients("s3"))
-    cols = [m.colours for m in bigger]
+    assert homs == [((i,),) for i in range(6)]
+    cols = enumerate_homs(torus(), resolve_coefficients("s3"))
     assert cols == sorted(cols)
     assert len(cols) == 18
 
@@ -353,7 +353,7 @@ def test_memoised_search_matches_sweep_and_bruteforce():
     nonzero = 0
     for p, cx in cases:
         assert count_engine(p, cx) == "backtrack"
-        listed = [m.colours for m in enumerate_homs(p, cx)]
+        listed = enumerate_homs(p, cx)
         assert listed == lexicographic_sweep(p, cx), p
         assert count_homs(p, cx) == len(listed) == count_homs_bruteforce(p, cx), p
         nonzero += bool(listed)
@@ -499,6 +499,23 @@ def test_defect_report_finds_planted_defect():
     assert count_homs(p, cx) == 1
 
 
+def test_layered_product_order_and_laziness():
+    """The sweep splits the lexicographic product of all cells into layers,
+    and holds one colouring at a time rather than a layer's worth."""
+    flat = itertools.product(range(2), range(2), range(3))
+    assert list(layered_product([(2, 2), (1, 3)])) == [(f[:2], f[2:]) for f in flat]
+    assert list(layered_product([])) == [()]
+    assert list(layered_product([(0, 5), (1, 2)])) == [((), (0,)), ((), (1,))]
+    tracemalloc.start()
+    try:
+        first = next(layered_product([(16, 2), (1, 3)]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == ((0,) * 16, (0,))
+    assert peak < 1_000_000  # the 2^16 colourings of the first layer take about 12 MB
+
+
 def test_genus_two_spot_check():
     """Abelian coefficients kill all commutators, so every colouring works."""
     cx = from_group(cyclic_group(3))
@@ -511,11 +528,10 @@ def test_point_maps_uniquely_everywhere():
         cx = resolve_coefficients(coeff)
         homs = enumerate_homs(point(), cx)
         assert len(homs) == 1
-        assert homs[0].colours == ((),) * cx.length
+        assert homs[0] == ((),) * cx.length
 
 
-def test_morphism_dataclass_round_trip():
+def test_colouring_verifies_and_compares_by_value():
     p, cx = sphere(1), resolve_coefficients("z2")
-    m = Morphism(p, cx, ((1,),))
-    assert verify_morphism(m)
-    assert m == Morphism(p, cx, ((1,),))
+    assert morphism_violation(p, cx, ((1,),)) is None
+    assert enumerate_homs(p, cx)[1] == ((1,),)

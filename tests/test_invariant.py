@@ -7,7 +7,7 @@ import pytest
 from xcomplex.complexes import FiniteCrossedComplex, validate
 from xcomplex.enumeration import count_homs
 from xcomplex.groups import cyclic_group, trivial_action, zero_hom
-from xcomplex.homotopies import count_homotopies_from, homotopy_classes, homotopy_orbit
+from xcomplex.homotopies import count_homotopies, homotopy_classes, homotopy_orbit
 from xcomplex.invariant import format_rational, invariant_ia, normalization_factor
 from xcomplex.library import resolve_coefficients, resolve_space
 from xcomplex.presentations import disk, point, rp2, sphere, torus, wedge
@@ -99,11 +99,10 @@ def test_euler_identity_with_verified_homotopy_counts():
     """
     p, cx = rp2(), resolve_coefficients("cm-z2-z3-flip")
     dec = homotopy_classes(p, cx)
-    orbits = [homotopy_orbit(f) for f in dec.representatives]
+    orbits = [homotopy_orbit(p, cx, f) for f in dec.representatives]
     assert orbits == [(3, 1), (1, 3), (1, 3), (1, 3)]
     assert tuple(size for size, _ in orbits) == dec.sizes
-    total = sum(Fraction(count_homotopies_from(f), stab)
-                for f, (_, stab) in zip(dec.representatives, orbits))
+    total = sum(Fraction(count_homotopies(p, cx), stab) for _, stab in orbits)
     assert total == 6
     assert normalization_factor(p, cx) * total == invariant_ia(p, cx) == 2
 
