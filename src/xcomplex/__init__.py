@@ -52,8 +52,7 @@ from .complexes import (
 )
 from .presentations import (
     CWPresentation,
-    CrossedWord,
-    ModuleElt,
+    Terms,
     Word,
     disk,
     free_reduce,

@@ -9,13 +9,16 @@ Formats (all indices 0-based, identity at 0):
                   "name"?: str}
   presentation   {"cells": [1, l1, l2, ...],
                   "attach": {"2": [word, ...],
-                             "3": [crossedword, ...],
-                             "4": [moduleelt, ...], ...},
+                             "3": [terms3, ...],
+                             "4": [terms, ...], ...},
                   "name"?: str}
 
   word           [[gen, exp], ...]           exp in {1, -1}
-  crossedword    [[word, gen, exp], ...]
-  moduleelt      [[coef, word, gen], ...]    coef any integer
+  terms3         [[word, gen, exp], ...]     exp in {1, -1}
+  terms          [[coef, word, gen], ...]    coef any integer
+
+Both term layouts load as the one `Terms` form of `presentations`,
+(word, gen, exp or coef), and `dump_presentation` writes them back.
 
 Shape and schema problems raise ParseError naming the offending path;
 algebraic validity is the business of the validators, not this module.
@@ -35,7 +38,7 @@ from typing import Any
 from .complexes import FiniteCrossedComplex
 from .errors import DimensionMismatch, ParseError
 from .groups import FiniteGroup, GroupAction, GroupHom, table_group
-from .presentations import CrossedWord, CWPresentation, ModuleElt, Word
+from .presentations import CWPresentation, Terms, Word
 
 # CPython's default bound on int/str conversion (sys.int_info)
 MAX_DIGITS = 4300
@@ -62,6 +65,15 @@ def _int_matrix(obj: Any, path: str) -> list[list[int]]:
                 _expect(_is_int(v), f"{path}[{i}][{j}]", "expected an integer")
         out.append(list(row))
     return out
+
+
+def _in_range(rows: list[list[int]], bounds: list[int], path: str, what: str) -> None:
+    """ParseError naming the first entry rows[j][k] outside 0..bounds[j]-1;
+    every row is a non-empty list of integers."""
+    for j, (row, bound) in enumerate(zip(rows, bounds)):
+        if min(row) < 0 or max(row) >= bound:
+            k = next(k for k, v in enumerate(row) if not 0 <= v < bound)
+            _expect(False, f"{path}[{j}][{k}]", f"{what} {row[k]} out of range 0..{bound - 1}")
 
 
 def load_group_table(obj: Any, path: str = "group") -> FiniteGroup:
@@ -120,6 +132,12 @@ def load_complex(obj: Any, path: str = "complex") -> FiniteCrossedComplex:
                                    tuple(tuple(r) for r in rows)))
     name = obj.get("name", "")
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
+    # entries outside their group come last: a document that a check above
+    # rejects keeps that error
+    _in_range(bds, [g.order for g in groups], f"{path}.boundaries", "image value")
+    for i, table in enumerate(acts):
+        _in_range(table, [groups[i + 1].order] * len(table), f"{path}.actions[{i}]",
+                  "action value")
     return FiniteCrossedComplex(groups, tuple(boundaries), tuple(actions), name=name)
 
 
@@ -136,31 +154,26 @@ def _load_word(obj: Any, path: str) -> Word:
     return tuple(out)
 
 
-def _load_crossedword(obj: Any, path: str) -> CrossedWord:
-    _expect(isinstance(obj, list), path, "expected an array of [word, gen, exp] terms")
+def _load_terms(obj: Any, path: str, n: int) -> Terms:
+    """An n-cell's Terms (word, cell, power) from their JSON layout:
+    [word, gen, exp] with exp = +-1 when n = 3, [coef, word, gen] above."""
+    shape = "[word, gen, exp]" if n == 3 else "[coef, word, gen]"
+    _expect(isinstance(obj, list), path, f"expected an array of {shape} terms")
     out = []
     for i, term in enumerate(obj):
-        _expect(isinstance(term, list) and len(term) == 3,
-                f"{path}[{i}]", "expected [word, gen, exp]")
-        w, g, e = term
-        word = _load_word(w, f"{path}[{i}][0]")
-        _expect(_is_int(g), f"{path}[{i}][1]", "expected an integer 2-cell index")
-        _expect(_is_int(e) and e in (1, -1), f"{path}[{i}][2]", "expected exponent 1 or -1")
+        at = f"{path}[{i}]"
+        _expect(isinstance(term, list) and len(term) == 3, at, f"expected {shape}")
+        if n == 3:
+            w, g, e = term
+            word = _load_word(w, f"{at}[0]")
+            _expect(_is_int(g), f"{at}[1]", "expected an integer 2-cell index")
+            _expect(_is_int(e) and e in (1, -1), f"{at}[2]", "expected exponent 1 or -1")
+        else:
+            e, w, g = term
+            _expect(_is_int(e), f"{at}[0]", "expected an integer coefficient")
+            word = _load_word(w, f"{at}[1]")
+            _expect(_is_int(g), f"{at}[2]", "expected an integer cell index")
         out.append((word, g, e))
-    return tuple(out)
-
-
-def _load_moduleelt(obj: Any, path: str) -> ModuleElt:
-    _expect(isinstance(obj, list), path, "expected an array of [coef, word, gen] terms")
-    out = []
-    for i, term in enumerate(obj):
-        _expect(isinstance(term, list) and len(term) == 3,
-                f"{path}[{i}]", "expected [coef, word, gen]")
-        c, w, g = term
-        _expect(_is_int(c), f"{path}[{i}][0]", "expected an integer coefficient")
-        word = _load_word(w, f"{path}[{i}][1]")
-        _expect(_is_int(g), f"{path}[{i}][2]", "expected an integer cell index")
-        out.append((c, word, g))
     return tuple(out)
 
 
@@ -185,17 +198,13 @@ def load_presentation(obj: Any, path: str = "presentation") -> CWPresentation:
     attach2 = tuple(
         _load_word(w, f"{path}.attach.2[{i}]")
         for i, w in enumerate(known.get(2, [])))
-    attach3 = tuple(
-        _load_crossedword(cw, f"{path}.attach.3[{i}]")
-        for i, cw in enumerate(known.get(3, [])))
-    high = []
-    for n in range(4, dim + 1):
-        high.append(tuple(
-            _load_moduleelt(m, f"{path}.attach.{n}[{i}]")
-            for i, m in enumerate(known.get(n, []))))
+    terms = tuple(
+        tuple(_load_terms(t, f"{path}.attach.{n}[{i}]", n)
+              for i, t in enumerate(known.get(n, [])))
+        for n in range(3, dim + 1))
     name = obj.get("name", "")
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
-    return CWPresentation(tuple(cells), attach2, attach3, tuple(high), name=name)
+    return CWPresentation(tuple(cells), attach2, terms, name=name)
 
 
 def dump_group(g: FiniteGroup) -> dict:
@@ -221,16 +230,12 @@ def dump_presentation(p: CWPresentation) -> dict:
     attach: dict[str, Any] = {}
     if p.attach2:
         attach["2"] = [[list(l) for l in w] for w in p.attach2]
-    if p.attach3:
-        attach["3"] = [
-            [[[list(l) for l in conj], gen, exp] for conj, gen, exp in cw]
-            for cw in p.attach3]
-    for n in range(4, p.dim + 1):
-        data = p.attach_module(n)
-        if data:
+    for n in range(3, p.dim + 1):
+        if data := p.terms(n):
             attach[str(n)] = [
-                [[coef, [list(l) for l in tw], gen] for coef, tw, gen in elt]
-                for elt in data]
+                [[[list(l) for l in w], gen, e] if n == 3 else [e, [list(l) for l in w], gen]
+                 for w, gen, e in terms]
+                for terms in data]
     out: dict[str, Any] = {"cells": list(p.cells), "attach": attach}
     if p.name:
         out["name"] = p.name

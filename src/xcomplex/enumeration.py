@@ -32,10 +32,11 @@ odometer would visit, so its state table never outgrows the odometer's
 walk; backtracking otherwise.  Enumeration always runs the layered search,
 in lexicographic order by (dimension, cell index, element index).
 
-Attaching data of a cell of dimension >= 3 is evaluated in two steps, for
-morphisms, homotopies and the search alike.  Compiling reads f1: a term
-(twisting word w, lower cell c, exponent or coefficient e) becomes (row, c)
-with row: y -> (f1(w) |> y)^e in the target degree k.  Applying reads the
+Attaching data of a cell of dimension >= 3, its Terms
+(`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
+homotopies and the search alike.  Compiling reads f1: a term (twisting
+word w, lower cell c, power e) becomes (row, c) with
+row: y -> (f1(w) |> y)^e in the target degree k.  Applying reads the
 lower layer only: the cell's value is the product of row[f(c)].
 `layer_targets` does both for all n-cells at once, in A_{n-1} for a
 morphism's f_{n-1} (`morphism_violation`, `boundary_defect_report`) and in
@@ -85,24 +86,16 @@ def eval_word(cx: FiniteCrossedComplex, f1: tuple[int, ...], w: Word) -> int:
     return acc
 
 
-def _triples(p: CWPresentation, n: int) -> Sequence[Sequence[tuple[Word, int, int]]]:
-    """Per n-cell (n >= 3), its terms as (twisting word, lower cell, power):
-    a crossed word's exponent, or a ModuleElt's coefficient."""
-    if n == 3:
-        return p.attach3  # already (conj, gen, exp)
-    return [[(twist, gen, coef) for coef, twist, gen in d] for d in p.attach_module(n)]
-
-
 def _compile(cx: FiniteCrossedComplex, k: int, cells, twist) -> list[list[tuple]]:
-    """Each cell's (twisting word, lower cell, power) triples as degree-k
-    terms (row, lower cell) with row[y] = (x |> y)^power in A_k, where
+    """Each cell's Terms (twisting word, lower cell, power) as degree-k
+    pairs (row, lower cell) with row[y] = (x |> y)^power in A_k, where
     x = twist(word) in A_1.  A power reduces mod |A_k|, which every element
     order divides; a zero power contributes nothing and is dropped."""
     order = cx.groups[k - 1].order
     act, powered = cx.actions[k - 2].act, cx.actions[k - 2].powered
     return [[((act if e == 1 else powered(e))[twist(w)], gen)
-             for w, gen, power in triples if (e := power % order)]
-            for triples in cells]
+             for w, gen, power in terms if (e := power % order)]
+            for terms in cells]
 
 
 def _apply(mul, compiled, below: tuple[int, ...]) -> tuple[int, ...]:
@@ -138,7 +131,7 @@ def layer_targets(
         raise DimensionMismatch(
             f"{n}-cell data has no value in A_{k} of a length-{cx.length} complex")
     return _apply(cx.groups[k - 1].mul,
-                  _compile(cx, k, _triples(p, n), partial(eval_word, cx, f1)), below)
+                  _compile(cx, k, p.terms(n), partial(eval_word, cx, f1)), below)
 
 
 def morphism_violation(
@@ -193,11 +186,10 @@ class _Search:
         # the highest dimension in 3..L+1 holding cells, or 2 when there is
         # none: from layer `top` on, each layer's fibers are free choices
         self.top = max((n for n in range(3, self.length + 2) if p.count(n)), default=2)
-        # each cell of dimension 3..top as (twisting word, lower cell, power)
-        # triples, and the distinct (degree, twisting word) pairs among them
-        self.cells = {n: _triples(p, n) for n in range(3, self.top + 1)}
+        # the distinct (degree, twisting word) pairs in the Terms of the
+        # cells of dimension 3..top
         self.slots = list(dict.fromkeys(
-            (n - 1, w) for n, cells in self.cells.items() for ts in cells for w, _, _ in ts))
+            (n - 1, w) for n in range(3, self.top + 1) for ts in p.terms(n) for w, _, _ in ts))
         # per degree, the least element of A_1 with each action row
         self.canon = {}
         for k in range(2, self.top):
@@ -248,11 +240,11 @@ class _Tower:
 
     def __init__(self, s: _Search, key: tuple[int, ...]):
         self.s = s
-        twists = {n: {} for n in s.cells}
+        twists = {n: {} for n in range(3, s.top + 1)}
         for (k, w), x in zip(s.slots, key):
             twists[k + 1][w] = x
-        self.terms = {n: _compile(s.cx, n - 1, cells, twists[n].__getitem__)
-                      for n, cells in s.cells.items()}
+        self.terms = {n: _compile(s.cx, n - 1, s.p.terms(n), tw.__getitem__)
+                      for n, tw in twists.items()}
         self.memo: dict[tuple[int, tuple[int, ...]], int | list[Colouring]] = {}
 
     def below(self, n: int, t: tuple[int, ...]):
@@ -454,7 +446,7 @@ def boundary_defect_report(
     to die in A.
 
     For each n >= 4 with cells, enumerates the morphisms of the presentation
-    truncated below n and evaluates each n-cell's ModuleElt; a value outside
+    truncated below n and evaluates each n-cell's Terms; a value outside
     ker d_{n-1} is reported as (n, cell, colouring, value).  An empty report
     on a presentation with zero morphism count says nothing.
     """
@@ -462,9 +454,7 @@ def boundary_defect_report(
     for n in range(4, min(p.dim, cx.length + 1) + 1):
         if p.count(n) == 0:
             continue
-        cells = tuple(p.cells[:n])
-        high = tuple(p.attach_module(d) for d in range(4, n))
-        trunc = CWPresentation(cells, p.attach2, p.attach3, high, name=p.name)
+        trunc = CWPresentation(p.cells[:n], p.attach2, p.attach_terms[:n - 3], name=p.name)
         kerbd = cx.boundary(n - 1).image
         for f in enumerate_homs(trunc, cx, cap=cap):
             got = layer_targets(p, cx, f[0], f[n - 2], n, n - 1)

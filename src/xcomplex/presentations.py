@@ -3,9 +3,10 @@
 A presentation records cell counts per dimension and attaching data:
 
   * a 2-cell carries a Word in the 1-cells, letters (gen, +-1);
-  * a 3-cell carries a CrossedWord, terms (conjugating Word, 2-cell, +-1);
-  * a cell of dimension n >= 4 carries a ModuleElt, terms
-    (integer coefficient, twisting Word, (n-1)-cell).
+  * a cell of dimension n >= 3 carries Terms, triples (twisting Word,
+    (n-1)-cell, power): a word in the free crossed module on the 2-cells
+    when n = 3, an element of the free Z[pi_1]-module on the (n-1)-cells
+    when n >= 4.  The power is +-1 at n = 3 and any integer above.
 
 Attaching data is raw syntax: no normal form in the free algebra is ever
 computed, and equality of attaching data is plain structural equality.
@@ -19,21 +20,20 @@ from typing import Mapping, Sequence
 from .errors import ValidationReport
 
 Word = tuple[tuple[int, int], ...]
-CrossedWord = tuple[tuple[Word, int, int], ...]
-ModuleElt = tuple[tuple[int, Word, int], ...]
+Terms = tuple[tuple[Word, int, int], ...]
 
 
 @dataclass(frozen=True)
 class CWPresentation:
     """Cell counts l_0..l_D plus attaching data per positive dimension.
 
-    attach_high[k] holds the ModuleElts for dimension k+4, one per cell.
+    attach_terms[n-3] holds the Terms of the n-cells, one per cell, for
+    n >= 3; read it through `terms(n)`.
     """
 
     cells: tuple[int, ...]
     attach2: tuple[Word, ...] = ()
-    attach3: tuple[CrossedWord, ...] = ()
-    attach_high: tuple[tuple[ModuleElt, ...], ...] = ()
+    attach_terms: tuple[tuple[Terms, ...], ...] = ()
     name: str = field(default="", compare=False)
 
     @property
@@ -45,11 +45,12 @@ class CWPresentation:
             raise ValueError(f"negative dimension {n}")
         return self.cells[n] if n <= self.dim else 0
 
-    def attach_module(self, n: int) -> tuple[ModuleElt, ...]:
-        if n < 4:
-            raise ValueError(f"no ModuleElt data below dimension 4 (asked {n})")
-        k = n - 4
-        return self.attach_high[k] if k < len(self.attach_high) else ()
+    def terms(self, n: int) -> tuple[Terms, ...]:
+        """The Terms of every n-cell; () past the stored dimensions."""
+        if n < 3:
+            raise ValueError(f"no Terms data below dimension 3 (asked {n})")
+        k = n - 3
+        return self.attach_terms[k] if k < len(self.attach_terms) else ()
 
     def __repr__(self) -> str:
         return f"CWPresentation({self.name or '?'}, cells={list(self.cells)})"
@@ -79,58 +80,42 @@ def validate_presentation(p: CWPresentation) -> ValidationReport:
         if l < 0:
             violations.append(("cell-count", (n, l)))
 
-    def check_word(w: Word, bound: int, where: tuple) -> bool:
-        ok = True
+    def check_word(w: Word, bound: int, where: tuple) -> None:
         for i, (g, e) in enumerate(w):
             if not 0 <= g < bound:
                 violations.append(("generator-range", where + (i, g)))
-                ok = False
             if e not in (1, -1):
                 violations.append(("exponent", where + (i, e)))
-                ok = False
-        return ok
 
     l1 = p.count(1)
-    ranges_ok = True
+    mark = len(violations)
     if len(p.attach2) != p.count(2):
         violations.append(("attach-arity", (2, len(p.attach2), p.count(2))))
-        ranges_ok = False
     for c, w in enumerate(p.attach2):
-        ranges_ok &= check_word(w, l1, (2, c))
+        check_word(w, l1, (2, c))
 
-    if len(p.attach3) != p.count(3):
-        violations.append(("attach-arity", (3, len(p.attach3), p.count(3))))
-        ranges_ok = False
-    l2 = p.count(2)
-    for c, cw in enumerate(p.attach3):
-        for i, (conj, gen, exp) in enumerate(cw):
-            ranges_ok &= check_word(conj, l1, (3, c, i))
-            if not 0 <= gen < l2:
-                violations.append(("generator-range", (3, c, i, gen)))
-                ranges_ok = False
-            if exp not in (1, -1):
-                violations.append(("exponent", (3, c, i, exp)))
-                ranges_ok = False
-
-    for n in range(4, p.dim + 1):
-        data = p.attach_module(n)
+    for n in range(3, max(p.dim, len(p.attach_terms) + 2) + 1):
+        data = p.terms(n)
         if len(data) != p.count(n):
             violations.append(("attach-arity", (n, len(data), p.count(n))))
-        ln1 = p.count(n - 1)
-        for c, elt in enumerate(data):
-            for i, (coef, twist, gen) in enumerate(elt):
+        below = p.count(n - 1)
+        for c, terms in enumerate(data):
+            for i, (twist, gen, power) in enumerate(terms):
                 check_word(twist, l1, (n, c, i))
-                if not 0 <= gen < ln1:
+                if not 0 <= gen < below:
                     violations.append(("generator-range", (n, c, i, gen)))
-                if not isinstance(coef, int):
-                    violations.append(("exponent", (n, c, i, coef)))
+                # the one rule that depends on n: a 3-cell's power is +-1
+                if not (power in (1, -1) if n == 3 else isinstance(power, int)):
+                    violations.append(("exponent", (n, c, i, power)))
 
-    # boundary-of-boundary at dimension 3: the image word of each CrossedWord
-    # must reduce freely to the empty word.  Skipped when ranges are broken.
-    if ranges_ok:
-        for c, cw in enumerate(p.attach3):
+    # boundary-of-boundary at dimension 3: the image word of each 3-cell's
+    # terms must reduce freely to the empty word.  Skipped when the 2- or
+    # 3-cell data are out of range, since it indexes the 2-cell words; every
+    # violation since `mark` names its dimension first.
+    if not any(where[0] <= 3 for _, where in violations[mark:]):
+        for c, terms in enumerate(p.terms(3)):
             parts: list[tuple[int, int]] = []
-            for conj, gen, exp in cw:
+            for conj, gen, exp in terms:
                 inner = p.attach2[gen] if exp == 1 else word_inverse(p.attach2[gen])
                 parts.extend(conj)
                 parts.extend(inner)
@@ -150,22 +135,15 @@ def wedge(p: CWPresentation, q: CWPresentation) -> CWPresentation:
     """One-point union: cell counts add, q's cells are shifted past p's."""
     d = max(p.dim, q.dim)
     cells = (1,) + tuple(p.count(n) + q.count(n) for n in range(1, d + 1))
-    s1, s2 = p.count(1), p.count(2)
+    s1 = p.count(1)
     attach2 = p.attach2 + tuple(_shift_word(w, s1) for w in q.attach2)
-    attach3 = p.attach3 + tuple(
-        tuple((_shift_word(conj, s1), gen + s2, exp) for conj, gen, exp in cw)
-        for cw in q.attach3
-    )
-    high = []
-    for n in range(4, d + 1):
-        sn1 = p.count(n - 1)
-        shifted = tuple(
-            tuple((coef, _shift_word(tw, s1), gen + sn1) for coef, tw, gen in elt)
-            for elt in q.attach_module(n)
-        )
-        high.append(p.attach_module(n) + shifted)
+    terms = tuple(
+        p.terms(n) + tuple(
+            tuple((_shift_word(tw, s1), gen + p.count(n - 1), e) for tw, gen, e in ts)
+            for ts in q.terms(n))
+        for n in range(3, d + 1))
     return CWPresentation(
-        cells, attach2, attach3, tuple(high),
+        cells, attach2, terms,
         name=f"{p.name} v {q.name}" if p.name and q.name else "")
 
 
@@ -190,57 +168,41 @@ def relabel_cells(p: CWPresentation, perms: Mapping[int, Sequence[int]]) -> CWPr
         return tuple(out)
 
     attach2 = place(tuple(reword(w) for w in p.attach2), 2)
-    p2 = perm(2)
-    attach3 = place(
-        tuple(tuple((reword(conj), p2[gen], exp) for conj, gen, exp in cw)
-              for cw in p.attach3), 3)
-    high = []
-    for n in range(4, p.dim + 1):
-        pn1 = perm(n - 1)
-        data = tuple(
-            tuple((coef, reword(tw), pn1[gen]) for coef, tw, gen in elt)
-            for elt in p.attach_module(n)
-        )
-        high.append(place(data, n))
-    return CWPresentation(p.cells, attach2, attach3, tuple(high), name=p.name)
+    terms = tuple(
+        place(tuple(tuple((reword(tw), perm(n - 1)[gen], e) for tw, gen, e in ts)
+                    for ts in p.terms(n)), n)
+        for n in range(3, p.dim + 1))
+    return CWPresentation(p.cells, attach2, terms, name=p.name)
 
 
 def point() -> CWPresentation:
     return CWPresentation((1,), name="point")
 
 
+def _one_per_dimension(data: Mapping[int, tuple], name: str) -> CWPresentation:
+    """The presentation whose n-cells carry data[n] (none where absent);
+    1-cells carry no data, so data[1] only counts them."""
+    top = max(data)
+    return CWPresentation(
+        (1,) + tuple(len(data.get(n, ())) for n in range(1, top + 1)),
+        attach2=data.get(2, ()),
+        attach_terms=tuple(data.get(n, ()) for n in range(3, top + 1)),
+        name=name)
+
+
 def sphere(n: int) -> CWPresentation:
     """One 0-cell and one n-cell, attached trivially."""
     if n < 1:
         raise ValueError("sphere needs n >= 1")
-    cells = (1,) + (0,) * (n - 1) + (1,)
-    if n == 1:
-        return CWPresentation(cells, name="sphere:1")
-    if n == 2:
-        return CWPresentation(cells, attach2=((),), name="sphere:2")
-    if n == 3:
-        return CWPresentation(cells, attach3=((),), name="sphere:3")
-    high = tuple(() for _ in range(4, n)) + (((),),)
-    return CWPresentation(cells, attach_high=high, name=f"sphere:{n}")
+    return _one_per_dimension({n: ((),)}, f"sphere:{n}")
 
 
 def disk(n: int) -> CWPresentation:
     """One 0-cell, one (n-1)-cell and one n-cell that fills it."""
     if n < 2:
         raise ValueError("disk needs n >= 2")
-    if n == 2:
-        return CWPresentation((1, 1, 1), attach2=(((0, 1),),), name="disk:2")
-    if n == 3:
-        return CWPresentation(
-            (1, 0, 1, 1), attach2=((),), attach3=((((), 0, 1),),), name="disk:3")
-    cells = (1,) + (0,) * (n - 3) + (0, 1, 1)
-    if n == 4:
-        return CWPresentation(
-            cells, attach3=((),), attach_high=((((1, (), 0),),),), name="disk:4")
-    high = [() for _ in range(4, n - 1)]
-    high.append(((),))
-    high.append((((1, (), 0),),))
-    return CWPresentation(cells, attach_high=tuple(high), name=f"disk:{n}")
+    rim = ((0, 1),) if n == 2 else (((), 0, 1),)
+    return _one_per_dimension({n - 1: ((),), n: (rim,)}, f"disk:{n}")
 
 
 def torus() -> CWPresentation:

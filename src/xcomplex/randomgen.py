@@ -25,9 +25,8 @@ from .groups import (
     direct_product,
 )
 from .presentations import (
-    CrossedWord,
     CWPresentation,
-    ModuleElt,
+    Terms,
     Word,
     free_reduce,
     validate_presentation,
@@ -124,11 +123,7 @@ def _random_word(rng: random.Random, ngens: int, maxlen: int) -> Word:
         (rng.randrange(ngens), rng.choice((1, -1))) for _ in range(length))
 
 
-def _random_crossedword(
-    rng: random.Random,
-    p2: tuple[Word, ...],
-    l1: int,
-) -> CrossedWord:
+def _random_terms3(rng: random.Random, p2: tuple[Word, ...], l1: int) -> Terms:
     """Blocks that keep the boundary-of-boundary condition: cancelling pairs
     on any 2-cell, single terms on 2-cells whose word already dies."""
     l2 = len(p2)
@@ -148,12 +143,14 @@ def _random_crossedword(
     return tuple(terms)
 
 
-def _random_moduleelt(rng: random.Random, l1: int, ngens: int) -> ModuleElt:
+def _random_terms(rng: random.Random, l1: int, ngens: int) -> Terms:
     if ngens == 0:
         return ()
-    return tuple(
-        (rng.randint(-2, 2), _random_word(rng, l1, 2), rng.randrange(ngens))
-        for _ in range(rng.randint(0, 2)))
+    out = []
+    for _ in range(rng.randint(0, 2)):
+        coef = rng.randint(-2, 2)  # drawn first: the seeded instances depend on the order
+        out.append((_random_word(rng, l1, 2), rng.randrange(ngens), coef))
+    return tuple(out)
 
 
 def random_presentation(rng: random.Random, cx: FiniteCrossedComplex) -> CWPresentation:
@@ -176,18 +173,15 @@ def random_presentation(rng: random.Random, cx: FiniteCrossedComplex) -> CWPrese
             counts.append(0)
         counts[junk_dim] = 1
     dim = len(counts) - 1
-    attach2, attach3 = (), ()
-    high: list[tuple[ModuleElt, ...]] = [() for _ in range(max(0, dim - 3))]
+    attach2 = ()
     if dim >= 2:
         attach2 = tuple(_random_word(rng, counts[1], 4) for _ in range(counts[2]))
-    if dim >= 3:
-        attach3 = tuple(
-            _random_crossedword(rng, attach2, counts[1]) for _ in range(counts[3]))
-    for n in range(4, dim + 1):
-        high[n - 4] = tuple(
-            _random_moduleelt(rng, counts[1], counts[n - 1])
-            for _ in range(counts[n]))
-    p = CWPresentation(tuple(counts), attach2, attach3, tuple(high), name="random")
+    terms = tuple(
+        tuple(_random_terms3(rng, attach2, counts[1]) if n == 3
+              else _random_terms(rng, counts[1], counts[n - 1])
+              for _ in range(counts[n]))
+        for n in range(3, dim + 1))
+    p = CWPresentation(tuple(counts), attach2, terms, name="random")
     report = validate_presentation(p)
     assert report.ok, report.violations
     return p

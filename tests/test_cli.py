@@ -167,6 +167,26 @@ def test_validate_broken_complex_file(tmp_path):
     assert "boundary-hom" in names
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc["boundaries"][0].__setitem__(1, 7),
+     "complex.boundaries[0][1]: image value 7 out of range 0..3"),
+    (lambda doc: doc["actions"][0][1].__setitem__(0, -1),
+     "complex.actions[0][1][0]: action value -1 out of range 0..1"),
+], ids=["boundaries", "actions"])
+def test_out_of_range_table_entry_is_input_error(tmp_path, edit, error):
+    """An entry outside its group is a document error naming its path, as
+    an out-of-range `mul` entry is, under every command that loads it."""
+    doc = dump_complex(resolve_coefficients("cm-z4-z2-incl"))
+    edit(doc)
+    f = tmp_path / "complex.json"
+    f.write_text(json.dumps(doc))
+    for argv in (("validate", "--complex", str(f)),
+                 ("count", "--presentation", "torus", "--complex", str(f))):
+        code, report, _ = run_cli(*argv)
+        assert code == 1, argv
+        assert report["result"]["error"] == error
+
+
 def test_validate_needs_an_input():
     code, report, stderr = run_cli("validate")
     assert code == 1
@@ -406,8 +426,7 @@ def defect_documents(tmp_path):
     p = CWPresentation(
         (1, 0, 1, 1, 1),
         attach2=((),),
-        attach3=(((((), 0, 1)),),),
-        attach_high=((((1, (), 0),),),),
+        attach_terms=(((((), 0, 1),),), ((((), 0, 1),),)),
     )
     pf = tmp_path / "presentation.json"
     cf = tmp_path / "complex.json"

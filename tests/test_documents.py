@@ -46,8 +46,7 @@ def test_presentation_round_trip(p):
     doc = dump_presentation(p)
     json.dumps(doc)
     again = load_presentation(doc)
-    assert (again.cells, again.attach2, again.attach3, again.attach_high) == \
-        (p.cells, p.attach2, p.attach3, p.attach_high)
+    assert again == p
     assert again.name == p.name
 
 
@@ -153,7 +152,8 @@ def test_load_presentation_crossedword_schema():
            "attach": {"2": [[[0, 1]]], "3": [[[[[0, 1]], 0]]]}}
     with pytest.raises(ParseError, match="word, gen, exp"):
         load_presentation(doc)
-    for exp in (True, 1.0, -1.0):
+    # equal to 1 or -1 but not JSON integers, or a power a 4-cell may carry
+    for exp in (True, 1.0, -1.0, 2):
         doc = {"cells": [1, 1, 1, 1],
                "attach": {"2": [[[0, 1]]], "3": [[[[[0, 1]], 0, exp]]]}}
         with pytest.raises(ParseError, match=r"attach\.3\[0\]\[0\]\[2\].*exponent"):
@@ -165,6 +165,9 @@ def test_load_presentation_moduleelt_schema():
            "attach": {"3": [[]], "4": [[[True, [], 0]]]}}
     with pytest.raises(ParseError, match="coefficient"):
         load_presentation(doc)
+    # power 2, which no 3-cell may carry, is a 4-cell coefficient
+    doc["attach"]["4"] = [[[2, [], 0]]]
+    assert load_presentation(doc).terms(4) == ((((), 0, 2),),)
 
 
 def test_load_presentation_bool_cell_count():

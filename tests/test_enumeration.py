@@ -85,14 +85,14 @@ def mixed_action_tower():
 
 
 def eval_crossed(cx, f1, f2, cw, k):
-    """A crossed word's value in A_k, as the data of a lone 3-cell."""
-    p = CWPresentation((1, len(f1), len(f2), 1), attach3=(cw,))
+    """A 3-cell's Terms evaluated in A_k, as the data of a lone 3-cell."""
+    p = CWPresentation((1, len(f1), len(f2), 1), attach_terms=((cw,),))
     return layer_targets(p, cx, f1, f2, 3, k)[0]
 
 
 def eval_module(cx, f1, f3, m, k):
-    """A ModuleElt's value in A_k, as the data of a lone 4-cell."""
-    p = CWPresentation((1, len(f1), 0, len(f3), 1), attach_high=((m,),))
+    """A 4-cell's Terms evaluated in A_k, as the data of a lone 4-cell."""
+    p = CWPresentation((1, len(f1), 0, len(f3), 1), attach_terms=((), (m,)))
     return layer_targets(p, cx, f1, f3, 4, k)[0]
 
 
@@ -127,15 +127,15 @@ def test_eval_module_coefficients_wrap():
     from xcomplex.complexes import validate
     assert validate(cx).ok
     f1, f3 = (1,), (1,)
-    assert eval_module(cx, f1, f3, ((1, (), 0),), 3) == 1
-    assert eval_module(cx, f1, f3, ((-1, (), 0),), 3) == 2
-    assert eval_module(cx, f1, f3, ((2, ((0, 1),), 0),), 3) == 1  # 2*(1|>1) = 2*2
-    assert eval_module(cx, f1, f3, ((0, (), 0),), 3) == 0
+    assert eval_module(cx, f1, f3, (((), 0, 1),), 3) == 1
+    assert eval_module(cx, f1, f3, (((), 0, -1),), 3) == 2
+    assert eval_module(cx, f1, f3, ((((0, 1),), 0, 2),), 3) == 1  # 2*(1|>1) = 2*2
+    assert eval_module(cx, f1, f3, (((), 0, 0),), 3) == 0
     # A_3 ignores the twist, A_4 negates under it
     tower = mixed_action_tower()
-    assert eval_module(tower, f1, f3, ((1, ((0, 1),), 0),), 3) == 1
-    assert eval_module(tower, f1, f3, ((1, ((0, 1),), 0),), 4) == 2
-    assert eval_module(tower, f1, f3, ((2, ((0, 1),), 0),), 4) == 1
+    assert eval_module(tower, f1, f3, ((((0, 1),), 0, 1),), 3) == 1
+    assert eval_module(tower, f1, f3, ((((0, 1),), 0, 1),), 4) == 2
+    assert eval_module(tower, f1, f3, ((((0, 1),), 0, 2),), 4) == 1
 
 
 @pytest.mark.parametrize("space,coeff,expected", [
@@ -308,10 +308,10 @@ def tower4_presentation():
     return CWPresentation(
         (1, 2, 2, 2, 2, 1),
         attach2=((), ()),
-        attach3=((((a,), 0, 1), ((), 1, -1)), (((b, a), 1, 1),)),
-        attach_high=(
-            (((1, (a,), 0), (2, (b,), 1)), ((-1, (a, b), 1),)),
-            (((1, (b,), 0), (1, (), 1)),),
+        attach_terms=(
+            ((((a,), 0, 1), ((), 1, -1)), (((b, a), 1, 1),)),
+            ((((a,), 0, 1), ((b,), 1, 2)), (((a, b), 1, -1),)),
+            ((((b,), 0, 1), ((), 1, 1)),),
         ),
         name="tower4",
     )
@@ -334,8 +334,10 @@ def parity_presentation():
     return CWPresentation(
         (1, 2, 2, 2, 2),
         attach2=((), ()),
-        attach3=((((a,), 0, 1), ((), 1, -1)), (((b,), 1, 1), ((a, b), 0, 1))),
-        attach_high=((((1, (a,), 0), (1, (b,), 1)), ((1, (b,), 0), (1, (), 1))),),
+        attach_terms=(
+            ((((a,), 0, 1), ((), 1, -1)), (((b,), 1, 1), ((a, b), 0, 1))),
+            ((((a,), 0, 1), ((b,), 1, 1)), (((b,), 0, 1), ((), 1, 1))),
+        ),
         name="parity",
     )
 
@@ -481,8 +483,7 @@ def planted_defect_instance():
     p = CWPresentation(
         (1, 0, 1, 1, 1),
         attach2=((),),
-        attach3=(((((), 0, 1)),),),
-        attach_high=((((1, (), 0),),),),
+        attach_terms=(((((), 0, 1),),), ((((), 0, 1),),)),
     )
     return p, cx
 

@@ -95,7 +95,7 @@ def test_count_and_dim():
     with pytest.raises(ValueError):
         p.count(-1)
     with pytest.raises(ValueError):
-        p.attach_module(3)
+        p.terms(2)
 
 
 def test_wedge_counts_add():
@@ -108,26 +108,21 @@ def test_wedge_counts_add():
 
 def test_wedge_with_point_is_identity():
     for p in (torus(), disk(3), sphere(4)):
-        w = wedge(p, point())
-        assert (w.cells, w.attach2, w.attach3, w.attach_high) == \
-            (p.cells, p.attach2, p.attach3, p.attach_high)
-        w = wedge(point(), p)
-        assert (w.cells, w.attach2, w.attach3, w.attach_high) == \
-            (p.cells, p.attach2, p.attach3, p.attach_high)
+        assert wedge(p, point()) == p
+        assert wedge(point(), p) == p
 
 
 def test_wedge_associative_structurally():
     a, b, c = torus(), disk(3), sphere2_two_cells()
     left = wedge(wedge(a, b), c)
     right = wedge(a, wedge(b, c))
-    assert (left.cells, left.attach2, left.attach3, left.attach_high) == \
-        (right.cells, right.attach2, right.attach3, right.attach_high)
+    assert left == right
 
 
 def test_wedge_shifts_high_cells():
     w = wedge(disk(4), disk(4))
     assert w.cells == (1, 0, 0, 2, 2)
-    assert w.attach_high == ((((1, (), 0),), ((1, (), 1),)),)
+    assert w.terms(4) == ((((), 0, 1),), (((), 1, 1),))
     assert validate_presentation(w).ok
 
 
@@ -154,6 +149,10 @@ def test_validation_exponent():
 def test_validation_attach_arity():
     p = CWPresentation((1, 1, 2), attach2=(((0, 1),),))
     assert "attach-arity" in validate_presentation(p).names()
+    # data for a 4-cell the presentation does not have, past its dimension
+    p = CWPresentation((1, 1, 1), attach2=(((0, 1),),),
+                       attach_terms=((), ((((), 0, 1),),)))
+    assert ("attach-arity", (4, 1, 0)) in validate_presentation(p).violations
 
 
 def test_validation_boundary_boundary():
@@ -161,7 +160,7 @@ def test_validation_boundary_boundary():
     p = CWPresentation(
         (1, 1, 1, 1),
         attach2=(((0, 1),),),
-        attach3=(((((0, 1),), 0, 1),),),
+        attach_terms=((((((0, 1),), 0, 1),),),),
     )
     report = validate_presentation(p)
     assert "boundary-boundary" in report.names()
@@ -172,18 +171,19 @@ def test_validation_boundary_boundary_cancels():
     p = CWPresentation(
         (1, 1, 1, 1),
         attach2=(((0, 1),),),
-        attach3=((((((0, 1),), 0, 1)), (((0, 1),), 0, -1)),),
+        attach_terms=((((((0, 1),), 0, 1), (((0, 1),), 0, -1)),),),
     )
     assert validate_presentation(p).ok
 
 
 def test_validation_module_layer():
-    good = CWPresentation(
-        (1, 0, 0, 1, 1), attach3=((),), attach_high=((((2, (), 0),),),))
+    good = CWPresentation((1, 0, 0, 1, 1), attach_terms=(((),), ((((), 0, 2),),)))
     assert validate_presentation(good).ok
-    bad_gen = CWPresentation(
-        (1, 0, 0, 1, 1), attach3=((),), attach_high=((((1, (), 5),),),))
+    bad_gen = CWPresentation((1, 0, 0, 1, 1), attach_terms=(((),), ((((), 5, 1),),)))
     assert "generator-range" in validate_presentation(bad_gen).names()
+    # the same power 2 on a 3-cell: a crossed-module term takes +-1 only
+    bad_exp = CWPresentation((1, 0, 1, 1), attach2=((),), attach_terms=(((((), 0, 2),),),))
+    assert validate_presentation(bad_exp).violations == [("exponent", (3, 0, 0, 2))]
 
 
 def test_relabel_round_trip():
@@ -193,8 +193,7 @@ def test_relabel_round_trip():
     q = relabel_cells(p, perms)
     assert validate_presentation(q).ok
     r = relabel_cells(q, perms)
-    assert (r.cells, r.attach2, r.attach3, r.attach_high) == \
-        (p.cells, p.attach2, p.attach3, p.attach_high)
+    assert r == p
 
 
 def test_relabel_moves_words():

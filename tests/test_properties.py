@@ -83,13 +83,13 @@ def presentations(draw):
     cells = tuple(draw(st.lists(st.integers(-1, 4), min_size=1, max_size=6)))
     dim = len(cells) - 1
     attach2 = tuple(draw(st.lists(words, max_size=3))) if dim >= 2 else ()
-    crossed = st.lists(st.tuples(words, st.integers(-2, 6), st.sampled_from((1, -1))),
-                       max_size=3).map(tuple)
-    attach3 = tuple(draw(st.lists(crossed, max_size=3))) if dim >= 3 else ()
-    module = st.lists(st.tuples(st.integers(-10**30, 10**30), words, st.integers(-2, 6)),
-                      max_size=3).map(tuple)
-    high = tuple(tuple(draw(st.lists(module, max_size=3))) for _ in range(4, dim + 1))
-    return CWPresentation(cells, attach2, attach3, high, name=draw(names))
+
+    def terms(n):  # the power is +-1 on a 3-cell, any integer above
+        power = st.sampled_from((1, -1)) if n == 3 else st.integers(-10**30, 10**30)
+        return st.lists(st.tuples(words, st.integers(-2, 6), power), max_size=3).map(tuple)
+
+    high = tuple(tuple(draw(st.lists(terms(n), max_size=3))) for n in range(3, dim + 1))
+    return CWPresentation(cells, attach2, high, name=draw(names))
 
 
 def through_text(doc):
