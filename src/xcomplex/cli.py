@@ -20,6 +20,7 @@ go to stderr.  Exit codes: 0 success, 1 input error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -172,7 +173,7 @@ def cmd_validate(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int
             raise ParseError("--check-boundaries needs a valid --presentation and --complex")
         defects = boundary_defect_report(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
         reports["boundary-defects"] = [
-            {"dimension": n, "cell": c, "colours": [list(t) for t in col], "value": v}
+            {"dimension": n, "cell": c, "colours": col, "value": v}
             for n, c, col, v in defects]
         ok = ok and not defects
     result["reports"] = reports
@@ -190,7 +191,7 @@ def cmd_count(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
     result["engine"] = count_engine(p, cx)
     if args.enumerate:
         morphisms = enumerate_homs(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
-        result["morphisms"] = [[list(layer) for layer in f] for f in morphisms]
+        result["morphisms"] = morphisms
         if len(morphisms) != n:
             raise AssertionError(f"listing disagrees: counted {n}, listed {len(morphisms)}")
     if args.oracle:
@@ -224,8 +225,8 @@ def cmd_classes(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
         return EXIT_INVALID
     dec = homotopy_classes(p, cx, cap=_cap(args, DEFAULT_EDGE_CAP))
     result["count"] = dec.count
-    result["sizes"] = list(dec.sizes)
-    result["representatives"] = [[list(layer) for layer in f] for f in dec.representatives]
+    result["sizes"] = dec.sizes
+    result["representatives"] = dec.representatives
     return EXIT_OK
 
 
@@ -267,7 +268,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every
+    later `main` call in the process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="xcomplex",
         description="Exact morphism counting of CW presentations against "

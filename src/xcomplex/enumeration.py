@@ -39,8 +39,8 @@ word w, lower cell c, power e) becomes (row, c) with
 row: y -> (f1(w) |> y)^e in the target degree k.  Applying reads the
 lower layer only: the cell's value is the product of row[f(c)].
 `layer_targets` does both for all n-cells at once, in A_{n-1} for a
-morphism's f_{n-1} (`morphism_violation`, `boundary_defect_report`) and in
-A_n for a homotopy's H_{n-1} (`homotopies.homotopy_target`).
+morphism's f_{n-1} (`boundary_defect_report`) and in A_n for a homotopy's
+H_{n-1} (`homotopies.homotopy_target`).
 
 So with f1 fixed, layers n..L depend only on t_n.  When P has a cell of
 dimension 3..L+1 the search compiles those cells once per twist key (the
@@ -54,6 +54,17 @@ cells.  Without such cells nothing is compiled or memoised: a layer-1
 colouring counts the product of layer 2's fiber sizes (for L = 1, whether
 every 2-cell's word dies).
 
+Morphisms are verified by `morphism_checker(p, cx, f1)`: it evaluates the
+2-cell words and compiles the Terms of the cells of dimension 3..L+1 at
+degree n-1 once, from f1 alone, and returns a function that applies them
+to a colouring's f_{n-1} and compares the result with d_n(f_n), or with 1
+for a killed cell.  It reads nothing of the layered search (no twist key,
+canonical element, compiled tower or memo), so it checks the search
+instead of repeating it.
+`enumerate_homs` checks every listed colouring with the checker of its
+layer 1, `count_homs_bruteforce` checks the colourings under each f1 with
+one checker, and `morphism_violation` is shape checks plus a new checker.
+
 Counts are Python ints, hence arbitrary precision.
 """
 
@@ -62,7 +73,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import partial
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .complexes import FiniteCrossedComplex
 from .errors import DimensionMismatch, InstanceTooLarge, ResultTooLarge
@@ -152,19 +163,42 @@ def morphism_violation(
             return ("shape", n, len(layer))
         if layer and not (0 <= min(layer) and max(layer) < cx.groups[n - 1].order):
             return ("shape", n)
+    return morphism_checker(p, cx, colours[0])(colours)
+
+
+def morphism_checker(
+    p: CWPresentation,
+    cx: FiniteCrossedComplex,
+    f1: tuple[int, ...],
+) -> Callable[[Colouring], Optional[tuple]]:
+    """The morphism constraints under the layer-1 colouring f1, as a function
+    from a colouring in shape with layer 1 equal to f1 to its first
+    violation, ("layer", n, cell) or ("kill", n, cell), or None.
+
+    The 2-cell words are evaluated and the Terms of the cells of dimension
+    3..L+1 compiled at degree n-1 once, here; each call applies them to
+    f_{n-1} and compares with d_n(f_n), or with 1 for a killed cell.
+    """
+    length = cx.length
+    words = tuple([eval_word(cx, f1, w) for w in p.attach2])
+    checks = []  # (n, compiled Terms or None for the 2-cells, mul of A_{n-1}, d_n or None)
     for n in range(2, length + 2):
-        if not p.count(n):
-            continue
-        got = layer_targets(p, cx, colours[0], colours[n - 2], n, n - 1)
-        if n <= length:
-            bd = cx.boundary(n).image
-            want = tuple([bd[v] for v in colours[n - 1]])
-        else:
-            want = (0,) * len(got)
-        if got != want:
-            cell = next(c for c, (a, b) in enumerate(zip(got, want)) if a != b)
-            return ("layer" if n <= length else "kill", n, cell)
-    return None
+        if p.count(n):
+            compiled = (_compile(cx, n - 1, p.terms(n), partial(eval_word, cx, f1))
+                        if n > 2 else None)
+            checks.append((n, compiled, cx.groups[n - 2].mul,
+                           cx.boundary(n).image if n <= length else None))
+
+    def violation(colours: Colouring) -> Optional[tuple]:
+        for n, compiled, mul, bd in checks:
+            got = words if compiled is None else _apply(mul, compiled, colours[n - 2])
+            want = (0,) * len(got) if bd is None else tuple([bd[v] for v in colours[n - 1]])
+            if got != want:
+                cell = next(c for c, (a, b) in enumerate(zip(got, want)) if a != b)
+                return ("kill" if bd is None else "layer", n, cell)
+        return None
+
+    return violation
 
 
 class _Search:
@@ -391,16 +425,22 @@ def enumerate_homs(
     """All morphisms P -> A as colourings, in lexicographic order.
 
     Raises ResultTooLarge when more than `cap` morphisms exist.  Every
-    returned colouring is re-verified against the morphism constraints.
+    listed colouring is checked by the `morphism_checker` of its layer 1.
     """
     s = _Search(p, cx, listing=True)
     found: list[Colouring] = []
     for f1 in s.layer1():
-        found.extend([(f1,) + tail for tail in s.below(f1)])
+        tails = s.below(f1)
+        if not tails:
+            continue
+        check = morphism_checker(p, cx, f1)
+        for tail in tails:
+            c = (f1,) + tail
+            if check(c) is not None:  # raised, not asserted: kept under python -O
+                raise AssertionError(f"search produced a non-morphism: {c}")
+            found.append(c)
         if len(found) > cap:
             raise ResultTooLarge(f"more than {cap} morphisms; raise the cap to list them")
-    for c in found:
-        assert morphism_violation(p, cx, c) is None, f"search produced a non-morphism: {c}"
     return found
 
 
@@ -418,7 +458,12 @@ def count_homs_bruteforce(
     total = math.prod(order ** ln for ln, order in shape)
     if total > cap:
         raise InstanceTooLarge(f"brute-force space {total} exceeds cap {cap}")
-    return sum(morphism_violation(p, cx, c) is None for c in layered_product(shape))
+    (l1, order), rest = shape[0], shape[1:]
+    count = 0
+    for f1 in itertools.product(range(order), repeat=l1):
+        check = morphism_checker(p, cx, f1)
+        count += sum(check((f1,) + tail) is None for tail in layered_product(rest))
+    return count
 
 
 def layered_product(shape: Sequence[tuple[int, int]]) -> Iterator[Colouring]:

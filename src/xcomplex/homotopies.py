@@ -15,7 +15,11 @@ derivation (n = 2), and for n >= 3 H_{n-1} is evaluated on the attaching
 data by the evaluator that reads a morphism's f_{n-1},
 `enumeration.layer_targets`, one degree up: in A_n instead of A_{n-1},
 once per layer.  The last factor is dropped for n = L.
-Every computed target is verified; a failure raises TargetNotMorphism.
+Every computed target is verified against all morphism constraints by the
+`enumeration.morphism_checker` of its own layer 1: `homotopy_classes`
+keeps one checker per layer-1 colouring for its walk, `homotopy_target`
+checks through `morphism_violation`.  A failure raises TargetNotMorphism.
+Both compute the target by one helper, `_target`.
 
 Homotopy classes are the connected components of the graph on Hom(P, A)
 whose edges join f to the target of a homotopy out of f.  The graph walked
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 from .complexes import FiniteCrossedComplex
 from .errors import DimensionMismatch, ResultTooLarge, TargetNotMorphism
@@ -45,6 +49,7 @@ from .enumeration import (
     enumerate_homs,
     layer_targets,
     layered_product,
+    morphism_checker,
     morphism_violation,
 )
 from .presentations import CWPresentation, Word
@@ -93,10 +98,18 @@ def homotopy_target(
 ) -> Colouring:
     """Colouring at the far end of the homotopy with value table h out of
     the morphism f; raises TargetNotMorphism if it fails verification."""
-    length = cx.length
-    if len(h) != max(length - 1, 0):
+    if len(h) != max(cx.length - 1, 0):
         raise DimensionMismatch(
-            f"homotopy needs {length - 1} value tables, got {len(h)}")
+            f"homotopy needs {cx.length - 1} value tables, got {len(h)}")
+    g = _target(p, cx, f, h)
+    _verify(morphism_violation(p, cx, g))
+    return g
+
+
+def _target(p: CWPresentation, cx: FiniteCrossedComplex, f: Colouring, h: Colouring) -> Colouring:
+    """g = the far end of h out of f by the formula of the module docstring,
+    unverified; h has one value table per degree 1..L-1."""
+    length = cx.length
     f1 = f[0]
     out: list[tuple[int, ...]] = []
     for n in range(1, length + 1):
@@ -114,11 +127,12 @@ def homotopy_target(
                 val = an.mul[val][bd[h[n - 1][c]]]
             layer.append(val)
         out.append(tuple(layer))
-    colours = tuple(out)
-    w = morphism_violation(p, cx, colours)
-    if w is not None:
-        raise TargetNotMorphism(f"homotopy target violates {w}", w)
-    return colours
+    return tuple(out)
+
+
+def _verify(violation: Optional[tuple]) -> None:
+    if violation is not None:
+        raise TargetNotMorphism(f"homotopy target violates {violation}", violation)
 
 
 def count_homotopies(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
@@ -197,9 +211,16 @@ def homotopy_classes(
             i = parent[i]
         return i
 
+    # one checker per layer-1 colouring, each target checked by its own
+    checkers: dict[tuple[int, ...], Callable[[Colouring], Optional[tuple]]] = {}
     for i, f in enumerate(homs):
         for values in tables:
-            j = index[homotopy_target(p, cx, f, values)]
+            g = _target(p, cx, f, values)
+            check = checkers.get(g[0])
+            if check is None:
+                check = checkers[g[0]] = morphism_checker(p, cx, g[0])
+            _verify(check(g))
+            j = index[g]
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)

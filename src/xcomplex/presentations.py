@@ -80,9 +80,23 @@ def validate_presentation(p: CWPresentation) -> ValidationReport:
         if l < 0:
             violations.append(("cell-count", (n, l)))
 
+    def sequence(x, where: tuple) -> bool:
+        """Whether x is a tuple or list; an attach-shape violation otherwise."""
+        if isinstance(x, (tuple, list)):
+            return True
+        violations.append(("attach-shape", where))
+        return False
+
     def check_word(w: Word, bound: int, where: tuple) -> None:
-        for i, (g, e) in enumerate(w):
-            if not 0 <= g < bound:
+        if not sequence(w, where):
+            return
+        for i, letter in enumerate(w):
+            try:
+                g, e = letter
+            except (TypeError, ValueError):  # not a (gen, exp) pair
+                violations.append(("attach-shape", where + (i,)))
+                continue
+            if not (isinstance(g, int) and 0 <= g < bound):
                 violations.append(("generator-range", where + (i, g)))
             if e not in (1, -1):
                 violations.append(("exponent", where + (i, e)))
@@ -100,9 +114,16 @@ def validate_presentation(p: CWPresentation) -> ValidationReport:
             violations.append(("attach-arity", (n, len(data), p.count(n))))
         below = p.count(n - 1)
         for c, terms in enumerate(data):
-            for i, (twist, gen, power) in enumerate(terms):
+            if not sequence(terms, (n, c)):
+                continue
+            for i, term in enumerate(terms):
+                try:
+                    twist, gen, power = term
+                except (TypeError, ValueError):  # not a (word, cell, power) triple
+                    violations.append(("attach-shape", (n, c, i)))
+                    continue
                 check_word(twist, l1, (n, c, i))
-                if not 0 <= gen < below:
+                if not (isinstance(gen, int) and 0 <= gen < below):
                     violations.append(("generator-range", (n, c, i, gen)))
                 # the one rule that depends on n: a 3-cell's power is +-1
                 if not (power in (1, -1) if n == 3 else isinstance(power, int)):

@@ -299,6 +299,31 @@ def test_main_restores_digit_limit(capsys):
     capsys.readouterr()
 
 
+def test_main_back_to_back_shares_one_parser(capsys):
+    """The parser built for the first call serves every later one: each
+    call still reports its own command, answer and exit code."""
+    from xcomplex import cli
+
+    runs = (
+        (["count", "--presentation", "torus", "--complex", "s3"], 0, "count", 18),
+        (["classes", "--presentation", "sphere:1", "--complex", "cm-z4-z2-incl"],
+         0, "classes", 2),
+        (["invariant", "--presentation", "sphere:1", "--complex", "cm-z4-z2-incl"],
+         0, "invariant", 4),
+        (["count", "--presentation", "torus", "--complex", "s3", "--threads", "2"],
+         1, None, None),
+    )
+    for argv, code, command, count in runs:
+        assert cli.main(argv) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == command
+        if code:
+            assert "--threads" in report["result"]["error"]
+        else:
+            assert report["result"]["count"] == count
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("flag,name", [
     ("--presentation", "sphere:0"),
     ("--presentation", "disk:1"),

@@ -1,6 +1,7 @@
 """Morphism evaluation, counting, enumeration and the brute-force oracle."""
 
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -10,6 +11,7 @@ from xcomplex.complexes import FiniteCrossedComplex, from_group
 from xcomplex.enumeration import (
     _backtrack,
     _Search,
+    _Tower,
     _eliminate,
     boundary_defect_report,
     count_engine,
@@ -20,6 +22,7 @@ from xcomplex.enumeration import (
     eval_word,
     layer_targets,
     layered_product,
+    morphism_checker,
     morphism_violation,
 )
 from xcomplex.errors import DimensionMismatch, InstanceTooLarge, ResultTooLarge
@@ -375,6 +378,75 @@ def test_memo_shared_across_equal_action_rows():
         towers[name] = len(s.towers)
     assert counts == {"trivial": 48, "parity": 32}
     assert towers == {"trivial": 1, "parity": 4}
+
+
+def test_checker_agrees_with_morphism_violation_on_full_space():
+    """One checker per layer-1 colouring, reused over all its colourings,
+    agrees with morphism_violation and with a direct evaluation through
+    layer_targets on all 4 x 3^6 colourings of the length-4 tower."""
+    p, cx = tower4_presentation(), twisted_tower4()
+
+    def direct(colours):
+        for n in range(2, cx.length + 2):
+            got = layer_targets(p, cx, colours[0], colours[n - 2], n, n - 1)
+            want = (tuple(cx.boundary(n).image[v] for v in colours[n - 1])
+                    if n <= cx.length else (0,) * len(got))
+            bad = [c for c, (a, b) in enumerate(zip(got, want)) if a != b]
+            if bad:
+                return ("layer" if n <= cx.length else "kill", n, bad[0])
+        return None
+
+    shape = [(p.count(n), cx.groups[n - 1].order) for n in range(1, cx.length + 1)]
+    kinds = set()
+    for f1 in itertools.product(range(2), repeat=2):
+        check = morphism_checker(p, cx, f1)
+        for tail in layered_product(shape[1:]):
+            colours = (f1,) + tail
+            got = check(colours)
+            assert got == morphism_violation(p, cx, colours) == direct(colours), colours
+            kinds.add(got and got[:2])
+    assert kinds == {None, ("layer", 3), ("layer", 4), ("kill", 5)}
+
+
+def _plant_wrong_suffix(monkeypatch):
+    """Make every listing of layers 2.. under a layer-1 colouring end in one
+    suffix more: the first one with the 5-cell's second 4-cell recoloured,
+    which changes the 5-cell's value in A_4, so the 5-cell survives."""
+    real = _Tower.below
+
+    def planted(self, n, t):
+        got = real(self, n, t)
+        if n == 2 and self.s.listing and got:
+            *lower, top = got[0]
+            got = got + [(*lower, (top[0], (top[1] + 1) % 3))]
+        return got
+
+    monkeypatch.setattr(_Tower, "below", planted)
+
+
+def test_planted_wrong_suffix_fails_enumeration(monkeypatch):
+    p, cx = tower4_presentation(), twisted_tower4()
+    assert enumerate_homs(p, cx)
+    _plant_wrong_suffix(monkeypatch)
+    with pytest.raises(AssertionError, match="non-morphism"):
+        enumerate_homs(p, cx)
+
+
+def test_planted_wrong_suffix_is_internal_error(monkeypatch, tmp_path, capsys):
+    """count --enumerate ends in exit 4 on a listing that fails its check."""
+    from xcomplex import cli
+    from xcomplex.documents import dump_complex, dump_presentation
+
+    pres, cplx = tmp_path / "tower4.json", tmp_path / "twisted4.json"
+    pres.write_text(json.dumps(dump_presentation(tower4_presentation())))
+    cplx.write_text(json.dumps(dump_complex(twisted_tower4())))
+    argv = ["count", "--presentation", str(pres), "--complex", str(cplx), "--enumerate"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    _plant_wrong_suffix(monkeypatch)
+    assert cli.main(argv) == 4
+    error = json.loads(capsys.readouterr().out)["result"]["error"]
+    assert error.startswith("internal check failed: search produced a non-morphism")
 
 
 def test_bruteforce_on_named_pairs():

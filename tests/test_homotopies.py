@@ -5,7 +5,8 @@ import random
 import pytest
 
 from xcomplex.enumeration import enumerate_homs, eval_word
-from xcomplex.errors import ResultTooLarge
+from xcomplex import homotopies
+from xcomplex.errors import ResultTooLarge, TargetNotMorphism
 from xcomplex.homotopies import (
     ClassDecomposition,
     count_class_edges,
@@ -120,6 +121,26 @@ def test_all_targets_are_morphisms():
         for f in enumerate_homs(p, cx):
             for values in homotopy_value_space(p, cx):
                 homotopy_target(p, cx, f, values)  # raises TargetNotMorphism on any defect
+
+
+def test_planted_target_fault_raises(monkeypatch):
+    """A target formula off by one value in the top layer: over the
+    injective boundary Z/2 -> Z/4, the recoloured 2-cell no longer matches
+    its word, and the walk's check of the target names it."""
+    p, cx = resolve_space("disk:2"), resolve_coefficients("cm-z4-z2-incl")
+    assert homotopy_classes(p, cx).count == 1
+    real = homotopies._target
+
+    def planted(p, cx, f, h):
+        *lower, top = real(p, cx, f, h)
+        return (*lower, ((top[0] + 1) % 2,) + top[1:])
+
+    monkeypatch.setattr(homotopies, "_target", planted)
+    with pytest.raises(TargetNotMorphism) as raised:
+        homotopy_classes(p, cx)
+    assert raised.value.witness == ("layer", 2, 0)
+    with pytest.raises(TargetNotMorphism):
+        homotopy_target(p, cx, ((0,), (0,)), ((1,),))
 
 
 def test_homotopy_count_formula():

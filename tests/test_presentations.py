@@ -186,6 +186,29 @@ def test_validation_module_layer():
     assert validate_presentation(bad_exp).violations == [("exponent", (3, 0, 0, 2))]
 
 
+def test_validation_reports_malformed_terms():
+    """A 3-cell level one tuple too shallow: the cell's Terms are read as
+    the three items of one term, none of them a (word, cell, power) triple."""
+    p = CWPresentation((1, 1, 1, 1), attach2=(((0, 1),),),
+                       attach_terms=(((((0, 1),), 0, 1),),))
+    assert validate_presentation(p).violations == [
+        ("attach-shape", (3, 0, 0)), ("attach-shape", (3, 0, 1)),
+        ("attach-shape", (3, 0, 2))]
+
+
+def test_validation_reports_malformed_letters():
+    """A letter that is no (gen, exp) pair, in a 2-cell word and in a
+    twisting word, or whose generator is no int; each witness names its
+    dimension first."""
+    p = CWPresentation((1, 1, 1), attach2=(((0,),),))
+    assert validate_presentation(p).violations == [("attach-shape", (2, 0, 0))]
+    p = CWPresentation((1, 1, 1, 1), attach2=(((0, 1), (0, -1)),),
+                       attach_terms=((((((0, 1, 1),), 0, 1),),),))
+    assert validate_presentation(p).violations == [("attach-shape", (3, 0, 0, 0))]
+    p = CWPresentation((1, 1, 1), attach2=((("a", 1),),))
+    assert validate_presentation(p).violations == [("generator-range", (2, 0, 0, "a"))]
+
+
 def test_relabel_round_trip():
     """Reversing cell order twice gives back the original presentation."""
     p = wedge(torus(), wedge(rp2(), disk(4)))
