@@ -55,6 +55,7 @@ from .presentations import (
     Terms,
     Word,
     disk,
+    fox_terms,
     free_reduce,
     genus_surface,
     point,
@@ -84,7 +85,6 @@ from .invariant import (
 from .homotopies import (
     ClassDecomposition,
     count_homotopies,
-    eval_derivation,
     homotopy_classes,
     homotopy_target,
     homotopy_value_space,

@@ -278,13 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite crossed complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, presentation=False, complex_=False):
-        if presentation:
-            sp.add_argument("--presentation", required=True,
-                            help="JSON file or builtin space name")
-        if complex_:
-            sp.add_argument("--complex", required=True,
-                            help="JSON file or builtin coefficient name")
+    def add_common(sp):
+        sp.add_argument("--presentation", required=True,
+                        help="JSON file or builtin space name")
+        sp.add_argument("--complex", required=True,
+                        help="JSON file or builtin coefficient name")
         sp.add_argument("--cap", type=int, default=None,
                         help="result/size cap (default from XCOMPLEX_CAP or builtin)")
 
@@ -297,16 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=None)
 
     sp = sub.add_parser("count", help="count morphisms")
-    add_common(sp, presentation=True, complex_=True)
+    add_common(sp)
     sp.add_argument("--enumerate", action="store_true", help="list every morphism")
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the brute-force count")
 
     sp = sub.add_parser("invariant", help="compute the rational invariant")
-    add_common(sp, presentation=True, complex_=True)
+    add_common(sp)
 
     sp = sub.add_parser("classes", help="homotopy class decomposition")
-    add_common(sp, presentation=True, complex_=True)
+    add_common(sp)
 
     sub.add_parser("library", help="list builtin spaces and coefficients")
     sub.add_parser("selfcheck", help="run the acceptance criteria")

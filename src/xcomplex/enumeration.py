@@ -39,8 +39,9 @@ word w, lower cell c, power e) becomes (row, c) with
 row: y -> (f1(w) |> y)^e in the target degree k.  Applying reads the
 lower layer only: the cell's value is the product of row[f(c)].
 `layer_targets` does both for all n-cells at once, in A_{n-1} for a
-morphism's f_{n-1} (`boundary_defect_report`) and in A_n for a homotopy's
-H_{n-1} (`homotopies.homotopy_target`).
+morphism's f_{n-1} (`boundary_defect_report`) or in A_n for a homotopy's
+H_{n-1}.  The homotopy targets (`homotopies`) run the same pair on the
+Terms of every degree, the 2-cells' Fox terms included, once per f1.
 
 So with f1 fixed, layers n..L depend only on t_n.  When P has a cell of
 dimension 3..L+1 the search compiles those cells once per twist key (the
@@ -129,15 +130,10 @@ def layer_targets(
     n: int,
     k: int,
 ) -> tuple[int, ...]:
-    """The attaching data of every n-cell evaluated in A_k, as one vector,
-    with `below` colouring the (n-1)-cells.
-
-    2-cell words evaluate in A_1 (k = 1, `below` = f1).  Cells of dimension
-    n >= 3 evaluate at k = n-1 for a morphism's f_{n-1} and at k = n for a
-    homotopy's H_{n-1}.
+    """The Terms of every n-cell (n >= 3) evaluated in A_k, as one vector,
+    with `below` colouring the (n-1)-cells: at k = n-1 for a morphism's
+    f_{n-1} and at k = n for a homotopy's H_{n-1}.
     """
-    if n == 2 and k == 1:
-        return tuple([eval_word(cx, below, w) for w in p.attach2])
     if n < 3 or not n - 1 <= k <= min(n, cx.length):
         raise DimensionMismatch(
             f"{n}-cell data has no value in A_{k} of a length-{cx.length} complex")

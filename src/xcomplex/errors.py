@@ -65,8 +65,8 @@ class ValidationReport:
     uses: group-identity, group-inverse, group-associativity, boundary-hom,
     action-bijective, action-hom, action-identity, action-composition, CM1,
     Peiffer, equivariance, complex, abelian, factoring.  The presentation
-    validator uses: base-cells, cell-count, attach-arity, attach-shape (a
-    word or a cell's Terms that is no tuple or list, a letter that is no
+    validator uses: base-cells, cell-count, attach-arity, attach-shape (any
+    level of attaching data that is no tuple or list, a letter that is no
     (gen, exp) pair, a term that is no (word, cell, power) triple),
     generator-range, exponent, boundary-boundary.
     """

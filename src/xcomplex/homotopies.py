@@ -10,16 +10,17 @@ The target morphism is computed from f and H by
 
     g_n(c) = f_n(c) * H_{n-1}(attach(c)) * d_{n+1}(H_n(c))   (1 <= n <= L)
 
-where the middle factor is 1 for n = 1, H_1 extends to words as a
-derivation (n = 2), and for n >= 3 H_{n-1} is evaluated on the attaching
-data by the evaluator that reads a morphism's f_{n-1},
-`enumeration.layer_targets`, one degree up: in A_n instead of A_{n-1},
-once per layer.  The last factor is dropped for n = L.
-Every computed target is verified against all morphism constraints by the
-`enumeration.morphism_checker` of its own layer 1: `homotopy_classes`
-keeps one checker per layer-1 colouring for its walk, `homotopy_target`
-checks through `morphism_violation`.  A failure raises TargetNotMorphism.
-Both compute the target by one helper, `_target`.
+where the middle factor is 1 for n = 1 and the last is dropped for n = L.
+The middle factor is the n-cells' attaching data as Terms, evaluated in
+A_n by the `enumeration._compile`/`_apply` pair: the cells' own Terms for
+n >= 3, and the Fox terms of the 2-cell words (`presentations.fox_terms`):
+letter i of x_1^e_1 .. x_m^e_m, with suffix s = x_{i+1} .. x_m, becomes
+(s^-1, x_i, 1) when e_i = 1 and (s^-1 x_i, x_i, -1) when e_i = -1, which
+extends H_1 to words as the derivation s(Xy) = (f1(y)^-1 |> s(X)) s(y).
+The Fox terms are built once per presentation; `_target_formula` compiles
+every degree once per layer-1 colouring.  Every target is verified by the
+`enumeration.morphism_checker` of its own layer 1 (`homotopy_target`
+checks through `morphism_violation`); a failure raises TargetNotMorphism.
 
 Homotopy classes are the connected components of the graph on Hom(P, A)
 whose edges join f to the target of a homotopy out of f.  The graph walked
@@ -40,19 +41,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .complexes import FiniteCrossedComplex
 from .errors import DimensionMismatch, ResultTooLarge, TargetNotMorphism
 from .enumeration import (
     Colouring,
+    _apply,
+    _compile,
     enumerate_homs,
-    layer_targets,
+    eval_word,
     layered_product,
     morphism_checker,
     morphism_violation,
 )
-from .presentations import CWPresentation, Word
+from .presentations import CWPresentation, Terms, fox_terms
 
 DEFAULT_EDGE_CAP = 10**7
 
@@ -60,34 +64,6 @@ DEFAULT_EDGE_CAP = 10**7
 def _value_shape(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[int, int]]:
     """(l_k, |A_{k+1}|) for k = 1 .. L-1: H_k colours the l_k k-cells in A_{k+1}."""
     return [(p.count(k), cx.groups[k].order) for k in range(1, cx.length)]
-
-
-def eval_derivation(
-    cx: FiniteCrossedComplex,
-    f1: tuple[int, ...],
-    h1: tuple[int, ...],
-    w: Word,
-) -> int:
-    """Extend H_1 to a word by the derivation rule s(Xy) = (f1(y)^-1 |> s(X)) s(y).
-
-    On a negative letter x^-1 the value is f1(x) |> H_1(x)^-1, the unique
-    choice with s(x x^-1) = 1.  The result only depends on the free
-    reduction of w.
-    """
-    if cx.length < 2:
-        raise DimensionMismatch("derivations need a complex of length >= 2")
-    a1, a2 = cx.groups[0], cx.groups[1]
-    act = cx.actions[0].act
-    s = 0
-    for g, e in w:
-        if e == 1:
-            phi = f1[g]
-            sv = h1[g]
-        else:
-            phi = a1.inv[f1[g]]
-            sv = act[f1[g]][a2.inv[h1[g]]]
-        s = a2.mul[act[a1.inv[phi]][s]][sv]
-    return s
 
 
 def homotopy_target(
@@ -101,38 +77,49 @@ def homotopy_target(
     if len(h) != max(cx.length - 1, 0):
         raise DimensionMismatch(
             f"homotopy needs {cx.length - 1} value tables, got {len(h)}")
-    g = _target(p, cx, f, h)
+    g = _target_formula(cx, _homotopy_terms(p, cx), f[0])(f, h)
     _verify(morphism_violation(p, cx, g))
     return g
 
 
-def _target(p: CWPresentation, cx: FiniteCrossedComplex, f: Colouring, h: Colouring) -> Colouring:
-    """g = the far end of h out of f by the formula of the module docstring,
-    unverified; h has one value table per degree 1..L-1."""
-    length = cx.length
-    f1 = f[0]
-    out: list[tuple[int, ...]] = []
-    for n in range(1, length + 1):
-        an = cx.groups[n - 1]
-        bd = cx.boundary(n + 1).image if n < length else None
-        mid = layer_targets(p, cx, f1, h[n - 2], n, n) if n >= 3 and p.count(n) else None
-        layer = []
-        for c in range(p.count(n)):
-            val = f[n - 1][c]
-            if n == 2:
-                val = an.mul[val][eval_derivation(cx, f1, h[0], p.attach2[c])]
-            elif mid is not None:
-                val = an.mul[val][mid[c]]
-            if bd is not None:
-                val = an.mul[val][bd[h[n - 1][c]]]
-            layer.append(val)
-        out.append(tuple(layer))
-    return tuple(out)
+def _homotopy_terms(p: CWPresentation, cx: FiniteCrossedComplex) -> tuple[tuple[Terms, ...], ...]:
+    """Terms of the n-cells for n = 2 .. L, the 2-cells' being their Fox terms."""
+    fox = tuple(map(fox_terms, p.attach2))
+    return ((fox,) + tuple(map(p.terms, range(3, cx.length + 1))))[:cx.length - 1]
+
+
+def _target_formula(cx: FiniteCrossedComplex, terms: tuple[tuple[Terms, ...], ...],
+                    f1: tuple[int, ...]) -> Callable[[Colouring, Colouring], Colouring]:
+    """The target formula for morphisms with layer 1 f1, as an unverified
+    function (f, h) -> g, with `_homotopy_terms` compiled once here.  H_k
+    enters as d_{k+1}(H_k) in degree k and on the Terms in degree k+1."""
+    twist = partial(eval_word, cx, f1)
+    steps = [(cx.groups[k - 1].mul, cx.boundary(k + 1).image, cx.groups[k].mul,
+              _compile(cx, k + 1, cells, twist))
+             for k, cells in enumerate(terms, 1)]
+
+    def target(f: Colouring, h: Colouring) -> Colouring:
+        g = list(f)
+        for i, ((mul, bd, up, compiled), hk) in enumerate(zip(steps, h)):  # hk is H_{i+1}
+            if any(hk):  # rows and d_{k+1} fix the identity: an identity H_k changes nothing
+                g[i] = tuple([mul[a][bd[b]] for a, b in zip(g[i], hk)])
+                g[i + 1] = tuple([up[a][b] for a, b in zip(g[i + 1], _apply(up, compiled, hk))])
+        return tuple(g)
+
+    return target
 
 
 def _verify(violation: Optional[tuple]) -> None:
     if violation is not None:
         raise TargetNotMorphism(f"homotopy target violates {violation}", violation)
+
+
+def _verify_by_checker(p: CWPresentation, cx: FiniteCrossedComplex, checkers: dict,
+                       g: Colouring) -> None:
+    """Verify g by the checker of its layer 1, built once into `checkers`."""
+    if g[0] not in checkers:
+        checkers[g[0]] = morphism_checker(p, cx, g[0])
+    _verify(checkers[g[0]](g))
 
 
 def count_homotopies(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
@@ -211,15 +198,17 @@ def homotopy_classes(
             i = parent[i]
         return i
 
-    # one checker per layer-1 colouring, each target checked by its own
+    # one target formula per source layer 1, one checker per target layer 1
+    terms = _homotopy_terms(p, cx)
+    formulas: dict[tuple[int, ...], Callable[[Colouring, Colouring], Colouring]] = {}
     checkers: dict[tuple[int, ...], Callable[[Colouring], Optional[tuple]]] = {}
     for i, f in enumerate(homs):
+        target = formulas.get(f[0])
+        if target is None:
+            target = formulas[f[0]] = _target_formula(cx, terms, f[0])
         for values in tables:
-            g = _target(p, cx, f, values)
-            check = checkers.get(g[0])
-            if check is None:
-                check = checkers[g[0]] = morphism_checker(p, cx, g[0])
-            _verify(check(g))
+            g = target(f, values)
+            _verify_by_checker(p, cx, checkers, g)
             j = index[g]
             ri, rj = find(i), find(j)
             if ri != rj:
@@ -239,11 +228,14 @@ def homotopy_classes(
 def homotopy_orbit(p: CWPresentation, cx: FiniteCrossedComplex, f: Colouring) -> tuple[int, int]:
     """Orbit size and stabiliser order of the morphism f over the full value
     space: the number of distinct targets of homotopies out of f, and the
-    number of homotopies whose target is f itself."""
+    number of homotopies whose target is f itself, each target verified."""
+    target = _target_formula(cx, _homotopy_terms(p, cx), f[0])
+    checkers: dict[tuple[int, ...], Callable[[Colouring], Optional[tuple]]] = {}
     targets = set()
     fixing = 0
     for values in homotopy_value_space(p, cx):
-        g = homotopy_target(p, cx, f, values)
+        g = target(f, values)
+        _verify_by_checker(p, cx, checkers, g)
         targets.add(g)
         fixing += g == f
     return len(targets), fixing

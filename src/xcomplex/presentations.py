@@ -71,6 +71,14 @@ def word_inverse(w: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(w))
 
 
+def fox_terms(w: Word) -> Terms:
+    """The Fox derivative of w (Fox, Ann. Math. 57, 1953) as Terms: letter
+    i of w = x_1^e_1 .. x_m^e_m, with suffix s = x_{i+1} .. x_m, becomes
+    (s^-1, x_i, 1) when e_i = 1 and (s^-1 x_i, x_i, -1) when e_i = -1."""
+    return tuple((word_inverse(w[i + 1:]) + (() if e == 1 else ((g, 1),)), g, e)
+                 for i, (g, e) in enumerate(w))
+
+
 def validate_presentation(p: CWPresentation) -> ValidationReport:
     """Structural sweep; see ValidationReport for the axiom names used."""
     violations: list[tuple[str, tuple]] = []
@@ -103,13 +111,17 @@ def validate_presentation(p: CWPresentation) -> ValidationReport:
 
     l1 = p.count(1)
     mark = len(violations)
-    if len(p.attach2) != p.count(2):
-        violations.append(("attach-arity", (2, len(p.attach2), p.count(2))))
-    for c, w in enumerate(p.attach2):
-        check_word(w, l1, (2, c))
+    if sequence(p.attach2, (2,)):
+        if len(p.attach2) != p.count(2):
+            violations.append(("attach-arity", (2, len(p.attach2), p.count(2))))
+        for c, w in enumerate(p.attach2):
+            check_word(w, l1, (2, c))
 
-    for n in range(3, max(p.dim, len(p.attach_terms) + 2) + 1):
+    top = max(p.dim, len(p.attach_terms) + 2) if sequence(p.attach_terms, (3,)) else 2
+    for n in range(3, top + 1):
         data = p.terms(n)
+        if not sequence(data, (n,)):
+            continue
         if len(data) != p.count(n):
             violations.append(("attach-arity", (n, len(data), p.count(n))))
         below = p.count(n - 1)

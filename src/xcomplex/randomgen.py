@@ -111,7 +111,8 @@ def random_complex(rng: random.Random) -> FiniteCrossedComplex:
             cx = rng.choice(candidates)
             cx = FiniteCrossedComplex(
                 cx.groups, cx.boundaries, cx.actions, name="random-l3")
-    assert validate(cx).ok
+    if not (report := validate(cx)).ok:  # raised, not asserted: kept under python -O
+        raise AssertionError(f"generated an invalid complex: {report.violations}")
     return cx
 
 
@@ -182,8 +183,8 @@ def random_presentation(rng: random.Random, cx: FiniteCrossedComplex) -> CWPrese
               for _ in range(counts[n]))
         for n in range(3, dim + 1))
     p = CWPresentation(tuple(counts), attach2, terms, name="random")
-    report = validate_presentation(p)
-    assert report.ok, report.violations
+    if not (report := validate_presentation(p)).ok:  # raised, not asserted: kept under -O
+        raise AssertionError(f"generated an invalid presentation: {report.violations}")
     return p
 
 

@@ -383,12 +383,14 @@ def test_memo_shared_across_equal_action_rows():
 def test_checker_agrees_with_morphism_violation_on_full_space():
     """One checker per layer-1 colouring, reused over all its colourings,
     agrees with morphism_violation and with a direct evaluation through
-    layer_targets on all 4 x 3^6 colourings of the length-4 tower."""
+    eval_word (2-cells) and layer_targets (cells of dimension >= 3) on all
+    4 x 3^6 colourings of the length-4 tower."""
     p, cx = tower4_presentation(), twisted_tower4()
 
     def direct(colours):
         for n in range(2, cx.length + 2):
-            got = layer_targets(p, cx, colours[0], colours[n - 2], n, n - 1)
+            got = (tuple(eval_word(cx, colours[0], w) for w in p.attach2) if n == 2
+                   else layer_targets(p, cx, colours[0], colours[n - 2], n, n - 1))
             want = (tuple(cx.boundary(n).image[v] for v in colours[n - 1])
                     if n <= cx.length else (0,) * len(got))
             bad = [c for c, (a, b) in enumerate(zip(got, want)) if a != b]
@@ -515,7 +517,7 @@ def test_morphism_violation_kinds():
 
 def test_attaching_target_dispatch():
     incl = resolve_coefficients("cm-z4-z2-incl")
-    assert layer_targets(disk(2), incl, (2,), (2,), 2, 1) == (2,)
+    assert eval_word(incl, (2,), disk(2).attach2[0]) == 2
     l3 = resolve_coefficients("l3-z2")
     assert layer_targets(disk(3), l3, (), (1,), 3, 2) == (1,)
     assert layer_targets(disk(4), l3, (), (1,), 4, 3) == (1,)

@@ -1,10 +1,11 @@
-"""Derivations, homotopy targets, counting formulas, class decomposition."""
+"""Fox derivations, homotopy targets, counting formulas, class decomposition."""
 
 import random
+from functools import partial
 
 import pytest
 
-from xcomplex.enumeration import enumerate_homs, eval_word
+from xcomplex.enumeration import _apply, _compile, enumerate_homs, eval_word
 from xcomplex import homotopies
 from xcomplex.errors import ResultTooLarge, TargetNotMorphism
 from xcomplex.homotopies import (
@@ -12,7 +13,6 @@ from xcomplex.homotopies import (
     count_class_edges,
     count_homotopies,
     elementary_value_tables,
-    eval_derivation,
     homotopy_classes,
     homotopy_target,
     homotopy_value_space,
@@ -26,7 +26,7 @@ from xcomplex.library import (
     standard_spaces,
 )
 from xcomplex.randomgen import random_instances
-from xcomplex.presentations import free_reduce, rp2, sphere, torus, wedge
+from xcomplex.presentations import fox_terms, free_reduce, rp2, sphere, torus, wedge
 
 
 def random_word(rng, gens, length):
@@ -34,18 +34,25 @@ def random_word(rng, gens, length):
                  for _ in range(length))
 
 
+def derivation(cx, f1, h1, w):
+    """H_1 extended to the word w: its Fox terms compiled at degree 2 under
+    f1, applied to h1."""
+    compiled = _compile(cx, 2, (fox_terms(w),), partial(eval_word, cx, f1))
+    return _apply(cx.groups[1].mul, compiled, h1)[0]
+
+
 def test_derivation_single_letters():
     """Letter values on the twisted Z/3 fibre, checked by hand."""
     cx = resolve_coefficients("cm-z2-z3-flip")
     f1, h1 = (1,), (2,)
-    assert eval_derivation(cx, f1, h1, ()) == 0
-    assert eval_derivation(cx, f1, h1, ((0, 1),)) == 2
+    assert derivation(cx, f1, h1, ()) == 0
+    assert derivation(cx, f1, h1, ((0, 1),)) == 2
     # negative letter: f1(x) |> H(x)^-1 = flip(1) = 2
-    assert eval_derivation(cx, f1, h1, ((0, -1),)) == 2
+    assert derivation(cx, f1, h1, ((0, -1),)) == 2
     # x then x^-1 must cancel
-    assert eval_derivation(cx, f1, h1, ((0, 1), (0, -1))) == 0
+    assert derivation(cx, f1, h1, ((0, 1), (0, -1))) == 0
     # the square twists the first summand to its inverse: flip(2) + 2 = 0
-    assert eval_derivation(cx, f1, h1, ((0, 1), (0, 1))) == 0
+    assert derivation(cx, f1, h1, ((0, 1), (0, 1))) == 0
 
 
 def test_derivation_untwisted_is_signed_sum():
@@ -53,8 +60,8 @@ def test_derivation_untwisted_is_signed_sum():
     cx = resolve_coefficients("cm-z4-z2-incl")
     f1, h1 = (3, 1), (1, 0)
     w = ((0, 1), (1, 1), (0, -1), (1, -1))
-    assert eval_derivation(cx, f1, h1, w) == 0  # 1 + 0 - 1 - 0 in Z/2
-    assert eval_derivation(cx, f1, h1, ((0, 1), (1, 1))) == 1
+    assert derivation(cx, f1, h1, w) == 0  # 1 + 0 - 1 - 0 in Z/2
+    assert derivation(cx, f1, h1, ((0, 1), (1, 1))) == 1
 
 
 def test_derivation_cancellation_property():
@@ -65,9 +72,9 @@ def test_derivation_cancellation_property():
         f1 = (rng.randrange(2), rng.randrange(2))
         h1 = (rng.randrange(3), rng.randrange(3))
         w = random_word(rng, 2, rng.randrange(9))
-        assert eval_derivation(cx, f1, h1, w) == \
-            eval_derivation(cx, f1, h1, free_reduce(w))
-        assert eval_derivation(
+        assert derivation(cx, f1, h1, w) == \
+            derivation(cx, f1, h1, free_reduce(w))
+        assert derivation(
             cx, f1, h1, w + tuple((g, -e) for g, e in reversed(w))) == 0
 
 
@@ -82,9 +89,9 @@ def test_derivation_concatenation_law():
         h1 = (rng.randrange(3), rng.randrange(3))
         w1 = random_word(rng, 2, rng.randrange(6))
         w2 = random_word(rng, 2, rng.randrange(6))
-        lhs = eval_derivation(cx, f1, h1, w1 + w2)
-        tw = act[a1.inv[eval_word(cx, f1, w2)]][eval_derivation(cx, f1, h1, w1)]
-        rhs = a2.mul[tw][eval_derivation(cx, f1, h1, w2)]
+        lhs = derivation(cx, f1, h1, w1 + w2)
+        tw = act[a1.inv[eval_word(cx, f1, w2)]][derivation(cx, f1, h1, w1)]
+        rhs = a2.mul[tw][derivation(cx, f1, h1, w2)]
         assert lhs == rhs
 
 
@@ -123,19 +130,52 @@ def test_all_targets_are_morphisms():
                 homotopy_target(p, cx, f, values)  # raises TargetNotMorphism on any defect
 
 
+def test_homotopies_compose_by_pointwise_product():
+    """Following H out of f and then K out of its target ends where H * K
+    out of f does, H * K the pointwise product of the value tables in
+    A_{k+1}: the law the elementary-edge walk rests on.  Whenever H moves
+    layer 1, K runs out of a target whose layer 1 differs from f's.  The
+    conjugation crossed module on S3 has an injective boundary and a
+    non-trivial action, so a wrong target there fails verification."""
+    rng = random.Random(47)
+    pairs = ([(p, cx) for p in standard_spaces() for cx in standard_coefficients()]
+             + [(p, _conjugation_crossed_module()) for p in (torus(), rp2())])
+    triples = moved = 0
+    for p, cx in pairs + random_instances(12345, 120):
+        if cx.length < 2:
+            continue
+        homs = enumerate_homs(p, cx)
+        shape = [(p.count(k), cx.groups[k]) for k in range(1, cx.length)]
+        for _ in range(20 if homs else 0):
+            f = rng.choice(homs)
+            h, k = (tuple(tuple(rng.randrange(a.order) for _ in range(ln)) for ln, a in shape)
+                    for _ in range(2))
+            hk = tuple(tuple(a.mul[x][y] for x, y in zip(hs, ks))
+                       for (_, a), hs, ks in zip(shape, h, k))
+            g = homotopy_target(p, cx, f, h)
+            assert homotopy_target(p, cx, g, k) == homotopy_target(p, cx, f, hk)
+            triples += 1
+            moved += g[0] != f[0]
+    assert triples > 2000 and moved > 200
+
+
 def test_planted_target_fault_raises(monkeypatch):
     """A target formula off by one value in the top layer: over the
     injective boundary Z/2 -> Z/4, the recoloured 2-cell no longer matches
     its word, and the walk's check of the target names it."""
     p, cx = resolve_space("disk:2"), resolve_coefficients("cm-z4-z2-incl")
     assert homotopy_classes(p, cx).count == 1
-    real = homotopies._target
+    real = homotopies._target_formula
 
-    def planted(p, cx, f, h):
-        *lower, top = real(p, cx, f, h)
-        return (*lower, ((top[0] + 1) % 2,) + top[1:])
+    def planted(cx, terms, f1):
+        target = real(cx, terms, f1)
 
-    monkeypatch.setattr(homotopies, "_target", planted)
+        def wrong(f, h):
+            *lower, top = target(f, h)
+            return (*lower, ((top[0] + 1) % 2,) + top[1:])
+        return wrong
+
+    monkeypatch.setattr(homotopies, "_target_formula", planted)
     with pytest.raises(TargetNotMorphism) as raised:
         homotopy_classes(p, cx)
     assert raised.value.witness == ("layer", 2, 0)

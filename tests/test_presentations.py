@@ -209,6 +209,17 @@ def test_validation_reports_malformed_letters():
     assert validate_presentation(p).violations == [("generator-range", (2, 0, 0, "a"))]
 
 
+@pytest.mark.parametrize("p, where", [
+    (CWPresentation((1, 1, 1), attach2=5), (2,)),
+    (CWPresentation((1, 1, 1, 1), attach2=(((0, 1),),), attach_terms=(7,)), (3,)),
+    (CWPresentation((1, 1, 1, 1), attach2=(((0, 1),),), attach_terms=5), (3,)),
+])
+def test_validation_reports_non_sequence_attaching_data(p, where):
+    """attach2, attach_terms or one level of it that is no sequence is an
+    attach-shape violation naming its first dimension, not a TypeError."""
+    assert validate_presentation(p).violations == [("attach-shape", where)]
+
+
 def test_relabel_round_trip():
     """Reversing cell order twice gives back the original presentation."""
     p = wedge(torus(), wedge(rp2(), disk(4)))
