@@ -38,10 +38,10 @@ homotopies and the search alike.  Compiling reads f1: a term (twisting
 word w, lower cell c, power e) becomes (row, c) with
 row: y -> (f1(w) |> y)^e in the target degree k.  Applying reads the
 lower layer only: the cell's value is the product of row[f(c)].
-`layer_targets` does both for all n-cells at once, in A_{n-1} for a
-morphism's f_{n-1} (`boundary_defect_report`) or in A_n for a homotopy's
-H_{n-1}.  The homotopy targets (`homotopies`) run the same pair on the
-Terms of every degree, the 2-cells' Fox terms included, once per f1.
+`morphism_checker` and `boundary_defect_report` run the pair in A_{n-1}
+on a morphism's f_{n-1}; the homotopy targets (`homotopies`) run it in A_n
+on a homotopy's H_{n-1}, on the Terms of every degree, the 2-cells' Fox
+terms included, once per f1.
 
 So with f1 fixed, layers n..L depend only on t_n.  When P has a cell of
 dimension 3..L+1 the search compiles those cells once per twist key (the
@@ -77,7 +77,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .complexes import FiniteCrossedComplex
-from .errors import DimensionMismatch, InstanceTooLarge, ResultTooLarge
+from .errors import InstanceTooLarge, ResultTooLarge
 from .groups import fibers_of
 from .presentations import CWPresentation, Word
 
@@ -122,25 +122,6 @@ def _apply(mul, compiled, below: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def layer_targets(
-    p: CWPresentation,
-    cx: FiniteCrossedComplex,
-    f1: tuple[int, ...],
-    below: tuple[int, ...],
-    n: int,
-    k: int,
-) -> tuple[int, ...]:
-    """The Terms of every n-cell (n >= 3) evaluated in A_k, as one vector,
-    with `below` colouring the (n-1)-cells: at k = n-1 for a morphism's
-    f_{n-1} and at k = n for a homotopy's H_{n-1}.
-    """
-    if n < 3 or not n - 1 <= k <= min(n, cx.length):
-        raise DimensionMismatch(
-            f"{n}-cell data has no value in A_{k} of a length-{cx.length} complex")
-    return _apply(cx.groups[k - 1].mul,
-                  _compile(cx, k, p.terms(n), partial(eval_word, cx, f1)), below)
-
-
 def morphism_violation(
     p: CWPresentation,
     cx: FiniteCrossedComplex,
@@ -151,15 +132,26 @@ def morphism_violation(
     Violations are ("shape", ...), ("layer", n, cell) for a boundary
     mismatch, or ("kill", n, cell) for a surviving (L+1)-cell.
     """
-    length = cx.length
-    if len(colours) != length:
-        return ("shape", len(colours), length)
-    for n, layer in enumerate(colours, 1):
-        if len(layer) != p.count(n):
+    return (_shape_violation(colours, _morphism_shape(p, cx))
+            or morphism_checker(p, cx, colours[0])(colours))
+
+
+def _morphism_shape(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[int, int]]:
+    """(l_n, |A_n|) for n = 1 .. L: f_n colours the l_n n-cells in A_n."""
+    return [(p.count(n), cx.groups[n - 1].order) for n in range(1, cx.length + 1)]
+
+
+def _shape_violation(colours: Colouring, shape: Sequence[tuple[int, int]]) -> Optional[tuple]:
+    """("shape", ...) unless colours has one layer per (l, order) of shape,
+    each of l values in range(order); else None."""
+    if len(colours) != len(shape):
+        return ("shape", len(colours), len(shape))
+    for n, (layer, (ln, order)) in enumerate(zip(colours, shape), 1):
+        if len(layer) != ln:
             return ("shape", n, len(layer))
-        if layer and not (0 <= min(layer) and max(layer) < cx.groups[n - 1].order):
+        if layer and not (0 <= min(layer) and max(layer) < order):
             return ("shape", n)
-    return morphism_checker(p, cx, colours[0])(colours)
+    return None
 
 
 def morphism_checker(
@@ -450,7 +442,7 @@ def count_homs_bruteforce(
     Shares nothing with the counting engines but attaching-data evaluation.
     Raises InstanceTooLarge when the space exceeds `cap`.
     """
-    shape = [(p.count(n), cx.groups[n - 1].order) for n in range(1, cx.length + 1)]
+    shape = _morphism_shape(p, cx)
     total = math.prod(order ** ln for ln, order in shape)
     if total > cap:
         raise InstanceTooLarge(f"brute-force space {total} exceeds cap {cap}")
@@ -498,7 +490,9 @@ def boundary_defect_report(
         trunc = CWPresentation(p.cells[:n], p.attach2, p.attach_terms[:n - 3], name=p.name)
         kerbd = cx.boundary(n - 1).image
         for f in enumerate_homs(trunc, cx, cap=cap):
-            got = layer_targets(p, cx, f[0], f[n - 2], n, n - 1)
+            got = _apply(cx.groups[n - 2].mul,
+                         _compile(cx, n - 1, p.terms(n), partial(eval_word, cx, f[0])),
+                         f[n - 2])
             out.extend([(n, cell, f, val)
                         for cell, val in enumerate(got) if kerbd[val] != 0])
     return out

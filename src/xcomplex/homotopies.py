@@ -18,23 +18,26 @@ letter i of x_1^e_1 .. x_m^e_m, with suffix s = x_{i+1} .. x_m, becomes
 (s^-1, x_i, 1) when e_i = 1 and (s^-1 x_i, x_i, -1) when e_i = -1, which
 extends H_1 to words as the derivation s(Xy) = (f1(y)^-1 |> s(X)) s(y).
 The Fox terms are built once per presentation; `_target_formula` compiles
-every degree once per layer-1 colouring.  Every target is verified by the
-`enumeration.morphism_checker` of its own layer 1 (`homotopy_target`
-checks through `morphism_violation`); a failure raises TargetNotMorphism.
+every degree once per layer-1 colouring.
 
-Homotopy classes are the connected components of the graph on Hom(P, A)
-whose edges join f to the target of a homotopy out of f.  The graph walked
-has only the *elementary* homotopies as edges: those whose value table is
-the identity everywhere except at one cell, sum_k l_k (|A_{k+1}| - 1) of
-them per morphism instead of prod_k |A_{k+1}|^{l_k}.  They give the same
-components.  Homotopies compose by pointwise product of their value tables
-(Brown and Higgins, J. Pure Appl. Algebra 47, 1987): following H out of f
-and then K out of its target ends where H * K out of f does.  A table with
-m non-identity values is the pointwise product of the m elementary tables
-that carry one value each, and since no two of them share a cell, the
-product does not depend on their order.  So the target of any homotopy out
-of f is reached from f along m elementary edges.  `homotopy_value_space`
-walks the full graph and serves as the independent oracle.
+Homotopy classes are the orbits of the homotopies acting on Hom(P, A).
+`homotopy_classes` walks them along the *elementary* homotopies only, whose
+value table is the identity except at one cell: sum_k l_k (|A_{k+1}| - 1)
+edges per morphism instead of prod_k |A_{k+1}|^{l_k}.  Homotopies compose
+by pointwise product of their value tables (Brown and Higgins, J. Pure
+Appl. Algebra 47, 1987): H out of f, then K out of its target, ends where
+H * K out of f does.  A table with m non-identity values is the product of
+the m elementary tables carrying one each, in any order, so its target is
+m elementary edges from f; and the edge with v at (k, c) is undone by the
+one with v^-1 at (k, c) out of its target, so the morphisms reached from f
+along edges make up its whole orbit.  The walk takes the listing of
+`enumerate_homs` in index order: a morphism not yet reached starts a new
+class as its least member, and the class is closed before the next starts.
+Listed colourings passed the morphism checker of their layer 1, so a target
+verifies by membership; one outside the listing goes through
+`morphism_violation` and raises TargetNotMorphism, or AssertionError if
+the listing missed a morphism.  `homotopy_orbit` walks the full value
+space at one morphism, each target verified by a checker: the oracle.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ from .enumeration import (
     Colouring,
     _apply,
     _compile,
+    _morphism_shape,
+    _shape_violation,
     enumerate_homs,
     eval_word,
     layered_product,
@@ -73,10 +78,12 @@ def homotopy_target(
     h: Colouring,
 ) -> Colouring:
     """Colouring at the far end of the homotopy with value table h out of
-    the morphism f; raises TargetNotMorphism if it fails verification."""
-    if len(h) != max(cx.length - 1, 0):
-        raise DimensionMismatch(
-            f"homotopy needs {cx.length - 1} value tables, got {len(h)}")
+    the morphism f; raises DimensionMismatch if f or h is out of shape or
+    range, TargetNotMorphism if the target fails verification."""
+    for name, table, shape in (("morphism", f, _morphism_shape(p, cx)),
+                               ("homotopy", h, _value_shape(p, cx))):
+        if bad := _shape_violation(table, shape):
+            raise DimensionMismatch(f"{name} {table} does not fit {p} x {cx.name}: {bad}", bad)
     g = _target_formula(cx, _homotopy_terms(p, cx), f[0])(f, h)
     _verify(morphism_violation(p, cx, g))
     return g
@@ -112,14 +119,6 @@ def _target_formula(cx: FiniteCrossedComplex, terms: tuple[tuple[Terms, ...], ..
 def _verify(violation: Optional[tuple]) -> None:
     if violation is not None:
         raise TargetNotMorphism(f"homotopy target violates {violation}", violation)
-
-
-def _verify_by_checker(p: CWPresentation, cx: FiniteCrossedComplex, checkers: dict,
-                       g: Colouring) -> None:
-    """Verify g by the checker of its layer 1, built once into `checkers`."""
-    if g[0] not in checkers:
-        checkers[g[0]] = morphism_checker(p, cx, g[0])
-    _verify(checkers[g[0]](g))
 
 
 def count_homotopies(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
@@ -174,7 +173,8 @@ def homotopy_classes(
     cx: FiniteCrossedComplex,
     cap: int = DEFAULT_EDGE_CAP,
 ) -> ClassDecomposition:
-    """Connected components of the 1-fold homotopy graph on Hom(P, A).
+    """Homotopy classes of Hom(P, A), each walked once along elementary edges
+    from its least member, over the listing of `enumerate_homs`.
 
     Raises ResultTooLarge when the elementary edges to walk,
     `count_class_edges(p, cx, #morphisms)`, exceed `cap`.
@@ -188,41 +188,32 @@ def homotopy_classes(
             f"{len(homs)} morphisms x {edges // len(homs)} elementary homotopies"
             f" = {edges} edges exceeds edge cap {cap}")
     tables = tuple(elementary_value_tables(p, cx))
-    index: dict[Colouring, int] = {f: i for i, f in enumerate(homs)}
-
-    parent = list(range(len(homs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # one target formula per source layer 1, one checker per target layer 1
     terms = _homotopy_terms(p, cx)
     formulas: dict[tuple[int, ...], Callable[[Colouring, Colouring], Colouring]] = {}
-    checkers: dict[tuple[int, ...], Callable[[Colouring], Optional[tuple]]] = {}
-    for i, f in enumerate(homs):
-        target = formulas.get(f[0])
-        if target is None:
-            target = formulas[f[0]] = _target_formula(cx, terms, f[0])
-        for values in tables:
-            g = target(f, values)
-            _verify_by_checker(p, cx, checkers, g)
-            j = index[g]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    members: dict[int, list[int]] = {}
-    for i in range(len(homs)):
-        members.setdefault(find(i), []).append(i)
-    roots = sorted(members)
-    return ClassDecomposition(
-        count=len(roots),
-        representatives=tuple(homs[r] for r in roots),
-        sizes=tuple(len(members[r]) for r in roots),
-    )
+    reached = dict.fromkeys(homs, False)
+    representatives, sizes = [], []
+    for f in homs:
+        if reached[f]:
+            continue
+        reached[f] = True
+        members = [f]
+        for g in members:  # grows while walked: the class is closed when it stops
+            target = formulas.get(g[0])
+            if target is None:
+                target = formulas[g[0]] = _target_formula(cx, terms, g[0])
+            for values in tables:
+                t = target(g, values)
+                seen = reached.get(t)
+                if seen is None:
+                    _verify(morphism_violation(p, cx, t))
+                    raise AssertionError(f"homotopy target {t} is a morphism"
+                                         " that enumerate_homs did not list")
+                if not seen:
+                    reached[t] = True
+                    members.append(t)
+        representatives.append(f)
+        sizes.append(len(members))
+    return ClassDecomposition(len(representatives), tuple(representatives), tuple(sizes))
 
 
 def homotopy_orbit(p: CWPresentation, cx: FiniteCrossedComplex, f: Colouring) -> tuple[int, int]:
@@ -235,7 +226,9 @@ def homotopy_orbit(p: CWPresentation, cx: FiniteCrossedComplex, f: Colouring) ->
     fixing = 0
     for values in homotopy_value_space(p, cx):
         g = target(f, values)
-        _verify_by_checker(p, cx, checkers, g)
+        if g[0] not in checkers:
+            checkers[g[0]] = morphism_checker(p, cx, g[0])
+        _verify(checkers[g[0]](g))
         targets.add(g)
         fixing += g == f
     return len(targets), fixing

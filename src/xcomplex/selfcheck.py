@@ -11,10 +11,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FiniteCrossedComplex, pi1, size_at, validate
+from .complexes import FiniteCrossedComplex, from_crossed_module, pi1, size_at, validate
 from .enumeration import count_homs, count_homs_bruteforce, enumerate_homs
 from .errors import TargetNotMorphism
-from .groups import FiniteGroup, GroupAction, GroupHom, hom_violation
+from .groups import FiniteGroup, GroupAction, GroupHom, hom_violation, symmetric_group_3
 from .homotopies import (
     count_class_edges,
     count_homotopies,
@@ -205,11 +205,20 @@ def check_class_counts() -> CheckResult:
     return CheckResult(6, "circle classes count pi1", not bad, details)
 
 
+def _conjugation_crossed_module() -> FiniteCrossedComplex:
+    """S3 acting on itself by conjugation, with the identity as boundary."""
+    s3 = symmetric_group_3()
+    act = tuple(tuple(s3.mul[s3.mul[g][e]][s3.inv[g]] for e in range(6)) for g in range(6))
+    return from_crossed_module(s3, s3, GroupHom(s3, s3, tuple(range(6))),
+                               GroupAction(s3, s3, act), name="s3-conj")
+
+
 def check_connection_validity() -> CheckResult:
-    """Every homotopy target on small suite instances verifies as a morphism."""
+    """Every homotopy target on the small suite pairs and on the torus against
+    the S3 conjugation module (injective d_2, twisted action) is a morphism."""
     failures = []
     edges = 0
-    for p, cx in _suite_pairs():
+    for p, cx in _suite_pairs() + [(torus(), _conjugation_crossed_module())]:
         homs = enumerate_homs(p, cx)
         if not homs or count_homotopies(p, cx) * len(homs) > EDGE_BUDGET:
             continue

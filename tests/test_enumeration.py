@@ -4,12 +4,15 @@ import itertools
 import json
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 
 from xcomplex.complexes import FiniteCrossedComplex, from_group
 from xcomplex.enumeration import (
+    _apply,
     _backtrack,
+    _compile,
     _Search,
     _Tower,
     _eliminate,
@@ -20,12 +23,11 @@ from xcomplex.enumeration import (
     elimination_cost,
     enumerate_homs,
     eval_word,
-    layer_targets,
     layered_product,
     morphism_checker,
     morphism_violation,
 )
-from xcomplex.errors import DimensionMismatch, InstanceTooLarge, ResultTooLarge
+from xcomplex.errors import InstanceTooLarge, ResultTooLarge
 from xcomplex.groups import (
     GroupAction,
     GroupHom,
@@ -87,16 +89,20 @@ def mixed_action_tower():
     return cx
 
 
+def eval_terms(cx, f1, cells, below, k):
+    """The Terms of each of `cells` compiled under f1 at degree k and
+    applied to `below`, the colouring of the cells one dimension down."""
+    return _apply(cx.groups[k - 1].mul, _compile(cx, k, cells, partial(eval_word, cx, f1)), below)
+
+
 def eval_crossed(cx, f1, f2, cw, k):
-    """A 3-cell's Terms evaluated in A_k, as the data of a lone 3-cell."""
-    p = CWPresentation((1, len(f1), len(f2), 1), attach_terms=((cw,),))
-    return layer_targets(p, cx, f1, f2, 3, k)[0]
+    """A 3-cell's Terms evaluated in A_k."""
+    return eval_terms(cx, f1, (cw,), f2, k)[0]
 
 
 def eval_module(cx, f1, f3, m, k):
-    """A 4-cell's Terms evaluated in A_k, as the data of a lone 4-cell."""
-    p = CWPresentation((1, len(f1), 0, len(f3), 1), attach_terms=((), (m,)))
-    return layer_targets(p, cx, f1, f3, 4, k)[0]
+    """A 4-cell's Terms evaluated in A_k."""
+    return eval_terms(cx, f1, (m,), f3, k)[0]
 
 
 def test_eval_crossed_flip_action():
@@ -383,14 +389,14 @@ def test_memo_shared_across_equal_action_rows():
 def test_checker_agrees_with_morphism_violation_on_full_space():
     """One checker per layer-1 colouring, reused over all its colourings,
     agrees with morphism_violation and with a direct evaluation through
-    eval_word (2-cells) and layer_targets (cells of dimension >= 3) on all
+    eval_word (2-cells) and eval_terms (cells of dimension >= 3) on all
     4 x 3^6 colourings of the length-4 tower."""
     p, cx = tower4_presentation(), twisted_tower4()
 
     def direct(colours):
         for n in range(2, cx.length + 2):
             got = (tuple(eval_word(cx, colours[0], w) for w in p.attach2) if n == 2
-                   else layer_targets(p, cx, colours[0], colours[n - 2], n, n - 1))
+                   else eval_terms(cx, colours[0], p.terms(n), colours[n - 2], n - 1))
             want = (tuple(cx.boundary(n).image[v] for v in colours[n - 1])
                     if n <= cx.length else (0,) * len(got))
             bad = [c for c, (a, b) in enumerate(zip(got, want)) if a != b]
@@ -519,17 +525,8 @@ def test_attaching_target_dispatch():
     incl = resolve_coefficients("cm-z4-z2-incl")
     assert eval_word(incl, (2,), disk(2).attach2[0]) == 2
     l3 = resolve_coefficients("l3-z2")
-    assert layer_targets(disk(3), l3, (), (1,), 3, 2) == (1,)
-    assert layer_targets(disk(4), l3, (), (1,), 4, 3) == (1,)
-
-
-@pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (3, 4), (4, 2), (4, 4), (5, 3), (3, 3)])
-def test_layer_targets_degree_guard(n, k):
-    """Data of an n-cell (n >= 3) has a value in A_{n-1} or A_n only, and only
-    in a degree the complex has; 2-cell words only in A_1.  (3, 3) is the
-    degree of a homotopy's H_2, which a length-2 complex lacks."""
-    with pytest.raises(DimensionMismatch):
-        layer_targets(disk(n), resolve_coefficients("cm-z4-z2-incl"), (0,), (0,), n, k)
+    assert eval_terms(l3, (), disk(3).terms(3), (1,), 2) == (1,)
+    assert eval_terms(l3, (), disk(4).terms(4), (1,), 3) == (1,)
 
 
 def test_enumeration_cap():

@@ -7,7 +7,7 @@ import pytest
 
 from xcomplex.enumeration import _apply, _compile, enumerate_homs, eval_word
 from xcomplex import homotopies
-from xcomplex.errors import ResultTooLarge, TargetNotMorphism
+from xcomplex.errors import DimensionMismatch, ResultTooLarge, TargetNotMorphism
 from xcomplex.homotopies import (
     ClassDecomposition,
     count_class_edges,
@@ -17,8 +17,7 @@ from xcomplex.homotopies import (
     homotopy_target,
     homotopy_value_space,
 )
-from xcomplex.complexes import from_crossed_module, pi1
-from xcomplex.groups import GroupAction, GroupHom, symmetric_group_3
+from xcomplex.complexes import homology, pi1
 from xcomplex.library import (
     resolve_coefficients,
     resolve_space,
@@ -26,6 +25,7 @@ from xcomplex.library import (
     standard_spaces,
 )
 from xcomplex.randomgen import random_instances
+from xcomplex.selfcheck import _conjugation_crossed_module
 from xcomplex.presentations import fox_terms, free_reduce, rp2, sphere, torus, wedge
 
 
@@ -183,6 +183,30 @@ def test_planted_target_fault_raises(monkeypatch):
         homotopy_target(p, cx, ((0,), (0,)), ((1,),))
 
 
+def test_target_outside_listing_is_a_missed_morphism(monkeypatch):
+    """A morphism the listing drops is still reached by the walk; it
+    verifies, so the listing, not the target, is at fault."""
+    p, cx = resolve_space("disk:2"), resolve_coefficients("cm-z4-z2-incl")
+    real = homotopies.enumerate_homs
+    assert homotopy_classes(p, cx).sizes == (len(real(p, cx)),)
+    monkeypatch.setattr(homotopies, "enumerate_homs", lambda p, cx, cap: real(p, cx, cap=cap)[:-1])
+    with pytest.raises(AssertionError, match="did not list"):
+        homotopy_classes(p, cx)
+
+
+@pytest.mark.parametrize("f,h", [
+    (((0, 0), (0,)), ((1, 0, 0),)),  # one value too many in H_1
+    (((0,),), ((1, 0),)),  # layer 2 of f missing
+    (((0, 9), (0,)), ((1, 0),)),  # f_1 out of range
+    (((0, 0), (5,)), ((1, 0),)),  # f_2 out of range
+    (((0, 0), (0,)), ((9, 0),)),  # H_1 out of range
+    (((0, 0), (0,)), ((1,),)),  # one value too few in H_1
+], ids=["long-h1", "short-f", "f1-range", "f2-range", "h1-range", "short-h1"])
+def test_target_rejects_malformed_inputs(f, h):
+    with pytest.raises(DimensionMismatch):
+        homotopy_target(torus(), resolve_coefficients("cm-z4-z2-incl"), f, h)
+
+
 def test_homotopy_count_formula():
     assert count_homotopies(torus(), resolve_coefficients("cm-z4-z2-incl")) == 4  # |A_2|^2
     assert count_homotopies(torus(), resolve_coefficients("l3-z2")) == 8  # 2^2 * 2^1
@@ -313,15 +337,6 @@ def _full_graph_classes(p, cx, homs):
     return [homs[r] for r in reps], [roots.count(r) for r in reps]
 
 
-def _conjugation_crossed_module():
-    """S3 acting on itself by conjugation, with the identity as boundary."""
-    s3 = symmetric_group_3()
-    act = tuple(tuple(s3.mul[s3.mul[g][e]][s3.inv[g]] for e in range(6))
-                for g in range(6))
-    return from_crossed_module(s3, s3, GroupHom(s3, s3, tuple(range(6))),
-                               GroupAction(s3, s3, act), name="s3-conj")
-
-
 def test_elementary_classes_match_full_graph():
     """Elementary edges give the components of the full homotopy graph."""
     instances = (
@@ -350,3 +365,14 @@ def test_wedge_classes_spot_check():
     single = homotopy_classes(sphere(1), cx)
     double = homotopy_classes(wedge(sphere(1), sphere(1)), cx)
     assert double.count == single.count ** 2
+
+
+def test_sphere_classes_count_homology():
+    """pi_n = H_n for n >= 2: the classes of maps S^n -> |A| number
+    |ker d_n / im d_{n+1}| for 2 <= n <= L."""
+    cases = 0
+    for cx in standard_coefficients() + [cx for _, cx in random_instances(12345, 200)]:
+        for n in range(2, cx.length + 1):
+            assert homotopy_classes(sphere(n), cx).count == homology(cx, n).order, (n, cx.name)
+            cases += 1
+    assert cases > 200
