@@ -7,9 +7,9 @@
     xcomplex library
     xcomplex selfcheck
 
-validate, count, invariant and classes take --cap N (overrides the
-XCOMPLEX_CAP environment variable, which overrides the per-operation
-defaults).  X is a JSON file path or, when no such file exists, a builtin
+validate, count, invariant and classes take --cap N, a bound on what a
+command enumerates: 10^6 by default, 10^7 for classes (`--help` shows each
+default).  X is a JSON file path or, when no such file exists, a builtin
 name from `library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
@@ -23,7 +23,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 import traceback
@@ -110,68 +109,53 @@ class _Inputs:
         return obj
 
 
-def _report_violations(report) -> list[list]:
-    return [[name, list(witness)] for name, witness in report.violations]
+def _violations(kind: str, obj: Any) -> list[list]:
+    """The failing axioms of a resolved "group", "complex" or "presentation",
+    each as [axiom, witness]."""
+    if kind == "group":
+        found = group_violations(obj)
+    elif kind == "complex":
+        found = validate(obj).violations
+    else:
+        found = validate_presentation(obj).violations
+    return [[axiom, list(witness)] for axiom, witness in found]
 
 
-def _cap(args: argparse.Namespace, fallback: int) -> int:
-    cap, source = getattr(args, "cap", None), "--cap"
-    if cap is None:
-        env = os.environ.get("XCOMPLEX_CAP")
-        if not env:
-            return fallback
-        try:
-            cap, source = int(env), "XCOMPLEX_CAP"
-        except ValueError as exc:
-            raise ParseError(f"XCOMPLEX_CAP={env!r} is not an integer") from exc
-    if cap < 0:
-        raise ParseError(f"{source} {cap} is negative")
-    return cap
+def _on_valid_inputs(command):
+    """Run `command(args, p, cx, result)` on the resolved --presentation and
+    --complex once both validate; otherwise exit 2 with the violations of
+    just the failing ones under result["validation"]."""
 
-
-def _require_valid(p: Optional[CWPresentation], cx: Optional[FiniteCrossedComplex],
-                   result: dict) -> bool:
-    """Validate inputs before computing; fills `result` and returns ok."""
-    ok = True
-    if p is not None:
-        rep = validate_presentation(p)
-        if not rep.ok:
-            result.setdefault("validation", {})["presentation"] = _report_violations(rep)
-            ok = False
-    if cx is not None:
-        rep = validate(cx)
-        if not rep.ok:
-            result.setdefault("validation", {})["complex"] = _report_violations(rep)
-            ok = False
-    return ok
+    @functools.wraps(command)
+    def run(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
+        p = inputs.resolve("presentation", args.presentation)
+        cx = inputs.resolve("complex", args.complex)
+        failing = {kind: found for kind, obj in (("presentation", p), ("complex", cx))
+                   if (found := _violations(kind, obj))}
+        if failing:
+            result["validation"] = failing
+            return EXIT_INVALID
+        return command(args, p, cx, result)
+    return run
 
 
 def cmd_validate(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
-    if not (args.presentation or args.complex or args.group):
+    refs = {"group": args.group, "complex": args.complex, "presentation": args.presentation}
+    if not any(refs.values()):
         raise ParseError("validate needs at least one of --presentation/--complex/--group")
-    ok = True
+    resolved: dict[str, Any] = {}
     reports: dict[str, Any] = {}
-    cx = None
-    p = None
-    if args.group:
-        group = inputs.resolve("group", args.group)
-        violations = [[axiom, list(w)] for axiom, w in group_violations(group)]
-        reports["group"] = {"ok": not violations, "violations": violations}
-        ok = not violations
-    if args.complex:
-        cx = inputs.resolve("complex", args.complex)
-        rep = validate(cx)
-        reports["complex"] = {"ok": rep.ok, "violations": _report_violations(rep)}
-        ok = ok and rep.ok
-    if args.presentation:
-        p = inputs.resolve("presentation", args.presentation)
-        rep = validate_presentation(p)
-        reports["presentation"] = {"ok": rep.ok, "violations": _report_violations(rep)}
-        ok = ok and rep.ok
+    for kind, ref in refs.items():
+        if ref:
+            resolved[kind] = inputs.resolve(kind, ref)
+            violations = _violations(kind, resolved[kind])
+            reports[kind] = {"ok": not violations, "violations": violations}
+    ok = all(rep["ok"] for rep in reports.values())
     if args.check_boundaries:
+        p, cx = resolved.get("presentation"), resolved.get("complex")
         if p is None or cx is None or not ok:
             raise ParseError("--check-boundaries needs a valid --presentation and --complex")
-        defects = boundary_defect_report(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
+        defects = boundary_defect_report(p, cx, cap=args.cap)
         reports["boundary-defects"] = [
             {"dimension": n, "cell": c, "colours": col, "value": v}
             for n, c, col, v in defects]
@@ -181,21 +165,19 @@ def cmd_validate(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def cmd_count(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
-    p = inputs.resolve("presentation", args.presentation)
-    cx = inputs.resolve("complex", args.complex)
-    if not _require_valid(p, cx, result):
-        return EXIT_INVALID
+@_on_valid_inputs
+def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
+              result: dict) -> int:
     n = count_homs(p, cx)
     result["count"] = n
     result["engine"] = count_engine(p, cx)
     if args.enumerate:
-        morphisms = enumerate_homs(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
+        morphisms = enumerate_homs(p, cx, cap=args.cap)
         result["morphisms"] = morphisms
         if len(morphisms) != n:
             raise AssertionError(f"listing disagrees: counted {n}, listed {len(morphisms)}")
     if args.oracle:
-        oracle = count_homs_bruteforce(p, cx, cap=_cap(args, DEFAULT_ENUM_CAP))
+        oracle = count_homs_bruteforce(p, cx, cap=args.cap)
         result["oracle"] = oracle
         result["oracle_agrees"] = oracle == n
         if oracle != n:
@@ -203,11 +185,9 @@ def cmd_count(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
     return EXIT_OK
 
 
-def cmd_invariant(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
-    p = inputs.resolve("presentation", args.presentation)
-    cx = inputs.resolve("complex", args.complex)
-    if not _require_valid(p, cx, result):
-        return EXIT_INVALID
+@_on_valid_inputs
+def cmd_invariant(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
+                  result: dict) -> int:
     n = count_homs(p, cx)
     norm = normalization_factor(p, cx)
     inv = n * norm
@@ -218,12 +198,10 @@ def cmd_invariant(args: argparse.Namespace, inputs: _Inputs, result: dict) -> in
     return EXIT_OK
 
 
-def cmd_classes(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
-    p = inputs.resolve("presentation", args.presentation)
-    cx = inputs.resolve("complex", args.complex)
-    if not _require_valid(p, cx, result):
-        return EXIT_INVALID
-    dec = homotopy_classes(p, cx, cap=_cap(args, DEFAULT_EDGE_CAP))
+@_on_valid_inputs
+def cmd_classes(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
+                result: dict) -> int:
+    dec = homotopy_classes(p, cx, cap=args.cap)
     result["count"] = dec.count
     result["sizes"] = dec.sizes
     result["representatives"] = dec.representatives
@@ -278,13 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite crossed complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_cap(sp, default=DEFAULT_ENUM_CAP):
+        sp.add_argument("--cap", type=int, default=default,
+                        help="result/size cap (default: %(default)s)")
+
+    def add_common(sp, cap=DEFAULT_ENUM_CAP):
         sp.add_argument("--presentation", required=True,
                         help="JSON file or builtin space name")
         sp.add_argument("--complex", required=True,
                         help="JSON file or builtin coefficient name")
-        sp.add_argument("--cap", type=int, default=None,
-                        help="result/size cap (default from XCOMPLEX_CAP or builtin)")
+        add_cap(sp, cap)
 
     sp = sub.add_parser("validate", help="validate documents without computing")
     sp.add_argument("--presentation", help="JSON file or builtin space name")
@@ -292,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", help="JSON group file or builtin group name")
     sp.add_argument("--check-boundaries", action="store_true",
                     help="also sweep dimension >= 4 attaching data against the complex")
-    sp.add_argument("--cap", type=int, default=None)
+    add_cap(sp)
 
     sp = sub.add_parser("count", help="count morphisms")
     add_common(sp)
@@ -304,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
 
     sp = sub.add_parser("classes", help="homotopy class decomposition")
-    add_common(sp)
+    add_common(sp, DEFAULT_EDGE_CAP)
 
     sub.add_parser("library", help="list builtin spaces and coefficients")
     sub.add_parser("selfcheck", help="run the acceptance criteria")
@@ -333,7 +314,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             args = build_parser().parse_args(argv)
             command = args.command
-            _cap(args, 0)  # reject a bad --cap or XCOMPLEX_CAP before any work
+            if getattr(args, "cap", 0) < 0:  # library and selfcheck take no cap
+                raise ParseError(f"--cap {args.cap} is negative")
             if limit:
                 sys.set_int_max_str_digits(0)
             code = _COMMANDS[command](args, inputs, result)

@@ -82,7 +82,6 @@ from .groups import fibers_of
 from .presentations import CWPresentation, Word
 
 DEFAULT_ENUM_CAP = 10**6
-DEFAULT_BRUTE_CAP = 10**6
 
 Colouring = tuple[tuple[int, ...], ...]
 
@@ -189,6 +188,14 @@ def morphism_checker(
     return violation
 
 
+def _relator_weights(cx: FiniteCrossedComplex) -> list[int]:
+    """Per value x in A_1 of a 2-cell's word, the colours the cell may take:
+    |d_2^{-1}(x)|, or [x == 0] when L = 1 and 2-cells are killed."""
+    if cx.length == 1:
+        return [1] + [0] * (cx.groups[0].order - 1)
+    return [len(fib) for fib in fibers_of(cx.boundary(2))]
+
+
 class _Search:
     """Layered search for one (P, A): `below(f1)` gives the colourings of
     layers 2..L under the layer-1 colouring f1, as their number or, with
@@ -201,10 +208,7 @@ class _Search:
         self.listing = listing
         # boundary fibers, indexed by degree then target element
         self.fibers = {n: fibers_of(cx.boundary(n)) for n in range(2, self.length + 1)}
-        # per value x in A_1 of a 2-cell's word, the colours the cell may
-        # take: |d_2^{-1}(x)|, or [x == 0] when L = 1 and 2-cells are killed
-        self.weight = ([len(fib) for fib in self.fibers[2]] if self.length > 1
-                       else [1] + [0] * (cx.groups[0].order - 1))
+        self.weight = _relator_weights(cx)
         # the highest dimension in 3..L+1 holding cells, or 2 when there is
         # none: from layer `top` on, each layer's fibers are free choices
         self.top = max((n for n in range(3, self.length + 2) if p.count(n)), default=2)
@@ -344,10 +348,7 @@ def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     order, mul = a1.order, a1.mul
     # letter (gen, e) multiplies by colour v through mul[acc][factor[e][v]]
     factor = {1: range(order), -1: a1.inv}
-    if cx.length == 1:
-        weight = [1] + [0] * (order - 1)
-    else:
-        weight = [len(fib) for fib in fibers_of(cx.boundary(2))]
+    weight = _relator_weights(cx)
     last = _last_letters(p.attach2)
     slot_of: dict[int, int] = {}
     free: list[int] = []
@@ -435,7 +436,7 @@ def enumerate_homs(
 def count_homs_bruteforce(
     p: CWPresentation,
     cx: FiniteCrossedComplex,
-    cap: int = DEFAULT_BRUTE_CAP,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> int:
     """Oracle count: sweep the full colouring space, check every constraint.
 

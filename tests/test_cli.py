@@ -1,7 +1,6 @@
 """End-to-end command tests through the installed entry point."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -14,15 +13,10 @@ from xcomplex.library import resolve_coefficients, resolve_space
 from xcomplex.presentations import rp2
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     """Run the CLI in a subprocess; returns (exit code, report dict, stderr)."""
-    env = dict(os.environ)
-    env.pop("XCOMPLEX_CAP", None)
-    if env_extra:
-        env.update(env_extra)
     proc = subprocess.run(
-        [sys.executable, "-m", "xcomplex.cli", *args],
-        capture_output=True, text=True, env=env)
+        [sys.executable, "-m", "xcomplex.cli", *args], capture_output=True, text=True)
     report = json.loads(proc.stdout) if proc.stdout.strip() else None
     return proc.returncode, report, proc.stderr
 
@@ -237,34 +231,24 @@ def test_enumerate_cap_exceeded():
     assert "cap" in report["result"]["error"]
 
 
-def test_env_cap_and_flag_precedence():
-    code, report, _ = run_cli(
-        "classes", "--presentation", "torus", "--complex", "cm-z4-z2-incl",
-        env_extra={"XCOMPLEX_CAP": "8"})
+def test_classes_cap_bounds_the_edge_walk():
+    """torus x cm-z4-z2-incl has 16 morphisms, past a cap of 8."""
+    argv = ("classes", "--presentation", "torus", "--complex", "cm-z4-z2-incl")
+    code, report, _ = run_cli(*argv, "--cap", "8")
     assert code == 3
-    code, report, _ = run_cli(
-        "classes", "--presentation", "torus", "--complex", "cm-z4-z2-incl",
-        "--cap", "1000000", env_extra={"XCOMPLEX_CAP": "8"})
+    assert report["result"]["error"] == "more than 8 morphisms; raise the cap to list them"
+    code, report, _ = run_cli(*argv, "--cap", "1000000")
     assert code == 0
     assert report["result"]["count"] == 4
 
 
-def test_bad_env_cap_is_input_error():
-    code, report, _ = run_cli(
-        "count", "--presentation", "torus", "--complex", "s3",
-        "--enumerate", env_extra={"XCOMPLEX_CAP": "many"})
-    assert code == 1
-    assert "XCOMPLEX_CAP" in report["result"]["error"]
-
-
-def test_env_cap_past_digit_limit_is_input_error():
+def test_cap_past_digit_limit_is_input_error():
     """The cap is parsed under CPython's int/str digit limit, before main
     lifts it for the command."""
     code, report, _ = run_cli(
-        "count", "--presentation", "torus", "--complex", "s3",
-        env_extra={"XCOMPLEX_CAP": "9" * 5000})
+        "count", "--presentation", "torus", "--complex", "s3", "--cap", "9" * 5000)
     assert code == 1
-    assert "XCOMPLEX_CAP" in report["result"]["error"]
+    assert report["result"]["error"].startswith("argument --cap: invalid int value: '999")
 
 
 @pytest.fixture
@@ -340,11 +324,11 @@ def test_negative_cap_is_input_error():
     code, report, _ = run_cli("count", "--presentation", "torus", "--complex",
                               "s3", "--enumerate", "--cap", "-5")
     assert code == 1
-    assert "--cap -5" in report["result"]["error"]
+    assert report["result"]["error"] == "--cap -5 is negative"
     code, report, _ = run_cli("count", "--presentation", "torus", "--complex",
-                              "s3", "--enumerate", env_extra={"XCOMPLEX_CAP": "-1"})
+                              "s3", "--enumerate", "--cap", "x")
     assert code == 1
-    assert "XCOMPLEX_CAP -1" in report["result"]["error"]
+    assert report["result"]["error"] == "argument --cap: invalid int value: 'x'"
 
 
 @pytest.mark.parametrize("command", ["count", "invariant"])
@@ -485,3 +469,28 @@ def test_selfcheck_passes():
     assert all(c["ok"] for c in criteria)
     assert stderr.count("[PASS]") == 9
     assert report["result"]["ok"] is True
+
+
+@pytest.mark.parametrize("bad", [("presentation",), ("complex",),
+                                 ("presentation", "complex")], ids="+".join)
+@pytest.mark.parametrize("command", ["count", "invariant", "classes"])
+def test_computing_command_reports_only_failing_inputs(tmp_path, capsys, command, bad):
+    """An invalid --presentation or --complex ends in exit 2, before any
+    count, with the violations of exactly the inputs that fail."""
+    from xcomplex import cli
+    broken = dump_complex(resolve_coefficients("cm-z4-z2-incl"))
+    broken["boundaries"] = [[0, 1]]
+    documents = {
+        "presentation": ({"cells": [1, 1, 1], "attach": {"2": [[[5, 1]]]}},
+                         [["generator-range", [2, 0, 0, 5]]]),
+        "complex": (broken, [["boundary-hom", [2, 1, 1]]]),
+    }
+    argv = [command, "--presentation", "sphere:2", "--complex", "cm-z4-z2-incl"]
+    for kind in bad:
+        f = tmp_path / f"{kind}.json"
+        f.write_text(json.dumps(documents[kind][0]))
+        argv[argv.index(f"--{kind}") + 1] = str(f)
+    assert cli.main(argv) == 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["validation"] == {kind: documents[kind][1] for kind in bad}
+    assert "count" not in result
