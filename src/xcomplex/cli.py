@@ -47,6 +47,7 @@ from .enumeration import (
     count_homs,
     count_homs_bruteforce,
     enumerate_homs,
+    refuse_listing,
 )
 from .errors import (
     InstanceTooLarge,
@@ -58,7 +59,7 @@ from .errors import (
 from .groups import FiniteGroup, group_violations
 from .homotopies import DEFAULT_EDGE_CAP, homotopy_classes
 from .invariant import format_rational, normalization_factor
-from .library import resolve_coefficients, resolve_space, standard_coefficients, standard_spaces
+from .library import STANDARD_COEFFICIENTS, STANDARD_SPACES, resolve_coefficients, resolve_space
 from .presentations import CWPresentation, validate_presentation
 from .selfcheck import run_all
 
@@ -172,6 +173,7 @@ def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComp
     result["count"] = n
     result["engine"] = count_engine(p, cx)
     if args.enumerate:
+        refuse_listing(n, args.cap)
         morphisms = enumerate_homs(p, cx, cap=args.cap)
         result["morphisms"] = morphisms
         if len(morphisms) != n:
@@ -210,15 +212,17 @@ def cmd_classes(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedCo
 
 def cmd_library(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
     spaces = []
-    for p in standard_spaces():
-        spaces.append({"name": p.name, "cells": list(p.cells)})
-        print(f"{p.name} ({','.join(str(c) for c in p.cells)})", file=sys.stderr)
+    for name in STANDARD_SPACES:
+        p = resolve_space(name)
+        spaces.append({"name": name, "cells": list(p.cells)})
+        print(f"{name} ({','.join(str(c) for c in p.cells)})", file=sys.stderr)
     coefficients = []
-    for cx in standard_coefficients():
+    for name in STANDARD_COEFFICIENTS:
+        cx = resolve_coefficients(name)
         coefficients.append({
-            "name": cx.name, "L": cx.length,
+            "name": name, "L": cx.length,
             "orders": [g.order for g in cx.groups]})
-        print(f"{cx.name} orders=[{','.join(str(g.order) for g in cx.groups)}]",
+        print(f"{name} orders=[{','.join(str(g.order) for g in cx.groups)}]",
               file=sys.stderr)
     result["spaces"] = spaces
     result["coefficients"] = coefficients

@@ -406,6 +406,12 @@ def _backtrack(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     return sum(s.below(f1) for f1 in s.layer1())
 
 
+def refuse_listing(morphisms: int, cap: int) -> None:
+    """Raise ResultTooLarge when `morphisms` exceed the listing cap."""
+    if morphisms > cap:
+        raise ResultTooLarge(f"more than {cap} morphisms; raise the cap to list them")
+
+
 def enumerate_homs(
     p: CWPresentation,
     cx: FiniteCrossedComplex,
@@ -428,8 +434,7 @@ def enumerate_homs(
             if check(c) is not None:  # raised, not asserted: kept under python -O
                 raise AssertionError(f"search produced a non-morphism: {c}")
             found.append(c)
-        if len(found) > cap:
-            raise ResultTooLarge(f"more than {cap} morphisms; raise the cap to list them")
+        refuse_listing(len(found), cap)
     return found
 
 

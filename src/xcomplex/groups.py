@@ -254,15 +254,12 @@ def action_violation(a: GroupAction) -> Optional[tuple[str, tuple]]:
         for v in row:
             if not 0 <= v < m:
                 raise DimensionMismatch(f"action value {v} out of range in row {g}")
-    smul = a.space.mul
-    for g in range(n):
-        row = a.act[g]
+    for g, row in enumerate(a.act):
         if sorted(row) != list(range(m)):
             return ("action-bijective", (g,))
-        for e in range(m):
-            for f in range(m):
-                if row[smul[e][f]] != smul[row[e]][row[f]]:
-                    return ("action-hom", (g, e, f))
+        w = hom_violation(GroupHom(a.space, a.space, row))
+        if w is not None:
+            return ("action-hom", (g,) + w)
     for e in range(m):
         if a.act[0][e] != e:
             return ("action-identity", (e,))

@@ -55,11 +55,13 @@ from .enumeration import (
     _compile,
     _morphism_shape,
     _shape_violation,
+    count_homs,
     enumerate_homs,
     eval_word,
     layered_product,
     morphism_checker,
     morphism_violation,
+    refuse_listing,
 )
 from .presentations import CWPresentation, Terms, fox_terms
 
@@ -176,17 +178,18 @@ def homotopy_classes(
     """Homotopy classes of Hom(P, A), each walked once along elementary edges
     from its least member, over the listing of `enumerate_homs`.
 
-    Raises ResultTooLarge when the elementary edges to walk,
+    Raises ResultTooLarge, before listing anything, when `count_homs` finds
+    more than `cap` morphisms or the elementary edges to walk,
     `count_class_edges(p, cx, #morphisms)`, exceed `cap`.
     """
-    homs = enumerate_homs(p, cx, cap=cap)
-    if not homs:
-        return ClassDecomposition(0, (), ())
-    edges = count_class_edges(p, cx, len(homs))
+    n = count_homs(p, cx)
+    refuse_listing(n, cap)
+    edges = count_class_edges(p, cx, n)
     if edges > cap:
         raise ResultTooLarge(
-            f"{len(homs)} morphisms x {edges // len(homs)} elementary homotopies"
+            f"{n} morphisms x {edges // n} elementary homotopies"
             f" = {edges} edges exceeds edge cap {cap}")
+    homs = enumerate_homs(p, cx, cap=cap)
     tables = tuple(elementary_value_tables(p, cx))
     terms = _homotopy_terms(p, cx)
     formulas: dict[tuple[int, ...], Callable[[Colouring, Colouring], Colouring]] = {}

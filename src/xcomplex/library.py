@@ -121,26 +121,17 @@ def resolve_coefficients(name: str) -> FiniteCrossedComplex:
     raise ParseError(f"unknown builtin coefficients '{name}'")
 
 
+# the names the library command lists, in its order
+STANDARD_SPACES = ("point", "sphere:1", "sphere:2", "sphere:3", "disk:2", "disk:3",
+                   "disk:4", "torus", "genus:2", "rp2", "sphere2-two-cells")
+STANDARD_COEFFICIENTS = ("z2", "z3", "s3", "cm-z2-z2-zero", "cm-z4-z2-incl", "l3-z2")
+
+
 def standard_spaces() -> list[CWPresentation]:
     """The showcase spaces listed by the library command."""
-    return [
-        point(),
-        sphere(1), sphere(2), sphere(3),
-        disk(2), disk(3), disk(4),
-        torus(),
-        genus_surface(2),
-        rp2(),
-        sphere2_two_cells(),
-    ]
+    return [resolve_space(name) for name in STANDARD_SPACES]
 
 
 def standard_coefficients() -> list[FiniteCrossedComplex]:
     """The coefficient suite used by the acceptance checks."""
-    return [
-        from_group(cyclic_group(2)),
-        from_group(cyclic_group(3)),
-        from_group(symmetric_group_3()),
-        _cm_z2_z2_zero(),
-        _cm_z4_z2_incl(),
-        _l3_z2(),
-    ]
+    return [resolve_coefficients(name) for name in STANDARD_COEFFICIENTS]

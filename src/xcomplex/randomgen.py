@@ -62,10 +62,7 @@ def all_actions(actor: FiniteGroup, space: FiniteGroup) -> tuple[GroupAction, ..
     perms = []
     for perm in product(range(space.order), repeat=space.order - 1):
         row = (0,) + perm
-        if sorted(row) != list(range(space.order)):
-            continue
-        if all(row[space.mul[e][f]] == space.mul[row[e]][row[f]]
-               for e in range(space.order) for f in range(space.order)):
+        if sorted(row) == list(range(space.order)) and check_hom(GroupHom(space, space, row)):
             perms.append(row)
     identity = tuple(range(space.order))
     out = []

@@ -9,7 +9,12 @@ import pytest
 from xcomplex.documents import dump_complex, dump_group, dump_presentation
 from xcomplex.enumeration import enumerate_homs
 from xcomplex.homotopies import homotopy_classes, homotopy_target
-from xcomplex.library import resolve_coefficients, resolve_space
+from xcomplex.library import (
+    resolve_coefficients,
+    resolve_space,
+    standard_coefficients,
+    standard_spaces,
+)
 from xcomplex.presentations import rp2
 
 
@@ -242,6 +247,24 @@ def test_classes_cap_bounds_the_edge_walk():
     assert report["result"]["count"] == 4
 
 
+def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
+    """genus:6 x cm-z4-z2-incl has 4^12 morphisms: the count refuses them,
+    so neither command reaches the listing."""
+    from xcomplex import cli, homotopies
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("listing started")
+
+    monkeypatch.setattr(homotopies, "enumerate_homs", unreachable)
+    monkeypatch.setattr(cli, "enumerate_homs", unreachable)
+    pair = ["--presentation", "genus:6", "--complex", "cm-z4-z2-incl"]
+    for argv, cap in ((["classes"], 10**7), (["count", "--enumerate"], 10**6)):
+        assert cli.main(argv + pair) == 3
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["error"] == f"more than {cap} morphisms; raise the cap to list them"
+    assert result["count"] == 16777216
+
+
 def test_cap_past_digit_limit_is_input_error():
     """The cap is parsed under CPython's int/str digit limit, before main
     lifts it for the command."""
@@ -419,6 +442,19 @@ def test_library_lists_builtins():
     assert "torus" in names and "sphere2-two-cells" in names
     coeffs = {c["name"]: c for c in report["result"]["coefficients"]}
     assert coeffs["l3-z2"]["orders"] == [2, 2, 2]
+
+
+def test_library_names_resolve():
+    """Every name `library` lists resolves to that member of the standard suites."""
+    _, report, _ = run_cli("library")
+    result = report["result"]
+    for listed, resolve, suite in (
+            (result["spaces"], resolve_space, standard_spaces()),
+            (result["coefficients"], resolve_coefficients, standard_coefficients())):
+        assert len(listed) == len(suite)
+        for entry, member in zip(listed, suite):
+            obj = resolve(entry["name"])
+            assert obj == member and obj.name == member.name, entry["name"]
 
 
 def defect_documents(tmp_path):
