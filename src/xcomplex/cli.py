@@ -8,7 +8,8 @@
     xcomplex selfcheck
 
 validate, count, invariant and classes take --cap N, a bound on what a
-command enumerates: 10^6 by default, 10^7 for classes (`--help` shows each
+command enumerates and, for count and invariant, on the counting engine's
+work estimate: 10^6 by default, 10^7 for classes (`--help` shows each
 default).  X is a JSON file path or, when no such file exists, a builtin
 name from `library`.
 
@@ -166,12 +167,23 @@ def cmd_validate(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int
     return EXIT_OK if ok else EXIT_INVALID
 
 
+def _planned_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
+                   result: dict) -> int:
+    """count_homs(p, cx), after reporting the engine it runs and that
+    engine's work estimate; raises InstanceTooLarge, before counting, when
+    the estimate exceeds --cap."""
+    plan = count_engine(p, cx)
+    result["engine"], result["estimate"] = plan.engine, plan.estimate
+    if plan.estimate > args.cap:
+        raise InstanceTooLarge(f"{plan.engine} estimate {plan.estimate} exceeds cap {args.cap}")
+    return count_homs(p, cx)
+
+
 @_on_valid_inputs
 def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
               result: dict) -> int:
-    n = count_homs(p, cx)
+    n = _planned_count(args, p, cx, result)
     result["count"] = n
-    result["engine"] = count_engine(p, cx)
     if args.enumerate:
         refuse_listing(n, args.cap)
         morphisms = enumerate_homs(p, cx, cap=args.cap)
@@ -190,11 +202,10 @@ def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComp
 @_on_valid_inputs
 def cmd_invariant(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
                   result: dict) -> int:
-    n = count_homs(p, cx)
+    n = _planned_count(args, p, cx, result)
     norm = normalization_factor(p, cx)
     inv = n * norm
     result["count"] = n
-    result["engine"] = count_engine(p, cx)
     result["normalization"] = format_rational(norm)
     result["invariant"] = format_rational(inv)
     return EXIT_OK

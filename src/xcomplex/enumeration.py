@@ -15,22 +15,26 @@ Cells of dimension greater than L+1 impose nothing.  Two engines count:
 
   * Elimination, when no cell of dimension 3..L+1 exists, so every
     constraint comes from a 2-cell's word.  The relator letters are read in
-    order; a state is the running product plus the colours of the live
-    1-cells (seen and used again later), and a cell is summed out at its
-    last letter.  A finished relator with value t weighs [t == 0] when
-    L = 1 and |d_2^{-1}(t)| otherwise.  This is bucket elimination on the
-    cell-relator incidence graph.
+    a planned order; a state is the running product plus the colours of
+    the live 1-cells (seen and used again later), and a cell is summed out
+    at its last letter.  A finished relator with value t weighs [t == 0]
+    when L = 1 and |d_2^{-1}(t)| otherwise.  This is bucket elimination on
+    the cell-relator incidence graph (Dechter, AIJ 1999), whose cost the
+    order sets: the plan rotates, inverts and reorders the relators, which
+    changes no weight, so that fewer cells are live at once.
   * Layered search otherwise: layer 1 by an odometer over all colourings
     of the 1-cells, and layers 2..L below each of them.  At layer n the
     admissible values per cell form a precomputed boundary fiber over its
     entry of the target vector t_n, the n-cells' attaching data evaluated
     in A_{n-1}; an empty fiber prunes exactly.
 
-`count_engine` picks one: elimination when it applies and its transition
-estimate (elimination_cost) is at most the |A_1|^{l_1} colourings the
-odometer would visit, so its state table never outgrows the odometer's
-walk; backtracking otherwise.  Enumeration always runs the layered search,
-in lexicographic order by (dimension, cell index, element index).
+`count_engine` plans a count once: elimination whenever it applies, with
+the words it reads and their state-transition estimate, which never
+exceeds the |A_1|^{l_1} x letters word steps the odometer would take;
+backtracking otherwise, estimated by its |A_1|^{l_1} layer-1 colourings.
+The CLI refuses an estimate above --cap before counting.  Enumeration
+always runs the layered search, in lexicographic order by (dimension,
+cell index, element index).
 
 Attaching data of a cell of dimension >= 3, its Terms
 (`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
@@ -73,13 +77,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import FiniteCrossedComplex
 from .errors import InstanceTooLarge, ResultTooLarge
 from .groups import fibers_of
-from .presentations import CWPresentation, Word
+from .presentations import CWPresentation, Word, word_inverse
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -295,51 +299,143 @@ class _Tower:
         return got
 
 
-def elimination_cost(p: CWPresentation, cx: FiniteCrossedComplex) -> Optional[int]:
-    """Bound on the state transitions elimination would make, or None when
-    some cell of dimension 3..L+1 constrains the count.
+class CountPlan(NamedTuple):
+    """How count_homs counts: the engine, its work estimate, and the 2-cell
+    words in the order elimination reads them."""
+
+    engine: str
+    estimate: int
+    words: tuple[Word, ...]
+
+
+def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
+    """The plan count_homs runs.
+
+    Elimination whenever no cell of dimension 3..L+1 constrains the count,
+    over the words `_elimination_plan` orders, estimated by their state
+    transitions.  The rule "estimate <= |A_1|^{l_1} x letters", the word
+    steps the odometer takes over its layer-1 colourings, always holds: at
+    each letter the bound, |A_1|^seen states times |A_1| for a new cell, is
+    at most |A_1|^{l_1}.  Backtracking otherwise, estimated by its
+    |A_1|^{l_1} layer-1 colourings; that estimate covers layer 1 only, not
+    the fibres searched above each colouring.
+    """
+    order = cx.groups[0].order
+    if any(p.count(n) for n in range(3, cx.length + 2)):
+        return CountPlan("backtrack", order ** p.count(1), p.attach2)
+    words = tuple([tuple([(g, e) for g, e in w]) for w in p.attach2])  # hashable, for the cache
+    return _elimination_plan(words, order)
+
+
+@lru_cache(maxsize=1)  # a command plans once: its count_homs reuses the plan it reported
+def _elimination_plan(words: tuple[Word, ...], order: int) -> CountPlan:
+    """Elimination's plan for the 2-cell words `words` over |A_1| = order.
+
+    Each planned word is a rotation of a relator or of its inverse, and the
+    relators may be reordered: rotating a relator conjugates its value and
+    inverting it inverts it, and neither changes the weight |d_2^{-1}(t)|
+    or [t == 0], since im d_2 is normal; the relators' weights multiply.
+
+    Words under which at most two cells are live at once (peak states at
+    most |A_1|^3, as in every surface word) are kept as given: planning
+    them costs more than it could save.  Otherwise each word is rotated by
+    `_rotation`, and every relator order and choice of inversions of the
+    rotated words (up to three relators; the rotations alone for more) is
+    scored by `_estimate`.  The given words stay unless a candidate makes
+    fewer transitions, or as many with a smaller peak, and its peak is no
+    larger than theirs.
+    """
+    cost, peak = _estimate(words, order)
+    if peak > order ** 3:
+        rotated = [_rotation(w, {g for v in words[:i] + words[i + 1:] for g, _ in v})
+                   for i, w in enumerate(words)]
+        if len(words) <= 3:
+            choices = [(w, word_inverse(w)) for w in rotated]
+            perms = itertools.permutations(range(len(words)))
+        else:
+            choices, perms = [(w,) for w in rotated], [range(len(words))]
+        given = peak
+        for perm in perms:
+            for cand in itertools.product(*[choices[i] for i in perm]):
+                c, top = _estimate(cand, order)
+                if (c, top) < (cost, peak) and top <= given:
+                    cost, peak, words = c, top, cand
+    return CountPlan("elimination", cost, words)
+
+
+def _estimate(words: Sequence[Word], order: int) -> tuple[int, int]:
+    """(transitions, peak states) of elimination reading `words` in order.
 
     Before each letter the states number at most min(|A_1|^(live+1),
     |A_1|^seen), with |A_1|^live in place of the first term at a relator's
     first letter, where the product is the identity; a letter whose cell
-    is new multiplies them by |A_1|.
+    is new multiplies them by |A_1|.  The peak is the largest of these
+    bounds.
     """
-    if any(p.count(n) for n in range(3, cx.length + 2)):
-        return None
-    order = cx.groups[0].order
-    last = _last_letters(p.attach2)
+    last = _last_letters(words)
+    power = [order ** e for e in range(len(last) + 2)]
     seen: set[int] = set()
-    live = 0
-    cost = 0
-    for i, w in enumerate(p.attach2):
-        for j, (gen, _) in enumerate(w):
-            states = order ** min(live + (j > 0), len(seen))
+    live = cost = top = k = 0
+    for w in words:
+        extra = 0  # the running product is the identity at a relator's first letter
+        for gen, _ in w:
+            e = live + extra
+            if e > len(seen):
+                e = len(seen)
+            if e > top:
+                top = e
             if gen in seen:
-                cost += states
+                cost += power[e]
             else:
                 seen.add(gen)
                 live += 1
-                cost += states * order
-            if last[gen] == (i, j):
+                cost += power[e + 1]
+            if last[gen] == k:
                 live -= 1
-    return cost
+            k += 1
+            extra = 1
+    return cost, power[top]
 
 
-def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> str:
-    """The engine count_homs runs: "elimination" or "backtrack"."""
-    cost = elimination_cost(p, cx)
-    if cost is not None and cost <= cx.groups[0].order ** p.count(1):
-        return "elimination"
-    return "backtrack"
+def _rotation(w: Word, shared: set[int]) -> Word:
+    """w read from the earliest cut that minimises the summed spans of its
+    cells: a cell spans from its first letter to its last, or to the end of
+    the word when it is in `shared`.
+
+    Moving the cut past letter k lengthens the span of every shared cell
+    by one, except that of letter k's own cell g: g now starts at its next
+    letter, `after[k]` letters on, and when g is not shared it also ends at
+    letter k, `before[k]` letters past its previous last letter.  So one
+    pass over the cuts scores each against the first.
+    """
+    m = len(w)
+    before, after = [m] * m, [m] * m  # cyclic distance to the cell's previous / next letter
+    at: dict[int, int] = {}
+    for i in range(2 * m):
+        g = w[i % m][0]
+        if g in at:
+            before[i % m] = after[at[g] % m] = i - at[g]
+        at[g] = i
+    n_shared = len(shared.intersection(at))
+    cut = score = best = 0
+    for k in range(m - 1):
+        if w[k][0] in shared:
+            score += n_shared - after[k]
+        else:
+            score += n_shared + before[k] - after[k]
+        if score < best:
+            cut, best = k + 1, score
+    return w[cut:] + w[:cut]
 
 
-def _last_letters(words: tuple[Word, ...]) -> dict[int, tuple[int, int]]:
-    """(relator, letter) position of each 1-cell's last occurrence."""
-    return {gen: (i, j) for i, w in enumerate(words) for j, (gen, _) in enumerate(w)}
+def _last_letters(words: Sequence[Word]) -> dict[int, int]:
+    """Each 1-cell's last letter, counted through all of `words`."""
+    return {gen: k for k, gen in enumerate(gen for w in words for gen, _ in w)}
 
 
-def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
-    """Count by summing out 1-cells letter by letter (see module docstring).
+def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex, words: Sequence[Word]) -> int:
+    """Count by summing out 1-cells letter by letter along `words`, the
+    2-cell words of p or a plan of them (see module docstring).
 
     A state is one int: the running product in the lowest base-|A_1| digit
     and each live cell's colour in the digit of the slot it holds while live.
@@ -349,14 +445,16 @@ def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     # letter (gen, e) multiplies by colour v through mul[acc][factor[e][v]]
     factor = {1: range(order), -1: a1.inv}
     weight = _relator_weights(cx)
-    last = _last_letters(p.attach2)
+    last = _last_letters(words)
     slot_of: dict[int, int] = {}
     free: list[int] = []
     states = {0: 1}
-    for i, w in enumerate(p.attach2):
-        for j, (gen, e) in enumerate(w):
+    k = 0
+    for w in words:
+        for gen, e in w:
             src = factor[e]
-            drop = last[gen] == (i, j)
+            drop = last[gen] == k
+            k += 1
             nxt: dict[int, int] = {}
             get = nxt.get
             if gen in slot_of:
@@ -392,12 +490,13 @@ def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
 
 
 def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
-    """Number of morphisms P -> A, by the engine count_engine picks.
+    """Number of morphisms P -> A, by the plan count_engine makes.
 
     Assumes both inputs validated.
     """
-    if count_engine(p, cx) == "elimination":
-        return _eliminate(p, cx)
+    plan = count_engine(p, cx)
+    if plan.engine == "elimination":
+        return _eliminate(p, cx, plan.words)
     return _backtrack(p, cx)
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from xcomplex.library import (
     standard_coefficients,
     standard_spaces,
 )
-from xcomplex.presentations import rp2
+from xcomplex.presentations import CWPresentation, rp2
 
 
 def run_cli(*args):
@@ -265,6 +266,43 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
     assert result["count"] == 16777216
 
 
+def test_oversized_count_is_refused_before_it_starts(tmp_path, capsys):
+    """a1..a20 a1..a20 with 40 free 1-cells against s3 would grow a state
+    table of up to 6^20 entries: count and invariant refuse the chosen
+    engine's estimate against the cap, name it, and never start counting."""
+    from xcomplex import cli
+
+    word = tuple((g, 1) for g in range(20)) * 2
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(dump_presentation(CWPresentation((1, 60, 1), attach2=(word,)))))
+    for command in ("count", "invariant"):
+        started = time.process_time()
+        code = cli.main([command, "--presentation", str(path), "--complex", "s3"])
+        assert time.process_time() - started < 1.0
+        assert code == 3
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result == {"engine": "elimination", "estimate": 12430938696214110,
+                          "error": "elimination estimate 12430938696214110 exceeds cap 1000000"}
+    # torus x s3 is estimated at 6 + 3 * 6^2 = 114 transitions
+    for cap, code in ((113, 3), (114, 0)):
+        assert cli.main(["count", "--presentation", "torus", "--complex", "s3",
+                         "--cap", str(cap)]) == code
+        capsys.readouterr()
+
+
+def test_count_plans_once(capsys):
+    """count and invariant plan elimination once: count_homs runs the plan
+    whose engine and estimate the report names."""
+    from xcomplex import cli, enumeration
+
+    for command in ("count", "invariant"):
+        enumeration._elimination_plan.cache_clear()
+        assert cli.main([command, "--presentation", "genus:2", "--complex", "s3"]) == 0
+        capsys.readouterr()
+        info = enumeration._elimination_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1), command
+
+
 def test_cap_past_digit_limit_is_input_error():
     """The cap is parsed under CPython's int/str digit limit, before main
     lifts it for the command."""
@@ -420,18 +458,23 @@ def test_enumerate_disagreeing_count_is_internal_error(monkeypatch, capsys):
 
 
 def test_reports_are_deterministic():
-    """Equal reports apart from timing, naming the engine that counted."""
-    for command, space, coeff, engine in (
-            ("invariant", "torus", "cm-z4-z2-incl", "backtrack"),
-            ("invariant", "genus:2", "s3", "elimination"),
-            ("count", "disk:3", "l3-z2", "backtrack"),
-            ("count", "genus:3", "z3", "elimination")):
+    """Equal reports apart from timing, naming the engine that counted and
+    its estimate."""
+    for command, space, coeff, engine, estimate in (
+            # 4 + 3 * 4^2 transitions
+            ("invariant", "torus", "cm-z4-z2-incl", "elimination", 52),
+            # a 3-cell below the kill dimension; one layer-1 colouring
+            ("invariant", "disk:3", "cm-z2-z2-zero", "backtrack", 1),
+            ("invariant", "genus:2", "s3", "elimination", 618),
+            ("count", "disk:3", "l3-z2", "backtrack", 1),
+            ("count", "genus:3", "z3", "elimination", 174)):
         _, a, _ = run_cli(command, "--presentation", space, "--complex", coeff)
         _, b, _ = run_cli(command, "--presentation", space, "--complex", coeff)
         a.pop("timing_ms")
         b.pop("timing_ms")
         assert a == b
-        assert a["result"]["engine"] == engine, (command, space, coeff)
+        assert (a["result"]["engine"], a["result"]["estimate"]) == (engine, estimate), \
+            (command, space, coeff)
 
 
 def test_library_lists_builtins():

@@ -16,11 +16,12 @@ from xcomplex.enumeration import (
     _Search,
     _Tower,
     _eliminate,
+    _estimate,
+    _rotation,
     boundary_defect_report,
     count_engine,
     count_homs,
     count_homs_bruteforce,
-    elimination_cost,
     enumerate_homs,
     eval_word,
     layered_product,
@@ -47,8 +48,10 @@ from xcomplex.presentations import (
     sphere,
     torus,
     wedge,
+    word_inverse,
 )
 from xcomplex.randomgen import random_complex, random_instances
+from xcomplex.selfcheck import _conjugation_crossed_module
 
 
 def test_eval_word_empty_is_identity():
@@ -240,14 +243,43 @@ def random_2d_instances(seed, length, count):
     return out
 
 
+def rotations(w):
+    return {w[k:] + w[:k] for k in range(max(len(w), 1))}
+
+
+def check_plan(p, cx):
+    """Check elimination's plan for p against the given order and the other
+    counting routes; return how it rearranged the relators."""
+    plan = count_engine(p, cx)
+    assert plan.engine == "elimination"
+    order = cx.groups[0].order
+    cost, peak = _estimate(p.attach2, order)
+    planned_cost, planned_peak = _estimate(plan.words, order)
+    assert plan.estimate == planned_cost <= cost and planned_peak <= peak, p.attach2
+    assert plan.estimate <= order ** p.count(1) * sum(map(len, p.attach2))
+    # the planned words are the relators, permuted, each rotated or inverted
+    unmatched = list(range(p.count(2)))
+    rearranged = set()
+    for w in plan.words:
+        i = next((i for i in unmatched if w in rotations(p.attach2[i])
+                  | rotations(word_inverse(p.attach2[i]))), None)
+        assert i is not None, (w, p.attach2)
+        if i != unmatched[0]:
+            rearranged.add("reordered")
+        if w != p.attach2[i]:
+            rearranged.add("rotated" if w in rotations(p.attach2[i]) else "inverted")
+        unmatched.remove(i)
+    assert _eliminate(p, cx, plan.words) == _eliminate(p, cx, p.attach2) \
+        == _backtrack(p, cx) == count_homs_bruteforce(p, cx), p.attach2
+    return rearranged
+
+
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_elimination_agrees_with_backtracker_and_bruteforce(length):
     instances = random_2d_instances(seed=40 + length, length=length, count=30)
     features = set()
     for p, cx in instances:
-        assert elimination_cost(p, cx) is not None
-        eliminated = _eliminate(p, cx)
-        assert eliminated == _backtrack(p, cx) == count_homs_bruteforce(p, cx), p.attach2
+        check_plan(p, cx)
         used = [g for w in p.attach2 for g, _ in w]
         if len(set(used)) < p.count(1):
             features.add("unused cell")
@@ -262,24 +294,68 @@ def test_elimination_agrees_with_backtracker_and_bruteforce(length):
                         "cell shared across relators"}
 
 
+def test_planned_order_on_long_relators():
+    """Relators long enough for more than two cells to be live at once,
+    against small groups and the twisted modules: the plan reorders, rotates
+    and inverts them, and counts as the given order, the backtracker and
+    the brute-force sweep do."""
+    rng = random.Random(15)
+    coefficients = [resolve_coefficients(name) for name in ("z2", "z3", "cm-z2-z3-flip")]
+    coefficients.append(_conjugation_crossed_module())
+    features = set()
+    planned = 0
+    for _ in range(40):
+        cx = rng.choice(coefficients)
+        l1, l2 = (4, rng.randint(1, 2)) if cx.name == "s3-conj" else (5, rng.randint(1, 3))
+        words = tuple(tuple((rng.randrange(l1), rng.choice((1, -1)))
+                            for _ in range(rng.randint(4, 8)))
+                      for _ in range(l2))
+        p = CWPresentation((1, l1, l2), attach2=words, name="long-relators")
+        rearranged = check_plan(p, cx)
+        planned += bool(rearranged)
+        features |= rearranged
+    assert features == {"reordered", "rotated", "inverted"}
+    assert planned >= 10
+
+
+def test_rotation_minimises_summed_spans():
+    """_rotation picks the earliest cut of least summed span, against a
+    direct sweep of every cut."""
+    def spans(w, shared):
+        total = 0
+        for g in {g for g, _ in w}:
+            at = [i for i, (h, _) in enumerate(w) if h == g]
+            total += len(w) - at[0] if g in shared else at[-1] - at[0] + 1
+        return total
+
+    rng = random.Random(3)
+    for _ in range(500):
+        l1 = rng.randint(1, 6)
+        w = tuple((rng.randrange(l1), rng.choice((1, -1))) for _ in range(rng.randint(0, 12)))
+        shared = {g for g in range(l1) if rng.random() < 0.4}
+        scores = [spans(w[k:] + w[:k], shared) for k in range(len(w))] or [0]
+        cut = scores.index(min(scores))
+        assert _rotation(w, shared) == w[cut:] + w[:cut], (w, shared)
+
+
 def test_engine_choice():
-    """Elimination runs only within the odometer's colourings and never
-    past the 2-cells; otherwise the backtracker counts."""
+    """Elimination runs whenever no cell of dimension 3..L+1 constrains the
+    count, at an estimate within the odometer's word steps; otherwise the
+    backtracker counts, estimated by its layer-1 colourings."""
     s3 = resolve_coefficients("s3")
-    # torus: 6 + 3 * 6^2 transitions against 6^2 colourings
-    assert elimination_cost(torus(), s3) == 114
-    assert count_engine(torus(), s3) == "backtrack"
-    assert count_homs(torus(), s3) == _eliminate(torus(), s3) == 18
-    assert count_engine(genus_surface(2), s3) == "elimination"
-    assert count_engine(point(), s3) == "elimination"
+    # torus: 6 + 3 * 6^2 transitions against 6^2 colourings x 4 letters
+    assert count_engine(torus(), s3) == ("elimination", 114, torus().attach2)
+    assert count_homs(torus(), s3) == _backtrack(torus(), s3) == 18
+    assert count_engine(genus_surface(2), s3).engine == "elimination"
+    assert count_engine(point(), s3).engine == "elimination"
     # a 3-cell below the kill dimension keeps the backtracker, whatever it costs
     for space, coeff in (("disk:3", "cm-z2-z2-zero"), ("sphere:3", "l3-z2")):
         p, cx = resolve_space(space), resolve_coefficients(coeff)
-        assert elimination_cost(p, cx) is None
-        assert count_engine(p, cx) == "backtrack"
+        assert count_engine(p, cx) == ("backtrack", cx.groups[0].order ** p.count(1),
+                                       p.attach2)
         assert count_homs(p, cx) == count_homs_bruteforce(p, cx)
     # above the kill dimension a 3-cell is inert
-    assert count_engine(wedge(genus_surface(2), sphere(3)), s3) == "elimination"
+    assert count_engine(wedge(genus_surface(2), sphere(3)), s3).engine == "elimination"
 
 
 def lexicographic_sweep(p, cx):
@@ -363,7 +439,7 @@ def test_memoised_search_matches_sweep_and_bruteforce():
     cases += [(parity_presentation(), cx) for cx in parity_complexes().values()]
     nonzero = 0
     for p, cx in cases:
-        assert count_engine(p, cx) == "backtrack"
+        assert count_engine(p, cx).engine == "backtrack"
         listed = enumerate_homs(p, cx)
         assert listed == lexicographic_sweep(p, cx), p
         assert count_homs(p, cx) == len(listed) == count_homs_bruteforce(p, cx), p
