@@ -8,10 +8,10 @@
     xcomplex selfcheck
 
 validate, count, invariant and classes take --cap N, a bound on what a
-command enumerates and, for count and invariant, on the counting engine's
-work estimate: 10^6 by default, 10^7 for classes (`--help` shows each
-default).  X is a JSON file path or, when no such file exists, a builtin
-name from `library`.
+command enumerates and, for count, invariant and classes, on the counting
+engine's work estimate: 10^6 by default, 10^7 for classes (`--help` shows
+each default).  X is a JSON file path or, when no such file exists, a
+builtin name from `library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
 go to stderr.  Exit codes: 0 success, 1 input error, 2 validation failure,
@@ -48,6 +48,7 @@ from .enumeration import (
     count_homs,
     count_homs_bruteforce,
     enumerate_homs,
+    refuse_count,
     refuse_listing,
 )
 from .errors import (
@@ -174,8 +175,7 @@ def _planned_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrosse
     the estimate exceeds --cap."""
     plan = count_engine(p, cx)
     result["engine"], result["estimate"] = plan.engine, plan.estimate
-    if plan.estimate > args.cap:
-        raise InstanceTooLarge(f"{plan.engine} estimate {plan.estimate} exceeds cap {args.cap}")
+    refuse_count(plan, args.cap)
     return count_homs(p, cx)
 
 

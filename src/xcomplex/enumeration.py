@@ -505,6 +505,12 @@ def _backtrack(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     return sum(s.below(f1) for f1 in s.layer1())
 
 
+def refuse_count(plan: CountPlan, cap: int) -> None:
+    """Raise InstanceTooLarge when the plan's work estimate exceeds `cap`."""
+    if plan.estimate > cap:
+        raise InstanceTooLarge(f"{plan.engine} estimate {plan.estimate} exceeds cap {cap}")
+
+
 def refuse_listing(morphisms: int, cap: int) -> None:
     """Raise ResultTooLarge when `morphisms` exceed the listing cap."""
     if morphisms > cap:

@@ -44,7 +44,7 @@ class ResultTooLarge(XComplexError):
 
 
 class InstanceTooLarge(XComplexError):
-    """Brute-force assignment space exceeds the configured cap."""
+    """A work estimate (a brute-force space or a counting plan) exceeds the configured cap."""
 
 
 class TargetNotMorphism(XComplexError):

@@ -106,10 +106,8 @@ def associativity_witness(mul: Sequence[Sequence[int]]) -> Optional[tuple[int, i
 
     Light's associativity test (Clifford & Preston, The Algebraic Theory of
     Semigroups I, section 1.2) checks s over a generating set S only, so a
-    table of order N costs O(N^2 |S|) lookups instead of N^3.  S is chosen
-    greedily: each new generator is the least element not yet reached, and
-    the reached set is S closed under right multiplication by S, grown from
-    S itself (the table may be broken, and its reached set need not hold 0).
+    table of order N costs O(N^2 |S|) lookups instead of N^3.  S is the
+    `greedy_generators` of the table.
 
     Soundness holds for any finite magma.  T = {t : (x*t)*y = x*(t*y) for
     all x, y} is closed under the product: for t, u in T, x*(t*u) = (x*t)*u
@@ -122,6 +120,26 @@ def associativity_witness(mul: Sequence[Sequence[int]]) -> Optional[tuple[int, i
     n = len(mul)
     if n == 1:
         return None  # [[0]]; itemgetter below returns tuples only for n >= 2
+    rows = [tuple(row) for row in mul]
+    for s in greedy_generators(mul):
+        through_s = itemgetter(*rows[s])  # row x -> (x*(s*y) for every y)
+        for x, mx in enumerate(rows):
+            lhs, rhs = rows[mx[s]], through_s(mx)
+            if lhs != rhs:
+                return (x, s, next(y for y in range(n) if lhs[y] != rhs[y]))
+    return None
+
+
+def greedy_generators(mul: Sequence[Sequence[int]]) -> list[int]:
+    """A generating set S of a finite table, chosen greedily.
+
+    Each new generator is the least element not yet reached, and the reached
+    set is S closed under right multiplication by S, grown from S itself
+    (the table may be broken, and its reached set need not hold 0), so every
+    element is a product of generators.  In a group with identity 0 the
+    first generator is 0, which reaches only itself, and the others generate.
+    """
+    n = len(mul)
     reached = [False] * n
     members: list[int] = []
     gens: list[int] = []
@@ -136,14 +154,7 @@ def associativity_witness(mul: Sequence[Sequence[int]]) -> Optional[tuple[int, i
                 reached[r] = True
                 members.append(r)
                 queue.extend(mul[r][s] for s in gens)
-    rows = [tuple(row) for row in mul]
-    for s in gens:
-        through_s = itemgetter(*rows[s])  # row x -> (x*(s*y) for every y)
-        for x, mx in enumerate(rows):
-            lhs, rhs = rows[mx[s]], through_s(mx)
-            if lhs != rhs:
-                return (x, s, next(y for y in range(n) if lhs[y] != rhs[y]))
-    return None
+    return gens
 
 
 def cyclic_group(n: int) -> FiniteGroup:

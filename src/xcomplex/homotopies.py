@@ -21,23 +21,31 @@ The Fox terms are built once per presentation; `_target_formula` compiles
 every degree once per layer-1 colouring.
 
 Homotopy classes are the orbits of the homotopies acting on Hom(P, A).
-`homotopy_classes` walks them along the *elementary* homotopies only, whose
-value table is the identity except at one cell: sum_k l_k (|A_{k+1}| - 1)
-edges per morphism instead of prod_k |A_{k+1}|^{l_k}.  Homotopies compose
-by pointwise product of their value tables (Brown and Higgins, J. Pure
-Appl. Algebra 47, 1987): H out of f, then K out of its target, ends where
-H * K out of f does.  A table with m non-identity values is the product of
-the m elementary tables carrying one each, in any order, so its target is
-m elementary edges from f; and the edge with v at (k, c) is undone by the
-one with v^-1 at (k, c) out of its target, so the morphisms reached from f
-along edges make up its whole orbit.  The walk takes the listing of
-`enumerate_homs` in index order: a morphism not yet reached starts a new
-class as its least member, and the class is closed before the next starts.
-Listed colourings passed the morphism checker of their layer 1, so a target
-verifies by membership; one outside the listing goes through
-`morphism_violation` and raises TargetNotMorphism, or AssertionError if
-the listing missed a morphism.  `homotopy_orbit` walks the full value
-space at one morphism, each target verified by a checker: the oracle.
+Homotopies compose by pointwise product of their value tables (Brown and
+Higgins, J. Pure Appl. Algebra 47, 1987): H out of f, then K out of its
+target, ends where H * K out of f does.  So the orbits are those of the
+group G = prod_k A_{k+1}^{l_k} of value tables, acting on the right.
+`homotopy_classes` walks them along *generator edges* only: the elementary
+tables, the identity except for H_k(c) = v, with v in S_{k+1}, the greedy
+generating set of A_{k+1} (`groups.greedy_generators`) without the
+identity.  That is sum_k l_k |S_{k+1}| edges per morphism instead of
+prod_k |A_{k+1}|^{l_k}.  These tables generate G, and G is finite, so the
+inverse of each is a positive power of it and every element of G is a
+product of them: the morphisms reached forward from f make up its whole
+orbit.  Each edge is a sparse change, exact because compiled rows and
+d_{k+1} send the identity to the identity: the edge (k, c, v) multiplies
+layer k at cell c by d_{k+1}(v), and at layer k + 1 each cell whose
+compiled Terms name c by the product of those terms' rows at v; every other
+factor of the target formula is 1.  `_edge_deltas` computes these changes
+once per layer-1 colouring.  The walk takes the listing of `enumerate_homs`
+in index order: a morphism not yet reached starts a new class as its least
+member, and the class is closed before the next starts.  Listed colourings
+passed the morphism checker of their layer 1, so a target verifies by
+membership; one outside the listing goes through `morphism_violation` and
+raises TargetNotMorphism, or AssertionError if the listing missed a
+morphism.  `homotopy_target` applies the full formula (`_target_formula`)
+to one table, and `homotopy_orbit` walks the full value space at one
+morphism, each target verified by a checker: the oracles.
 """
 
 from __future__ import annotations
@@ -55,14 +63,17 @@ from .enumeration import (
     _compile,
     _morphism_shape,
     _shape_violation,
+    count_engine,
     count_homs,
     enumerate_homs,
     eval_word,
     layered_product,
     morphism_checker,
     morphism_violation,
+    refuse_count,
     refuse_listing,
 )
+from .groups import greedy_generators
 from .presentations import CWPresentation, Terms, fox_terms
 
 DEFAULT_EDGE_CAP = 10**7
@@ -137,23 +148,56 @@ def homotopy_value_space(p: CWPresentation, cx: FiniteCrossedComplex) -> Iterato
     return layered_product(_value_shape(p, cx))
 
 
-def elementary_value_tables(p: CWPresentation, cx: FiniteCrossedComplex) -> Iterator[Colouring]:
-    """Value tables of the elementary homotopies: identity everywhere except
-    h[k-1][c] = v, for k = 1 .. L-1, c < l_k and v = 1 .. |A_{k+1}|-1."""
-    shape = _value_shape(p, cx)
-    identity = tuple((0,) * ln for ln, _ in shape)
-    for k, (ln, order) in enumerate(shape):
-        for c in range(ln):
-            for v in range(1, order):
-                values = list(identity)
-                values[k] = identity[k][:c] + (v,) + identity[k][c + 1:]
-                yield tuple(values)
+def _generator_edges(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[int, list[int]]]:
+    """(l_k, S_{k+1}) for k = 1 .. L-1: S_{k+1} is the greedy generating set
+    of A_{k+1} without the identity, empty when A_{k+1} is trivial."""
+    return [(p.count(k), [v for v in greedy_generators(cx.groups[k].mul) if v])
+            for k in range(1, cx.length)]
 
 
 def count_class_edges(p: CWPresentation, cx: FiniteCrossedComplex, morphisms: int) -> int:
     """Edges `homotopy_classes` walks on `morphisms` morphisms:
-    morphisms * sum_k l_k (|A_{k+1}| - 1)."""
-    return morphisms * sum(ln * (order - 1) for ln, order in _value_shape(p, cx))
+    morphisms * sum_k l_k |S_{k+1}|."""
+    return morphisms * sum(ln * len(gens) for ln, gens in _generator_edges(p, cx))
+
+
+def _edge_deltas(cx: FiniteCrossedComplex, terms: tuple[tuple[Terms, ...], ...],
+                 generators: list[tuple[int, list[int]]], f1: tuple[int, ...]) -> list[tuple]:
+    """The generator edges out of morphisms with layer 1 f1, as sparse
+    changes (i, c, v, b, ups) in (k, c, v) order: the edge with H_k(c) = v,
+    k = i + 1, multiplies layer k at cell c by b = d_{k+1}(v), and layer
+    k + 1 at cell c' by x for each pair (c', x) in ups, the non-identity
+    values of the (k+1)-cells' compiled Terms applied to that one-value H_k.
+    Edges that change nothing are left out."""
+    twist = partial(eval_word, cx, f1)
+    deltas = []
+    for k, (cells, (ln, gens)) in enumerate(zip(terms, generators), 1):
+        bd, up = cx.boundary(k + 1).image, cx.groups[k].mul
+        compiled = _compile(cx, k + 1, cells, twist)
+        for c in range(ln):
+            for v in gens:
+                hk = (0,) * c + (v,) + (0,) * (ln - c - 1)
+                ups = tuple([(cell, x) for cell, x in enumerate(_apply(up, compiled, hk)) if x])
+                if bd[v] or ups:
+                    deltas.append((k - 1, c, v, bd[v], ups))
+    return deltas
+
+
+def _edge_targets(g: Colouring, deltas: list[tuple], muls) -> Iterator[Colouring]:
+    """The target of each change of `_edge_deltas` out of g, in order;
+    `muls` are the multiplication tables of A_1 .. A_L."""
+    for i, c, _, b, ups in deltas:
+        t = list(g)
+        if b:
+            layer = list(g[i])
+            layer[c] = muls[i][layer[c]][b]
+            t[i] = tuple(layer)
+        if ups:
+            layer, mul = list(g[i + 1]), muls[i + 1]
+            for cell, x in ups:
+                layer[cell] = mul[layer[cell]][x]
+            t[i + 1] = tuple(layer)
+        yield tuple(t)
 
 
 @dataclass(frozen=True)
@@ -175,24 +219,27 @@ def homotopy_classes(
     cx: FiniteCrossedComplex,
     cap: int = DEFAULT_EDGE_CAP,
 ) -> ClassDecomposition:
-    """Homotopy classes of Hom(P, A), each walked once along elementary edges
+    """Homotopy classes of Hom(P, A), each walked once along generator edges
     from its least member, over the listing of `enumerate_homs`.
 
-    Raises ResultTooLarge, before listing anything, when `count_homs` finds
-    more than `cap` morphisms or the elementary edges to walk,
-    `count_class_edges(p, cx, #morphisms)`, exceed `cap`.
+    Raises InstanceTooLarge, before counting, when the work estimate of
+    `count_engine` exceeds `cap`, and ResultTooLarge, before listing
+    anything, when `count_homs` finds more than `cap` morphisms or the
+    edges to walk, `count_class_edges(p, cx, #morphisms)`, exceed `cap`.
     """
+    refuse_count(count_engine(p, cx), cap)
     n = count_homs(p, cx)
     refuse_listing(n, cap)
     edges = count_class_edges(p, cx, n)
     if edges > cap:
         raise ResultTooLarge(
-            f"{n} morphisms x {edges // n} elementary homotopies"
+            f"{n} morphisms x {edges // n} generator edges"
             f" = {edges} edges exceeds edge cap {cap}")
     homs = enumerate_homs(p, cx, cap=cap)
-    tables = tuple(elementary_value_tables(p, cx))
+    generators = _generator_edges(p, cx)
     terms = _homotopy_terms(p, cx)
-    formulas: dict[tuple[int, ...], Callable[[Colouring, Colouring], Colouring]] = {}
+    muls = [a.mul for a in cx.groups]
+    deltas: dict[tuple[int, ...], list[tuple]] = {}
     reached = dict.fromkeys(homs, False)
     representatives, sizes = [], []
     for f in homs:
@@ -201,11 +248,10 @@ def homotopy_classes(
         reached[f] = True
         members = [f]
         for g in members:  # grows while walked: the class is closed when it stops
-            target = formulas.get(g[0])
-            if target is None:
-                target = formulas[g[0]] = _target_formula(cx, terms, g[0])
-            for values in tables:
-                t = target(g, values)
+            moves = deltas.get(g[0])
+            if moves is None:
+                moves = deltas[g[0]] = _edge_deltas(cx, terms, generators, g[0])
+            for t in _edge_targets(g, moves, muls):
                 seen = reached.get(t)
                 if seen is None:
                     _verify(morphism_violation(p, cx, t))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .complexes import FiniteCrossedComplex, from_crossed_module, pi1, size_at, validate
 from .documents import dump_complex, load_complex
 from .enumeration import count_homs, count_homs_bruteforce, enumerate_homs
-from .errors import ResultTooLarge, TargetNotMorphism
+from .errors import InstanceTooLarge, ResultTooLarge, TargetNotMorphism
 from .groups import GroupAction, GroupHom, hom_violation, symmetric_group_3
 from .homotopies import count_homotopies, homotopy_classes, homotopy_orbit
 from .invariant import format_rational, invariant_ia, normalization_factor
@@ -112,7 +112,7 @@ def check_euler_identity() -> CheckResult:
     """The Euler characteristic identity in orbit-stabiliser form.
 
     On the suite pairs whose class graph fits EDGE_BUDGET, every class of
-    the elementary homotopy graph is compared with a walk of the full
+    the generator-edge walk is compared with a walk of the full
     homotopy value space at its representative f: the distinct targets
     number |class(f)|, and |class(f)| * |Stab(f)| = #homotopies out of f,
     where Stab(f) holds the homotopies whose target is f.  Summing
@@ -124,7 +124,7 @@ def check_euler_identity() -> CheckResult:
     for p, cx in _suite_pairs():
         try:
             dec = homotopy_classes(p, cx, cap=EDGE_BUDGET)
-        except ResultTooLarge:
+        except (InstanceTooLarge, ResultTooLarge):
             continue
         total = Fraction(0)
         per = count_homotopies(p, cx)
@@ -328,7 +328,7 @@ def check_relabelling_invariance() -> CheckResult:
             bad.append(f"invariant {p.name} x {cx.name}")
         try:
             sp = sorted(homotopy_classes(p, cx, cap=EDGE_BUDGET).sizes)
-        except ResultTooLarge:
+        except (InstanceTooLarge, ResultTooLarge):
             continue
         partitions += 1
         sq = sorted(homotopy_classes(q, cx).sizes)

@@ -238,14 +238,20 @@ def test_enumerate_cap_exceeded():
 
 
 def test_classes_cap_bounds_the_edge_walk():
-    """torus x cm-z4-z2-incl has 16 morphisms, past a cap of 8."""
-    argv = ("classes", "--presentation", "torus", "--complex", "cm-z4-z2-incl")
-    code, report, _ = run_cli(*argv, "--cap", "8")
-    assert code == 3
-    assert report["result"]["error"] == "more than 8 morphisms; raise the cap to list them"
-    code, report, _ = run_cli(*argv, "--cap", "1000000")
+    """genus:2 x cm-z4-z2-incl is counted in 212 transitions and has 256
+    morphisms with 4 generator edges each: each cap below is refused in
+    turn, with nothing but the error in the result."""
+    argv = ("classes", "--presentation", "genus:2", "--complex", "cm-z4-z2-incl")
+    for cap, error in ((211, "elimination estimate 212 exceeds cap 211"),
+                       (255, "more than 255 morphisms; raise the cap to list them"),
+                       (1023, "256 morphisms x 4 generator edges = 1024 edges"
+                              " exceeds edge cap 1023")):
+        code, report, _ = run_cli(*argv, "--cap", str(cap))
+        assert code == 3
+        assert report["result"] == {"error": error}
+    code, report, _ = run_cli(*argv, "--cap", "1024")
     assert code == 0
-    assert report["result"]["count"] == 4
+    assert report["result"]["count"] == 16
 
 
 def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
@@ -269,7 +275,8 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
 def test_oversized_count_is_refused_before_it_starts(tmp_path, capsys):
     """a1..a20 a1..a20 with 40 free 1-cells against s3 would grow a state
     table of up to 6^20 entries: count and invariant refuse the chosen
-    engine's estimate against the cap, name it, and never start counting."""
+    engine's estimate against the cap, name it, and never start counting;
+    classes refuses it too, with the error alone in its result."""
     from xcomplex import cli
 
     word = tuple((g, 1) for g in range(20)) * 2
@@ -283,6 +290,11 @@ def test_oversized_count_is_refused_before_it_starts(tmp_path, capsys):
         result = json.loads(capsys.readouterr().out)["result"]
         assert result == {"engine": "elimination", "estimate": 12430938696214110,
                           "error": "elimination estimate 12430938696214110 exceeds cap 1000000"}
+    started = time.process_time()
+    assert cli.main(["classes", "--presentation", str(path), "--complex", "s3"]) == 3
+    assert time.process_time() - started < 1.0
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "error": "elimination estimate 12430938696214110 exceeds cap 10000000"}
     # torus x s3 is estimated at 6 + 3 * 6^2 = 114 transitions
     for cap, code in ((113, 3), (114, 0)):
         assert cli.main(["count", "--presentation", "torus", "--complex", "s3",

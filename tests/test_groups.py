@@ -22,6 +22,7 @@ from xcomplex.groups import (
     cyclic_group,
     direct_product,
     fibers_of,
+    greedy_generators,
     hom_violation,
     image_of,
     make_group,
@@ -113,6 +114,25 @@ def test_associativity_witness_matches_sweep_on_mutations():
                     broken += sweep_violates(mutated)
     assert checked == 2062
     assert 0 < broken < checked
+
+
+def test_greedy_generators_generate():
+    """The first generator of a group is its identity 0, and the others
+    generate it; none lies in the subgroup the earlier ones generate."""
+    s3 = symmetric_group_3()
+    assert greedy_generators(cyclic_group(6).mul) == [0, 1]
+    assert greedy_generators(s3.mul) == [0, 1, 2]
+    assert greedy_generators(direct_product(cyclic_group(2), cyclic_group(2)).mul) == [0, 1, 2]
+    for g in group_pool() + [s3, direct_product(cyclic_group(2), s3)]:
+        gens = greedy_generators(g.mul)
+        assert gens[0] == 0
+        generated = {0}
+        for s in gens[1:]:
+            assert s not in generated
+            generated.add(s)
+            while (grown := {g.mul[x][y] for x in generated for y in generated}) != generated:
+                generated = grown
+        assert generated == set(range(g.order)), g
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,14 +5,22 @@ from functools import partial
 
 import pytest
 
-from xcomplex.enumeration import _apply, _compile, enumerate_homs, eval_word
+from xcomplex.enumeration import _apply, _compile, count_homs, enumerate_homs, eval_word
 from xcomplex import homotopies
-from xcomplex.errors import DimensionMismatch, ResultTooLarge, TargetNotMorphism
+from xcomplex.errors import (
+    DimensionMismatch,
+    InstanceTooLarge,
+    ResultTooLarge,
+    TargetNotMorphism,
+)
 from xcomplex.homotopies import (
     ClassDecomposition,
+    _edge_deltas,
+    _edge_targets,
+    _generator_edges,
+    _homotopy_terms,
     count_class_edges,
     count_homotopies,
-    elementary_value_tables,
     homotopy_classes,
     homotopy_target,
     homotopy_value_space,
@@ -26,7 +34,7 @@ from xcomplex.library import (
 )
 from xcomplex.randomgen import random_instances
 from xcomplex.selfcheck import _conjugation_crossed_module
-from xcomplex.presentations import fox_terms, free_reduce, rp2, sphere, torus, wedge
+from xcomplex.presentations import disk, fox_terms, free_reduce, rp2, sphere, torus, wedge
 
 
 def random_word(rng, gens, length):
@@ -160,25 +168,32 @@ def test_homotopies_compose_by_pointwise_product():
 
 
 def test_planted_target_fault_raises(monkeypatch):
-    """A target formula off by one value in the top layer: over the
+    """Sparse edge changes off by one value in the top layer: over the
     injective boundary Z/2 -> Z/4, the recoloured 2-cell no longer matches
-    its word, and the walk's check of the target names it."""
+    its word, and the walk's check of the target names it.  The same fault
+    planted in the full target formula fails `homotopy_target`."""
     p, cx = resolve_space("disk:2"), resolve_coefficients("cm-z4-z2-incl")
     assert homotopy_classes(p, cx).count == 1
-    real = homotopies._target_formula
+    real_deltas, real_formula = homotopies._edge_deltas, homotopies._target_formula
 
-    def planted(cx, terms, f1):
-        target = real(cx, terms, f1)
+    def planted_deltas(*args):
+        return [(i, c, v, b, tuple((cell, (x + 1) % 2) for cell, x in ups))
+                for i, c, v, b, ups in real_deltas(*args)]
+
+    monkeypatch.setattr(homotopies, "_edge_deltas", planted_deltas)
+    with pytest.raises(TargetNotMorphism) as raised:
+        homotopy_classes(p, cx)
+    assert raised.value.witness == ("layer", 2, 0)
+
+    def planted_formula(cx, terms, f1):
+        target = real_formula(cx, terms, f1)
 
         def wrong(f, h):
             *lower, top = target(f, h)
             return (*lower, ((top[0] + 1) % 2,) + top[1:])
         return wrong
 
-    monkeypatch.setattr(homotopies, "_target_formula", planted)
-    with pytest.raises(TargetNotMorphism) as raised:
-        homotopy_classes(p, cx)
-    assert raised.value.witness == ("layer", 2, 0)
+    monkeypatch.setattr(homotopies, "_target_formula", planted_formula)
     with pytest.raises(TargetNotMorphism):
         homotopy_target(p, cx, ((0,), (0,)), ((1,),))
 
@@ -297,24 +312,69 @@ def test_classes_singleton_hom_set():
 
 
 def test_classes_edge_cap():
-    """The cap counts elementary edges: 16 morphisms x 2 homotopies each."""
-    p, cx = torus(), resolve_coefficients("cm-z4-z2-incl")
-    with pytest.raises(ResultTooLarge):
-        homotopy_classes(p, cx, cap=8)
-    with pytest.raises(ResultTooLarge, match="= 32 edges"):
-        homotopy_classes(p, cx, cap=31)
-    assert count_class_edges(p, cx, 16) == 32
-    assert homotopy_classes(p, cx, cap=32).count == 4
+    """The cap bounds, in this order, the count's work estimate (212
+    transitions), the morphisms listed (256) and the generator edges walked
+    (256 morphisms x 4 cells x 1 generator of Z/2)."""
+    p, cx = resolve_space("genus:2"), resolve_coefficients("cm-z4-z2-incl")
+    with pytest.raises(InstanceTooLarge, match="elimination estimate 212 exceeds cap 211"):
+        homotopy_classes(p, cx, cap=211)
+    with pytest.raises(ResultTooLarge, match="more than 255 morphisms"):
+        homotopy_classes(p, cx, cap=255)
+    with pytest.raises(ResultTooLarge, match="= 1024 edges"):
+        homotopy_classes(p, cx, cap=1023)
+    assert count_class_edges(p, cx, 256) == 1024
+    assert homotopy_classes(p, cx, cap=1024).count == 16
+    torus_cx = resolve_coefficients("cm-z4-z2-incl")
+    assert count_class_edges(torus(), torus_cx, 16) == 32
+    assert homotopy_classes(torus(), torus_cx, cap=52).count == 4
 
 
-def test_elementary_value_tables():
-    """One non-identity value per table, in (layer, cell, value) order."""
-    tables = list(elementary_value_tables(torus(), resolve_coefficients("l3-z2")))
-    assert tables == [((1, 0), (0,)), ((0, 1), (0,)), ((0, 0), (1,))]
-    assert list(elementary_value_tables(torus(), resolve_coefficients("s3"))) == []
+def test_generator_edges():
+    """One greedy generator per cyclic coefficient, none for a trivial one;
+    the edge count is #morphisms x sum_k l_k |S_{k+1}|."""
+    assert _generator_edges(torus(), resolve_coefficients("l3-z2")) == [(2, [1]), (1, [1])]
+    assert _generator_edges(torus(), resolve_coefficients("s3")) == []
     p, cx = sphere(1), resolve_coefficients("cm-z2-z3-flip")
-    assert list(elementary_value_tables(p, cx)) == [((1,),), ((2,),)]
-    assert count_class_edges(p, cx, 5) == 10
+    assert _generator_edges(p, cx) == [(1, [1])]
+    assert count_class_edges(p, cx, 5) == 5
+    s3_pair = _conjugation_crossed_module()
+    assert _generator_edges(torus(), s3_pair) == [(2, [1, 2])]
+    assert count_class_edges(torus(), s3_pair, 7) == 28
+
+
+def test_sparse_edge_targets_match_full_formula():
+    """Each generator edge applied as a sparse change ends where
+    `homotopy_target` ends for its one-value table, and an edge that
+    `_edge_deltas` leaves out fixes the morphism, for every listed
+    morphism of the pairs whose generator edges fit a budget.  Where the
+    full target fails verification (presentations whose 4-cells do not
+    bound a cycle), the unverified formula is compared instead."""
+    pairs = ([(p, cx) for p in standard_spaces() for cx in standard_coefficients()]
+             + [(p, _conjugation_crossed_module()) for p in (sphere(1), torus(), rp2(), disk(2))]
+             + random_instances(12345, 200))
+    compared = unverified = 0
+    for p, cx in pairs:
+        if cx.length < 2 or count_class_edges(p, cx, 1) * count_homs(p, cx) > 600:
+            continue
+        generators, terms = _generator_edges(p, cx), _homotopy_terms(p, cx)
+        muls = [a.mul for a in cx.groups]
+        for f in enumerate_homs(p, cx):
+            deltas = _edge_deltas(cx, terms, generators, f[0])
+            sparse = {(i + 1, c, v): t for (i, c, v, _, _), t
+                      in zip(deltas, _edge_targets(f, deltas, muls))}
+            for k, (ln, gens) in enumerate(generators, 1):
+                for c in range(ln):
+                    for v in gens:
+                        table = tuple(tuple(v if (n, cell) == (k, c) else 0 for cell in range(m))
+                                      for n, (m, _) in enumerate(generators, 1))
+                        try:
+                            want = homotopy_target(p, cx, f, table)
+                        except TargetNotMorphism:
+                            want = homotopies._target_formula(cx, terms, f[0])(f, table)
+                            unverified += 1
+                        assert sparse.get((k, c, v), f) == want, (p, cx.name, f, table)
+                        compared += 1
+    assert compared > 6000 and unverified > 0
 
 
 def _full_graph_classes(p, cx, homs):
@@ -338,25 +398,36 @@ def _full_graph_classes(p, cx, homs):
 
 
 def test_elementary_classes_match_full_graph():
-    """Elementary edges give the components of the full homotopy graph."""
+    """Generator edges give the components of the full homotopy graph:
+    same representatives and sizes, towers and coefficients needing two
+    generators included.  Where a target fails verification, both raise."""
     instances = (
         [(p, cx) for p in standard_spaces() for cx in standard_coefficients()]
-        + [(p, _conjugation_crossed_module()) for p in (sphere(1), torus(), rp2())]
-        + random_instances(20260819, 60))
-    compared = []
+        + [(p, _conjugation_crossed_module()) for p in (sphere(1), torus(), rp2(), disk(2))]
+        + random_instances(20260819, 60) + random_instances(12345, 200))
+    compared, refused = [], 0
     for p, cx in instances:
         homs = enumerate_homs(p, cx)
         if not homs or count_homotopies(p, cx) * len(homs) > 2_000:
             continue
-        dec = homotopy_classes(p, cx)
+        try:
+            dec = homotopy_classes(p, cx)
+        except TargetNotMorphism:
+            with pytest.raises(TargetNotMorphism):
+                _full_graph_classes(p, cx, homs)
+            refused += 1
+            continue
         reps, sizes = _full_graph_classes(p, cx, homs)
         assert list(dec.representatives) == reps, (p, cx.name)
         assert list(dec.sizes) == sizes, (p, cx.name)
-        compared.append((cx, dec.sizes))
-    assert any(cx.length == 3 and max(sizes) > 1 for cx, sizes in compared)
+        compared.append((p, cx, dec.sizes))
+    assert refused > 0
+    assert any(cx.length == 3 and max(sizes) > 1 for _, cx, sizes in compared)
     assert any(cx.length >= 2 and max(sizes) > 1
                and cx.groups[0].mul != tuple(zip(*cx.groups[0].mul))
-               for cx, sizes in compared)
+               for _, cx, sizes in compared)
+    assert any(max(sizes) > 1 and any(ln and len(gens) > 1 for ln, gens in _generator_edges(p, cx))
+               for p, cx, sizes in compared)
 
 
 def test_wedge_classes_spot_check():
