@@ -8,10 +8,10 @@
     xcomplex selfcheck
 
 validate, count, invariant and classes take --cap N, a bound on what a
-command enumerates and, for count, invariant and classes, on the counting
-engine's work estimate: 10^6 by default, 10^7 for classes (`--help` shows
-each default).  X is a JSON file path or, when no such file exists, a
-builtin name from `library`.
+command enumerates, on the entries of a sized builtin and, for count,
+invariant and classes, on the counting engine's work estimate: 10^6 by
+default, 10^7 for classes (`--help` shows each default).  X is a JSON file
+path or, when no such file exists, a builtin name from `library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
 go to stderr.  Exit codes: 0 success, 1 input error, 2 validation failure,
@@ -80,8 +80,8 @@ def _canonical(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _builtin_group(ref: str) -> FiniteGroup:
-    cx = resolve_coefficients(ref)
+def _builtin_group(ref: str, cap: int) -> FiniteGroup:
+    cx = resolve_coefficients(ref, cap)
     if cx.length != 1:
         raise ParseError(f"'{ref}' is not a group document or group name")
     return cx.groups[0]
@@ -93,9 +93,9 @@ class _Inputs:
     def __init__(self) -> None:
         self.provenance: dict[str, dict[str, str]] = {}
 
-    def resolve(self, kind: str, ref: str) -> Any:
+    def resolve(self, kind: str, ref: str, cap: int) -> Any:
         """The "presentation", "complex" or "group" named by ref: a JSON file
-        or, when no such file exists, a builtin name."""
+        or, when no such file exists, a builtin name of at most `cap` entries."""
         # looked up at call time, so that wrappers installed on this module apply
         load, builtin, dump = {
             "presentation": (load_presentation, resolve_space, dump_presentation),
@@ -106,7 +106,7 @@ class _Inputs:
             obj = load(read_json(ref))
             self.provenance[kind] = {"source": ref, "sha256": _sha(Path(ref).read_bytes())}
         else:
-            obj = builtin(ref)
+            obj = builtin(ref, cap)
             self.provenance[kind] = {
                 "source": f"builtin:{ref}", "sha256": _sha(_canonical(dump(obj)))}
         return obj
@@ -131,8 +131,8 @@ def _on_valid_inputs(command):
 
     @functools.wraps(command)
     def run(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int:
-        p = inputs.resolve("presentation", args.presentation)
-        cx = inputs.resolve("complex", args.complex)
+        p = inputs.resolve("presentation", args.presentation, args.cap)
+        cx = inputs.resolve("complex", args.complex, args.cap)
         failing = {kind: found for kind, obj in (("presentation", p), ("complex", cx))
                    if (found := _violations(kind, obj))}
         if failing:
@@ -150,7 +150,7 @@ def cmd_validate(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int
     reports: dict[str, Any] = {}
     for kind, ref in refs.items():
         if ref:
-            resolved[kind] = inputs.resolve(kind, ref)
+            resolved[kind] = inputs.resolve(kind, ref, args.cap)
             violations = _violations(kind, resolved[kind])
             reports[kind] = {"ok": not violations, "violations": violations}
     ok = all(rep["ok"] for rep in reports.values())

@@ -55,16 +55,19 @@ def _is_int(v: Any) -> bool:
     return type(v) is int
 
 
+def _int_row(row: Any, path: str) -> None:
+    """ParseError unless `row` is an array of integers, naming the first bad entry."""
+    _expect(isinstance(row, list), path, "expected an array")
+    if not set(map(type, row)) <= {int}:  # one pass; entries are visited only to name the bad one
+        j = next(j for j, v in enumerate(row) if not _is_int(v))
+        _expect(False, f"{path}[{j}]", "expected an integer")
+
+
 def _int_matrix(obj: Any, path: str) -> list[list[int]]:
     _expect(isinstance(obj, list) and obj, path, "expected a non-empty array of arrays")
-    out = []
     for i, row in enumerate(obj):
-        _expect(isinstance(row, list), f"{path}[{i}]", "expected an array")
-        if not all(type(v) is int for v in row):  # _is_int inlined: tables are large
-            for j, v in enumerate(row):
-                _expect(_is_int(v), f"{path}[{i}][{j}]", "expected an integer")
-        out.append(list(row))
-    return out
+        _int_row(row, f"{path}[{i}]")
+    return obj
 
 
 def _in_range(rows: list[list[int]], bounds: list[int], path: str, what: str) -> None:
@@ -113,9 +116,7 @@ def load_complex(obj: Any, path: str = "complex") -> FiniteCrossedComplex:
     boundaries = []
     for i, img in enumerate(bds):
         where = f"{path}.boundaries[{i}]"
-        _expect(isinstance(img, list), where, "expected an array")
-        for j, v in enumerate(img):
-            _expect(_is_int(v), f"{where}[{j}]", "expected an integer")
+        _int_row(img, where)
         _expect(len(img) == groups[i + 1].order, where,
                 f"expected {groups[i + 1].order} entries")
         boundaries.append(GroupHom(groups[i + 1], groups[i], tuple(img)))
@@ -128,8 +129,7 @@ def load_complex(obj: Any, path: str = "complex") -> FiniteCrossedComplex:
         for j, row in enumerate(rows):
             _expect(len(row) == groups[i + 1].order, f"{where}[{j}]",
                     f"expected {groups[i + 1].order} entries")
-        actions.append(GroupAction(groups[0], groups[i + 1],
-                                   tuple(tuple(r) for r in rows)))
+        actions.append(GroupAction(groups[0], groups[i + 1], tuple(map(tuple, rows))))
     name = obj.get("name", "")
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
     # entries outside their group come last: a document that a check above

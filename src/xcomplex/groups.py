@@ -42,24 +42,32 @@ class FiniteGroup:
 
 
 def table_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
-    """The square table over 0..n-1 as a FiniteGroup, no axiom checked.
+    """The square table of ints over 0..n-1 as a FiniteGroup, no axiom checked.
 
     inv[x] is the least two-sided inverse of x, or -1 when x has none.
     """
-    mul = tuple(tuple(map(int, row)) for row in mul_table)
+    mul = tuple(map(tuple, mul_table))
     n = len(mul)
     if n == 0:
         raise DimensionMismatch("empty multiplication table")
+    in_range = set(range(n))
     for a, row in enumerate(mul):
         if len(row) != n:
             raise DimensionMismatch(f"row {a} has length {len(row)}, expected {n}", (a,))
-        for b, v in enumerate(row):
-            if not 0 <= v < n:
-                raise DimensionMismatch(f"mul entry ({a},{b}) = {v} out of range", (a, b))
-    inv = tuple(
-        next((y for y in range(n) if mul[x][y] == 0 and mul[y][x] == 0), -1)
-        for x in range(n))
-    return FiniteGroup(n, mul, inv, name)
+        if not in_range.issuperset(row):  # entries are scanned only to name the bad one
+            b = next(b for b, v in enumerate(row) if v not in in_range)
+            raise DimensionMismatch(f"mul entry ({a},{b}) = {row[b]} out of range", (a, b))
+    return FiniteGroup(n, mul, tuple(_least_inverse(mul, x) for x in range(n)), name)
+
+
+def _least_inverse(mul: tuple[tuple[int, ...], ...], x: int) -> int:
+    """The least y with x*y = 0 = y*x, or -1; only the zeros of row x are tried."""
+    row, y = mul[x], -1
+    for _ in range(row.count(0)):
+        y = row.index(0, y + 1)
+        if mul[y][x] == 0:
+            return y
+    return -1
 
 
 _AXIOM_ERRORS = {
@@ -204,17 +212,15 @@ def hom_violation(h: GroupHom) -> Optional[tuple[int, int]]:
     image(0) = 0 is implied: the sweep hits (0, 0) where the equation forces
     the identity by cancellation.
     """
-    if len(h.image) != h.source.order:
-        raise DimensionMismatch(
-            f"image array has length {len(h.image)}, expected {h.source.order}")
-    for v in h.image:
-        if not 0 <= v < h.target.order:
-            raise DimensionMismatch(f"image value {v} out of target range")
     smul, tmul, im = h.source.mul, h.target.mul, h.image
-    for x in range(h.source.order):
-        for y in range(h.source.order):
-            if im[smul[x][y]] != tmul[im[x]][im[y]]:
-                return (x, y)
+    if len(im) != h.source.order:
+        raise DimensionMismatch(f"image array has length {len(im)}, expected {h.source.order}")
+    if min(im) < 0 or max(im) >= h.target.order:
+        v = next(v for v in im if not 0 <= v < h.target.order)
+        raise DimensionMismatch(f"image value {v} out of target range")
+    for x, row in enumerate(smul):  # image(x*y) and image(x)*image(y) for every y
+        if itemgetter(*row)(im) != itemgetter(*im)(tmul[im[x]]):
+            return (x, next(y for y in range(len(im)) if im[row[y]] != tmul[im[x]][im[y]]))
     return None
 
 
@@ -248,39 +254,48 @@ class GroupAction:
         return rows
 
 
-def action_violation(a: GroupAction) -> Optional[tuple[str, tuple]]:
+def action_violation(a: GroupAction,
+                     actor_associative: Optional[bool] = None) -> Optional[tuple[str, tuple]]:
     """First failing action axiom as (kind, witness), or None.
 
     Kinds, in check order: action-bijective (some act[g] is not a
     permutation), action-hom (act[g] does not preserve multiplication),
     action-identity (act[0] is not the identity map), action-composition
     (act[g1*g2] != act[g1] after act[g2]).
+
+    Composition is checked for g2 in `greedy_generators(actor)` only: when
+    the actor is associative (`actor_associative`, tested here when None),
+    the t with act[g*t] = act[g] after act[t] for every g are closed under
+    the product, as in `associativity_witness`.  Otherwise every g2 is.
     """
-    n, m = a.actor.order, a.space.order
-    if len(a.act) != n:
-        raise DimensionMismatch(f"action has {len(a.act)} rows, expected {n}")
-    for g, row in enumerate(a.act):
+    n, m, act = a.actor.order, a.space.order, a.act
+    if len(act) != n:
+        raise DimensionMismatch(f"action has {len(act)} rows, expected {n}")
+    for g, row in enumerate(act):
         if len(row) != m:
             raise DimensionMismatch(f"action row {g} has length {len(row)}, expected {m}")
-        for v in row:
-            if not 0 <= v < m:
-                raise DimensionMismatch(f"action value {v} out of range in row {g}")
-    for g, row in enumerate(a.act):
-        if sorted(row) != list(range(m)):
+        if min(row) < 0 or max(row) >= m:
+            v = next(v for v in row if not 0 <= v < m)
+            raise DimensionMismatch(f"action value {v} out of range in row {g}")
+    for g, row in enumerate(act):
+        if len(set(row)) != m:
             return ("action-bijective", (g,))
         w = hom_violation(GroupHom(a.space, a.space, row))
         if w is not None:
             return ("action-hom", (g,) + w)
     for e in range(m):
-        if a.act[0][e] != e:
+        if act[0][e] != e:
             return ("action-identity", (e,))
     amul = a.actor.mul
-    for g1 in range(n):
-        for g2 in range(n):
-            row12, row1, row2 = a.act[amul[g1][g2]], a.act[g1], a.act[g2]
-            for e in range(m):
-                if row12[e] != row1[row2[e]]:
-                    return ("action-composition", (g1, g2, e))
+    if actor_associative is None:
+        actor_associative = associativity_witness(amul) is None
+    for g2 in (greedy_generators(amul) if actor_associative else range(n)) if m > 1 else ():
+        after2 = itemgetter(*act[g2])  # row1 after act[g2], as a tuple for m > 1 (m = 1 composes)
+        for g1, row1 in enumerate(act):
+            row12 = act[amul[g1][g2]]
+            if row12 != after2(row1):
+                return ("action-composition",
+                        (g1, g2, next(e for e in range(m) if row12[e] != row1[act[g2][e]])))
     return None
 
 

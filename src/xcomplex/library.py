@@ -9,10 +9,10 @@ underscores are interchangeable.
 from __future__ import annotations
 
 import re
-from typing import Callable
+from typing import Callable, Optional
 
 from .complexes import FiniteCrossedComplex, from_crossed_module, from_group
-from .errors import ParseError
+from .errors import InstanceTooLarge, ParseError
 from .groups import (
     GroupAction,
     GroupHom,
@@ -90,34 +90,40 @@ def _norm(name: str) -> str:
     return name.strip().lower().replace("_", "-")
 
 
-def _sized(build: Callable[[int], object], size: str, name: str):
-    """Build a sized builtin; an out-of-range size is an input error."""
+def _sized(build: Callable[[int], object], size: str, name: str,
+           entries: Callable[[int], int], cap: Optional[int]):
+    """Build a sized builtin, refused before it is built when it holds more
+    than `cap` entries; an out-of-range size is an input error."""
+    if cap is not None and (k := entries(int(size))) > cap:
+        raise InstanceTooLarge(f"builtin '{name}' holds {k} entries, more than the cap {cap}")
     try:
         return build(int(size))
     except ValueError as exc:
         raise ParseError(f"builtin '{name}': {exc}") from exc
 
 
-def resolve_space(name: str) -> CWPresentation:
-    """Builtin space by name; ParseError when unknown or out of range."""
+def resolve_space(name: str, cap: Optional[int] = None) -> CWPresentation:
+    """Builtin space by name; ParseError if unknown or out of range, InstanceTooLarge past cap."""
     key = _norm(name)
     if key in _SPACES:
         return _SPACES[key]()
-    for prefix, build in (("sphere", sphere), ("disk", disk), ("genus", genus_surface)):
+    sized = (("sphere", sphere, lambda n: n + 1), ("disk", disk, lambda n: n + 1),
+             ("genus", genus_surface, lambda g: 4 * g))  # N + 1 cell counts, 4G word letters
+    for prefix, build, entries in sized:
         m = re.fullmatch(prefix + r":?(\d+)", key)
         if m:
-            return _sized(build, m.group(1), name)
+            return _sized(build, m.group(1), name, entries, cap)
     raise ParseError(f"unknown builtin space '{name}'")
 
 
-def resolve_coefficients(name: str) -> FiniteCrossedComplex:
-    """Builtin coefficient complex by name; ParseError when unknown or out of range."""
+def resolve_coefficients(name: str, cap: Optional[int] = None) -> FiniteCrossedComplex:
+    """Named builtin complex; ParseError if unknown or out of range, InstanceTooLarge past cap."""
     key = _norm(name)
     if key in _COEFFICIENTS:
         return _COEFFICIENTS[key]()
     m = re.fullmatch(r"z:?(\d+)", key)
     if m:
-        return from_group(_sized(cyclic_group, m.group(1), name))
+        return from_group(_sized(cyclic_group, m.group(1), name, lambda n: n * n, cap))
     raise ParseError(f"unknown builtin coefficients '{name}'")
 
 

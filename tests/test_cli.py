@@ -393,6 +393,35 @@ def test_out_of_range_builtin_is_input_error(flag, name):
     assert name in report["result"]["error"]
 
 
+@pytest.mark.parametrize("flag,name,entries", [
+    ("--complex", "z60000", 3_600_000_000),
+    ("--presentation", "genus:3000000", 12_000_000),
+])
+def test_oversized_builtin_is_refused_before_it_is_built(flag, name, entries):
+    """zN is weighed by its N^2 table entries and genus:G by its 4G word
+    letters: past the cap the run ends in a report with exit 3, not in a
+    MemoryError, and names the refused builtin without building it."""
+    args = {"--presentation": "point", "--complex": "z2", flag: name}
+    started = time.process_time()
+    code, report, _ = run_cli("count", *[x for kv in args.items() for x in kv])
+    assert time.process_time() - started < 1.0
+    assert code == 3
+    assert report["result"] == {
+        "error": f"builtin '{name}' holds {entries} entries, more than the cap 1000000"}
+    assert flag.lstrip("-") not in report["inputs"]
+
+
+def test_builtin_sizes_meet_the_cap_inclusively(capsys):
+    from xcomplex import cli
+
+    for flag, name, entries in (("--complex", "z4", 16), ("--presentation", "sphere:3", 4),
+                                ("--presentation", "disk:3", 4),
+                                ("--presentation", "genus:2", 8)):
+        assert cli.main(["validate", flag, name, "--cap", str(entries)]) == 0
+        assert cli.main(["validate", flag, name, "--cap", str(entries - 1)]) == 3
+    capsys.readouterr()
+
+
 def test_negative_cap_is_input_error():
     code, report, _ = run_cli("count", "--presentation", "torus", "--complex",
                               "s3", "--enumerate", "--cap", "-5")

@@ -60,6 +60,16 @@ def test_load_group_rejects_bool_entries():
         load_group_table({"mul": [[0, 1], [1, True]]})
 
 
+@pytest.mark.parametrize("bad", [[True, 1.0], [1.0, True]], ids=["true-first", "float-first"])
+def test_non_integer_entry_is_named_at_the_first(bad):
+    """An action row holding two non-integers is reported at the first."""
+    doc = dump_complex(resolve_coefficients("cm-z2-z3-flip"))
+    doc["actions"][0][1][1:] = bad
+    with pytest.raises(ParseError) as exc:
+        load_complex(json.loads(json.dumps(doc)))
+    assert str(exc.value) == "complex.actions[0][1][1]: expected an integer"
+
+
 def test_load_group_order_mismatch():
     with pytest.raises(ParseError, match="order"):
         load_group_table({"order": 3, "mul": [[0, 1], [1, 0]]})

@@ -30,10 +30,11 @@ from xcomplex.groups import (
     subgroup,
     subgroup_as_group,
     symmetric_group_3,
+    table_group,
     trivial_action,
     zero_hom,
 )
-from xcomplex.randomgen import group_pool
+from xcomplex.randomgen import all_actions, group_pool
 
 
 def element_order(g, x):
@@ -135,12 +136,105 @@ def test_greedy_generators_generate():
         assert generated == set(range(g.order)), g
 
 
+def square_tables(max_order=5, min_order=1):
+    """Arbitrary n x n tables over 0..n-1, n <= max_order, broken ones included."""
+    return st.integers(min_order, max_order).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)))
+@given(square_tables())
 def test_associativity_witness_matches_sweep_on_any_table(mul):
     """Arbitrary n x n tables, n <= 5, with no identity assumed."""
     assert_witness_agrees(mul)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_tables(6), st.data())
+def test_table_group_inverse_is_least_two_sided(mul, data):
+    """inv[x] is the first y with x*y = 0 = y*x, or -1, also where a row
+    holds several zeros; zeros are planted so that inverses do occur."""
+    n = len(mul)
+    for x, y in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        mul[x][y] = 0
+    g = table_group(mul)
+    assert g.inv == tuple(
+        next((y for y in range(n) if mul[x][y] == 0 == mul[y][x]), -1) for x in range(n))
+
+
+def action_violation_by_sweep(a):
+    """The full-sweep definition of action_violation: every kind in check
+    order, each at its first witness."""
+    n, m, act, amul = a.actor.order, a.space.order, a.act, a.actor.mul
+    for g, row in enumerate(act):
+        if sorted(row) != list(range(m)):
+            return ("action-bijective", (g,))
+        w = hom_violation(GroupHom(a.space, a.space, row))
+        if w is not None:
+            return ("action-hom", (g,) + w)
+    for e in range(m):
+        if act[0][e] != e:
+            return ("action-identity", (e,))
+    return next((("action-composition", (g1, g2, e))
+                 for g1 in range(n) for g2 in range(n) for e in range(m)
+                 if act[amul[g1][g2]][e] != act[g1][act[g2][e]]), None)
+
+
+@st.composite
+def near_actions(draw):
+    """A valid action of a pool group, then up to two entries replaced: a
+    row of the action by another automorphism, or an entry of the actor's
+    table (which may leave it non-associative).  One time in four the actor
+    is an arbitrary table of the same order instead."""
+    pool = group_pool() + [symmetric_group_3()]
+    actor, space = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    valid = all_actions(actor, space)
+    act = list(draw(st.sampled_from(valid)).act)
+    n = actor.order
+    mul = draw(square_tables(n, n)) if draw(st.integers(0, 3)) == 0 else \
+        [list(row) for row in actor.mul]
+    automorphisms = sorted({row for v in valid for row in v.act})
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            act[draw(st.integers(0, actor.order - 1))] = draw(st.sampled_from(automorphisms))
+        else:
+            mul[draw(st.integers(0, actor.order - 1))][draw(st.integers(0, actor.order - 1))] = \
+                draw(st.integers(0, actor.order - 1))
+    return GroupAction(table_group(mul), space, tuple(act))
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_actions())
+def test_action_violation_matches_full_sweep(a):
+    """Checking composition on the actor's generators finds a violation
+    exactly when the full g1 x g2 x e sweep does, for associative and for
+    non-associative actors; each composition witness is genuine, and every
+    other kind has the sweep's witness.  A verdict handed in agrees."""
+    expected = action_violation_by_sweep(a)
+    associative = associativity_witness(a.actor.mul) is None
+    for found in (action_violation(a), action_violation(a, associative)):
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert found[0] == expected[0]
+            if found[0] == "action-composition":
+                g1, g2, e = found[1]
+                act, amul = a.act, a.actor.mul
+                assert act[amul[g1][g2]][e] != act[g1][act[g2][e]]
+            else:
+                assert found == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(group_pool() + [symmetric_group_3()]),
+       st.sampled_from(group_pool() + [symmetric_group_3()]), st.data())
+def test_hom_violation_is_first_failing_pair(source, target, data):
+    """The row-wise sweep names the pair a per-entry sweep finds first."""
+    image = tuple(data.draw(st.lists(st.integers(0, target.order - 1),
+                                     min_size=source.order, max_size=source.order)))
+    smul, tmul = source.mul, target.mul
+    assert hom_violation(GroupHom(source, target, image)) == next(
+        ((x, y) for x in range(source.order) for y in range(source.order)
+         if image[smul[x][y]] != tmul[image[x]][image[y]]), None)
 
 
 @pytest.mark.parametrize("table", [
@@ -151,6 +245,15 @@ def test_associativity_witness_matches_sweep_on_any_table(mul):
 def test_bad_shapes_rejected(table):
     with pytest.raises(DimensionMismatch):
         make_group(table)
+
+
+@pytest.mark.parametrize("row", [[1, 7, -1], [1, -1, 7]])
+def test_out_of_range_names_the_first_bad_entry(row):
+    """A row holding two bad entries is reported at the first of them."""
+    with pytest.raises(DimensionMismatch) as exc:
+        table_group([[0, 1, 2], row, [2, 0, 1]])
+    assert exc.value.witness == (1, 1)
+    assert str(exc.value).startswith(f"mul entry (1,1) = {row[1]} out of range")
 
 
 def test_cyclic_group_orders():
