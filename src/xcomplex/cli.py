@@ -50,6 +50,7 @@ from .enumeration import (
     enumerate_homs,
     refuse_count,
     refuse_listing,
+    refuse_walk,
 )
 from .errors import (
     InstanceTooLarge,
@@ -186,6 +187,7 @@ def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComp
     result["count"] = n
     if args.enumerate:
         refuse_listing(n, args.cap)
+        refuse_walk(p, cx, args.cap)
         morphisms = enumerate_homs(p, cx, cap=args.cap)
         result["morphisms"] = morphisms
         if len(morphisms) != n:

@@ -28,13 +28,13 @@ Cells of dimension greater than L+1 impose nothing.  Two engines count:
     entry of the target vector t_n, the n-cells' attaching data evaluated
     in A_{n-1}; an empty fiber prunes exactly.
 
-`count_engine` plans a count once: elimination whenever it applies, with
-the words it reads and their state-transition estimate, which never
-exceeds the |A_1|^{l_1} x letters word steps the odometer would take;
-backtracking otherwise, estimated by its |A_1|^{l_1} layer-1 colourings.
-The CLI refuses an estimate above --cap before counting.  Enumeration
-always runs the layered search, in lexicographic order by (dimension,
-cell index, element index).
+`count_engine` plans a count once: elimination whenever it applies,
+estimated by its state transitions (never more than the odometer's
+|A_1|^{l_1} x letters word steps), and backtracking otherwise, estimated
+by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
+--cap before counting.  Enumeration always runs the layered search, in
+lexicographic order by (dimension, cell index, element index), and a
+listing first weighs its walk, the same layer-1 colourings (`refuse_walk`).
 
 Attaching data of a cell of dimension >= 3, its Terms
 (`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
@@ -47,17 +47,17 @@ on a morphism's f_{n-1}; the homotopy targets (`homotopies`) run it in A_n
 on a homotopy's H_{n-1}, on the Terms of every degree, the 2-cells' Fox
 terms included, once per f1.
 
-So with f1 fixed, layers n..L depend only on t_n.  When P has a cell of
-dimension 3..L+1 the search compiles those cells once per twist key (the
-twisting words' values, each mapped to the least element of A_1 with the
-same action row) and memoises layers n..L on (n, t_n) under that key:
-their count, or their suffixes (f_n, .., f_L) in lexicographic order.
-Layer-1 colourings with equal keys share one memo; under trivial actions
-all do.  Entries are made only at visited nodes: at most (#twist keys) x
-sum_{n=2..top} |A_{n-1}|^{l_n}, top the highest dimension in 3..L+1 with
-cells.  Without such cells nothing is compiled or memoised: a layer-1
-colouring counts the product of layer 2's fiber sizes (for L = 1, whether
-every 2-cell's word dies).
+So with f1 fixed, layers n..L depend only on t_n.  The search compiles
+the cells of dimension 3..L+1 once per twist key (the twisting words'
+values, each mapped to the least element of A_1 with the same action row)
+and memoises layers n..L on (n, t_n) under that key: their count, or their
+suffixes (f_n, .., f_L) in lexicographic order.  Layer-1 colourings with
+equal keys share one memo; under trivial actions all do, and without such
+cells every key is the empty key ().  Entries are made only at visited
+nodes: at most (#twist keys) x sum_{n=2..top} |A_{n-1}|^{l_n}, top the
+highest dimension in 3..L+1 with cells, or 2 when there is none.  From
+layer top on the fibers are free choices, and past L the (L+1)-cells'
+targets must die.
 
 Morphisms are verified by `morphism_checker(p, cx, f1)`: it evaluates the
 2-cell words and compiles the Terms of the cells of dimension 3..L+1 at
@@ -208,14 +208,13 @@ class _Search:
     def __init__(self, p: CWPresentation, cx: FiniteCrossedComplex, listing: bool = False):
         self.p = p
         self.cx = cx
-        self.length = cx.length
         self.listing = listing
         # boundary fibers, indexed by degree then target element
-        self.fibers = {n: fibers_of(cx.boundary(n)) for n in range(2, self.length + 1)}
+        self.fibers = {n: fibers_of(cx.boundary(n)) for n in range(2, cx.length + 1)}
         self.weight = _relator_weights(cx)
         # the highest dimension in 3..L+1 holding cells, or 2 when there is
         # none: from layer `top` on, each layer's fibers are free choices
-        self.top = max((n for n in range(3, self.length + 2) if p.count(n)), default=2)
+        self.top = max((n for n in range(3, cx.length + 2) if p.count(n)), default=2)
         # the distinct (degree, twisting word) pairs in the Terms of the
         # cells of dimension 3..top
         self.slots = list(dict.fromkeys(
@@ -233,35 +232,15 @@ class _Search:
         return itertools.product(range(self.cx.groups[0].order), repeat=self.p.count(1))
 
     def below(self, f1: tuple[int, ...]):
-        cx, weight = self.cx, self.weight
         t = []
-        size = 1  # product of layer 2's fiber sizes so far
         for w in self.p.attach2:
-            v = eval_word(cx, f1, w)
-            size *= weight[v]
-            if not size:  # this 2-cell has no admissible colour
+            t.append(v := eval_word(self.cx, f1, w))
+            if not self.weight[v]:  # this 2-cell has no admissible colour
                 return [] if self.listing else 0
-            t.append(v)
-        if self.top == 2:
-            return self.leaf(2, tuple(t)) if self.listing else size
-        key = tuple([self.canon[k][eval_word(cx, f1, w)] for k, w in self.slots])
-        tower = self.towers.get(key)
-        if tower is None:
-            tower = self.towers[key] = _Tower(self, key)
-        return tower.below(2, tuple(t))
-
-    def leaf(self, n: int, t: tuple[int, ...]):
-        """Layers n..L over the n-cells' targets t when no cell of a higher
-        dimension constrains them: the kill check past L, else free choices
-        in layer n's fibers and the empty colouring above."""
-        if n > self.length:
-            ok = not any(t)
-            return ([()] if ok else []) if self.listing else int(ok)
-        fibs = [self.fibers[n][v] for v in t]
-        if self.listing:
-            rest = ((),) * (self.length - n)
-            return [(combo,) + rest for combo in itertools.product(*fibs)]
-        return math.prod(map(len, fibs))
+        key = tuple([self.canon[k][eval_word(self.cx, f1, w)] for k, w in self.slots])
+        if key not in self.towers:
+            self.towers[key] = _Tower(self, key)
+        return self.towers[key].below(2, tuple(t))
 
 
 class _Tower:
@@ -284,8 +263,16 @@ class _Tower:
         if got is not None:
             return got
         s = self.s
-        if n >= s.top:
-            got = s.leaf(n, t)
+        if n > s.cx.length:  # the (L+1)-cells are killed
+            ok = not any(t)
+            got = ([()] if ok else []) if s.listing else int(ok)
+        elif n >= s.top:  # no cell above constrains layer n: free choices in its fibers
+            fibs = [s.fibers[n][v] for v in t]
+            if s.listing:
+                rest = ((),) * (s.cx.length - n)
+                got = [(combo,) + rest for combo in itertools.product(*fibs)]
+            else:
+                got = math.prod(map(len, fibs))
         else:
             got = [] if s.listing else 0
             terms, mul = self.terms[n + 1], s.cx.groups[n - 1].mul
@@ -511,6 +498,12 @@ def refuse_count(plan: CountPlan, cap: int) -> None:
         raise InstanceTooLarge(f"{plan.engine} estimate {plan.estimate} exceeds cap {cap}")
 
 
+def refuse_walk(p: CWPresentation, cx: FiniteCrossedComplex, cap: int) -> None:
+    """Raise InstanceTooLarge when a listing would walk more than `cap` layer-1 colourings."""
+    if (walk := cx.groups[0].order ** p.count(1)) > cap:
+        raise InstanceTooLarge(f"listing walk of {walk} layer-1 colourings exceeds cap {cap}")
+
+
 def refuse_listing(morphisms: int, cap: int) -> None:
     """Raise ResultTooLarge when `morphisms` exceed the listing cap."""
     if morphisms > cap:
@@ -592,7 +585,8 @@ def boundary_defect_report(
     For each n >= 4 with cells, enumerates the morphisms of the presentation
     truncated below n and evaluates each n-cell's Terms; a value outside
     ker d_{n-1} is reported as (n, cell, colouring, value).  An empty report
-    on a presentation with zero morphism count says nothing.
+    on a presentation with zero morphism count says nothing.  Each listing
+    is refused as `refuse_walk`, then `enumerate_homs`, refuse it.
     """
     out: list[tuple[int, int, Colouring, int]] = []
     for n in range(4, min(p.dim, cx.length + 1) + 1):
@@ -600,6 +594,7 @@ def boundary_defect_report(
             continue
         trunc = CWPresentation(p.cells[:n], p.attach2, p.attach_terms[:n - 3], name=p.name)
         kerbd = cx.boundary(n - 1).image
+        refuse_walk(trunc, cx, cap)
         for f in enumerate_homs(trunc, cx, cap=cap):
             got = _apply(cx.groups[n - 2].mul,
                          _compile(cx, n - 1, p.terms(n), partial(eval_word, cx, f[0])),

@@ -44,7 +44,7 @@ class ResultTooLarge(XComplexError):
 
 
 class InstanceTooLarge(XComplexError):
-    """A work estimate (a brute-force space or a counting plan) exceeds the configured cap."""
+    """A work estimate (brute-force space, counting plan, listing walk) exceeds the cap."""
 
 
 class TargetNotMorphism(XComplexError):

@@ -72,6 +72,7 @@ from .enumeration import (
     morphism_violation,
     refuse_count,
     refuse_listing,
+    refuse_walk,
 )
 from .groups import greedy_generators
 from .presentations import CWPresentation, Terms, fox_terms
@@ -222,10 +223,10 @@ def homotopy_classes(
     """Homotopy classes of Hom(P, A), each walked once along generator edges
     from its least member, over the listing of `enumerate_homs`.
 
-    Raises InstanceTooLarge, before counting, when the work estimate of
-    `count_engine` exceeds `cap`, and ResultTooLarge, before listing
-    anything, when `count_homs` finds more than `cap` morphisms or the
-    edges to walk, `count_class_edges(p, cx, #morphisms)`, exceed `cap`.
+    Before counting, raises InstanceTooLarge when the estimate of
+    `count_engine` exceeds `cap`; before listing, ResultTooLarge when more
+    than `cap` morphisms exist or `count_class_edges` exceeds `cap`, then
+    InstanceTooLarge when the walk does (`refuse_walk`).
     """
     refuse_count(count_engine(p, cx), cap)
     n = count_homs(p, cx)
@@ -235,6 +236,7 @@ def homotopy_classes(
         raise ResultTooLarge(
             f"{n} morphisms x {edges // n} generator edges"
             f" = {edges} edges exceeds edge cap {cap}")
+    refuse_walk(p, cx, cap)
     homs = enumerate_homs(p, cx, cap=cap)
     generators = _generator_edges(p, cx)
     terms = _homotopy_terms(p, cx)

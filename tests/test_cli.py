@@ -272,6 +272,52 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
     assert result["count"] == 16777216
 
 
+def test_listing_walk_is_refused_before_it_starts(tmp_path, monkeypatch, capsys):
+    """A listing visits all |A_1|^{l_1} layer-1 colourings, however few
+    morphisms there are.  Six 1-cells killed by the relators x_i against
+    s3 have one morphism over 6^6 = 46656 colourings; with a 4-cell added,
+    ten such 1-cells against Z/2, 1, 1 have one morphism over 2^10 = 1024.
+    Above --cap 1000, classes, count --enumerate and validate
+    --check-boundaries refuse the walk with exit 3 before listing; at the
+    walk's size they list."""
+    from xcomplex import cli, enumeration, homotopies
+    from xcomplex.complexes import FiniteCrossedComplex
+    from xcomplex.groups import cyclic_group, trivial_action, zero_hom
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("listing started")
+
+    killed = tmp_path / "killed.json"
+    killed.write_text(json.dumps(dump_presentation(CWPresentation(
+        (1, 6, 6), attach2=tuple(((g, 1),) for g in range(6))))))
+    with_4cell = tmp_path / "with-4-cell.json"
+    with_4cell.write_text(json.dumps(dump_presentation(CWPresentation(
+        (1, 10, 10, 0, 1), attach2=tuple(((g, 1),) for g in range(10)),
+        attach_terms=((), ((),))))))
+    z2, z1 = cyclic_group(2), cyclic_group(1)
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps(dump_complex(FiniteCrossedComplex(
+        (z2, z1, z1), (zero_hom(z1, z2), zero_hom(z1, z1)),
+        (trivial_action(z2, z1), trivial_action(z2, z1))))))
+    runs = [(["classes", "--presentation", str(killed), "--complex", "s3"], 46656, {}),
+            (["count", "--enumerate", "--presentation", str(killed), "--complex", "s3"],
+             46656, {"engine": "elimination", "estimate": 36, "count": 1}),
+            (["validate", "--check-boundaries", "--presentation", str(with_4cell),
+              "--complex", str(tower)], 1024, {})]
+    with monkeypatch.context() as patched:
+        for module in (cli, homotopies, enumeration):
+            patched.setattr(module, "enumerate_homs", unreachable)
+        for argv, walk, fields in runs:
+            assert cli.main(argv + ["--cap", "1000"]) == 3, argv
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result == {
+                **fields, "error": f"listing walk of {walk} layer-1 colourings"
+                                   " exceeds cap 1000"}, argv
+    for argv, walk, _ in runs:
+        assert cli.main(argv + ["--cap", str(walk)]) == 0, argv
+        capsys.readouterr()
+
+
 def test_oversized_count_is_refused_before_it_starts(tmp_path, capsys):
     """a1..a20 a1..a20 with 40 free 1-cells against s3 would grow a state
     table of up to 6^20 entries: count and invariant refuse the chosen

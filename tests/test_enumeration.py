@@ -318,6 +318,33 @@ def test_planned_order_on_long_relators():
     assert planned >= 10
 
 
+def test_plan_only_rotates_past_three_relators():
+    """Four or five relators of 4-8 letters over five 1-cells, whose given
+    order peaks above |A_1|^3 states: the plan tries no reordering or
+    inversion there, so it keeps the relator order and rotates each word,
+    and counts as the given order, the backtracker and the brute-force
+    sweep do."""
+    rng = random.Random(18)
+    coefficients = [resolve_coefficients(name) for name in ("z2", "z3", "cm-z2-z3-flip")]
+    planned = rotated = 0
+    while planned < 12:
+        cx = rng.choice(coefficients)
+        order = cx.groups[0].order
+        words = tuple(tuple((rng.randrange(5), rng.choice((1, -1)))
+                            for _ in range(rng.randint(4, 8)))
+                      for _ in range(rng.randint(4, 5)))
+        if _estimate(words, order)[1] <= order ** 3:
+            continue
+        planned += 1
+        p = CWPresentation((1, 5, len(words)), attach2=words, name="many-relators")
+        assert check_plan(p, cx) <= {"rotated"}, words
+        plan = count_engine(p, cx)
+        assert len(plan.words) == len(words)
+        assert all(w in rotations(r) for w, r in zip(plan.words, words)), words
+        rotated += plan.words != words
+    assert rotated >= 6
+
+
 def test_rotation_minimises_summed_spans():
     """_rotation picks the earliest cut of least summed span, against a
     direct sweep of every cut."""
@@ -450,7 +477,9 @@ def test_memoised_search_matches_sweep_and_bruteforce():
 def test_memo_shared_across_equal_action_rows():
     """The 16 layer-1 colourings share one memo under the trivial action and
     fall into four, one per parity of the two 1-cells, under parity, where
-    the count differs."""
+    the count differs.  Without cells of dimension 3..L+1 every layer-1
+    colouring takes the same path, under the empty key: listing the torus
+    into a crossed module builds the one tower ()."""
     p = parity_presentation()
     counts, towers = {}, {}
     for name, cx in parity_complexes().items():
@@ -460,6 +489,11 @@ def test_memo_shared_across_equal_action_rows():
         towers[name] = len(s.towers)
     assert counts == {"trivial": 48, "parity": 32}
     assert towers == {"trivial": 1, "parity": 4}
+    cx = resolve_coefficients("cm-z4-z2-incl")
+    s = _Search(torus(), cx, listing=True)
+    listed = [(f1,) + tail for f1 in s.layer1() for tail in s.below(f1)]
+    assert list(s.towers) == [()]
+    assert listed == lexicographic_sweep(torus(), cx) and len(listed) == 16
 
 
 def test_checker_agrees_with_morphism_violation_on_full_space():
