@@ -8,10 +8,11 @@
     xcomplex selfcheck
 
 validate, count, invariant and classes take --cap N, a bound on what a
-command enumerates, on the entries of a sized builtin and, for count,
-invariant and classes, on the counting engine's work estimate: 10^6 by
-default, 10^7 for classes (`--help` shows each default).  X is a JSON file
-path or, when no such file exists, a builtin name from `library`.
+command enumerates, on the entries of a sized builtin and on the counting
+engine's work estimate: 10^6 by default, 10^7 for classes (`--help` shows
+each default).  Every listing is counted first and refused before it
+starts, by `weigh_listing`.  X is a JSON file path or, when no such file
+exists, a builtin name from `library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
 go to stderr.  Exit codes: 0 success, 1 input error, 2 validation failure,
@@ -49,8 +50,7 @@ from .enumeration import (
     count_homs_bruteforce,
     enumerate_homs,
     refuse_count,
-    refuse_listing,
-    refuse_walk,
+    weigh_listing,
 )
 from .errors import (
     InstanceTooLarge,
@@ -186,8 +186,7 @@ def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComp
     n = _planned_count(args, p, cx, result)
     result["count"] = n
     if args.enumerate:
-        refuse_listing(n, args.cap)
-        refuse_walk(p, cx, args.cap)
+        weigh_listing(p, cx, n, args.cap)
         morphisms = enumerate_homs(p, cx, cap=args.cap)
         result["morphisms"] = morphisms
         if len(morphisms) != n:

@@ -33,8 +33,9 @@ estimated by its state transitions (never more than the odometer's
 |A_1|^{l_1} x letters word steps), and backtracking otherwise, estimated
 by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
 --cap before counting.  Enumeration always runs the layered search, in
-lexicographic order by (dimension, cell index, element index), and a
-listing first weighs its walk, the same layer-1 colourings (`refuse_walk`).
+lexicographic order by (dimension, cell index, element index).  Every
+listing is weighed once before it starts (`weigh_listing`): its counted
+morphisms, then its walk, the same layer-1 colourings.
 
 Attaching data of a cell of dimension >= 3, its Terms
 (`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
@@ -498,16 +499,19 @@ def refuse_count(plan: CountPlan, cap: int) -> None:
         raise InstanceTooLarge(f"{plan.engine} estimate {plan.estimate} exceeds cap {cap}")
 
 
-def refuse_walk(p: CWPresentation, cx: FiniteCrossedComplex, cap: int) -> None:
-    """Raise InstanceTooLarge when a listing would walk more than `cap` layer-1 colourings."""
-    if (walk := cx.groups[0].order ** p.count(1)) > cap:
-        raise InstanceTooLarge(f"listing walk of {walk} layer-1 colourings exceeds cap {cap}")
-
-
 def refuse_listing(morphisms: int, cap: int) -> None:
     """Raise ResultTooLarge when `morphisms` exceed the listing cap."""
     if morphisms > cap:
         raise ResultTooLarge(f"more than {cap} morphisms; raise the cap to list them")
+
+
+def weigh_listing(p: CWPresentation, cx: FiniteCrossedComplex, morphisms: int, cap: int) -> None:
+    """Refuse, before it starts, a listing of the `morphisms` morphisms P -> A:
+    ResultTooLarge when they exceed `cap`, then InstanceTooLarge when the
+    walk of |A_1|^{l_1} layer-1 colourings does."""
+    refuse_listing(morphisms, cap)
+    if (walk := cx.groups[0].order ** p.count(1)) > cap:
+        raise InstanceTooLarge(f"listing walk of {walk} layer-1 colourings exceeds cap {cap}")
 
 
 def enumerate_homs(
@@ -585,8 +589,9 @@ def boundary_defect_report(
     For each n >= 4 with cells, enumerates the morphisms of the presentation
     truncated below n and evaluates each n-cell's Terms; a value outside
     ker d_{n-1} is reported as (n, cell, colouring, value).  An empty report
-    on a presentation with zero morphism count says nothing.  Each listing
-    is refused as `refuse_walk`, then `enumerate_homs`, refuse it.
+    on a presentation with zero morphism count says nothing.  Before each
+    truncation is listed, its count estimate is refused as `refuse_count`
+    does, and its counted morphisms and walk as `weigh_listing` does.
     """
     out: list[tuple[int, int, Colouring, int]] = []
     for n in range(4, min(p.dim, cx.length + 1) + 1):
@@ -594,7 +599,8 @@ def boundary_defect_report(
             continue
         trunc = CWPresentation(p.cells[:n], p.attach2, p.attach_terms[:n - 3], name=p.name)
         kerbd = cx.boundary(n - 1).image
-        refuse_walk(trunc, cx, cap)
+        refuse_count(count_engine(trunc, cx), cap)
+        weigh_listing(trunc, cx, count_homs(trunc, cx), cap)
         for f in enumerate_homs(trunc, cx, cap=cap):
             got = _apply(cx.groups[n - 2].mul,
                          _compile(cx, n - 1, p.terms(n), partial(eval_word, cx, f[0])),

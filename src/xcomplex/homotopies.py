@@ -71,8 +71,7 @@ from .enumeration import (
     morphism_checker,
     morphism_violation,
     refuse_count,
-    refuse_listing,
-    refuse_walk,
+    weigh_listing,
 )
 from .groups import greedy_generators
 from .presentations import CWPresentation, Terms, fox_terms
@@ -156,12 +155,6 @@ def _generator_edges(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[
             for k in range(1, cx.length)]
 
 
-def count_class_edges(p: CWPresentation, cx: FiniteCrossedComplex, morphisms: int) -> int:
-    """Edges `homotopy_classes` walks on `morphisms` morphisms:
-    morphisms * sum_k l_k |S_{k+1}|."""
-    return morphisms * sum(ln * len(gens) for ln, gens in _generator_edges(p, cx))
-
-
 def _edge_deltas(cx: FiniteCrossedComplex, terms: tuple[tuple[Terms, ...], ...],
                  generators: list[tuple[int, list[int]]], f1: tuple[int, ...]) -> list[tuple]:
     """The generator edges out of morphisms with layer 1 f1, as sparse
@@ -224,21 +217,21 @@ def homotopy_classes(
     from its least member, over the listing of `enumerate_homs`.
 
     Before counting, raises InstanceTooLarge when the estimate of
-    `count_engine` exceeds `cap`; before listing, ResultTooLarge when more
-    than `cap` morphisms exist or `count_class_edges` exceeds `cap`, then
-    InstanceTooLarge when the walk does (`refuse_walk`).
+    `count_engine` exceeds `cap`; before listing, the counted morphisms and
+    their walk are weighed (`weigh_listing`), then ResultTooLarge is raised
+    when the generator edges, n x sum_k l_k |S_{k+1}| on n morphisms,
+    exceed `cap`.
     """
     refuse_count(count_engine(p, cx), cap)
     n = count_homs(p, cx)
-    refuse_listing(n, cap)
-    edges = count_class_edges(p, cx, n)
+    weigh_listing(p, cx, n, cap)
+    generators = _generator_edges(p, cx)
+    edges = n * sum(ln * len(gens) for ln, gens in generators)
     if edges > cap:
         raise ResultTooLarge(
             f"{n} morphisms x {edges // n} generator edges"
             f" = {edges} edges exceeds edge cap {cap}")
-    refuse_walk(p, cx, cap)
     homs = enumerate_homs(p, cx, cap=cap)
-    generators = _generator_edges(p, cx)
     terms = _homotopy_terms(p, cx)
     muls = [a.mul for a in cx.groups]
     deltas: dict[tuple[int, ...], list[tuple]] = {}

@@ -160,10 +160,8 @@ def random_presentation(rng: random.Random, cx: FiniteCrossedComplex) -> CWPrese
             space *= cx.groups[n - 1].order ** counts[n]
         if space <= BRUTE_SPACE_LIMIT:
             break
-    dim = length + 1
     while counts[-1] == 0 and len(counts) > 2:
         counts.pop()
-        dim -= 1
     junk_dim = 0
     if rng.random() < 0.3:
         junk_dim = length + 2

@@ -318,6 +318,50 @@ def test_listing_walk_is_refused_before_it_starts(tmp_path, monkeypatch, capsys)
         capsys.readouterr()
 
 
+def test_classes_refuses_the_walk_before_the_edges(tmp_path, capsys):
+    """Six 1-cells with the relators x_i against cm-z4-z2-incl: 64
+    morphisms, estimate 24, a walk of 4^6 = 4096 layer-1 colourings and
+    64 x 6 = 384 generator edges.  At --cap 100 both the walk and the edges
+    exceed the cap; the walk is weighed first."""
+    from xcomplex import cli
+
+    path = tmp_path / "killed.json"
+    path.write_text(json.dumps(dump_presentation(CWPresentation(
+        (1, 6, 6), attach2=tuple(((g, 1),) for g in range(6))))))
+    argv = ["classes", "--presentation", str(path), "--complex", "cm-z4-z2-incl"]
+    assert cli.main(argv + ["--cap", "100"]) == 3
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "error": "listing walk of 4096 layer-1 colourings exceeds cap 100"}
+    assert cli.main(argv + ["--cap", "4096"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert sum(result["sizes"]) == 64
+
+
+def test_boundary_sweep_counts_each_truncation_before_listing(tmp_path, monkeypatch, capsys):
+    """k free 3-cells with empty Terms plus one 4-cell against l3-z2: the
+    truncation below the 4-cell has 2^k morphisms over a single layer-1
+    colouring.  validate --check-boundaries counts them and refuses the
+    listing with exit 3 before it starts, for k = 18 at --cap 1000 and for
+    k = 22 (4,194,304 morphisms) at the default cap."""
+    from xcomplex import cli, enumeration, homotopies
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("listing started")
+
+    for module in (cli, homotopies, enumeration):
+        monkeypatch.setattr(module, "enumerate_homs", unreachable)
+    for k, cap in ((18, 1000), (22, None)):
+        path = tmp_path / f"free-{k}.json"
+        path.write_text(json.dumps(dump_presentation(CWPresentation(
+            (1, 0, 0, k, 1), attach_terms=(((),) * k, ((),))))))
+        argv = ["validate", "--check-boundaries", "--presentation", str(path),
+                "--complex", "l3-z2"] + (["--cap", str(cap)] if cap else [])
+        assert cli.main(argv) == 3, k
+        want = cap or 10**6
+        assert json.loads(capsys.readouterr().out)["result"] == {
+            "error": f"more than {want} morphisms; raise the cap to list them"}, k
+
+
 def test_oversized_count_is_refused_before_it_starts(tmp_path, capsys):
     """a1..a20 a1..a20 with 40 free 1-cells against s3 would grow a state
     table of up to 6^20 entries: count and invariant refuse the chosen
