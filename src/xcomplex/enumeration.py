@@ -46,15 +46,24 @@ lower layer only: the cell's value is the product of row[f(c)].
 `morphism_checker` and `boundary_defect_report` run the pair in A_{n-1}
 on a morphism's f_{n-1}; the homotopy targets (`homotopies`) run it in A_n
 on a homotopy's H_{n-1}, on the Terms of every degree, the 2-cells' Fox
-terms included, once per f1.
+terms included.
+
+A compile reads f1 only through the action row of each twisting word's
+value: the rows y -> (x |> y)^e are equal for x with equal action rows.
+So `_twist_key` maps each distinct (degree, twisting word) slot to the
+least element of A_1 with the same action row in that degree, the *twist
+key* of f1, and layer-1 colourings with equal keys compile alike.  A
+degree where every action row is the same (A_1 acts trivially) leaves no
+slot, and its words twist by 0.  The search, the class walk's edge
+changes and `boundary_defect_report` compile once per twist key;
+`morphism_checker` and the homotopy oracles compile once per f1.
 
 So with f1 fixed, layers n..L depend only on t_n.  The search compiles
-the cells of dimension 3..L+1 once per twist key (the twisting words'
-values, each mapped to the least element of A_1 with the same action row)
-and memoises layers n..L on (n, t_n) under that key: their count, or their
-suffixes (f_n, .., f_L) in lexicographic order.  Layer-1 colourings with
-equal keys share one memo; under trivial actions all do, and without such
-cells every key is the empty key ().  Entries are made only at visited
+the cells of dimension 3..L+1 once per twist key and memoises layers n..L
+on (n, t_n) under that key: their count, or their suffixes (f_n, .., f_L)
+in lexicographic order.  Layer-1 colourings with equal keys share one
+memo; under trivial actions, or without such cells, every key is the
+empty key ().  Entries are made only at visited
 nodes: at most (#twist keys) x sum_{n=2..top} |A_{n-1}|^{l_n}, top the
 highest dimension in 3..L+1 with cells, or 2 when there is none.  From
 layer top on the fibers are free choices, and past L the (L+1)-cells'
@@ -112,6 +121,39 @@ def _compile(cx: FiniteCrossedComplex, k: int, cells, twist) -> list[list[tuple]
     return [[((act if e == 1 else powered(e))[twist(w)], gen)
              for w, gen, power in terms if (e := power % order)]
             for terms in cells]
+
+
+def _twist_key(cx: FiniteCrossedComplex, cells_by_degree: dict[int, Sequence]):
+    """The twist key of the Terms compiled at each degree d of
+    `cells_by_degree` (d -> the cells' Terms), as (key, compiled).
+
+    key(f1) is the tuple of the distinct (d, twisting word) slots' values
+    under f1, each mapped to the least element of A_1 with the same row of
+    cx.actions[d-2]; a degree with a single row adds no slot.  compiled(key)
+    is the `_compile` of every degree d under that key, d -> compiled Terms:
+    its twist lookup reads the key's value at each term's slot, numbered
+    once here so that no word is hashed again, and 0 in a dropped degree.
+    """
+    slots: dict[tuple[int, Word], int] = {}
+    numbered = {d: [[(slots.setdefault((d, w), len(slots)), gen, power) for w, gen, power in ts]
+                    for ts in cells] for d, cells in cells_by_degree.items()}
+    canon = {}
+    for d in cells_by_degree:
+        first: dict[tuple[int, ...], int] = {}
+        canon[d] = [first.setdefault(tuple(row), x) for x, row in enumerate(cx.actions[d - 2].act)]
+    # a degree whose least elements are all 0 has one action row: its words twist by 0
+    live = [(i, canon[d], w) for (d, w), i in slots.items() if any(canon[d])]
+
+    def key(f1: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([least[eval_word(cx, f1, w)] for _, least, w in live])
+
+    def compiled(k: tuple[int, ...]) -> dict[int, list[list[tuple]]]:
+        twist = [0] * len(slots)
+        for (i, _, _), x in zip(live, k):
+            twist[i] = x
+        return {d: _compile(cx, d, cells, twist.__getitem__) for d, cells in numbered.items()}
+
+    return key, compiled
 
 
 def _apply(mul, compiled, below: tuple[int, ...]) -> tuple[int, ...]:
@@ -216,16 +258,8 @@ class _Search:
         # the highest dimension in 3..L+1 holding cells, or 2 when there is
         # none: from layer `top` on, each layer's fibers are free choices
         self.top = max((n for n in range(3, cx.length + 2) if p.count(n)), default=2)
-        # the distinct (degree, twisting word) pairs in the Terms of the
-        # cells of dimension 3..top
-        self.slots = list(dict.fromkeys(
-            (n - 1, w) for n in range(3, self.top + 1) for ts in p.terms(n) for w, _, _ in ts))
-        # per degree, the least element of A_1 with each action row
-        self.canon = {}
-        for k in range(2, self.top):
-            first: dict[tuple[int, ...], int] = {}
-            self.canon[k] = [first.setdefault(tuple(row), x)
-                             for x, row in enumerate(cx.actions[k - 2].act)]
+        # the twist key of the cells of dimension 3..top, compiled at n - 1
+        self.key, self.compiled = _twist_key(cx, {n - 1: p.terms(n) for n in range(3, self.top + 1)})
         self.towers: dict[tuple[int, ...], _Tower] = {}
 
     def layer1(self):
@@ -238,7 +272,7 @@ class _Search:
             t.append(v := eval_word(self.cx, f1, w))
             if not self.weight[v]:  # this 2-cell has no admissible colour
                 return [] if self.listing else 0
-        key = tuple([self.canon[k][eval_word(self.cx, f1, w)] for k, w in self.slots])
+        key = self.key(f1)
         if key not in self.towers:
             self.towers[key] = _Tower(self, key)
         return self.towers[key].below(2, tuple(t))
@@ -250,11 +284,7 @@ class _Tower:
 
     def __init__(self, s: _Search, key: tuple[int, ...]):
         self.s = s
-        twists = {n: {} for n in range(3, s.top + 1)}
-        for (k, w), x in zip(s.slots, key):
-            twists[k + 1][w] = x
-        self.terms = {n: _compile(s.cx, n - 1, s.p.terms(n), tw.__getitem__)
-                      for n, tw in twists.items()}
+        self.terms = s.compiled(key)  # by degree: the (n+1)-cells' at n
         self.memo: dict[tuple[int, tuple[int, ...]], int | list[Colouring]] = {}
 
     def below(self, n: int, t: tuple[int, ...]):
@@ -276,7 +306,7 @@ class _Tower:
                 got = math.prod(map(len, fibs))
         else:
             got = [] if s.listing else 0
-            terms, mul = self.terms[n + 1], s.cx.groups[n - 1].mul
+            terms, mul = self.terms[n], s.cx.groups[n - 1].mul
             for combo in itertools.product(*[s.fibers[n][v] for v in t]):
                 sub = self.below(n + 1, _apply(mul, terms, combo))
                 if s.listing:
@@ -598,13 +628,16 @@ def boundary_defect_report(
         if p.count(n) == 0:
             continue
         trunc = CWPresentation(p.cells[:n], p.attach2, p.attach_terms[:n - 3], name=p.name)
-        kerbd = cx.boundary(n - 1).image
+        kerbd, mul = cx.boundary(n - 1).image, cx.groups[n - 2].mul
         refuse_count(count_engine(trunc, cx), cap)
         weigh_listing(trunc, cx, count_homs(trunc, cx), cap)
+        key_of, compile_key = _twist_key(cx, {n - 1: p.terms(n)})
+        compiled: dict[tuple[int, ...], list[list[tuple]]] = {}
         for f in enumerate_homs(trunc, cx, cap=cap):
-            got = _apply(cx.groups[n - 2].mul,
-                         _compile(cx, n - 1, p.terms(n), partial(eval_word, cx, f[0])),
-                         f[n - 2])
+            key = key_of(f[0])
+            if key not in compiled:
+                compiled[key] = compile_key(key)[n - 1]
+            got = _apply(mul, compiled[key], f[n - 2])
             out.extend([(n, cell, f, val)
                         for cell, val in enumerate(got) if kerbd[val] != 0])
     return out

@@ -18,7 +18,8 @@ letter i of x_1^e_1 .. x_m^e_m, with suffix s = x_{i+1} .. x_m, becomes
 (s^-1, x_i, 1) when e_i = 1 and (s^-1 x_i, x_i, -1) when e_i = -1, which
 extends H_1 to words as the derivation s(Xy) = (f1(y)^-1 |> s(X)) s(y).
 The Fox terms are built once per presentation; `_target_formula` compiles
-every degree once per layer-1 colouring.
+every degree once per layer-1 colouring, the class walk once per twist key
+(`enumeration._twist_key`).
 
 Homotopy classes are the orbits of the homotopies acting on Hom(P, A).
 Homotopies compose by pointwise product of their value tables (Brown and
@@ -37,8 +38,9 @@ d_{k+1} send the identity to the identity: the edge (k, c, v) multiplies
 layer k at cell c by d_{k+1}(v), and at layer k + 1 each cell whose
 compiled Terms name c by the product of those terms' rows at v; every other
 factor of the target formula is 1.  `_edge_deltas` computes these changes
-once per layer-1 colouring.  The walk takes the listing of `enumerate_homs`
-in index order: a morphism not yet reached starts a new class as its least
+once per twist key, shared by the layer-1 colourings that have it (under
+trivial actions, all).  The walk takes the listing of `enumerate_homs` in
+index order: a morphism not yet reached starts a new class as its least
 member, and the class is closed before the next starts.  Listed colourings
 passed the morphism checker of their layer 1, so a target verifies by
 membership; one outside the listing goes through `morphism_violation` and
@@ -63,6 +65,7 @@ from .enumeration import (
     _compile,
     _morphism_shape,
     _shape_violation,
+    _twist_key,
     count_engine,
     count_homs,
     enumerate_homs,
@@ -155,26 +158,46 @@ def _generator_edges(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[
             for k in range(1, cx.length)]
 
 
-def _edge_deltas(cx: FiniteCrossedComplex, terms: tuple[tuple[Terms, ...], ...],
-                 generators: list[tuple[int, list[int]]], f1: tuple[int, ...]) -> list[tuple]:
-    """The generator edges out of morphisms with layer 1 f1, as sparse
-    changes (i, c, v, b, ups) in (k, c, v) order: the edge with H_k(c) = v,
+def _edge_deltas(cx: FiniteCrossedComplex, compiled: dict[int, list[list[tuple]]],
+                 generators: list[tuple[int, list[int]]]) -> list[tuple]:
+    """The generator edges out of morphisms whose layer 1 has one twist key,
+    given the Terms of degrees 2..L compiled under it, as sparse changes
+    (i, c, v, b, ups) in (k, c, v) order: the edge with H_k(c) = v,
     k = i + 1, multiplies layer k at cell c by b = d_{k+1}(v), and layer
     k + 1 at cell c' by x for each pair (c', x) in ups, the non-identity
     values of the (k+1)-cells' compiled Terms applied to that one-value H_k.
     Edges that change nothing are left out."""
-    twist = partial(eval_word, cx, f1)
     deltas = []
-    for k, (cells, (ln, gens)) in enumerate(zip(terms, generators), 1):
-        bd, up = cx.boundary(k + 1).image, cx.groups[k].mul
-        compiled = _compile(cx, k + 1, cells, twist)
+    for k, (ln, gens) in enumerate(generators, 1):
+        bd, up, terms = cx.boundary(k + 1).image, cx.groups[k].mul, compiled[k + 1]
         for c in range(ln):
             for v in gens:
                 hk = (0,) * c + (v,) + (0,) * (ln - c - 1)
-                ups = tuple([(cell, x) for cell, x in enumerate(_apply(up, compiled, hk)) if x])
+                ups = tuple([(cell, x) for cell, x in enumerate(_apply(up, terms, hk)) if x])
                 if bd[v] or ups:
                     deltas.append((k - 1, c, v, bd[v], ups))
     return deltas
+
+
+def _edge_changes(cx: FiniteCrossedComplex, terms: tuple[tuple[Terms, ...], ...],
+                  generators: list[tuple[int, list[int]]]) -> Callable[[tuple[int, ...]], list[tuple]]:
+    """f1 -> the changes of `_edge_deltas` out of morphisms with layer 1 f1:
+    computed once per twist key of `terms`, and looked up once per f1."""
+    key_of, compile_key = _twist_key(cx, dict(enumerate(terms, 2)))
+    by_key: dict[tuple[int, ...], list[tuple]] = {}
+    by_f1: dict[tuple[int, ...], list[tuple]] = {}
+
+    def changes(f1: tuple[int, ...]) -> list[tuple]:
+        got = by_f1.get(f1)
+        if got is None:
+            key = key_of(f1)
+            got = by_key.get(key)
+            if got is None:
+                got = by_key[key] = _edge_deltas(cx, compile_key(key), generators)
+            by_f1[f1] = got
+        return got
+
+    return changes
 
 
 def _edge_targets(g: Colouring, deltas: list[tuple], muls) -> Iterator[Colouring]:
@@ -232,9 +255,8 @@ def homotopy_classes(
             f"{n} morphisms x {edges // n} generator edges"
             f" = {edges} edges exceeds edge cap {cap}")
     homs = enumerate_homs(p, cx, cap=cap)
-    terms = _homotopy_terms(p, cx)
+    changes = _edge_changes(cx, _homotopy_terms(p, cx), generators)
     muls = [a.mul for a in cx.groups]
-    deltas: dict[tuple[int, ...], list[tuple]] = {}
     reached = dict.fromkeys(homs, False)
     representatives, sizes = [], []
     for f in homs:
@@ -243,10 +265,7 @@ def homotopy_classes(
         reached[f] = True
         members = [f]
         for g in members:  # grows while walked: the class is closed when it stops
-            moves = deltas.get(g[0])
-            if moves is None:
-                moves = deltas[g[0]] = _edge_deltas(cx, terms, generators, g[0])
-            for t in _edge_targets(g, moves, muls):
+            for t in _edge_targets(g, changes(g[0]), muls):
                 seen = reached.get(t)
                 if seen is None:
                     _verify(morphism_violation(p, cx, t))

@@ -8,6 +8,7 @@ from functools import partial
 
 import pytest
 
+from xcomplex import enumeration
 from xcomplex.complexes import FiniteCrossedComplex, from_group
 from xcomplex.enumeration import (
     _apply,
@@ -37,7 +38,7 @@ from xcomplex.groups import (
     trivial_action,
     zero_hom,
 )
-from xcomplex.library import resolve_coefficients, resolve_space
+from xcomplex.library import resolve_coefficients, resolve_space, standard_coefficients
 from xcomplex.presentations import (
     CWPresentation,
     disk,
@@ -475,9 +476,10 @@ def test_memoised_search_matches_sweep_and_bruteforce():
 
 
 def test_memo_shared_across_equal_action_rows():
-    """The 16 layer-1 colourings share one memo under the trivial action and
-    fall into four, one per parity of the two 1-cells, under parity, where
-    the count differs.  Without cells of dimension 3..L+1 every layer-1
+    """The 16 layer-1 colourings share one memo under the trivial action,
+    where every twisting word drops out of the key and only the tower ()
+    is built, and fall into four, one per parity of the two 1-cells, under
+    parity, where the count differs.  Without cells of dimension 3..L+1 every layer-1
     colouring takes the same path, under the empty key: listing the torus
     into a crossed module builds the one tower ()."""
     p = parity_presentation()
@@ -486,14 +488,34 @@ def test_memo_shared_across_equal_action_rows():
         s = _Search(p, cx)
         counts[name] = sum(s.below(f1) for f1 in s.layer1())
         assert counts[name] == count_homs_bruteforce(p, cx)
-        towers[name] = len(s.towers)
+        towers[name] = list(s.towers)
     assert counts == {"trivial": 48, "parity": 32}
-    assert towers == {"trivial": 1, "parity": 4}
+    assert towers["trivial"] == [()] and len(towers["parity"]) == 4
     cx = resolve_coefficients("cm-z4-z2-incl")
     s = _Search(torus(), cx, listing=True)
     listed = [(f1,) + tail for f1 in s.layer1() for tail in s.below(f1)]
     assert list(s.towers) == [()]
     assert listed == lexicographic_sweep(torus(), cx) and len(listed) == 16
+
+
+def test_equal_action_rows_have_equal_powered_rows():
+    """The twist key rests on this: elements of A_1 with equal action rows
+    in degree d have equal rows y -> (x |> y)^e for every power e, so a
+    compile reads a twisting word's value only through its action row."""
+    complexes = standard_coefficients() + [
+        resolve_coefficients("cm-z2-z3-flip"), _conjugation_crossed_module(),
+        mixed_action_tower(), twisted_tower4(), *parity_complexes().values()]
+    merged = 0
+    for cx in complexes:
+        for d in range(2, cx.length + 1):
+            action = cx.actions[d - 2]
+            for e in range(1, cx.groups[d - 1].order):
+                rows = action.act if e == 1 else action.powered(e)
+                for x, y in itertools.combinations(range(cx.groups[0].order), 2):
+                    if action.act[x] == action.act[y]:
+                        assert rows[x] == rows[y], (cx.name, d, e, x, y)
+                        merged += e == 1
+    assert merged > 20
 
 
 def test_checker_agrees_with_morphism_violation_on_full_space():
@@ -679,6 +701,39 @@ def test_defect_report_finds_planted_defect():
     assert report == [(4, 0, ((), (1,), (1,)), 1)]
     # the kill constraint removes that colouring from the actual count
     assert count_homs(p, cx) == 1
+
+
+def test_defect_report_compiles_once_per_twist_key(monkeypatch):
+    """The 4-cells' Terms are compiled once per twist key of their words,
+    not once per listed morphism: with d_3 the identity on Z/3, the parity
+    presentation has 16 live layer-1 colourings, each under several
+    morphisms, and 4 twist keys under parity, 1 under the trivial action.
+    The report equals a per-morphism evaluation from f1 itself."""
+    z3 = cyclic_group(3)
+    p = parity_presentation()
+    compiles = []
+    real = enumeration._compile
+
+    def counted(cx, k, cells, twist):
+        compiles.append(k)
+        return real(cx, k, cells, twist)
+
+    monkeypatch.setattr(enumeration, "_compile", counted)
+    for name, keys in (("parity", 4), ("trivial", 1)):
+        base = parity_complexes()[name]
+        cx = FiniteCrossedComplex(base.groups, (base.boundaries[0], GroupHom(z3, z3, (0, 1, 2))),
+                                  base.actions)
+        from xcomplex.complexes import validate
+        assert validate(cx).ok
+        compiles.clear()
+        report = boundary_defect_report(p, cx)
+        assert compiles.count(3) == keys, name
+        trunc = CWPresentation(p.cells[:4], p.attach2, p.attach_terms[:1])
+        homs = enumerate_homs(trunc, cx)
+        assert len({f[0] for f in homs}) == 16 and len(homs) > 16
+        want = [(4, cell, f, val) for f in homs
+                for cell, val in enumerate(eval_terms(cx, f[0], p.terms(4), f[2], 3)) if val]
+        assert report == want and report, name
 
 
 def test_layered_product_order_and_laziness():

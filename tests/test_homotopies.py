@@ -15,7 +15,7 @@ from xcomplex.errors import (
 )
 from xcomplex.homotopies import (
     ClassDecomposition,
-    _edge_deltas,
+    _edge_changes,
     _edge_targets,
     _generator_edges,
     _homotopy_terms,
@@ -24,7 +24,8 @@ from xcomplex.homotopies import (
     homotopy_target,
     homotopy_value_space,
 )
-from xcomplex.complexes import homology, pi1
+from xcomplex.complexes import from_crossed_module, homology, pi1
+from xcomplex.groups import GroupAction, GroupHom, subgroup_as_group, symmetric_group_3
 from xcomplex.library import (
     resolve_coefficients,
     resolve_space,
@@ -350,7 +351,9 @@ def test_sparse_edge_targets_match_full_formula():
     """Each generator edge applied as a sparse change ends where
     `homotopy_target` ends for its one-value table, and an edge that
     `_edge_deltas` leaves out fixes the morphism, for every listed
-    morphism of the pairs whose generator edges fit a budget.  Where the
+    morphism of the pairs whose generator edges fit a budget; the changes
+    come through `_edge_changes`, compiled per twist key as the class walk
+    compiles them, not per layer-1 colouring.  Where the
     full target fails verification (presentations whose 4-cells do not
     bound a cycle), the unverified formula is compared instead."""
     pairs = ([(p, cx) for p in standard_spaces() for cx in standard_coefficients()]
@@ -361,9 +364,10 @@ def test_sparse_edge_targets_match_full_formula():
         if cx.length < 2 or edges_per_morphism(p, cx) * count_homs(p, cx) > 600:
             continue
         generators, terms = _generator_edges(p, cx), _homotopy_terms(p, cx)
+        changes = _edge_changes(cx, terms, generators)
         muls = [a.mul for a in cx.groups]
         for f in enumerate_homs(p, cx):
-            deltas = _edge_deltas(cx, terms, generators, f[0])
+            deltas = changes(f[0])
             sparse = {(i + 1, c, v): t for (i, c, v, _, _), t
                       in zip(deltas, _edge_targets(f, deltas, muls))}
             for k, (ln, gens) in enumerate(generators, 1):
@@ -432,6 +436,57 @@ def test_elementary_classes_match_full_graph():
                for _, cx, sizes in compared)
     assert any(max(sizes) > 1 and any(ln and len(gens) > 1 for ln, gens in _generator_edges(p, cx))
                for p, cx, sizes in compared)
+
+
+def _count_edge_compiles(monkeypatch):
+    """Patch `_edge_deltas` to record each call; returns the call list."""
+    calls, real = [], homotopies._edge_deltas
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homotopies, "_edge_deltas", counted)
+    return calls
+
+
+def _a3_in_s3():
+    """A3 -> S3, the inclusion, with S3 acting by conjugation: an action row
+    depends on the sign of the acting element only."""
+    s3 = symmetric_group_3()
+    members = [g for g in range(6) if s3.mul[s3.mul[g][g]][g] == 0]
+    a3, pos = subgroup_as_group(s3, members)
+    back = {i: g for g, i in pos.items()}
+    act = tuple(tuple(pos[s3.mul[s3.mul[g][back[e]]][s3.inv[g]]] for e in range(3))
+                for g in range(6))
+    return from_crossed_module(s3, a3, GroupHom(a3, s3, tuple(back[e] for e in range(3))),
+                               GroupAction(s3, a3, act), name="a3-s3")
+
+
+def test_edge_changes_compiled_once_under_trivial_action(monkeypatch):
+    """Z/4 acts trivially on Z/2: every twisting word drops out of the key,
+    so the 256 layer-1 colourings of genus 2 share one compile of the
+    class walk's edge changes."""
+    calls = _count_edge_compiles(monkeypatch)
+    p, cx = resolve_space("genus:2"), resolve_coefficients("cm-z4-z2-incl")
+    dec = homotopy_classes(p, cx)
+    assert len({f[0] for f in enumerate_homs(p, cx)}) == 256
+    assert dec.count == 16 and len(calls) == 1
+
+
+def test_edge_changes_compiled_once_per_twist_key(monkeypatch):
+    """S3 acts on A3 through the sign: layer-1 colourings whose twisting
+    words have equal signs share one compile, so the walk compiles fewer
+    times than there are listed layer-1 colourings, and its classes are
+    those of the full homotopy graph."""
+    cx = _a3_in_s3()
+    assert len(set(cx.actions[0].act)) == 2
+    for p in (torus(), rp2(), wedge(torus(), rp2())):
+        calls = _count_edge_compiles(monkeypatch)
+        homs = enumerate_homs(p, cx)
+        dec = homotopy_classes(p, cx)
+        assert 1 < len(calls) < len({f[0] for f in homs}), p
+        assert (list(dec.representatives), list(dec.sizes)) == _full_graph_classes(p, cx, homs)
 
 
 def test_wedge_classes_spot_check():
