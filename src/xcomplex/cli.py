@@ -8,11 +8,13 @@
     xcomplex selfcheck
 
 validate, count, invariant and classes take --cap N, a bound on what a
-command enumerates, on the entries of a sized builtin and on the counting
-engine's work estimate: 10^6 by default, 10^7 for classes (`--help` shows
-each default).  Every listing is counted first and refused before it
-starts, by `weigh_listing`.  X is a JSON file path or, when no such file
-exists, a builtin name from `library`.
+command enumerates, on the entries of a sized builtin, on the decimal
+digits of the answer and on the counting engine's work estimate: 10^6 by
+default, 10^7 for classes (`--help` shows each default).  Answers are
+weighed by their digits from the cell counts and group orders alone,
+before anything is planned (`weigh_answer`).  Every listing is counted
+first and refused before it starts, by `weigh_listing`.  X is a JSON file
+path or, when no such file exists, a builtin name from `library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
 go to stderr.  Exit codes: 0 success, 1 input error, 2 validation failure,
@@ -50,6 +52,7 @@ from .enumeration import (
     count_homs_bruteforce,
     enumerate_homs,
     refuse_count,
+    weigh_answer,
     weigh_listing,
 )
 from .errors import (
@@ -172,8 +175,11 @@ def cmd_validate(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int
 def _planned_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
                    result: dict) -> int:
     """count_homs(p, cx), after reporting the engine it runs and that
-    engine's work estimate; raises InstanceTooLarge, before counting, when
-    the estimate exceeds --cap."""
+    engine's work estimate; raises InstanceTooLarge, before planning, when
+    the answer's digits exceed --cap (`weigh_answer`, with the
+    normalization for invariant), and before counting, when the estimate
+    does."""
+    weigh_answer(p, cx, args.cap, normalization=args.command == "invariant")
     plan = count_engine(p, cx)
     result["engine"], result["estimate"] = plan.engine, plan.estimate
     refuse_count(plan, args.cap)

@@ -32,7 +32,8 @@ Cells of dimension greater than L+1 impose nothing.  Two engines count:
 estimated by its state transitions (never more than the odometer's
 |A_1|^{l_1} x letters word steps), and backtracking otherwise, estimated
 by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
---cap before counting.  Enumeration always runs the layered search, in
+--cap before counting, and before planning, an answer whose digits may
+exceed it (`weigh_answer`).  Enumeration always runs the layered search, in
 lexicographic order by (dimension, cell index, element index).  Every
 listing is weighed once before it starts (`weigh_listing`): its counted
 morphisms, then its walk, the same layer-1 colourings.
@@ -50,13 +51,16 @@ terms included.
 
 A compile reads f1 only through the action row of each twisting word's
 value: the rows y -> (x |> y)^e are equal for x with equal action rows.
-So `_twist_key` maps each distinct (degree, twisting word) slot to the
-least element of A_1 with the same action row in that degree, the *twist
-key* of f1, and layer-1 colourings with equal keys compile alike.  A
-degree where every action row is the same (A_1 acts trivially) leaves no
-slot, and its words twist by 0.  The search, the class walk's edge
-changes and `boundary_defect_report` compile once per twist key;
-`morphism_checker` and the homotopy oracles compile once per f1.
+So each distinct (degree, twisting word) slot maps to the least element
+of A_1 with the same action row in that degree, the *twist key* of f1,
+and layer-1 colourings with equal keys compile alike.  A degree where
+every action row is the same (A_1 acts trivially) leaves no slot, and its
+words twist by 0.  `_twist_key(cx, cells_by_degree, build)` is the one
+place that shares compiles: it returns f1 -> build(compiled), and calls
+build once per twist key.  The search builds its towers through it, the
+class walk its edge changes, and `boundary_defect_report` keeps the
+compiled Terms as they are; `morphism_checker` and the homotopy oracles
+compile once per f1.
 
 So with f1 fixed, layers n..L depend only on t_n.  The search compiles
 the cells of dimension 3..L+1 once per twist key and memoises layers n..L
@@ -88,7 +92,8 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, partial
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import FiniteCrossedComplex
 from .errors import InstanceTooLarge, ResultTooLarge
@@ -123,15 +128,15 @@ def _compile(cx: FiniteCrossedComplex, k: int, cells, twist) -> list[list[tuple]
             for terms in cells]
 
 
-def _twist_key(cx: FiniteCrossedComplex, cells_by_degree: dict[int, Sequence]):
-    """The twist key of the Terms compiled at each degree d of
-    `cells_by_degree` (d -> the cells' Terms), as (key, compiled).
+def _twist_key(cx: FiniteCrossedComplex, cells_by_degree: dict[int, Sequence], build: Callable):
+    """f1 -> build(compiled), built once per twist key of f1, where compiled
+    maps each degree d of `cells_by_degree` (d -> the cells' Terms) to their
+    `_compile` at d under f1.
 
-    key(f1) is the tuple of the distinct (d, twisting word) slots' values
-    under f1, each mapped to the least element of A_1 with the same row of
-    cx.actions[d-2]; a degree with a single row adds no slot.  compiled(key)
-    is the `_compile` of every degree d under that key, d -> compiled Terms:
-    its twist lookup reads the key's value at each term's slot, numbered
+    The key of f1 is the tuple of the distinct (d, twisting word) slots'
+    values under f1, each mapped to the least element of A_1 with the same
+    row of cx.actions[d-2]; a degree with a single row adds no slot.  A
+    compile under a key reads the key's value at each term's slot, numbered
     once here so that no word is hashed again, and 0 in a dropped degree.
     """
     slots: dict[tuple[int, Word], int] = {}
@@ -143,17 +148,20 @@ def _twist_key(cx: FiniteCrossedComplex, cells_by_degree: dict[int, Sequence]):
         canon[d] = [first.setdefault(tuple(row), x) for x, row in enumerate(cx.actions[d - 2].act)]
     # a degree whose least elements are all 0 has one action row: its words twist by 0
     live = [(i, canon[d], w) for (d, w), i in slots.items() if any(canon[d])]
+    built: dict[tuple[int, ...], Any] = {}
 
-    def key(f1: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple([least[eval_word(cx, f1, w)] for _, least, w in live])
+    def value(f1: tuple[int, ...]):
+        key = tuple([least[eval_word(cx, f1, w)] for _, least, w in live])
+        got = built.get(key)
+        if got is None:
+            twist = [0] * len(slots)
+            for (i, _, _), x in zip(live, key):
+                twist[i] = x
+            got = built[key] = build({d: _compile(cx, d, cells, twist.__getitem__)
+                                      for d, cells in numbered.items()})
+        return got
 
-    def compiled(k: tuple[int, ...]) -> dict[int, list[list[tuple]]]:
-        twist = [0] * len(slots)
-        for (i, _, _), x in zip(live, k):
-            twist[i] = x
-        return {d: _compile(cx, d, cells, twist.__getitem__) for d, cells in numbered.items()}
-
-    return key, compiled
+    return value
 
 
 def _apply(mul, compiled, below: tuple[int, ...]) -> tuple[int, ...]:
@@ -258,9 +266,9 @@ class _Search:
         # the highest dimension in 3..L+1 holding cells, or 2 when there is
         # none: from layer `top` on, each layer's fibers are free choices
         self.top = max((n for n in range(3, cx.length + 2) if p.count(n)), default=2)
-        # the twist key of the cells of dimension 3..top, compiled at n - 1
-        self.key, self.compiled = _twist_key(cx, {n - 1: p.terms(n) for n in range(3, self.top + 1)})
-        self.towers: dict[tuple[int, ...], _Tower] = {}
+        # f1 -> the tower of its twist key: the cells of dimension 3..top compiled at n - 1
+        self.tower = _twist_key(cx, {n - 1: p.terms(n) for n in range(3, self.top + 1)},
+                                partial(_Tower, self))
 
     def layer1(self):
         """Every 1-cell colouring, in lexicographic order."""
@@ -272,19 +280,16 @@ class _Search:
             t.append(v := eval_word(self.cx, f1, w))
             if not self.weight[v]:  # this 2-cell has no admissible colour
                 return [] if self.listing else 0
-        key = self.key(f1)
-        if key not in self.towers:
-            self.towers[key] = _Tower(self, key)
-        return self.towers[key].below(2, tuple(t))
+        return self.tower(f1).below(2, tuple(t))
 
 
 class _Tower:
     """Layers 2..L for the layer-1 colourings of one twist key: the cells'
     compiled terms and the memo on (n, t_n)."""
 
-    def __init__(self, s: _Search, key: tuple[int, ...]):
+    def __init__(self, s: _Search, terms: dict[int, list[list[tuple]]]):
         self.s = s
-        self.terms = s.compiled(key)  # by degree: the (n+1)-cells' at n
+        self.terms = terms  # by degree: the (n+1)-cells' at n
         self.memo: dict[tuple[int, tuple[int, ...]], int | list[Colouring]] = {}
 
     def below(self, n: int, t: tuple[int, ...]):
@@ -523,6 +528,22 @@ def _backtrack(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     return sum(s.below(f1) for f1 in s.layer1())
 
 
+def weigh_answer(p: CWPresentation, cx: FiniteCrossedComplex, cap: int,
+                 normalization: bool = False) -> None:
+    """Raise InstanceTooLarge, before anything is planned, when the answer
+    may have more than `cap` decimal digits.
+
+    The count is at most prod_{n=1..L} |A_n|^{l_n}; with `normalization`,
+    the numerator times the denominator of the invariant's normalization,
+    prod_{s=1..L-1} prod_m |A_{m+s}|^{l_m}, multiply the bound.  Digits are
+    summed as logarithms, so no large number is built."""
+    shifts = range(cx.length if normalization else 1)
+    digits = 1 + int(sum(p.count(m) * math.log10(cx.groups[m + s - 1].order)
+                         for s in shifts for m in range(1, cx.length - s + 1)))
+    if digits > cap:
+        raise InstanceTooLarge(f"answer of up to {digits} digits exceeds cap {cap}")
+
+
 def refuse_count(plan: CountPlan, cap: int) -> None:
     """Raise InstanceTooLarge when the plan's work estimate exceeds `cap`."""
     if plan.estimate > cap:
@@ -620,7 +641,8 @@ def boundary_defect_report(
     truncated below n and evaluates each n-cell's Terms; a value outside
     ker d_{n-1} is reported as (n, cell, colouring, value).  An empty report
     on a presentation with zero morphism count says nothing.  Before each
-    truncation is listed, its count estimate is refused as `refuse_count`
+    truncation is listed, its count is weighed by its digits
+    (`weigh_answer`), its count estimate is refused as `refuse_count`
     does, and its counted morphisms and walk as `weigh_listing` does.
     """
     out: list[tuple[int, int, Colouring, int]] = []
@@ -629,15 +651,12 @@ def boundary_defect_report(
             continue
         trunc = CWPresentation(p.cells[:n], p.attach2, p.attach_terms[:n - 3], name=p.name)
         kerbd, mul = cx.boundary(n - 1).image, cx.groups[n - 2].mul
+        weigh_answer(trunc, cx, cap)
         refuse_count(count_engine(trunc, cx), cap)
         weigh_listing(trunc, cx, count_homs(trunc, cx), cap)
-        key_of, compile_key = _twist_key(cx, {n - 1: p.terms(n)})
-        compiled: dict[tuple[int, ...], list[list[tuple]]] = {}
+        compiled = _twist_key(cx, {n - 1: p.terms(n)}, itemgetter(n - 1))
         for f in enumerate_homs(trunc, cx, cap=cap):
-            key = key_of(f[0])
-            if key not in compiled:
-                compiled[key] = compile_key(key)[n - 1]
-            got = _apply(mul, compiled[key], f[n - 2])
+            got = _apply(mul, compiled(f[0]), f[n - 2])
             out.extend([(n, cell, f, val)
                         for cell, val in enumerate(got) if kerbd[val] != 0])
     return out

@@ -38,16 +38,18 @@ d_{k+1} send the identity to the identity: the edge (k, c, v) multiplies
 layer k at cell c by d_{k+1}(v), and at layer k + 1 each cell whose
 compiled Terms name c by the product of those terms' rows at v; every other
 factor of the target formula is 1.  `_edge_deltas` computes these changes
-once per twist key, shared by the layer-1 colourings that have it (under
-trivial actions, all).  The walk takes the listing of `enumerate_homs` in
-index order: a morphism not yet reached starts a new class as its least
-member, and the class is closed before the next starts.  Listed colourings
-passed the morphism checker of their layer 1, so a target verifies by
-membership; one outside the listing goes through `morphism_violation` and
-raises TargetNotMorphism, or AssertionError if the listing missed a
-morphism.  `homotopy_target` applies the full formula (`_target_formula`)
-to one table, and `homotopy_orbit` walks the full value space at one
-morphism, each target verified by a checker: the oracles.
+from the Terms compiled under one twist key, and `enumeration._twist_key`
+builds them once per key; the walk looks them up per listed layer-1
+colouring (under trivial actions, all share one build).  The walk takes
+the listing of `enumerate_homs` in index order: a morphism not yet
+reached starts a new class as its least member, and the class is closed
+before the next starts.  Listed colourings passed the morphism checker of
+their layer 1, so a target verifies by membership; one outside the
+listing goes through `morphism_violation` and raises TargetNotMorphism,
+or AssertionError if the listing missed a morphism.  `homotopy_target`
+applies the full formula (`_target_formula`) to one table, and
+`homotopy_orbit` walks the full value space at one morphism, each target
+verified by a checker: the oracles.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from .enumeration import (
     morphism_checker,
     morphism_violation,
     refuse_count,
+    weigh_answer,
     weigh_listing,
 )
 from .groups import greedy_generators
@@ -158,8 +161,8 @@ def _generator_edges(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[
             for k in range(1, cx.length)]
 
 
-def _edge_deltas(cx: FiniteCrossedComplex, compiled: dict[int, list[list[tuple]]],
-                 generators: list[tuple[int, list[int]]]) -> list[tuple]:
+def _edge_deltas(cx: FiniteCrossedComplex, generators: list[tuple[int, list[int]]],
+                 compiled: dict[int, list[list[tuple]]]) -> list[tuple]:
     """The generator edges out of morphisms whose layer 1 has one twist key,
     given the Terms of degrees 2..L compiled under it, as sparse changes
     (i, c, v, b, ups) in (k, c, v) order: the edge with H_k(c) = v,
@@ -177,27 +180,6 @@ def _edge_deltas(cx: FiniteCrossedComplex, compiled: dict[int, list[list[tuple]]
                 if bd[v] or ups:
                     deltas.append((k - 1, c, v, bd[v], ups))
     return deltas
-
-
-def _edge_changes(cx: FiniteCrossedComplex, terms: tuple[tuple[Terms, ...], ...],
-                  generators: list[tuple[int, list[int]]]) -> Callable[[tuple[int, ...]], list[tuple]]:
-    """f1 -> the changes of `_edge_deltas` out of morphisms with layer 1 f1:
-    computed once per twist key of `terms`, and looked up once per f1."""
-    key_of, compile_key = _twist_key(cx, dict(enumerate(terms, 2)))
-    by_key: dict[tuple[int, ...], list[tuple]] = {}
-    by_f1: dict[tuple[int, ...], list[tuple]] = {}
-
-    def changes(f1: tuple[int, ...]) -> list[tuple]:
-        got = by_f1.get(f1)
-        if got is None:
-            key = key_of(f1)
-            got = by_key.get(key)
-            if got is None:
-                got = by_key[key] = _edge_deltas(cx, compile_key(key), generators)
-            by_f1[f1] = got
-        return got
-
-    return changes
 
 
 def _edge_targets(g: Colouring, deltas: list[tuple], muls) -> Iterator[Colouring]:
@@ -239,12 +221,13 @@ def homotopy_classes(
     """Homotopy classes of Hom(P, A), each walked once along generator edges
     from its least member, over the listing of `enumerate_homs`.
 
-    Before counting, raises InstanceTooLarge when the estimate of
-    `count_engine` exceeds `cap`; before listing, the counted morphisms and
-    their walk are weighed (`weigh_listing`), then ResultTooLarge is raised
-    when the generator edges, n x sum_k l_k |S_{k+1}| on n morphisms,
-    exceed `cap`.
+    Before counting, raises InstanceTooLarge when the count's digits
+    (`weigh_answer`) or the estimate of `count_engine` exceed `cap`;
+    before listing, the counted morphisms and their walk are weighed
+    (`weigh_listing`), then ResultTooLarge is raised when the generator
+    edges, n x sum_k l_k |S_{k+1}| on n morphisms, exceed `cap`.
     """
+    weigh_answer(p, cx, cap)
     refuse_count(count_engine(p, cx), cap)
     n = count_homs(p, cx)
     weigh_listing(p, cx, n, cap)
@@ -255,7 +238,9 @@ def homotopy_classes(
             f"{n} morphisms x {edges // n} generator edges"
             f" = {edges} edges exceeds edge cap {cap}")
     homs = enumerate_homs(p, cx, cap=cap)
-    changes = _edge_changes(cx, _homotopy_terms(p, cx), generators)
+    deltas = _twist_key(cx, dict(enumerate(_homotopy_terms(p, cx), 2)),
+                        partial(_edge_deltas, cx, generators))
+    changes = {f1: deltas(f1) for f1 in {f[0] for f in homs}}
     muls = [a.mul for a in cx.groups]
     reached = dict.fromkeys(homs, False)
     representatives, sizes = [], []
@@ -265,7 +250,7 @@ def homotopy_classes(
         reached[f] = True
         members = [f]
         for g in members:  # grows while walked: the class is closed when it stops
-            for t in _edge_targets(g, changes(g[0]), muls):
+            for t in _edge_targets(g, changes[g[0]], muls):
                 seen = reached.get(t)
                 if seen is None:
                     _verify(morphism_violation(p, cx, t))

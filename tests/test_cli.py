@@ -437,6 +437,39 @@ def test_exact_answer_past_digit_limit(tmp_path, exact_ints, command):
         assert report["result"]["invariant"] == str(2 ** 20000)
 
 
+def test_oversized_answers_are_refused_before_planning(tmp_path):
+    """2^(10^12) morphisms, with or without a killed 3-cell on top, and
+    2^20000000 (6,020,600 digits): each answer's digits are weighed from
+    the cell counts and group orders, and refused with exit 3 before any
+    plan is made or any number of that size is built, in a process
+    limited to 1 GiB of address space.  So is the truncation that the
+    boundary sweep would count below a 4-cell."""
+    import resource
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    docs = {"wide": {"cells": [1, 10**12]},
+            "killed": {"cells": [1, 10**12, 0, 1], "attach": {"3": [[]]}},
+            "long": {"cells": [1, 20_000_000]},
+            "sweep": {"cells": [1, 10**12, 0, 0, 1], "attach": {"4": [[]]}}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    runs = [("count", "wide", "z2"), ("invariant", "wide", "z2"), ("classes", "wide", "z2"),
+            ("count", "killed", "l3-z2"), ("count", "long", "z2"),
+            ("invariant", "long", "z2", "--cap", "1000"),
+            ("validate", "sweep", "l3-z2", "--check-boundaries")]
+    for command, name, complex_, *rest in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "xcomplex.cli", command, "--presentation",
+             str(tmp_path / f"{name}.json"), "--complex", complex_, *rest],
+            capture_output=True, text=True, timeout=60, preexec_fn=limited)
+        assert proc.returncode == 3, (command, name, proc.stderr)
+        result = json.loads(proc.stdout)["result"]
+        assert list(result) == ["error"], (command, name)
+        assert result["error"].startswith("answer of up to "), (command, name)
+
+
 def test_main_restores_digit_limit(capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     from xcomplex import cli

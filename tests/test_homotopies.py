@@ -5,7 +5,15 @@ from functools import partial
 
 import pytest
 
-from xcomplex.enumeration import _apply, _compile, count_homs, enumerate_homs, eval_word
+from xcomplex.enumeration import (
+    _apply,
+    _compile,
+    _twist_key,
+    count_homs,
+    count_homs_bruteforce,
+    enumerate_homs,
+    eval_word,
+)
 from xcomplex import homotopies
 from xcomplex.errors import (
     DimensionMismatch,
@@ -15,7 +23,6 @@ from xcomplex.errors import (
 )
 from xcomplex.homotopies import (
     ClassDecomposition,
-    _edge_changes,
     _edge_targets,
     _generator_edges,
     _homotopy_terms,
@@ -24,8 +31,16 @@ from xcomplex.homotopies import (
     homotopy_target,
     homotopy_value_space,
 )
-from xcomplex.complexes import from_crossed_module, homology, pi1
-from xcomplex.groups import GroupAction, GroupHom, subgroup_as_group, symmetric_group_3
+from xcomplex.complexes import FiniteCrossedComplex, from_crossed_module, homology, pi1, validate
+from xcomplex.groups import (
+    GroupAction,
+    GroupHom,
+    cyclic_group,
+    subgroup_as_group,
+    symmetric_group_3,
+    trivial_action,
+    zero_hom,
+)
 from xcomplex.library import (
     resolve_coefficients,
     resolve_space,
@@ -34,7 +49,16 @@ from xcomplex.library import (
 )
 from xcomplex.randomgen import random_instances
 from xcomplex.selfcheck import _conjugation_crossed_module
-from xcomplex.presentations import disk, fox_terms, free_reduce, rp2, sphere, torus, wedge
+from xcomplex.presentations import (
+    CWPresentation,
+    disk,
+    fox_terms,
+    free_reduce,
+    rp2,
+    sphere,
+    torus,
+    wedge,
+)
 
 
 def edges_per_morphism(p, cx):
@@ -347,26 +371,31 @@ def test_generator_edges():
     assert 7 * edges_per_morphism(torus(), s3_pair) == 28
 
 
-def test_sparse_edge_targets_match_full_formula():
+def test_sparse_edge_targets_match_full_formula(monkeypatch):
     """Each generator edge applied as a sparse change ends where
     `homotopy_target` ends for its one-value table, and an edge that
     `_edge_deltas` leaves out fixes the morphism, for every listed
     morphism of the pairs whose generator edges fit a budget; the changes
-    come through `_edge_changes`, compiled per twist key as the class walk
-    compiles them, not per layer-1 colouring.  Where the
-    full target fails verification (presentations whose 4-cells do not
-    bound a cycle), the unverified formula is compared instead."""
+    come through `_twist_key`, built per twist key as the class walk builds
+    them, not per layer-1 colouring: never more often than a pair has
+    listed layer-1 colourings, and less often on some pair.  Where the full
+    target fails verification (presentations whose 4-cells do not bound a
+    cycle), the unverified formula is compared instead."""
     pairs = ([(p, cx) for p in standard_spaces() for cx in standard_coefficients()]
              + [(p, _conjugation_crossed_module()) for p in (sphere(1), torus(), rp2(), disk(2))]
              + random_instances(12345, 200))
-    compared = unverified = 0
+    calls = _count_edge_compiles(monkeypatch)
+    compared = unverified = shared = 0
     for p, cx in pairs:
         if cx.length < 2 or edges_per_morphism(p, cx) * count_homs(p, cx) > 600:
             continue
         generators, terms = _generator_edges(p, cx), _homotopy_terms(p, cx)
-        changes = _edge_changes(cx, terms, generators)
+        changes = _twist_key(cx, dict(enumerate(terms, 2)),
+                             partial(homotopies._edge_deltas, cx, generators))
         muls = [a.mul for a in cx.groups]
-        for f in enumerate_homs(p, cx):
+        homs = enumerate_homs(p, cx)
+        calls.clear()
+        for f in homs:
             deltas = changes(f[0])
             sparse = {(i + 1, c, v): t for (i, c, v, _, _), t
                       in zip(deltas, _edge_targets(f, deltas, muls))}
@@ -382,7 +411,9 @@ def test_sparse_edge_targets_match_full_formula():
                             unverified += 1
                         assert sparse.get((k, c, v), f) == want, (p, cx.name, f, table)
                         compared += 1
-    assert compared > 6000 and unverified > 0
+        assert len(calls) <= len({f[0] for f in homs}), (p, cx.name)
+        shared += len(calls) < len({f[0] for f in homs})
+    assert compared > 6000 and unverified > 0 and shared > 0
 
 
 def _full_graph_classes(p, cx, homs):
@@ -436,6 +467,26 @@ def test_elementary_classes_match_full_graph():
                for _, cx, sizes in compared)
     assert any(max(sizes) > 1 and any(ln and len(gens) > 1 for ln, gens in _generator_edges(p, cx))
                for p, cx, sizes in compared)
+
+
+def test_tower_action_depends_on_degree():
+    """Z/2 acts trivially on A_2 = Z/2 and by negation on A_3 = Z/3, with
+    zero boundaries, so the degree-2 action rows do not refine the
+    degree-3 ones.  The 4-cell c + x.c is killed: for x = 0 only the 3-cell
+    colour 0 survives, for x = 1 all three do, 2 x (1 + 3) = 8 morphisms.
+    A twist key read from the degree-2 rows would compile x = 1 as x = 0
+    and find 4."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    cx = FiniteCrossedComplex(
+        (z2, z2, z3), (zero_hom(z2, z2), zero_hom(z3, z2)),
+        (trivial_action(z2, z2), GroupAction(z2, z3, ((0, 1, 2), (0, 2, 1)))))
+    assert validate(cx).ok
+    p = CWPresentation((1, 1, 1, 1, 1), attach2=((),),
+                       attach_terms=(((),), ((((), 0, 1), (((0, 1),), 0, 1)),)))
+    homs = enumerate_homs(p, cx)
+    assert count_homs(p, cx) == len(homs) == count_homs_bruteforce(p, cx) == 8
+    dec = homotopy_classes(p, cx)
+    assert (list(dec.representatives), list(dec.sizes)) == _full_graph_classes(p, cx, homs)
 
 
 def _count_edge_compiles(monkeypatch):
