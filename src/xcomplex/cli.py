@@ -12,8 +12,10 @@ command enumerates, on the entries of a sized builtin, on the decimal
 digits of the answer and on the counting engine's work estimate: 10^6 by
 default, 10^7 for classes (`--help` shows each default).  Answers are
 weighed by their digits from the cell counts and group orders alone,
-before anything is planned (`weigh_answer`).  Every listing is counted
-first and refused before it starts, by `weigh_listing`.  X is a JSON file
+before anything is planned (`weigh_answer`); a listing's, against at
+most 4,300 digits.  Every listing is counted first and refused before it
+starts, by `weigh_listing`.  A refused number past 4,300 digits is
+reported by its magnitude (`printable`).  X is a JSON file
 path or, when no such file exists, a builtin name from `library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
@@ -51,6 +53,7 @@ from .enumeration import (
     count_homs,
     count_homs_bruteforce,
     enumerate_homs,
+    printable,
     refuse_count,
     weigh_answer,
     weigh_listing,
@@ -181,7 +184,7 @@ def _planned_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrosse
     does."""
     weigh_answer(p, cx, args.cap, normalization=args.command == "invariant")
     plan = count_engine(p, cx)
-    result["engine"], result["estimate"] = plan.engine, plan.estimate
+    result["engine"], result["estimate"] = plan.engine, printable(plan.estimate)
     refuse_count(plan, args.cap)
     return count_homs(p, cx)
 

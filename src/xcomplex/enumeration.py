@@ -528,26 +528,44 @@ def _backtrack(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     return sum(s.below(f1) for f1 in s.layer1())
 
 
+_SHORT = 4300  # digits: CPython's default int/str limit
+_LONG = 10**_SHORT
+
+
 def weigh_answer(p: CWPresentation, cx: FiniteCrossedComplex, cap: int,
-                 normalization: bool = False) -> None:
+                 normalization: bool = False, listing: bool = False) -> None:
     """Raise InstanceTooLarge, before anything is planned, when the answer
-    may have more than `cap` decimal digits.
+    may have more than `cap` decimal digits, or, for a `listing`, more than
+    4,300.
 
     The count is at most prod_{n=1..L} |A_n|^{l_n}; with `normalization`,
     the numerator times the denominator of the invariant's normalization,
     prod_{s=1..L-1} prod_m |A_{m+s}|^{l_m}, multiply the bound.  Digits are
-    summed as logarithms, so no large number is built."""
+    summed as logarithms, so no large number is built.  A listing is
+    refused anyway past `cap` morphisms, which no listing could hold at
+    10^4300; weighing its bound against 4,300 digits keeps every number it
+    goes on to build short, at the price of refusing a presentation whose
+    bound is that long but whose morphisms are few."""
     shifts = range(cx.length if normalization else 1)
     digits = 1 + int(sum(p.count(m) * math.log10(cx.groups[m + s - 1].order)
                          for s in shifts for m in range(1, cx.length - s + 1)))
     if digits > cap:
         raise InstanceTooLarge(f"answer of up to {digits} digits exceeds cap {cap}")
+    if listing and digits > _SHORT:
+        raise InstanceTooLarge(f"listing's count of up to {digits} digits exceeds {_SHORT} digits")
+
+
+def printable(n: int) -> int | str:
+    """`n` for a report or a message, or "about 10^k" past 4,300 digits:
+    CPython prints an int in time quadratic in its digits."""
+    return n if n < _LONG else f"about 10^{int(math.log10(n))}"
 
 
 def refuse_count(plan: CountPlan, cap: int) -> None:
     """Raise InstanceTooLarge when the plan's work estimate exceeds `cap`."""
     if plan.estimate > cap:
-        raise InstanceTooLarge(f"{plan.engine} estimate {plan.estimate} exceeds cap {cap}")
+        raise InstanceTooLarge(
+            f"{plan.engine} estimate {printable(plan.estimate)} exceeds cap {cap}")
 
 
 def refuse_listing(morphisms: int, cap: int) -> None:
@@ -562,7 +580,8 @@ def weigh_listing(p: CWPresentation, cx: FiniteCrossedComplex, morphisms: int, c
     walk of |A_1|^{l_1} layer-1 colourings does."""
     refuse_listing(morphisms, cap)
     if (walk := cx.groups[0].order ** p.count(1)) > cap:
-        raise InstanceTooLarge(f"listing walk of {walk} layer-1 colourings exceeds cap {cap}")
+        raise InstanceTooLarge(
+            f"listing walk of {printable(walk)} layer-1 colourings exceeds cap {cap}")
 
 
 def enumerate_homs(
@@ -604,7 +623,7 @@ def count_homs_bruteforce(
     shape = _morphism_shape(p, cx)
     total = math.prod(order ** ln for ln, order in shape)
     if total > cap:
-        raise InstanceTooLarge(f"brute-force space {total} exceeds cap {cap}")
+        raise InstanceTooLarge(f"brute-force space {printable(total)} exceeds cap {cap}")
     (l1, order), rest = shape[0], shape[1:]
     count = 0
     for f1 in itertools.product(range(order), repeat=l1):
@@ -642,8 +661,9 @@ def boundary_defect_report(
     ker d_{n-1} is reported as (n, cell, colouring, value).  An empty report
     on a presentation with zero morphism count says nothing.  Before each
     truncation is listed, its count is weighed by its digits
-    (`weigh_answer`), its count estimate is refused as `refuse_count`
-    does, and its counted morphisms and walk as `weigh_listing` does.
+    (`weigh_answer`, a listing's), its count estimate is refused as
+    `refuse_count` does, and its counted morphisms and walk as
+    `weigh_listing` does.
     """
     out: list[tuple[int, int, Colouring, int]] = []
     for n in range(4, min(p.dim, cx.length + 1) + 1):
@@ -651,7 +671,7 @@ def boundary_defect_report(
             continue
         trunc = CWPresentation(p.cells[:n], p.attach2, p.attach_terms[:n - 3], name=p.name)
         kerbd, mul = cx.boundary(n - 1).image, cx.groups[n - 2].mul
-        weigh_answer(trunc, cx, cap)
+        weigh_answer(trunc, cx, cap, listing=True)
         refuse_count(count_engine(trunc, cx), cap)
         weigh_listing(trunc, cx, count_homs(trunc, cx), cap)
         compiled = _twist_key(cx, {n - 1: p.terms(n)}, itemgetter(n - 1))

@@ -222,12 +222,12 @@ def homotopy_classes(
     from its least member, over the listing of `enumerate_homs`.
 
     Before counting, raises InstanceTooLarge when the count's digits
-    (`weigh_answer`) or the estimate of `count_engine` exceed `cap`;
-    before listing, the counted morphisms and their walk are weighed
+    (`weigh_answer`, a listing's) or the estimate of `count_engine` exceed
+    `cap`; before listing, the counted morphisms and their walk are weighed
     (`weigh_listing`), then ResultTooLarge is raised when the generator
     edges, n x sum_k l_k |S_{k+1}| on n morphisms, exceed `cap`.
     """
-    weigh_answer(p, cx, cap)
+    weigh_answer(p, cx, cap, listing=True)
     refuse_count(count_engine(p, cx), cap)
     n = count_homs(p, cx)
     weigh_listing(p, cx, n, cap)

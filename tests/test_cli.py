@@ -443,7 +443,11 @@ def test_oversized_answers_are_refused_before_planning(tmp_path):
     the cell counts and group orders, and refused with exit 3 before any
     plan is made or any number of that size is built, in a process
     limited to 1 GiB of address space.  So is the truncation that the
-    boundary sweep would count below a 4-cell."""
+    boundary sweep would count below a 4-cell.  Just under the digit cap,
+    2^3300000 (993,400 digits) passes the weighing of count, whose
+    estimate is then refused by its magnitude, while classes and the sweep
+    weigh a listing's count against 4,300 digits: every run ends within
+    seconds, where printing the estimate in decimal would take minutes."""
     import resource
 
     def limited():
@@ -452,22 +456,36 @@ def test_oversized_answers_are_refused_before_planning(tmp_path):
     docs = {"wide": {"cells": [1, 10**12]},
             "killed": {"cells": [1, 10**12, 0, 1], "attach": {"3": [[]]}},
             "long": {"cells": [1, 20_000_000]},
-            "sweep": {"cells": [1, 10**12, 0, 0, 1], "attach": {"4": [[]]}}}
+            "sweep": {"cells": [1, 10**12, 0, 0, 1], "attach": {"4": [[]]}},
+            "near": {"cells": [1, 3_300_000, 0, 1], "attach": {"3": [[]]}},
+            "near-sweep": {"cells": [1, 3_300_000, 0, 0, 1], "attach": {"4": [[]]}}}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    runs = [("count", "wide", "z2"), ("invariant", "wide", "z2"), ("classes", "wide", "z2"),
-            ("count", "killed", "l3-z2"), ("count", "long", "z2"),
-            ("invariant", "long", "z2", "--cap", "1000"),
-            ("validate", "sweep", "l3-z2", "--check-boundaries")]
-    for command, name, complex_, *rest in runs:
+    answer, listing = "answer of up to ", "listing's count of up to "
+    runs = [("count", "wide", "z2", answer), ("invariant", "wide", "z2", answer),
+            ("classes", "wide", "z2", answer), ("count", "killed", "l3-z2", answer),
+            ("count", "long", "z2", answer),
+            ("invariant", "long", "z2", answer, "--cap", "1000"),
+            ("validate", "sweep", "l3-z2", answer, "--check-boundaries"),
+            ("count", "near", "l3-z2", "backtrack estimate about 10^993398 exceeds"),
+            ("count", "near", "l3-z2", "backtrack estimate about 10^993398 exceeds",
+             "--enumerate", "--oracle"),
+            ("invariant", "near", "l3-z2", answer), ("classes", "near", "l3-z2", listing),
+            ("validate", "near-sweep", "l3-z2", listing, "--check-boundaries")]
+    for command, name, complex_, error, *rest in runs:
+        started = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "xcomplex.cli", command, "--presentation",
              str(tmp_path / f"{name}.json"), "--complex", complex_, *rest],
             capture_output=True, text=True, timeout=60, preexec_fn=limited)
+        assert time.perf_counter() - started < 5.0, (command, name)
         assert proc.returncode == 3, (command, name, proc.stderr)
         result = json.loads(proc.stdout)["result"]
-        assert list(result) == ["error"], (command, name)
-        assert result["error"].startswith("answer of up to "), (command, name)
+        assert result["error"].startswith(error), (command, name)
+        if command == "count" and name == "near":
+            assert result["estimate"] == "about 10^993398"
+        else:
+            assert list(result) == ["error"], (command, name)
 
 
 def test_main_restores_digit_limit(capsys):

@@ -491,21 +491,33 @@ def _count_towers(monkeypatch):
 
 def test_memo_shared_across_equal_action_rows(monkeypatch):
     """The 16 layer-1 colourings share one memo under the trivial action,
-    where every twisting word drops out of the key and one tower is built,
-    and fall into four, one per parity of the two 1-cells, under parity,
-    where the count differs.  Without cells of dimension 3..L+1 every
-    layer-1 colouring takes the same path, under the empty key: listing the
-    torus into a crossed module builds one tower, with nothing compiled."""
+    where every twisting word drops out of the key: one tower is built, and
+    the search evaluates the two 2-cell words of each colouring and no
+    twisting word.  Under parity they fall into four, one per parity of
+    the two 1-cells, and the count differs; each colouring's key also
+    evaluates the seven distinct (degree, twisting word) slots.  Without
+    cells of dimension 3..L+1 every layer-1 colouring takes the same path,
+    under the empty key: listing the torus into a crossed module builds one
+    tower, with nothing compiled."""
     p = parity_presentation()
-    counts, towers = {}, {}
+    counts, towers, words = {}, {}, {}
     for name, cx in parity_complexes().items():
         built = _count_towers(monkeypatch)
+        evaluated = []
+
+        def counted(cx, f1, w, evaluated=evaluated):
+            evaluated.append(w)
+            return eval_word(cx, f1, w)
+
+        monkeypatch.setattr(enumeration, "eval_word", counted)
         s = _Search(p, cx)
         counts[name] = sum(s.below(f1) for f1 in s.layer1())
+        monkeypatch.setattr(enumeration, "eval_word", eval_word)
         assert counts[name] == count_homs_bruteforce(p, cx)
-        towers[name] = len(built)
+        towers[name], words[name] = len(built), len(evaluated)
     assert counts == {"trivial": 48, "parity": 32}
     assert towers == {"trivial": 1, "parity": 4}
+    assert words == {"trivial": 16 * 2, "parity": 16 * (2 + 7)}
     cx = resolve_coefficients("cm-z4-z2-incl")
     built = _count_towers(monkeypatch)
     s = _Search(torus(), cx, listing=True)
