@@ -14,11 +14,18 @@ tuple of element indices per layer 1..L, compared and hashed by value.
 Cells of dimension greater than L+1 impose nothing.  Two engines count:
 
   * Elimination, when no cell of dimension 3..L+1 exists, so every
-    constraint comes from a 2-cell's word.  The relator letters are read in
-    a planned order; a state is the running product plus the colours of
-    the live 1-cells (seen and used again later), and a cell is summed out
-    at its last letter.  A finished relator with value t weighs [t == 0]
-    when L = 1 and |d_2^{-1}(t)| otherwise.  This is bucket elimination on
+    constraint comes from a 2-cell's word.  A finished relator with value t
+    weighs [t == 0] when L = 1 and |d_2^{-1}(t)| otherwise.  First a
+    relator holding a 1-cell x used once in the words left is collapsed,
+    repeatedly: whatever the other colours, x takes one colour per value
+    of the relator, so x and its relator, a free D^2 factor, weigh
+    W = sum_t weight(t) (|A_2|, or 1 when L = 1) and constrain nothing
+    else.  The relator letters left are read in a planned order; a state is
+    the running product plus the colours of the live 1-cells (seen and used
+    again later), and a cell is summed out at its last letter.  A relator
+    whose last letter x^e is a new cell is solved there: over a running
+    product acc, each value t of nonzero weight gives x the one colour v
+    with acc v^e = t, weighing weight(t).  This is bucket elimination on
     the cell-relator incidence graph (Dechter, AIJ 1999), whose cost the
     order sets: the plan rotates, inverts and reorders the relators, which
     changes no weight, so that fewer cells are live at once.
@@ -29,14 +36,16 @@ Cells of dimension greater than L+1 impose nothing.  Two engines count:
     in A_{n-1}; an empty fiber prunes exactly.
 
 `count_engine` plans a count once: elimination whenever it applies,
-estimated by its state transitions (never more than the odometer's
-|A_1|^{l_1} x letters word steps), and backtracking otherwise, estimated
-by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
---cap before counting, and before planning, an answer whose digits may
-exceed it (`weigh_answer`).  Enumeration always runs the layered search, in
-lexicographic order by (dimension, cell index, element index).  Every
-listing is weighed once before it starts (`weigh_listing`): its counted
-morphisms, then its walk, the same layer-1 colourings.
+estimated by the state transitions of the words left after the collapse
+(never more than the odometer's |A_1|^{l_1} x letters word steps), and
+backtracking otherwise, estimated by its |A_1|^{l_1} layer-1 colourings.
+The CLI refuses an estimate above --cap before counting, and before
+planning, an answer whose digits may exceed it (`weigh_answer`); the
+collapse runs before the estimate is checked, in time linear in the
+letters.  Enumeration always runs the layered search, in lexicographic
+order by (dimension, cell index, element index).  Every listing is weighed
+once before it starts (`weigh_listing`): its counted morphisms, then its
+walk, the same layer-1 colourings.
 
 Attaching data of a cell of dimension >= 3, its Terms
 (`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
@@ -91,6 +100,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
@@ -307,8 +317,8 @@ class _Tower:
             if s.listing:
                 rest = ((),) * (s.cx.length - n)
                 got = [(combo,) + rest for combo in itertools.product(*fibs)]
-            else:
-                got = math.prod(map(len, fibs))
+            else:  # one power per fibre size: a product cell by cell is quadratic in the cells
+                got = math.prod(size ** times for size, times in Counter(map(len, fibs)).items())
         else:
             got = [] if s.listing else 0
             terms, mul = self.terms[n], s.cx.groups[n - 1].mul
@@ -323,29 +333,34 @@ class _Tower:
 
 
 class CountPlan(NamedTuple):
-    """How count_homs counts: the engine, its work estimate, and the 2-cell
-    words in the order elimination reads them."""
+    """How count_homs counts: the engine, its work estimate, the 2-cell
+    words in the order elimination reads them, and the number of relators
+    collapsed before planning (0 for the backtracker)."""
 
     engine: str
     estimate: int
     words: tuple[Word, ...]
+    collapsed: int
 
 
 def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
     """The plan count_homs runs.
 
-    Elimination whenever no cell of dimension 3..L+1 constrains the count,
-    over the words `_elimination_plan` orders, estimated by their state
-    transitions.  The rule "estimate <= |A_1|^{l_1} x letters", the word
-    steps the odometer takes over its layer-1 colourings, always holds: at
-    each letter the bound, |A_1|^seen states times |A_1| for a new cell, is
-    at most |A_1|^{l_1}.  Backtracking otherwise, estimated by its
-    |A_1|^{l_1} layer-1 colourings; that estimate covers layer 1 only, not
-    the fibres searched above each colouring.
+    Elimination whenever no cell of dimension 3..L+1 constrains the count:
+    `_elimination_plan` collapses the relators that hold a 1-cell used once
+    and orders the words left, estimated by their state transitions.  The
+    rule "estimate <= |A_1|^{l_1} x letters", the word steps the odometer
+    takes over its layer-1 colourings, always holds: at each letter the
+    bound, |A_1|^seen states times |A_1| for a new cell, is at most
+    |A_1|^{l_1}.  A collapsed relator costs no transition, and a relator
+    closed on a new cell makes at most the transitions estimated for it.
+    Backtracking otherwise, estimated by its |A_1|^{l_1} layer-1
+    colourings; that estimate covers layer 1 only, not the fibres searched
+    above each colouring.
     """
     order = cx.groups[0].order
     if any(p.count(n) for n in range(3, cx.length + 2)):
-        return CountPlan("backtrack", order ** p.count(1), p.attach2)
+        return CountPlan("backtrack", order ** p.count(1), p.attach2, 0)
     words = tuple([tuple([(g, e) for g, e in w]) for w in p.attach2])  # hashable, for the cache
     return _elimination_plan(words, order)
 
@@ -354,10 +369,13 @@ def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
 def _elimination_plan(words: tuple[Word, ...], order: int) -> CountPlan:
     """Elimination's plan for the 2-cell words `words` over |A_1| = order.
 
-    Each planned word is a rotation of a relator or of its inverse, and the
-    relators may be reordered: rotating a relator conjugates its value and
-    inverting it inverts it, and neither changes the weight |d_2^{-1}(t)|
-    or [t == 0], since im d_2 is normal; the relators' weights multiply.
+    First the relators that `_collapse` removes go: each is a free D^2
+    factor, counted by `_eliminate` as a weight.  The words left are
+    planned: each planned word is a rotation of a relator or of its
+    inverse, and the relators may be reordered: rotating a relator
+    conjugates its value and inverting it inverts it, and neither changes
+    the weight |d_2^{-1}(t)| or [t == 0], since im d_2 is normal; the
+    relators' weights multiply.
 
     Words under which at most two cells are live at once (peak states at
     most |A_1|^3, as in every surface word) are kept as given: planning
@@ -368,10 +386,12 @@ def _elimination_plan(words: tuple[Word, ...], order: int) -> CountPlan:
     fewer transitions, or as many with a smaller peak, and its peak is no
     larger than theirs.
     """
+    words, collapsed = _collapse(words)
     cost, peak = _estimate(words, order)
     if peak > order ** 3:
-        rotated = [_rotation(w, {g for v in words[:i] + words[i + 1:] for g, _ in v})
-                   for i, w in enumerate(words)]
+        # a word's cells held by another word too: counted once, so planning stays linear
+        holders = Counter(g for w in words for g in {g for g, _ in w})
+        rotated = [_rotation(w, {g for g, _ in w if holders[g] > 1}) for w in words]
         if len(words) <= 3:
             choices = [(w, word_inverse(w)) for w in rotated]
             perms = itertools.permutations(range(len(words)))
@@ -383,7 +403,38 @@ def _elimination_plan(words: tuple[Word, ...], order: int) -> CountPlan:
                 c, top = _estimate(cand, order)
                 if (c, top) < (cost, peak) and top <= given:
                     cost, peak, words = c, top, cand
-    return CountPlan("elimination", cost, words)
+    return CountPlan("elimination", cost, words, collapsed)
+
+
+def _collapse(words: tuple[Word, ...]) -> tuple[tuple[Word, ...], int]:
+    """The relators left, in their given order, once every relator holding
+    a 1-cell that occurs once in the words left (a free D^2 factor, see
+    the module docstring) is removed, and the number removed.
+
+    A removal can leave another cell used once, so a worklist runs to the
+    end: `occurs` counts each cell's letters in the words left and `where`
+    sums the indices of their words, so a cell down to one letter names
+    its word.  Linear in the letters.
+    """
+    occurs: dict[int, int] = {}
+    where: dict[int, int] = {}
+    for i, w in enumerate(words):
+        for g, _ in w:
+            occurs[g] = occurs.get(g, 0) + 1
+            where[g] = where.get(g, 0) + i
+    todo = [where[g] for g, n in occurs.items() if n == 1]
+    gone = set()
+    while todo:
+        i = todo.pop()
+        if i in gone:
+            continue
+        gone.add(i)
+        for g, _ in words[i]:
+            occurs[g] -= 1
+            where[g] -= i
+            if occurs[g] == 1:
+                todo.append(where[g])
+    return tuple([w for i, w in enumerate(words) if i not in gone]), len(gone)
 
 
 def _estimate(words: Sequence[Word], order: int) -> tuple[int, int]:
@@ -396,9 +447,11 @@ def _estimate(words: Sequence[Word], order: int) -> tuple[int, int]:
     bounds.
     """
     last = _last_letters(words)
-    power = [order ** e for e in range(len(last) + 2)]
+    # steps[e]: letters bounded by |A_1|^e transitions; powered once per exponent
+    # met, so that many cells with few live at once cost no long power table
+    steps = [0] * (len(last) + 2)
     seen: set[int] = set()
-    live = cost = top = k = 0
+    live = top = k = 0
     for w in words:
         extra = 0  # the running product is the identity at a relator's first letter
         for gen, _ in w:
@@ -408,16 +461,16 @@ def _estimate(words: Sequence[Word], order: int) -> tuple[int, int]:
             if e > top:
                 top = e
             if gen in seen:
-                cost += power[e]
+                steps[e] += 1
             else:
                 seen.add(gen)
                 live += 1
-                cost += power[e + 1]
+                steps[e + 1] += 1
             if last[gen] == k:
                 live -= 1
             k += 1
             extra = 1
-    return cost, power[top]
+    return sum([n * order ** e for e, n in enumerate(steps) if n]), order ** top
 
 
 def _rotation(w: Word, shared: set[int]) -> Word:
@@ -456,24 +509,32 @@ def _last_letters(words: Sequence[Word]) -> dict[int, int]:
     return {gen: k for k, gen in enumerate(gen for w in words for gen, _ in w)}
 
 
-def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex, words: Sequence[Word]) -> int:
+def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex, words: Sequence[Word],
+               collapsed: int) -> int:
     """Count by summing out 1-cells letter by letter along `words`, the
-    2-cell words of p or a plan of them (see module docstring).
+    2-cell words of p or a plan of them, after `collapsed` relators were
+    removed by `_collapse` (see module docstring).
 
     A state is one int: the running product in the lowest base-|A_1| digit
     and each live cell's colour in the digit of the slot it holds while live.
+    A relator whose last letter is a new cell is closed there: each value t
+    of nonzero weight gives that cell one colour, with t's weight.
     """
     a1 = cx.groups[0]
-    order, mul = a1.order, a1.mul
+    order, mul, inv = a1.order, a1.mul, a1.inv
     # letter (gen, e) multiplies by colour v through mul[acc][factor[e][v]]
-    factor = {1: range(order), -1: a1.inv}
+    factor = {1: range(order), -1: inv}
     weight = _relator_weights(cx)
+    support = [(t, m) for t, m in enumerate(weight) if m]
+    solved: dict[int, list[list[tuple[int, int]]]] = {}  # e -> acc -> [(colour, weight)]
     last = _last_letters(words)
     slot_of: dict[int, int] = {}
     free: list[int] = []
     states = {0: 1}
     k = 0
     for w in words:
+        end = k + len(w)
+        pending = True  # the relator's value is still to be weighed
         for gen, e in w:
             src = factor[e]
             drop = last[gen] == k
@@ -494,22 +555,37 @@ def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex, words: Sequence[Word
                 if not drop:
                     slot_of[gen] = slot = free.pop() if free else len(slot_of)
                     place = order ** (slot + 1)
-                for state, cnt in states.items():
-                    acc = state % order
-                    rest = state - acc
-                    row = mul[acc]
-                    for v in range(order):
-                        key = rest + v * place + row[src[v]]
-                        nxt[key] = get(key, 0) + cnt
+                if k == end:  # acc * src[v] = t for v = src[acc^-1 t]: src is an involution
+                    pending = False
+                    table = solved.get(e)
+                    if table is None:
+                        table = solved[e] = [[(src[mul[inv[acc]][t]], m) for t, m in support]
+                                             for acc in range(order)]
+                    for state, cnt in states.items():
+                        acc = state % order
+                        rest = state - acc
+                        for v, m in table[acc]:
+                            key = rest + v * place
+                            nxt[key] = get(key, 0) + cnt * m
+                else:
+                    for state, cnt in states.items():
+                        acc = state % order
+                        rest = state - acc
+                        row = mul[acc]
+                        for v in range(order):
+                            key = rest + v * place + row[src[v]]
+                            nxt[key] = get(key, 0) + cnt
             states = nxt
-        closed: dict[int, int] = {}
-        for state, cnt in states.items():
-            acc = state % order
-            if weight[acc]:
-                key = state - acc
-                closed[key] = closed.get(key, 0) + cnt * weight[acc]
-        states = closed
-    return sum(states.values()) * order ** (p.count(1) - len(last))
+        if pending:
+            closed: dict[int, int] = {}
+            for state, cnt in states.items():
+                acc = state % order
+                if weight[acc]:
+                    key = state - acc
+                    closed[key] = closed.get(key, 0) + cnt * weight[acc]
+            states = closed
+    return (sum(states.values()) * sum(weight) ** collapsed
+            * order ** (p.count(1) - len(last) - collapsed))
 
 
 def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
@@ -519,7 +595,7 @@ def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     """
     plan = count_engine(p, cx)
     if plan.engine == "elimination":
-        return _eliminate(p, cx, plan.words)
+        return _eliminate(p, cx, plan.words, plan.collapsed)
     return _backtrack(p, cx)
 
 

@@ -122,14 +122,19 @@ def associativity_witness(mul: Sequence[Sequence[int]]) -> Optional[tuple[int, i
     (t at y = u), so (x*(t*u))*y = ((x*t)*u)*y = (x*t)*(u*y) = x*(t*(u*y))
     = x*((t*u)*y), using u at x*t, then t at u*y, then u at t.  T contains S,
     hence every product reached from S, which is the whole table; so no
-    violation with s in S means no violation at all.  A returned triple is
-    always a genuine violation; it need not be the lexicographically first.
+    violation with s in S means no violation at all.  When row 0 and column
+    0 are the identity, 0 lies in T by construction, (x*0)*y = x*y =
+    x*(0*y), and is not swept.  A returned triple is always a genuine
+    violation; it need not be the lexicographically first.
     """
     n = len(mul)
     if n == 1:
         return None  # [[0]]; itemgetter below returns tuples only for n >= 2
     rows = [tuple(row) for row in mul]
-    for s in greedy_generators(mul):
+    gens = greedy_generators(mul)
+    if rows[0] == tuple(range(n)) and all(row[0] == x for x, row in enumerate(rows)):
+        gens = [s for s in gens if s]
+    for s in gens:
         through_s = itemgetter(*rows[s])  # row x -> (x*(s*y) for every y)
         for x, mx in enumerate(rows):
             lhs, rhs = rows[mx[s]], through_s(mx)

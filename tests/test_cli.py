@@ -275,7 +275,8 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
 def test_listing_walk_is_refused_before_it_starts(tmp_path, monkeypatch, capsys):
     """A listing visits all |A_1|^{l_1} layer-1 colourings, however few
     morphisms there are.  Six 1-cells killed by the relators x_i against
-    s3 have one morphism over 6^6 = 46656 colourings; with a 4-cell added,
+    s3 have one morphism over 6^6 = 46656 colourings, counted at estimate 0
+    since each relator collapses on its cell; with a 4-cell added,
     ten such 1-cells against Z/2, 1, 1 have one morphism over 2^10 = 1024.
     Above --cap 1000, classes, count --enumerate and validate
     --check-boundaries refuse the walk with exit 3 before listing; at the
@@ -301,7 +302,7 @@ def test_listing_walk_is_refused_before_it_starts(tmp_path, monkeypatch, capsys)
         (trivial_action(z2, z1), trivial_action(z2, z1))))))
     runs = [(["classes", "--presentation", str(killed), "--complex", "s3"], 46656, {}),
             (["count", "--enumerate", "--presentation", str(killed), "--complex", "s3"],
-             46656, {"engine": "elimination", "estimate": 36, "count": 1}),
+             46656, {"engine": "elimination", "estimate": 0, "count": 1}),
             (["validate", "--check-boundaries", "--presentation", str(with_4cell),
               "--complex", str(tower)], 1024, {})]
     with monkeypatch.context() as patched:
@@ -318,11 +319,33 @@ def test_listing_walk_is_refused_before_it_starts(tmp_path, monkeypatch, capsys)
         capsys.readouterr()
 
 
+def test_chained_collapse_is_linear(tmp_path, capsys):
+    """100,000 relators x_i x_{i+1}^-1, the last x_{n-1} x_n x_n, listed
+    last first: only x_0 is used once at the start, and each removal
+    exposes the next cell, so the whole chain collapses one relator at a
+    time.  Planning runs before --cap is weighed, so it must stay linear in
+    the letters; it plans and counts within seconds: estimate 0, and |A_1|
+    morphisms, since each relator weighs 1 at L = 1."""
+    from xcomplex import cli
+
+    n = 100_000
+    words = [[[i, 1], [i + 1, -1]] for i in range(n - 1)] + [[[n - 1, 1], [n, 1], [n, 1]]]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"cells": [1, n + 1, n], "attach": {"2": words[::-1]}}))
+    for coeff, count in (("z2", 2), ("s3", 6)):
+        started = time.process_time()
+        assert cli.main(["count", "--presentation", str(path), "--complex", coeff]) == 0
+        assert time.process_time() - started < 5
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result == {"engine": "elimination", "estimate": 0, "count": count}
+
+
 def test_classes_refuses_the_walk_before_the_edges(tmp_path, capsys):
     """Six 1-cells with the relators x_i against cm-z4-z2-incl: 64
-    morphisms, estimate 24, a walk of 4^6 = 4096 layer-1 colourings and
-    64 x 6 = 384 generator edges.  At --cap 100 both the walk and the edges
-    exceed the cap; the walk is weighed first."""
+    morphisms, estimate 0 (each relator collapses on its cell), a walk of
+    4^6 = 4096 layer-1 colourings and 64 x 6 = 384 generator edges.  At
+    --cap 100 both the walk and the edges exceed the cap; the walk is
+    weighed first."""
     from xcomplex import cli
 
     path = tmp_path / "killed.json"

@@ -3,10 +3,12 @@
 import itertools
 import json
 import random
+import time
 import tracemalloc
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xcomplex import enumeration
 from xcomplex.complexes import FiniteCrossedComplex, from_group
@@ -16,6 +18,7 @@ from xcomplex.enumeration import (
     _compile,
     _Search,
     _Tower,
+    _collapse,
     _eliminate,
     _estimate,
     _rotation,
@@ -34,10 +37,12 @@ from xcomplex.groups import (
     GroupAction,
     GroupHom,
     cyclic_group,
+    fibers_of,
     symmetric_group_3,
     trivial_action,
     zero_hom,
 )
+from xcomplex.invariant import invariant_ia
 from xcomplex.library import resolve_coefficients, resolve_space, standard_coefficients
 from xcomplex.presentations import (
     CWPresentation,
@@ -250,27 +255,32 @@ def rotations(w):
 
 def check_plan(p, cx):
     """Check elimination's plan for p against the given order and the other
-    counting routes; return how it rearranged the relators."""
+    counting routes; return how it rearranged the relators left after the
+    collapse."""
     plan = count_engine(p, cx)
     assert plan.engine == "elimination"
     order = cx.groups[0].order
-    cost, peak = _estimate(p.attach2, order)
+    left, collapsed = _collapse(p.attach2)
+    assert plan.collapsed == collapsed == p.count(2) - len(left), p.attach2
+    cost, peak = _estimate(left, order)
     planned_cost, planned_peak = _estimate(plan.words, order)
     assert plan.estimate == planned_cost <= cost and planned_peak <= peak, p.attach2
+    assert plan.estimate <= _estimate(p.attach2, order)[0]
     assert plan.estimate <= order ** p.count(1) * sum(map(len, p.attach2))
-    # the planned words are the relators, permuted, each rotated or inverted
-    unmatched = list(range(p.count(2)))
+    # the planned words are the relators left, permuted, each rotated or inverted
+    unmatched = list(range(len(left)))
     rearranged = set()
     for w in plan.words:
-        i = next((i for i in unmatched if w in rotations(p.attach2[i])
-                  | rotations(word_inverse(p.attach2[i]))), None)
+        i = next((i for i in unmatched if w in rotations(left[i])
+                  | rotations(word_inverse(left[i]))), None)
         assert i is not None, (w, p.attach2)
         if i != unmatched[0]:
             rearranged.add("reordered")
-        if w != p.attach2[i]:
-            rearranged.add("rotated" if w in rotations(p.attach2[i]) else "inverted")
+        if w != left[i]:
+            rearranged.add("rotated" if w in rotations(left[i]) else "inverted")
         unmatched.remove(i)
-    assert _eliminate(p, cx, plan.words) == _eliminate(p, cx, p.attach2) \
+    assert not unmatched, (plan.words, p.attach2)
+    assert _eliminate(p, cx, plan.words, plan.collapsed) == _eliminate(p, cx, p.attach2, 0) \
         == _backtrack(p, cx) == count_homs_bruteforce(p, cx), p.attach2
     return rearranged
 
@@ -346,6 +356,24 @@ def test_plan_only_rotates_past_three_relators():
     assert rotated >= 6
 
 
+def test_planning_is_linear_in_the_relators():
+    """One relator interleaving five cells turns the planner on (peak
+    above |A_1|^3); 20,000 commutators [y_i, y_{i+1}] chained behind it
+    collapse nothing.  Planning runs before --cap is weighed, so finding
+    each word's shared cells and scoring the words must stay linear: a
+    sweep of the other words per word, or a power table over all 20,006
+    cells, takes minutes."""
+    n = 20_000
+    wide = tuple((g, 1) for g in (0, 1, 2, 3, 4) * 2)
+    chain = tuple(((5 + i, 1), (6 + i, 1), (5 + i, -1), (6 + i, -1)) for i in range(n))
+    p = CWPresentation((1, 6 + n, n + 1), attach2=(wide,) + chain, name="wide-then-chain")
+    started = time.process_time()
+    plan = count_engine(p, resolve_coefficients("z2"))
+    assert time.process_time() - started < 3
+    assert plan.collapsed == 0 and len(plan.words) == n + 1
+    assert plan.estimate <= 2 ** 6 * sum(map(len, p.attach2))
+
+
 def test_rotation_minimises_summed_spans():
     """_rotation picks the earliest cut of least summed span, against a
     direct sweep of every cut."""
@@ -372,7 +400,7 @@ def test_engine_choice():
     backtracker counts, estimated by its layer-1 colourings."""
     s3 = resolve_coefficients("s3")
     # torus: 6 + 3 * 6^2 transitions against 6^2 colourings x 4 letters
-    assert count_engine(torus(), s3) == ("elimination", 114, torus().attach2)
+    assert count_engine(torus(), s3) == ("elimination", 114, torus().attach2, 0)
     assert count_homs(torus(), s3) == _backtrack(torus(), s3) == 18
     assert count_engine(genus_surface(2), s3).engine == "elimination"
     assert count_engine(point(), s3).engine == "elimination"
@@ -380,10 +408,109 @@ def test_engine_choice():
     for space, coeff in (("disk:3", "cm-z2-z2-zero"), ("sphere:3", "l3-z2")):
         p, cx = resolve_space(space), resolve_coefficients(coeff)
         assert count_engine(p, cx) == ("backtrack", cx.groups[0].order ** p.count(1),
-                                       p.attach2)
+                                       p.attach2, 0)
         assert count_homs(p, cx) == count_homs_bruteforce(p, cx)
     # above the kill dimension a 3-cell is inert
     assert count_engine(wedge(genus_surface(2), sphere(3)), s3).engine == "elimination"
+
+
+# 1-cells 0, 1, 2, 3 as one-letter words, lower case with exponent +1, upper case -1
+a, b, c, d = ((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),)
+A, B, C = ((0, -1),), ((1, -1),), ((2, -1),)
+
+# words, the words left after the collapse, and the number of relators removed
+COLLAPSES = {
+    # c occurs once, so its relator goes; the commutator stays
+    "single": ((a + b + A + B, a + c + a), (a + b + A + B,), 1),
+    # a occurs once; once its relator goes, b does too, and c stays twice
+    "chained": ((a + b, b + C, c + c), (c + c,), 2),
+    # the once-used letter has exponent -1
+    "inverse": ((b + A + B, b + b), (b + b,), 1),
+    # listed from the far end of the chain, every relator goes
+    "all": ((c + d + d, b + c, a + b), (), 3),
+    # every cell occurs twice: nothing goes
+    "none": ((a + b + A + B, b + a), (a + b + A + B, b + a), 0),
+}
+
+
+def collapse_coefficients():
+    """L = 1 (z2, s3), and L >= 2 with d_2 zero (cm-z2-z2-zero, the twisted
+    cm-z2-z3-flip, l3-z2), injective (cm-z4-z2-incl) and surjective
+    (S3 acting on itself by conjugation)."""
+    names = ("z2", "s3", "cm-z2-z2-zero", "cm-z2-z3-flip", "cm-z4-z2-incl", "l3-z2")
+    return [resolve_coefficients(n) for n in names] + [_conjugation_crossed_module()]
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSES))
+def test_collapse_removes_free_disk_factors(case):
+    """A relator holding a 1-cell used once in the words left goes, as often
+    as one removal exposes the next; the plan covers the words left only,
+    and every route counts alike."""
+    words, left, collapsed = COLLAPSES[case]
+    assert _collapse(words) == (left, collapsed)
+    l1 = 1 + max(g for w in words for g, _ in w)
+    p = CWPresentation((1, l1, len(words)), attach2=words, name=case)
+    for cx in collapse_coefficients():
+        plan = count_engine(p, cx)
+        assert (plan.words, plan.collapsed) == (left, collapsed)
+        assert plan.estimate == _estimate(left, cx.groups[0].order)[0]
+        assert count_homs(p, cx) == _eliminate(p, cx, words, 0) == _backtrack(p, cx) \
+            == count_homs_bruteforce(p, cx), (case, cx.name)
+
+
+@pytest.mark.parametrize("e", [1, -1])
+def test_closing_cell_is_solved(e):
+    """A relator whose last letter is a cell not seen before, but used
+    again later, is closed by solving for that cell's colour: on the first
+    relator of both presentations, with exponent e, whether d_2 is zero,
+    injective or onto, the count agrees with the backtracker and the
+    brute-force sweep."""
+    x = ((1, e),)
+    for words in ((a + x, b + a + a), (x, b + a + b + a)):
+        p = CWPresentation((1, 2, 2), attach2=words, name="closing")
+        assert _collapse(words) == (words, 0)
+        for cx in collapse_coefficients():
+            plan = count_engine(p, cx)
+            assert plan.words == words  # the first relator still closes on a new cell
+            assert count_homs(p, cx) == _backtrack(p, cx) == count_homs_bruteforce(p, cx), \
+                (words, cx.name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_free_disk_factor_identities(data):
+    """The paper's free D^2 factor: a 1-cell x used once, with its relator
+    r, splits off, so count(P) = count(P - x - r) x count(disk:2, A) and
+    I_A(P) = I_A(P - x - r), for every standard coefficient; P is counted
+    by elimination and by the backtracker, which collapses nothing."""
+    cx = data.draw(st.sampled_from(standard_coefficients()))
+    l1 = data.draw(st.integers(0, 3))
+    word = (st.lists(st.tuples(st.integers(0, l1 - 1), st.sampled_from((1, -1))), max_size=4)
+            .map(tuple) if l1 else st.just(()))
+    relators = tuple(data.draw(st.lists(word, max_size=2)))
+    r = data.draw(word) + ((l1, data.draw(st.sampled_from((1, -1)))),) + data.draw(word)
+    at = data.draw(st.integers(0, len(relators)))
+    base = CWPresentation((1, l1, len(relators)), attach2=relators)
+    p = CWPresentation((1, l1 + 1, len(relators) + 1),
+                       attach2=relators[:at] + (r,) + relators[at:])
+    assert count_homs(p, cx) == _backtrack(p, cx) \
+        == count_homs(base, cx) * count_homs(disk(2), cx)
+    assert invariant_ia(p, cx) == invariant_ia(base, cx)
+
+
+def test_free_layer_counts_in_linear_time():
+    """200,000 free 3-cells over one 1-cell against l3-z2: the top layer
+    is counted by one power per fibre size, not one product per cell, which
+    takes about 0.6 s of CPU on a 2-core x86_64 host under CPython 3.11 and
+    grows with the square of the cells."""
+    n = 200_000
+    p = CWPresentation((1, 1, 0, n), attach2=(), attach_terms=(((),) * n,))
+    cx = resolve_coefficients("l3-z2")
+    assert count_homs(p, cx) == 2 * len(fibers_of(cx.boundary(3))[0]) ** n
+    tower = _Search(p, cx).tower((0,))
+    started = time.process_time()
+    assert tower.below(3, (0,) * n) == 2 ** n
+    assert time.process_time() - started < 0.2
 
 
 def lexicographic_sweep(p, cx):
