@@ -369,7 +369,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             "result": result,
             "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
-        print(json.dumps(report, sort_keys=True))
+        # built fresh from ints, strs, lists, tuples and dicts, so it holds no cycle to look for
+        print(json.dumps(report, sort_keys=True, check_circular=False))
         return code
     finally:
         if limit:

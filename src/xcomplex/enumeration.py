@@ -36,16 +36,16 @@ Cells of dimension greater than L+1 impose nothing.  Two engines count:
     in A_{n-1}; an empty fiber prunes exactly.
 
 `count_engine` plans a count once: elimination whenever it applies,
-estimated by the state transitions of the words left after the collapse
-(never more than the odometer's |A_1|^{l_1} x letters word steps), and
-backtracking otherwise, estimated by its |A_1|^{l_1} layer-1 colourings.
-The CLI refuses an estimate above --cap before counting, and before
-planning, an answer whose digits may exceed it (`weigh_answer`); the
-collapse runs before the estimate is checked, in time linear in the
-letters.  Enumeration always runs the layered search, in lexicographic
-order by (dimension, cell index, element index).  Every listing is weighed
-once before it starts (`weigh_listing`): its counted morphisms, then its
-walk, the same layer-1 colourings.
+estimated by the state transitions of the words left after the collapse,
+or by a bound on them past 4,300 digits (never more than the odometer's
+|A_1|^{l_1} x letters word steps), and backtracking otherwise, estimated
+by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
+--cap before counting, and before planning, an answer whose digits may
+exceed it (`weigh_answer`); the collapse runs before the estimate is
+checked, in time linear in the letters.  Enumeration always runs the
+layered search, in lexicographic order by (dimension, cell index, element
+index).  Every listing is weighed once before it starts (`weigh_listing`):
+its counted morphisms, then its walk, the same layer-1 colourings.
 
 Attaching data of a cell of dimension >= 3, its Terms
 (`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
@@ -84,11 +84,13 @@ targets must die.
 
 Morphisms are verified by `morphism_checker(p, cx, f1)`: it evaluates the
 2-cell words and compiles the Terms of the cells of dimension 3..L+1 at
-degree n-1 once, from f1 alone, and returns a function that applies them
-to a colouring's f_{n-1} and compares the result with d_n(f_n), or with 1
-for a killed cell.  It reads nothing of the layered search (no twist key,
-canonical element, compiled tower or memo), so it checks the search
-instead of repeating it.
+degree n-1 once, from f1 alone, and returns a function that compares each
+layer's target with a colouring's d_n(f_n), or with 1 for a killed cell.
+The colourings above one f1 share their lower layers, so a layer's target
+is applied once per distinct f_{n-1} under f1 and kept by that checker
+alone.  It reads nothing of the layered search (no twist key, canonical
+element, compiled tower or memo), so it checks the search instead of
+repeating it.
 `enumerate_homs` checks every listed colouring with the checker of its
 layer 1, `count_homs_bruteforce` checks the colourings under each f1 with
 one checker, and `morphism_violation` is shape checks plus a new checker.
@@ -112,7 +114,13 @@ from .presentations import CWPresentation, Word, word_inverse
 
 DEFAULT_ENUM_CAP = 10**6
 
+_SHORT = 4300  # digits: CPython's default int/str limit
+_LONG = 10**_SHORT
+
 Colouring = tuple[tuple[int, ...], ...]
+
+# per layer of a checker: a brute-force sweep meets every colouring of f_{n-1}
+_KEPT_TARGETS = 4096
 
 
 def eval_word(cx: FiniteCrossedComplex, f1: tuple[int, ...], w: Word) -> int:
@@ -228,22 +236,34 @@ def morphism_checker(
     violation, ("layer", n, cell) or ("kill", n, cell), or None.
 
     The 2-cell words are evaluated and the Terms of the cells of dimension
-    3..L+1 compiled at degree n-1 once, here; each call applies them to
-    f_{n-1} and compares with d_n(f_n), or with 1 for a killed cell.
+    3..L+1 compiled at degree n-1 once, here.  A call compares each layer's
+    target with d_n(f_n), or with 1 for a killed cell; the target of layer
+    n >= 3 is applied once per distinct f_{n-1}, since the colourings above
+    one f1 share their lower layers, and kept while this checker lives, up
+    to 4,096 per layer: past that the kept targets are dropped, so that a
+    sweep of every f_{n-1} holds no copy of the layer's colourings.
     """
     length = cx.length
     words = tuple([eval_word(cx, f1, w) for w in p.attach2])
-    checks = []  # (n, compiled Terms or None for the 2-cells, mul of A_{n-1}, d_n or None)
+    checks = []  # (n, compiled Terms or None for the 2-cells, mul of A_{n-1}, d_n or None,
+    #               f_{n-1} -> target)
     for n in range(2, length + 2):
         if p.count(n):
             compiled = (_compile(cx, n - 1, p.terms(n), partial(eval_word, cx, f1))
                         if n > 2 else None)
             checks.append((n, compiled, cx.groups[n - 2].mul,
-                           cx.boundary(n).image if n <= length else None))
+                           cx.boundary(n).image if n <= length else None, {}))
 
     def violation(colours: Colouring) -> Optional[tuple]:
-        for n, compiled, mul, bd in checks:
-            got = words if compiled is None else _apply(mul, compiled, colours[n - 2])
+        for n, compiled, mul, bd, targets in checks:
+            if compiled is None:
+                got = words
+            else:
+                got = targets.get(below := colours[n - 2])
+                if got is None:
+                    if len(targets) == _KEPT_TARGETS:
+                        targets.clear()
+                    got = targets[below] = _apply(mul, compiled, below)
             want = (0,) * len(got) if bd is None else tuple([bd[v] for v in colours[n - 1]])
             if got != want:
                 cell = next(c for c, (a, b) in enumerate(zip(got, want)) if a != b)
@@ -352,7 +372,8 @@ def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
     rule "estimate <= |A_1|^{l_1} x letters", the word steps the odometer
     takes over its layer-1 colourings, always holds: at each letter the
     bound, |A_1|^seen states times |A_1| for a new cell, is at most
-    |A_1|^{l_1}.  A collapsed relator costs no transition, and a relator
+    |A_1|^{l_1}, and so is |A_1|^e in the bound `_estimate` gives past
+    4,300 digits.  A collapsed relator costs no transition, and a relator
     closed on a new cell makes at most the transitions estimated for it.
     Backtracking otherwise, estimated by its |A_1|^{l_1} layer-1
     colourings; that estimate covers layer 1 only, not the fibres searched
@@ -377,8 +398,8 @@ def _elimination_plan(words: tuple[Word, ...], order: int) -> CountPlan:
     the weight |d_2^{-1}(t)| or [t == 0], since im d_2 is normal; the
     relators' weights multiply.
 
-    Words under which at most two cells are live at once (peak states at
-    most |A_1|^3, as in every surface word) are kept as given: planning
+    Words under which at most two cells are live at once (peak exponent
+    at most 3, as in every surface word) are kept as given: planning
     them costs more than it could save.  Otherwise each word is rotated by
     `_rotation`, and every relator order and choice of inversions of the
     rotated words (up to three relators; the rotations alone for more) is
@@ -388,7 +409,7 @@ def _elimination_plan(words: tuple[Word, ...], order: int) -> CountPlan:
     """
     words, collapsed = _collapse(words)
     cost, peak = _estimate(words, order)
-    if peak > order ** 3:
+    if order > 1 and peak > 3:  # over one element every candidate makes the same transitions
         # a word's cells held by another word too: counted once, so planning stays linear
         holders = Counter(g for w in words for g in {g for g, _ in w})
         rotated = [_rotation(w, {g for g, _ in w if holders[g] > 1}) for w in words]
@@ -438,18 +459,20 @@ def _collapse(words: tuple[Word, ...]) -> tuple[tuple[Word, ...], int]:
 
 
 def _estimate(words: Sequence[Word], order: int) -> tuple[int, int]:
-    """(transitions, peak states) of elimination reading `words` in order.
+    """(transitions, peak exponent) of elimination reading `words` in order.
 
     Before each letter the states number at most min(|A_1|^(live+1),
     |A_1|^seen), with |A_1|^live in place of the first term at a relator's
     first letter, where the product is the identity; a letter whose cell
-    is new multiplies them by |A_1|.  The peak is the largest of these
-    bounds.
+    is new multiplies them by |A_1|.  The peak exponent is the largest
+    exponent of these bounds, so candidates compare without building it.
+    Transitions are summed by Horner's rule over the exponents met.  Past
+    4,300 digits, letters x |A_1|^e bounds them instead, e the highest
+    exponent met: that sum is quadratic in e, and planning runs before
+    --cap is weighed.
     """
     last = _last_letters(words)
-    # steps[e]: letters bounded by |A_1|^e transitions; powered once per exponent
-    # met, so that many cells with few live at once cost no long power table
-    steps = [0] * (len(last) + 2)
+    steps = [0] * (len(last) + 2)  # steps[e]: letters bounded by |A_1|^e transitions
     seen: set[int] = set()
     live = top = k = 0
     for w in words:
@@ -470,7 +493,13 @@ def _estimate(words: Sequence[Word], order: int) -> tuple[int, int]:
                 live -= 1
             k += 1
             extra = 1
-    return sum([n * order ** e for e, n in enumerate(steps) if n]), order ** top
+    high = max((e for e, n in enumerate(steps) if n), default=0)
+    if high * math.log10(order) > _SHORT:
+        return k * order ** high, top
+    cost = 0
+    for n in reversed(steps[:high + 1]):
+        cost = cost * order + n
+    return cost, top
 
 
 def _rotation(w: Word, shared: set[int]) -> Word:
@@ -602,10 +631,6 @@ def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
 def _backtrack(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     s = _Search(p, cx)
     return sum(s.below(f1) for f1 in s.layer1())
-
-
-_SHORT = 4300  # digits: CPython's default int/str limit
-_LONG = 10**_SHORT
 
 
 def weigh_answer(p: CWPresentation, cx: FiniteCrossedComplex, cap: int,

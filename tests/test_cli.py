@@ -340,6 +340,25 @@ def test_chained_collapse_is_linear(tmp_path, capsys):
         assert result == {"engine": "elimination", "estimate": 0, "count": count}
 
 
+def test_long_peak_is_estimated_by_its_magnitude(tmp_path, capsys):
+    """One relator x_1..x_n x_1..x_n against z2, n = 200,000: every cell is
+    live through the second half, so the states peak at 2^n.  Planning runs
+    before --cap is weighed, and summing one power per exponent up to that
+    peak is quadratic in n; past 4,300 digits the estimate is the bound
+    letters x 2^n instead, refused by its magnitude within seconds."""
+    from xcomplex import cli
+
+    n = 200_000
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps({"cells": [1, n, 1], "attach": {"2": [[[i, 1] for i in range(n)] * 2]}}))
+    started = time.process_time()
+    assert cli.main(["count", "--presentation", str(path), "--complex", "z2"]) == 3
+    assert time.process_time() - started < 5
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {"engine": "elimination", "estimate": "about 10^60211",
+                      "error": "elimination estimate about 10^60211 exceeds cap 1000000"}
+
+
 def test_classes_refuses_the_walk_before_the_edges(tmp_path, capsys):
     """Six 1-cells with the relators x_i against cm-z4-z2-incl: 64
     morphisms, estimate 0 (each relator collapses on its cell), a walk of

@@ -344,7 +344,7 @@ def test_plan_only_rotates_past_three_relators():
         words = tuple(tuple((rng.randrange(5), rng.choice((1, -1)))
                             for _ in range(rng.randint(4, 8)))
                       for _ in range(rng.randint(4, 5)))
-        if _estimate(words, order)[1] <= order ** 3:
+        if _estimate(words, order)[1] <= 3:
             continue
         planned += 1
         p = CWPresentation((1, 5, len(words)), attach2=words, name="many-relators")
@@ -744,6 +744,59 @@ def test_planted_wrong_suffix_is_internal_error(monkeypatch, tmp_path, capsys):
     assert error.startswith("internal check failed: search produced a non-morphism")
 
 
+def bounded_tower4():
+    """twisted_tower4 with d_3 the identity of Z/3: a 3-cell's colour is
+    its target, so layer 3 is checked against f_3 itself."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    flip = GroupAction(z2, z3, ((0, 1, 2), (0, 2, 1)))
+    cx = FiniteCrossedComplex(
+        (z2, z3, z3, z3),
+        (zero_hom(z3, z2), GroupHom(z3, z3, (0, 1, 2)), zero_hom(z3, z3)),
+        (flip, flip, flip),
+    )
+    from xcomplex.complexes import validate
+    assert validate(cx).ok
+    return cx
+
+
+@pytest.mark.parametrize("layer, index, kind", [
+    (0, 0, ("layer", 3)),  # f2
+    (1, 1, ("layer", 3)),  # f3 of a suffix whose f2 the suffix before shares
+    (2, 0, ("kill", 5)),  # the 4-cells' colours, read by the killed 5-cell
+])
+def test_planted_altered_suffix_is_named(monkeypatch, layer, index, kind):
+    """A search fault that recolours cell 0 of one layer in one listed
+    suffix under each layer-1 colouring fails the listing, naming the
+    colouring.  The altered f3 meets the layer-3 target kept from the
+    suffix before, which has the same f2, and is caught there by d_3(f_3)."""
+    p, cx = tower4_presentation(), bounded_tower4()
+    homs = enumerate_homs(p, cx)
+    f1 = homs[0][0]
+    tails = [h[1:] for h in homs if h[0] == f1]
+    assert len(tails) == 3 and tails[0][:2] == tails[1][:2]
+
+    def alter(tail):
+        cells = tail[layer]
+        return tail[:layer] + (((cells[0] + 1) % 3,) + cells[1:],) + tail[layer + 1:]
+
+    bad = (f1,) + alter(tails[index])
+    check = morphism_checker(p, cx, f1)
+    assert [check((f1,) + tail) for tail in tails[:index]] == [None] * index
+    assert check(bad) == morphism_violation(p, cx, bad) and check(bad)[:2] == kind
+    real = _Tower.below
+
+    def planted(self, n, t):
+        got = real(self, n, t)
+        if n == 2 and self.s.listing and len(got) > index:
+            got = got[:index] + [alter(got[index])] + got[index + 1:]
+        return got
+
+    monkeypatch.setattr(_Tower, "below", planted)
+    with pytest.raises(AssertionError) as caught:
+        enumerate_homs(p, cx)
+    assert str(caught.value) == f"search produced a non-morphism: {bad}"
+
+
 def test_bruteforce_on_named_pairs():
     for space, coeff in (("torus", "s3"), ("rp2", "z3"),
                          ("disk:3", "cm-z2-z2-zero"), ("sphere:3", "l3-z2")):
@@ -906,6 +959,21 @@ def test_layered_product_order_and_laziness():
         tracemalloc.stop()
     assert first == ((0,) * 16, (0,))
     assert peak < 1_000_000  # the 2^16 colourings of the first layer take about 12 MB
+
+
+def test_bruteforce_checker_keeps_few_targets():
+    """The oracle's sweep under a killed 4-cell meets each of the 2^15
+    colourings of 15 free 3-cells once, and the checker keeps at most 4,096
+    of their targets, not one per colouring."""
+    p = CWPresentation((1, 0, 0, 15, 1), attach2=(), attach_terms=(((),) * 15, ((),)))
+    cx = resolve_coefficients("l3-z2")
+    tracemalloc.start()
+    try:
+        assert count_homs_bruteforce(p, cx) == 2 ** 15
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000  # keeping every target takes about 8 MB
 
 
 def test_genus_two_spot_check():

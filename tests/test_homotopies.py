@@ -13,6 +13,9 @@ from xcomplex.enumeration import (
     count_homs_bruteforce,
     enumerate_homs,
     eval_word,
+    layered_product,
+    morphism_checker,
+    morphism_violation,
 )
 from xcomplex import homotopies
 from xcomplex.errors import (
@@ -469,13 +472,11 @@ def test_elementary_classes_match_full_graph():
                for p, cx, sizes in compared)
 
 
-def test_tower_action_depends_on_degree():
+def _degree_dependent_tower():
     """Z/2 acts trivially on A_2 = Z/2 and by negation on A_3 = Z/3, with
     zero boundaries, so the degree-2 action rows do not refine the
     degree-3 ones.  The 4-cell c + x.c is killed: for x = 0 only the 3-cell
-    colour 0 survives, for x = 1 all three do, 2 x (1 + 3) = 8 morphisms.
-    A twist key read from the degree-2 rows would compile x = 1 as x = 0
-    and find 4."""
+    colour 0 survives, for x = 1 all three do."""
     z2, z3 = cyclic_group(2), cyclic_group(3)
     cx = FiniteCrossedComplex(
         (z2, z2, z3), (zero_hom(z2, z2), zero_hom(z3, z2)),
@@ -483,10 +484,38 @@ def test_tower_action_depends_on_degree():
     assert validate(cx).ok
     p = CWPresentation((1, 1, 1, 1, 1), attach2=((),),
                        attach_terms=(((),), ((((), 0, 1), (((0, 1),), 0, 1)),)))
+    return p, cx
+
+
+def test_tower_action_depends_on_degree():
+    """On `_degree_dependent_tower`, 2 x (1 + 3) = 8 morphisms.  A twist
+    key read from the degree-2 rows would compile x = 1 as x = 0 and find
+    4."""
+    p, cx = _degree_dependent_tower()
     homs = enumerate_homs(p, cx)
     assert count_homs(p, cx) == len(homs) == count_homs_bruteforce(p, cx) == 8
     dec = homotopy_classes(p, cx)
     assert (list(dec.representatives), list(dec.sizes)) == _full_graph_classes(p, cx, homs)
+
+
+def test_checker_targets_are_kept_per_layer1_colouring():
+    """On `_degree_dependent_tower` the killed 4-cell's target depends on f1
+    as well as on f3.  Two checkers, one per layer-1 colouring, called in
+    turn on every (f2, f3), each keeping the targets it has applied, give
+    the verdicts of morphism_violation, which builds a new checker per
+    call; the two verdicts differ on the f3 = 1, 2 that only x = 1 keeps."""
+    p, cx = _degree_dependent_tower()
+    checks = {f1: morphism_checker(p, cx, f1) for f1 in ((0,), (1,))}
+    differ = 0
+    for _ in range(2):  # the second round meets every target already kept
+        for tail in layered_product([(1, 2), (1, 3)]):
+            verdicts = []
+            for f1, check in checks.items():
+                colours = (f1,) + tail
+                verdicts.append(check(colours))
+                assert verdicts[-1] == morphism_violation(p, cx, colours), colours
+            differ += verdicts[0] != verdicts[1]
+    assert differ == 2 * 2 * 2
 
 
 def _count_edge_compiles(monkeypatch):
