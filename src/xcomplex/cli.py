@@ -11,12 +11,13 @@ validate, count, invariant and classes take --cap N, a bound on what a
 command enumerates, on the entries of a sized builtin, on the decimal
 digits of the answer and on the counting engine's work estimate: 10^6 by
 default, 10^7 for classes (`--help` shows each default).  Answers are
-weighed by their digits from the cell counts and group orders alone,
-before anything is planned (`weigh_answer`); a listing's, against at
-most 4,300 digits.  Every listing is counted first and refused before it
-starts, by `weigh_listing`.  A refused number past 4,300 digits is
-reported by its magnitude (`printable`).  X is a JSON file
-path or, when no such file exists, a builtin name from `library`.
+weighed by their digits from the cell counts and group orders alone
+(`cell_orders`), before anything is planned (`weigh_answer`).  Every
+listing is counted first and refused before it starts (`weigh_listing`);
+classes and validate --check-boundaries count by `count_listing`, which
+also refuses more than 4,300 digits.  A refused number past 4,300 digits
+is reported by its magnitude (`printable`).  X is a JSON file path or,
+when no such file exists, a builtin name from `library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
 go to stderr.  Exit codes: 0 success, 1 input error, 2 validation failure,

@@ -143,15 +143,14 @@ def load_complex(obj: Any, path: str = "complex") -> FiniteCrossedComplex:
 
 def _load_word(obj: Any, path: str) -> Word:
     _expect(isinstance(obj, list), path, "expected an array of [gen, exp] pairs")
-    out = []
-    for i, letter in enumerate(obj):
-        _expect(isinstance(letter, list) and len(letter) == 2,
-                f"{path}[{i}]", "expected [gen, exp]")
-        g, e = letter
-        _expect(_is_int(g), f"{path}[{i}][0]", "expected an integer generator index")
-        _expect(_is_int(e) and e in (1, -1), f"{path}[{i}][1]", "expected exponent 1 or -1")
-        out.append((g, e))
-    return tuple(out)
+    for i, letter in enumerate(obj):  # one test per letter: paths are formatted for a bad one
+        if not (isinstance(letter, list) and len(letter) == 2 and type(letter[0]) is int
+                and type(letter[1]) is int and letter[1] in (1, -1)):
+            at = f"{path}[{i}]"
+            _expect(isinstance(letter, list) and len(letter) == 2, at, "expected [gen, exp]")
+            _expect(_is_int(letter[0]), f"{at}[0]", "expected an integer generator index")
+            _expect(False, f"{at}[1]", "expected exponent 1 or -1")
+    return tuple(map(tuple, obj))
 
 
 def _load_terms(obj: Any, path: str, n: int) -> Terms:

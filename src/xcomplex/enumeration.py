@@ -41,11 +41,13 @@ or by a bound on them past 4,300 digits (never more than the odometer's
 |A_1|^{l_1} x letters word steps), and backtracking otherwise, estimated
 by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
 --cap before counting, and before planning, an answer whose digits may
-exceed it (`weigh_answer`); the collapse runs before the estimate is
-checked, in time linear in the letters.  Enumeration always runs the
-layered search, in lexicographic order by (dimension, cell index, element
-index).  Every listing is weighed once before it starts (`weigh_listing`):
-its counted morphisms, then its walk, the same layer-1 colourings.
+exceed it (`weigh_answer`, over `cell_orders`); the collapse runs before
+the estimate is checked, in time linear in the letters.  Enumeration
+always runs the layered search, in lexicographic order by (dimension,
+cell index, element index).  Every listing is weighed once before it
+starts (`weigh_listing`): its counted morphisms, then its walk, the same
+layer-1 colourings; `count_listing` first refuses its digits past the
+cap, then past 4,300, then its estimate.
 
 Attaching data of a cell of dimension >= 3, its Terms
 (`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
@@ -108,14 +110,14 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import FiniteCrossedComplex
+from .documents import MAX_DIGITS
 from .errors import InstanceTooLarge, ResultTooLarge
 from .groups import fibers_of
 from .presentations import CWPresentation, Word, word_inverse
 
 DEFAULT_ENUM_CAP = 10**6
 
-_SHORT = 4300  # digits: CPython's default int/str limit
-_LONG = 10**_SHORT
+_LONG = 10**MAX_DIGITS
 
 Colouring = tuple[tuple[int, ...], ...]
 
@@ -204,13 +206,15 @@ def morphism_violation(
     Violations are ("shape", ...), ("layer", n, cell) for a boundary
     mismatch, or ("kill", n, cell) for a surviving (L+1)-cell.
     """
-    return (_shape_violation(colours, _morphism_shape(p, cx))
+    return (_shape_violation(colours, cell_orders(p, cx))
             or morphism_checker(p, cx, colours[0])(colours))
 
 
-def _morphism_shape(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[int, int]]:
-    """(l_n, |A_n|) for n = 1 .. L: f_n colours the l_n n-cells in A_n."""
-    return [(p.count(n), cx.groups[n - 1].order) for n in range(1, cx.length + 1)]
+def cell_orders(p: CWPresentation, cx: FiniteCrossedComplex,
+                shift: int = 0) -> list[tuple[int, int]]:
+    """(l_m, |A_{m+shift}|) for m = 1 .. L-shift: a shift map colours the
+    m-cells in A_{m+shift}, a morphism at 0 and a homotopy's values at 1."""
+    return [(p.count(m), cx.groups[m + shift - 1].order) for m in range(1, cx.length - shift + 1)]
 
 
 def _shape_violation(colours: Colouring, shape: Sequence[tuple[int, int]]) -> Optional[tuple]:
@@ -494,7 +498,7 @@ def _estimate(words: Sequence[Word], order: int) -> tuple[int, int]:
             k += 1
             extra = 1
     high = max((e for e, n in enumerate(steps) if n), default=0)
-    if high * math.log10(order) > _SHORT:
+    if high * math.log10(order) > MAX_DIGITS:
         return k * order ** high, top
     cost = 0
     for n in reversed(steps[:high + 1]):
@@ -634,26 +638,19 @@ def _backtrack(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
 
 
 def weigh_answer(p: CWPresentation, cx: FiniteCrossedComplex, cap: int,
-                 normalization: bool = False, listing: bool = False) -> None:
-    """Raise InstanceTooLarge, before anything is planned, when the answer
-    may have more than `cap` decimal digits, or, for a `listing`, more than
-    4,300.
-
-    The count is at most prod_{n=1..L} |A_n|^{l_n}; with `normalization`,
-    the numerator times the denominator of the invariant's normalization,
-    prod_{s=1..L-1} prod_m |A_{m+s}|^{l_m}, multiply the bound.  Digits are
-    summed as logarithms, so no large number is built.  A listing is
-    refused anyway past `cap` morphisms, which no listing could hold at
-    10^4300; weighing its bound against 4,300 digits keeps every number it
-    goes on to build short, at the price of refusing a presentation whose
-    bound is that long but whose morphisms are few."""
+                 normalization: bool = False) -> int:
+    """The most decimal digits the answer may have; raises InstanceTooLarge,
+    before anything is planned, when they exceed `cap`.  The count is at
+    most the product over `cell_orders`; with `normalization`, the
+    numerator times the denominator of the invariant's normalization, the
+    products at shifts 1..L-1, multiply the bound.  Digits are summed as
+    logarithms, so no large number is built."""
     shifts = range(cx.length if normalization else 1)
-    digits = 1 + int(sum(p.count(m) * math.log10(cx.groups[m + s - 1].order)
-                         for s in shifts for m in range(1, cx.length - s + 1)))
+    digits = 1 + int(sum(ln * math.log10(order)
+                         for s in shifts for ln, order in cell_orders(p, cx, s)))
     if digits > cap:
         raise InstanceTooLarge(f"answer of up to {digits} digits exceeds cap {cap}")
-    if listing and digits > _SHORT:
-        raise InstanceTooLarge(f"listing's count of up to {digits} digits exceeds {_SHORT} digits")
+    return digits
 
 
 def printable(n: int) -> int | str:
@@ -683,6 +680,22 @@ def weigh_listing(p: CWPresentation, cx: FiniteCrossedComplex, morphisms: int, c
     if (walk := cx.groups[0].order ** p.count(1)) > cap:
         raise InstanceTooLarge(
             f"listing walk of {printable(walk)} layer-1 colourings exceeds cap {cap}")
+
+
+def count_listing(p: CWPresentation, cx: FiniteCrossedComplex, cap: int) -> int:
+    """#Hom(P, A), counted for a listing and admitted in one order:
+    InstanceTooLarge when its digits (`weigh_answer`) exceed `cap`, then
+    4,300, before planning, or its estimate does (`refuse_count`), before
+    counting; then `weigh_listing`.  The 4,300-digit bound keeps every
+    number a listing builds short, at the price of refusing a bound that
+    long over few morphisms."""
+    if (digits := weigh_answer(p, cx, cap)) > MAX_DIGITS:
+        raise InstanceTooLarge(
+            f"listing's count of up to {digits} digits exceeds {MAX_DIGITS} digits")
+    refuse_count(count_engine(p, cx), cap)
+    n = count_homs(p, cx)
+    weigh_listing(p, cx, n, cap)
+    return n
 
 
 def enumerate_homs(
@@ -721,7 +734,7 @@ def count_homs_bruteforce(
     Shares nothing with the counting engines but attaching-data evaluation.
     Raises InstanceTooLarge when the space exceeds `cap`.
     """
-    shape = _morphism_shape(p, cx)
+    shape = cell_orders(p, cx)
     total = math.prod(order ** ln for ln, order in shape)
     if total > cap:
         raise InstanceTooLarge(f"brute-force space {printable(total)} exceeds cap {cap}")
@@ -760,11 +773,9 @@ def boundary_defect_report(
     For each n >= 4 with cells, enumerates the morphisms of the presentation
     truncated below n and evaluates each n-cell's Terms; a value outside
     ker d_{n-1} is reported as (n, cell, colouring, value).  An empty report
-    on a presentation with zero morphism count says nothing.  Before each
-    truncation is listed, its count is weighed by its digits
-    (`weigh_answer`, a listing's), its count estimate is refused as
-    `refuse_count` does, and its counted morphisms and walk as
-    `weigh_listing` does.
+    on a presentation with zero morphism count says nothing.  Each
+    truncation is counted and admitted by `count_listing` before it is
+    listed.
     """
     out: list[tuple[int, int, Colouring, int]] = []
     for n in range(4, min(p.dim, cx.length + 1) + 1):
@@ -772,9 +783,7 @@ def boundary_defect_report(
             continue
         trunc = CWPresentation(p.cells[:n], p.attach2, p.attach_terms[:n - 3], name=p.name)
         kerbd, mul = cx.boundary(n - 1).image, cx.groups[n - 2].mul
-        weigh_answer(trunc, cx, cap, listing=True)
-        refuse_count(count_engine(trunc, cx), cap)
-        weigh_listing(trunc, cx, count_homs(trunc, cx), cap)
+        count_listing(trunc, cx, cap)
         compiled = _twist_key(cx, {n - 1: p.terms(n)}, itemgetter(n - 1))
         for f in enumerate_homs(trunc, cx, cap=cap):
             got = _apply(mul, compiled(f[0]), f[n - 2])

@@ -65,29 +65,20 @@ from .enumeration import (
     Colouring,
     _apply,
     _compile,
-    _morphism_shape,
     _shape_violation,
     _twist_key,
-    count_engine,
-    count_homs,
+    cell_orders,
+    count_listing,
     enumerate_homs,
     eval_word,
     layered_product,
     morphism_checker,
     morphism_violation,
-    refuse_count,
-    weigh_answer,
-    weigh_listing,
 )
 from .groups import greedy_generators
 from .presentations import CWPresentation, Terms, fox_terms
 
 DEFAULT_EDGE_CAP = 10**7
-
-
-def _value_shape(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[int, int]]:
-    """(l_k, |A_{k+1}|) for k = 1 .. L-1: H_k colours the l_k k-cells in A_{k+1}."""
-    return [(p.count(k), cx.groups[k].order) for k in range(1, cx.length)]
 
 
 def homotopy_target(
@@ -99,8 +90,8 @@ def homotopy_target(
     """Colouring at the far end of the homotopy with value table h out of
     the morphism f; raises DimensionMismatch if f or h is out of shape or
     range, TargetNotMorphism if the target fails verification."""
-    for name, table, shape in (("morphism", f, _morphism_shape(p, cx)),
-                               ("homotopy", h, _value_shape(p, cx))):
+    for name, table, shape in (("morphism", f, cell_orders(p, cx)),
+                               ("homotopy", h, cell_orders(p, cx, 1))):
         if bad := _shape_violation(table, shape):
             raise DimensionMismatch(f"{name} {table} does not fit {p} x {cx.name}: {bad}", bad)
     g = _target_formula(cx, _homotopy_terms(p, cx), f[0])(f, h)
@@ -143,7 +134,7 @@ def _verify(violation: Optional[tuple]) -> None:
 def count_homotopies(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     """Number of homotopies out of any morphism P -> A: prod_k |A_{k+1}|^{l_k},
     which is 1 when L = 1."""
-    return math.prod(order ** ln for ln, order in _value_shape(p, cx))
+    return math.prod(order ** ln for ln, order in cell_orders(p, cx, 1))
 
 
 def homotopy_value_space(p: CWPresentation, cx: FiniteCrossedComplex) -> Iterator[Colouring]:
@@ -151,7 +142,7 @@ def homotopy_value_space(p: CWPresentation, cx: FiniteCrossedComplex) -> Iterato
 
     Yields exactly one empty table when L = 1 (the identity homotopy).
     """
-    return layered_product(_value_shape(p, cx))
+    return layered_product(cell_orders(p, cx, 1))
 
 
 def _generator_edges(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[int, list[int]]]:
@@ -221,16 +212,12 @@ def homotopy_classes(
     """Homotopy classes of Hom(P, A), each walked once along generator edges
     from its least member, over the listing of `enumerate_homs`.
 
-    Before counting, raises InstanceTooLarge when the count's digits
-    (`weigh_answer`, a listing's) or the estimate of `count_engine` exceed
-    `cap`; before listing, the counted morphisms and their walk are weighed
-    (`weigh_listing`), then ResultTooLarge is raised when the generator
+    The morphisms are counted by `enumeration.count_listing`, which first
+    refuses their digits, estimate, number and walk against `cap`; then
+    ResultTooLarge is raised when the generator
     edges, n x sum_k l_k |S_{k+1}| on n morphisms, exceed `cap`.
     """
-    weigh_answer(p, cx, cap, listing=True)
-    refuse_count(count_engine(p, cx), cap)
-    n = count_homs(p, cx)
-    weigh_listing(p, cx, n, cap)
+    n = count_listing(p, cx, cap)
     generators = _generator_edges(p, cx)
     edges = n * sum(ln * len(gens) for ln, gens in generators)
     if edges > cap:

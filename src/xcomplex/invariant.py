@@ -11,23 +11,19 @@ m + n <= L contribute.  All arithmetic is exact rational.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .complexes import FiniteCrossedComplex, size_at
-from .enumeration import count_homs
+from .complexes import FiniteCrossedComplex
+from .enumeration import cell_orders, count_homs
 from .presentations import CWPresentation
 
 
 def normalization_factor(p: CWPresentation, cx: FiniteCrossedComplex) -> Fraction:
     """The alternating double product multiplying the morphism count."""
     out = Fraction(1)
-    for n in range(1, cx.length):
-        inner = 1
-        for m in range(1, cx.length - n + 1):
-            lm = p.count(m)
-            if lm:
-                inner *= size_at(cx, m + n) ** lm
-        out *= inner if n % 2 == 0 else Fraction(1, inner)
+    for n in range(1, cx.length):  # the inner product counts the shift-n maps
+        out *= Fraction(math.prod(order ** lm for lm, order in cell_orders(p, cx, n))) ** (-1) ** n
     return out
 
 

@@ -157,6 +157,20 @@ def test_load_presentation_word_schema():
             load_presentation({"cells": [1, 1, 1], "attach": {"2": [[[0, exp]]]}})
 
 
+@pytest.mark.parametrize("bad, where, note", [
+    ([0], "", "expected [gen, exp]"),
+    (["0", 1], "[0]", "expected an integer generator index"),
+    ([0, 2], "[1]", "expected exponent 1 or -1"),
+])
+def test_bad_letter_of_a_long_word_is_named(bad, where, note):
+    """A word is checked one condition per letter; the first bad letter,
+    here the last of 400,000, is named with the path of its bad part."""
+    word = [[i, 1] for i in range(399_999)] + [bad]
+    with pytest.raises(ParseError) as caught:
+        load_presentation({"cells": [1, 399_999, 1], "attach": {"2": [word]}})
+    assert str(caught.value) == f"presentation.attach.2[0][399999]{where}: {note}"
+
+
 def test_load_presentation_crossedword_schema():
     doc = {"cells": [1, 1, 1, 1],
            "attach": {"2": [[[0, 1]]], "3": [[[[[0, 1]], 0]]]}}

@@ -1,16 +1,25 @@
 """Normalization factor, the exact invariant, and class sizes by orbit and stabiliser."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from xcomplex.complexes import FiniteCrossedComplex, validate
-from xcomplex.enumeration import count_homs
+from xcomplex.complexes import FiniteCrossedComplex, size_at, validate
+from xcomplex.enumeration import cell_orders, count_homs, weigh_answer
 from xcomplex.groups import cyclic_group, trivial_action, zero_hom
 from xcomplex.homotopies import count_homotopies, homotopy_classes, homotopy_orbit
 from xcomplex.invariant import format_rational, invariant_ia, normalization_factor
-from xcomplex.library import resolve_coefficients, resolve_space
+from xcomplex.library import (
+    resolve_coefficients,
+    resolve_space,
+    standard_coefficients,
+    standard_spaces,
+)
 from xcomplex.presentations import disk, point, rp2, sphere, torus, wedge
+from xcomplex.randomgen import random_instances
+
+SEED = 12345
 
 
 def tall_z2_z4_z2():
@@ -113,3 +122,25 @@ def test_format_rational():
     assert format_rational(Fraction(0)) == "0"
     assert format_rational(Fraction(-3, 2)) == "-3/2"
     assert format_rational(Fraction(18)) == "18"
+
+
+def test_cell_orders_give_the_written_out_products():
+    """The normalization, the homotopy count and the digit bound of the
+    invariant read `cell_orders`; each equals its formula written out from
+    size_at and p.count, and a shift of L or more sizes no cell."""
+    pairs = ([(p, cx) for p in standard_spaces() for cx in standard_coefficients()]
+             + random_instances(SEED, 24))
+    for p, cx in pairs:
+        top = cx.length
+        inner = {n: math.prod(size_at(cx, m + n) ** p.count(m) for m in range(1, top - n + 1))
+                 for n in range(top)}
+        factor = Fraction(1)
+        for n in range(1, top):
+            factor *= inner[n] if n % 2 == 0 else Fraction(1, inner[n])
+        digits = 1 + int(sum(p.count(m) * math.log10(size_at(cx, m + n))
+                             for n in range(top) for m in range(1, top - n + 1)))
+        assert normalization_factor(p, cx) == factor, (p.name, cx.name)
+        assert count_homotopies(p, cx) == inner.get(1, 1), (p.name, cx.name)
+        assert weigh_answer(p, cx, 10**9, normalization=True) == digits, (p.name, cx.name)
+        for shift in range(top, top + 3):
+            assert cell_orders(p, cx, shift) == []
