@@ -12,7 +12,6 @@ from .errors import (
     MissingInverse,
     NoIdentityAtZero,
     NotAssociative,
-    NotNormal,
     ParseError,
     ResultTooLarge,
     TargetNotMorphism,
@@ -23,7 +22,6 @@ from .groups import (
     FiniteGroup,
     GroupAction,
     GroupHom,
-    Subgroup,
     action_violation,
     associativity_witness,
     check_action,
@@ -32,11 +30,7 @@ from .groups import (
     direct_product,
     fibers_of,
     hom_violation,
-    image_of,
     make_group,
-    quotient,
-    subgroup,
-    subgroup_as_group,
     symmetric_group_3,
     trivial_action,
     zero_hom,

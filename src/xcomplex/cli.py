@@ -10,7 +10,7 @@
 validate, count, invariant and classes take --cap N, a bound on what a
 command enumerates, on the entries of a sized builtin, on the decimal
 digits of the answer and on the counting engine's work estimate: 10^6 by
-default, 10^7 for classes (`--help` shows each default).  Answers are
+default for every command (`--help` shows it).  Answers are
 weighed by their digits from the cell counts and group orders alone
 (`cell_orders`), before anything is planned (`weigh_answer`).  Every
 listing is counted first and refused before it starts (`weigh_listing`);
@@ -67,7 +67,7 @@ from .errors import (
     XComplexError,
 )
 from .groups import FiniteGroup, group_violations
-from .homotopies import DEFAULT_EDGE_CAP, homotopy_classes
+from .homotopies import homotopy_classes
 from .invariant import format_rational, normalization_factor
 from .library import STANDARD_COEFFICIENTS, STANDARD_SPACES, resolve_coefficients, resolve_space
 from .presentations import CWPresentation, validate_presentation
@@ -282,16 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite crossed complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cap(sp, default=DEFAULT_ENUM_CAP):
-        sp.add_argument("--cap", type=int, default=default,
+    def add_cap(sp):
+        sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
                         help="result/size cap (default: %(default)s)")
 
-    def add_common(sp, cap=DEFAULT_ENUM_CAP):
+    def add_common(sp):
         sp.add_argument("--presentation", required=True,
                         help="JSON file or builtin space name")
         sp.add_argument("--complex", required=True,
                         help="JSON file or builtin coefficient name")
-        add_cap(sp, cap)
+        add_cap(sp)
 
     sp = sub.add_parser("validate", help="validate documents without computing")
     sp.add_argument("--presentation", help="JSON file or builtin space name")
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
 
     sp = sub.add_parser("classes", help="homotopy class decomposition")
-    add_common(sp, DEFAULT_EDGE_CAP)
+    add_common(sp)
 
     sub.add_parser("library", help="list builtin spaces and coefficients")
     sub.add_parser("selfcheck", help="run the acceptance criteria")

@@ -31,10 +31,6 @@ class NotAssociative(XComplexError):
     """Multiplication table fails associativity."""
 
 
-class NotNormal(XComplexError):
-    """Quotient requested by a subgroup that is not conjugation-stable."""
-
-
 class IndexOutOfRange(XComplexError):
     """Degree argument outside the meaningful range."""
 

@@ -9,7 +9,8 @@ Conventions used everywhere in the package:
 `make_group` is the only validating constructor.  `table_group` checks the
 shape only, so that complex documents leave the group axioms to
 `complexes.validate`; the dataclass constructor itself is dumb on purpose,
-so tests can build deliberately broken tables.
+so tests can build deliberately broken tables.  There are no subgroup or
+quotient types: `complexes` builds pi1 and homology as coset tables itself.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
     MissingInverse,
     NoIdentityAtZero,
     NotAssociative,
-    NotNormal,
 )
 
 
@@ -313,38 +313,6 @@ def trivial_action(actor: FiniteGroup, space: FiniteGroup) -> GroupAction:
     return GroupAction(actor, space, (row,) * actor.order)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Subset of a parent group with a computed (never assumed) normality flag."""
-
-    parent: FiniteGroup
-    members: tuple[int, ...]
-    normal: bool
-
-
-def subgroup(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Validate closure under mul/inv and record whether conjugation-stable."""
-    mem = tuple(sorted(set(int(x) for x in members)))
-    memset = set(mem)
-    if 0 not in memset:
-        raise ValueError("subgroup must contain the identity 0")
-    for x in mem:
-        if not 0 <= x < parent.order:
-            raise IndexError(f"member {x} out of range")
-        if parent.inv[x] not in memset:
-            raise ValueError(f"subgroup not closed under inverse at {x}")
-        for y in mem:
-            if parent.mul[x][y] not in memset:
-                raise ValueError(f"subgroup not closed under product at ({x},{y})")
-    mul, inv = parent.mul, parent.inv
-    normal = all(
-        mul[mul[g][x]][inv[g]] in memset
-        for g in range(parent.order)
-        for x in mem
-    )
-    return Subgroup(parent, mem, normal)
-
-
 def fibers_of(h: GroupHom) -> tuple[tuple[int, ...], ...]:
     """Partition of the source by image value, indexed by target element.
 
@@ -355,37 +323,3 @@ def fibers_of(h: GroupHom) -> tuple[tuple[int, ...], ...]:
     for x, v in enumerate(h.image):
         buckets[v].append(x)
     return tuple(tuple(b) for b in buckets)
-
-
-def image_of(h: GroupHom) -> Subgroup:
-    return subgroup(h.target, set(h.image))
-
-
-def subgroup_as_group(parent: FiniteGroup, members: Iterable[int]) -> tuple[FiniteGroup, dict[int, int]]:
-    """Reindex a closed subset as a group of its own; returns (group, old->new)."""
-    mem = tuple(sorted(set(members)))
-    pos = {x: i for i, x in enumerate(mem)}
-    try:
-        table = [[pos[parent.mul[a][b]] for b in mem] for a in mem]
-    except KeyError as exc:
-        raise ValueError(f"subset not closed under product (escapes at {exc})") from exc
-    return make_group(table, name=f"{parent.name}[{len(mem)}]"), pos
-
-
-def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """Quotient by a normal subgroup, cosets indexed by their least member.
-
-    The identity coset contains 0, so it gets index 0.  Returns the quotient
-    group and the projection hom.  Raises NotNormal when the flag is false.
-    """
-    if n.parent != g:
-        raise DimensionMismatch("subgroup belongs to a different parent group")
-    if not n.normal:
-        raise NotNormal(f"subgroup of order {len(n.members)} is not normal in {g.name or 'G'}")
-    rep = [min(g.mul[x][m] for m in n.members) for x in range(g.order)]
-    reps = sorted(set(rep))
-    pos = {r: i for i, r in enumerate(reps)}
-    table = [[pos[rep[g.mul[a][b]]] for b in reps] for a in reps]
-    q = make_group(table, name=f"{g.name}/{len(n.members)}")
-    proj = GroupHom(g, q, tuple(pos[rep[x]] for x in range(g.order)))
-    return q, proj

@@ -62,6 +62,7 @@ from typing import Callable, Iterator, Optional
 from .complexes import FiniteCrossedComplex
 from .errors import DimensionMismatch, ResultTooLarge, TargetNotMorphism
 from .enumeration import (
+    DEFAULT_ENUM_CAP,
     Colouring,
     _apply,
     _compile,
@@ -77,8 +78,6 @@ from .enumeration import (
 )
 from .groups import greedy_generators
 from .presentations import CWPresentation, Terms, fox_terms
-
-DEFAULT_EDGE_CAP = 10**7
 
 
 def homotopy_target(
@@ -207,7 +206,7 @@ class ClassDecomposition:
 def homotopy_classes(
     p: CWPresentation,
     cx: FiniteCrossedComplex,
-    cap: int = DEFAULT_EDGE_CAP,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> ClassDecomposition:
     """Homotopy classes of Hom(P, A), each walked once along generator edges
     from its least member, over the listing of `enumerate_homs`.

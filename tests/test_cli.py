@@ -265,10 +265,10 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
     monkeypatch.setattr(homotopies, "enumerate_homs", unreachable)
     monkeypatch.setattr(cli, "enumerate_homs", unreachable)
     pair = ["--presentation", "genus:6", "--complex", "cm-z4-z2-incl"]
-    for argv, cap in ((["classes"], 10**7), (["count", "--enumerate"], 10**6)):
+    for argv in (["classes"], ["count", "--enumerate"]):
         assert cli.main(argv + pair) == 3
         result = json.loads(capsys.readouterr().out)["result"]
-        assert result["error"] == f"more than {cap} morphisms; raise the cap to list them"
+        assert result["error"] == "more than 1000000 morphisms; raise the cap to list them"
     assert result["count"] == 16777216
 
 
@@ -426,7 +426,7 @@ def test_oversized_count_is_refused_before_it_starts(tmp_path, capsys):
     assert cli.main(["classes", "--presentation", str(path), "--complex", "s3"]) == 3
     assert time.process_time() - started < 1.0
     assert json.loads(capsys.readouterr().out)["result"] == {
-        "error": "elimination estimate 12430938696214110 exceeds cap 10000000"}
+        "error": "elimination estimate 12430938696214110 exceeds cap 1000000"}
     # torus x s3 is estimated at 6 + 3 * 6^2 = 114 transitions
     for cap, code in ((113, 3), (114, 0)):
         assert cli.main(["count", "--presentation", "torus", "--complex", "s3",

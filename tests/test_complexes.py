@@ -21,11 +21,13 @@ from xcomplex.groups import (
     GroupHom,
     cyclic_group,
     direct_product,
+    group_violations,
     symmetric_group_3,
     trivial_action,
     zero_hom,
 )
 from xcomplex.library import resolve_coefficients, standard_coefficients
+from xcomplex.randomgen import random_instances
 
 
 def replace_boundary(cx, n, image):
@@ -202,6 +204,38 @@ def test_kernel_times_image_is_order():
             ker = bd.image.count(0)
             img = len(set(bd.image))
             assert ker * img == bd.source.order, (cx.name, n)
+
+
+def _coset_table(g, within, members):
+    """Cosets x . members, x in `within`, by a plain scan: sorted by least
+    element, each product looked up by membership."""
+    cosets = sorted({frozenset(g.mul[x][m] for m in members) for x in within}, key=min)
+    reps = [min(c) for c in cosets]
+    return tuple(tuple(next(i for i, c in enumerate(cosets) if g.mul[a][b] in c)
+                       for b in reps) for a in reps)
+
+
+@pytest.mark.parametrize("seed,count", [(None, 0), (12345, 200)], ids=["suite", "random"])
+def test_pi1_and_homology_are_coset_tables(seed, count):
+    """|pi1| |im d2| = |A_1| and |H_n| |im d_{n+1}| = |ker d_n|, each table is
+    the scanned coset table on least elements, and each is a group."""
+    cxs = standard_coefficients() if seed is None else [
+        cx for _, cx in random_instances(seed, count)]
+    assert any(cx.length == 3 for cx in cxs)
+    for cx in cxs:
+        a1 = cx.group(1)
+        img = set(cx.boundary(2).image) if cx.length > 1 else {0}
+        q = pi1(cx)
+        assert q.order * len(img) == a1.order, cx.name
+        assert q.mul == _coset_table(a1, range(a1.order), img), cx.name
+        assert not list(group_violations(q)), cx.name
+        for n in range(2, cx.length + 1):
+            ker = [x for x in range(cx.group(n).order) if cx.boundary(n).image[x] == 0]
+            img = set(cx.boundary(n + 1).image) if n < cx.length else {0}
+            h = homology(cx, n)
+            assert h.order * len(img) == len(ker), (cx.name, n)
+            assert h.mul == _coset_table(cx.group(n), ker, img), (cx.name, n)
+            assert not list(group_violations(h)), (cx.name, n)
 
 
 def test_factoring_property_holds_on_suite():

@@ -39,7 +39,7 @@ from xcomplex.groups import (
     GroupAction,
     GroupHom,
     cyclic_group,
-    subgroup_as_group,
+    make_group,
     symmetric_group_3,
     trivial_action,
     zero_hom,
@@ -534,9 +534,9 @@ def _a3_in_s3():
     """A3 -> S3, the inclusion, with S3 acting by conjugation: an action row
     depends on the sign of the acting element only."""
     s3 = symmetric_group_3()
-    members = [g for g in range(6) if s3.mul[s3.mul[g][g]][g] == 0]
-    a3, pos = subgroup_as_group(s3, members)
-    back = {i: g for g, i in pos.items()}
+    back = [g for g in range(6) if s3.mul[s3.mul[g][g]][g] == 0]
+    pos = {g: i for i, g in enumerate(back)}
+    a3 = make_group([[pos[s3.mul[a][b]] for b in back] for a in back], name="A3")
     act = tuple(tuple(pos[s3.mul[s3.mul[g][back[e]]][s3.inv[g]]] for e in range(3))
                 for g in range(6))
     return from_crossed_module(s3, a3, GroupHom(a3, s3, tuple(back[e] for e in range(3))),
