@@ -13,10 +13,10 @@ digits of the answer and on the counting engine's work estimate: 10^6 by
 default for every command (`--help` shows it).  Answers are
 weighed by their digits from the cell counts and group orders alone
 (`cell_orders`), before anything is planned (`weigh_answer`).  Every
-listing is counted first and refused before it starts (`weigh_listing`);
-classes and validate --check-boundaries count by `count_listing`, which
-also refuses more than 4,300 digits.  A refused number past 4,300 digits
-is reported by its magnitude (`printable`).  X is a JSON file path or,
+listing is refused in one order: the count's digits, estimate and
+morphisms, the walk (`enumerate_homs`), and for classes the edges.  A
+refused number past 4,300 digits is reported by its magnitude
+(`printable`).  X is a JSON file path or,
 when no such file exists, a builtin name from `library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
@@ -56,8 +56,8 @@ from .enumeration import (
     enumerate_homs,
     printable,
     refuse_count,
+    refuse_listing,
     weigh_answer,
-    weigh_listing,
 )
 from .errors import (
     InstanceTooLarge,
@@ -196,7 +196,7 @@ def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComp
     n = _planned_count(args, p, cx, result)
     result["count"] = n
     if args.enumerate:
-        weigh_listing(p, cx, n, args.cap)
+        refuse_listing(n, args.cap)
         morphisms = enumerate_homs(p, cx, cap=args.cap)
         result["morphisms"] = morphisms
         if len(morphisms) != n:

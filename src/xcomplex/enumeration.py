@@ -44,10 +44,9 @@ by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
 exceed it (`weigh_answer`, over `cell_orders`); the collapse runs before
 the estimate is checked, in time linear in the letters.  Enumeration
 always runs the layered search, in lexicographic order by (dimension,
-cell index, element index).  Every listing is weighed once before it
-starts (`weigh_listing`): its counted morphisms, then its walk, the same
-layer-1 colourings; `count_listing` first refuses its digits past the
-cap, then past 4,300, then its estimate.
+cell index, element index).  A listing is refused in one order: its
+count's digits, estimate and morphisms (`count_listing`), then its walk
+of |A_1|^{l_1} layer-1 colourings, by `enumerate_homs` before any visit.
 
 Attaching data of a cell of dimension >= 3, its Terms
 (`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
@@ -672,29 +671,25 @@ def refuse_listing(morphisms: int, cap: int) -> None:
         raise ResultTooLarge(f"more than {cap} morphisms; raise the cap to list them")
 
 
-def weigh_listing(p: CWPresentation, cx: FiniteCrossedComplex, morphisms: int, cap: int) -> None:
-    """Refuse, before it starts, a listing of the `morphisms` morphisms P -> A:
-    ResultTooLarge when they exceed `cap`, then InstanceTooLarge when the
-    walk of |A_1|^{l_1} layer-1 colourings does."""
-    refuse_listing(morphisms, cap)
-    if (walk := cx.groups[0].order ** p.count(1)) > cap:
-        raise InstanceTooLarge(
-            f"listing walk of {printable(walk)} layer-1 colourings exceeds cap {cap}")
+def _refuse_size(what: str, shape: Sequence[tuple[int, int]], cap: int) -> None:
+    """InstanceTooLarge, `what` formatted with the size and `cap`, when prod
+    order ** l over the (l, order) of `shape` exceeds `cap`; weighed by its
+    logarithm first, so no power longer than 4,300 digits or `cap` is built."""
+    digits = sum(ln * math.log10(order) for ln, order in shape)
+    if digits > MAX_DIGITS and digits > math.log10(max(cap, 1)) + 1:
+        raise InstanceTooLarge(what.format(f"about 10^{int(digits)}", cap))
+    if (size := math.prod(order ** ln for ln, order in shape)) > cap:
+        raise InstanceTooLarge(what.format(printable(size), cap))
 
 
 def count_listing(p: CWPresentation, cx: FiniteCrossedComplex, cap: int) -> int:
-    """#Hom(P, A), counted for a listing and admitted in one order:
-    InstanceTooLarge when its digits (`weigh_answer`) exceed `cap`, then
-    4,300, before planning, or its estimate does (`refuse_count`), before
-    counting; then `weigh_listing`.  The 4,300-digit bound keeps every
-    number a listing builds short, at the price of refusing a bound that
-    long over few morphisms."""
-    if (digits := weigh_answer(p, cx, cap)) > MAX_DIGITS:
-        raise InstanceTooLarge(
-            f"listing's count of up to {digits} digits exceeds {MAX_DIGITS} digits")
+    """#Hom(P, A), counted for a listing: InstanceTooLarge when its digits
+    (`weigh_answer`), then its estimate (`refuse_count`) exceed `cap`, then
+    ResultTooLarge when the morphisms do (`refuse_listing`)."""
+    weigh_answer(p, cx, cap)
     refuse_count(count_engine(p, cx), cap)
     n = count_homs(p, cx)
-    weigh_listing(p, cx, n, cap)
+    refuse_listing(n, cap)
     return n
 
 
@@ -705,9 +700,13 @@ def enumerate_homs(
 ) -> list[Colouring]:
     """All morphisms P -> A as colourings, in lexicographic order.
 
-    Raises ResultTooLarge when more than `cap` morphisms exist.  Every
-    listed colouring is checked by the `morphism_checker` of its layer 1.
+    Raises InstanceTooLarge, before any visit, when the walk of |A_1|^{l_1}
+    layer-1 colourings exceeds `cap`, and ResultTooLarge when more than
+    `cap` morphisms exist.  Every listed colouring is checked by the
+    `morphism_checker` of its layer 1.
     """
+    _refuse_size("listing walk of {} layer-1 colourings exceeds cap {}",
+                 cell_orders(p, cx)[:1], cap)
     s = _Search(p, cx, listing=True)
     found: list[Colouring] = []
     for f1 in s.layer1():
@@ -735,9 +734,7 @@ def count_homs_bruteforce(
     Raises InstanceTooLarge when the space exceeds `cap`.
     """
     shape = cell_orders(p, cx)
-    total = math.prod(order ** ln for ln, order in shape)
-    if total > cap:
-        raise InstanceTooLarge(f"brute-force space {printable(total)} exceeds cap {cap}")
+    _refuse_size("brute-force space {} exceeds cap {}", shape, cap)
     (l1, order), rest = shape[0], shape[1:]
     count = 0
     for f1 in itertools.product(range(order), repeat=l1):

@@ -211,19 +211,20 @@ def homotopy_classes(
     """Homotopy classes of Hom(P, A), each walked once along generator edges
     from its least member, over the listing of `enumerate_homs`.
 
-    The morphisms are counted by `enumeration.count_listing`, which first
-    refuses their digits, estimate, number and walk against `cap`; then
-    ResultTooLarge is raised when the generator
-    edges, n x sum_k l_k |S_{k+1}| on n morphisms, exceed `cap`.
+    Admitted against `cap` by `count_listing`, then by `enumerate_homs`,
+    whose listing must hold the n morphisms counted; last, ResultTooLarge
+    when the generator edges, n x sum_k l_k |S_{k+1}|, exceed `cap`.
     """
     n = count_listing(p, cx, cap)
+    homs = enumerate_homs(p, cx, cap=cap)
+    if len(homs) != n:
+        raise AssertionError(f"listing disagrees: counted {n}, listed {len(homs)}")
     generators = _generator_edges(p, cx)
     edges = n * sum(ln * len(gens) for ln, gens in generators)
     if edges > cap:
         raise ResultTooLarge(
             f"{n} morphisms x {edges // n} generator edges"
             f" = {edges} edges exceeds edge cap {cap}")
-    homs = enumerate_homs(p, cx, cap=cap)
     deltas = _twist_key(cx, dict(enumerate(_homotopy_terms(p, cx), 2)),
                         partial(_edge_deltas, cx, generators))
     changes = {f1: deltas(f1) for f1 in {f[0] for f in homs}}

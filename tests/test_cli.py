@@ -27,6 +27,21 @@ def run_cli(*args):
     return proc.returncode, report, proc.stderr
 
 
+def forbid_listing(monkeypatch):
+    """Make the layered search raise when it is built for a listing, which
+    happens once the listing is admitted and before any colouring is
+    visited; counts still search as before."""
+    from xcomplex import enumeration
+
+    class Unlisted(enumeration._Search):
+        def __init__(self, p, cx, listing=False):
+            if listing:
+                raise AssertionError("listing started")
+            super().__init__(p, cx)
+
+    monkeypatch.setattr(enumeration, "_Search", Unlisted)
+
+
 def test_count_torus_s3():
     code, report, _ = run_cli("count", "--presentation", "torus",
                               "--complex", "s3")
@@ -257,13 +272,9 @@ def test_classes_cap_bounds_the_edge_walk():
 def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
     """genus:6 x cm-z4-z2-incl has 4^12 morphisms: the count refuses them,
     so neither command reaches the listing."""
-    from xcomplex import cli, homotopies
+    from xcomplex import cli
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("listing started")
-
-    monkeypatch.setattr(homotopies, "enumerate_homs", unreachable)
-    monkeypatch.setattr(cli, "enumerate_homs", unreachable)
+    forbid_listing(monkeypatch)
     pair = ["--presentation", "genus:6", "--complex", "cm-z4-z2-incl"]
     for argv in (["classes"], ["count", "--enumerate"]):
         assert cli.main(argv + pair) == 3
@@ -281,12 +292,9 @@ def test_listing_walk_is_refused_before_it_starts(tmp_path, monkeypatch, capsys)
     Above --cap 1000, classes, count --enumerate and validate
     --check-boundaries refuse the walk with exit 3 before listing; at the
     walk's size they list."""
-    from xcomplex import cli, enumeration, homotopies
+    from xcomplex import cli
     from xcomplex.complexes import FiniteCrossedComplex
     from xcomplex.groups import cyclic_group, trivial_action, zero_hom
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("listing started")
 
     killed = tmp_path / "killed.json"
     killed.write_text(json.dumps(dump_presentation(CWPresentation(
@@ -306,8 +314,7 @@ def test_listing_walk_is_refused_before_it_starts(tmp_path, monkeypatch, capsys)
             (["validate", "--check-boundaries", "--presentation", str(with_4cell),
               "--complex", str(tower)], 1024, {})]
     with monkeypatch.context() as patched:
-        for module in (cli, homotopies, enumeration):
-            patched.setattr(module, "enumerate_homs", unreachable)
+        forbid_listing(patched)
         for argv, walk, fields in runs:
             assert cli.main(argv + ["--cap", "1000"]) == 3, argv
             result = json.loads(capsys.readouterr().out)["result"]
@@ -385,13 +392,9 @@ def test_boundary_sweep_counts_each_truncation_before_listing(tmp_path, monkeypa
     colouring.  validate --check-boundaries counts them and refuses the
     listing with exit 3 before it starts, for k = 18 at --cap 1000 and for
     k = 22 (4,194,304 morphisms) at the default cap."""
-    from xcomplex import cli, enumeration, homotopies
+    from xcomplex import cli
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("listing started")
-
-    for module in (cli, homotopies, enumeration):
-        monkeypatch.setattr(module, "enumerate_homs", unreachable)
+    forbid_listing(monkeypatch)
     for k, cap in ((18, 1000), (22, None)):
         path = tmp_path / f"free-{k}.json"
         path.write_text(json.dumps(dump_presentation(CWPresentation(
@@ -486,10 +489,11 @@ def test_oversized_answers_are_refused_before_planning(tmp_path):
     plan is made or any number of that size is built, in a process
     limited to 1 GiB of address space.  So is the truncation that the
     boundary sweep would count below a 4-cell.  Just under the digit cap,
-    2^3300000 (993,400 digits) passes the weighing of count, whose
-    estimate is then refused by its magnitude, while classes and the sweep
-    weigh a listing's count against 4,300 digits: every run ends within
-    seconds, where printing the estimate in decimal would take minutes."""
+    2^3300000 (993,400 digits) passes the weighing of count and classes,
+    whose estimate is then refused by its magnitude, and of the sweep,
+    whose count of that size is refused as too many morphisms to list:
+    every run ends within seconds, where printing the estimate or the
+    count in decimal would take minutes."""
     import resource
 
     def limited():
@@ -503,17 +507,17 @@ def test_oversized_answers_are_refused_before_planning(tmp_path):
             "near-sweep": {"cells": [1, 3_300_000, 0, 0, 1], "attach": {"4": [[]]}}}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    answer, listing = "answer of up to ", "listing's count of up to "
+    answer, estimate = "answer of up to ", "backtrack estimate about 10^993398 exceeds"
     runs = [("count", "wide", "z2", answer), ("invariant", "wide", "z2", answer),
             ("classes", "wide", "z2", answer), ("count", "killed", "l3-z2", answer),
             ("count", "long", "z2", answer),
             ("invariant", "long", "z2", answer, "--cap", "1000"),
             ("validate", "sweep", "l3-z2", answer, "--check-boundaries"),
-            ("count", "near", "l3-z2", "backtrack estimate about 10^993398 exceeds"),
-            ("count", "near", "l3-z2", "backtrack estimate about 10^993398 exceeds",
-             "--enumerate", "--oracle"),
-            ("invariant", "near", "l3-z2", answer), ("classes", "near", "l3-z2", listing),
-            ("validate", "near-sweep", "l3-z2", listing, "--check-boundaries")]
+            ("count", "near", "l3-z2", estimate),
+            ("count", "near", "l3-z2", estimate, "--enumerate", "--oracle"),
+            ("invariant", "near", "l3-z2", answer), ("classes", "near", "l3-z2", estimate),
+            ("validate", "near-sweep", "l3-z2",
+             "more than 1000000 morphisms; raise the cap to list them", "--check-boundaries")]
     for command, name, complex_, error, *rest in runs:
         started = time.perf_counter()
         proc = subprocess.run(

@@ -870,13 +870,76 @@ def test_attaching_target_dispatch():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ResultTooLarge):
-        enumerate_homs(sphere(1), resolve_coefficients("s3"), cap=3)
+    """Both refusals of a listing, each at cap 3: the walk of sphere:1 x s3,
+    6 layer-1 colourings, raises InstanceTooLarge; on a walk of 1 (no
+    1-cells), the 4 morphisms of two 2-spheres against cm-z2-z2-zero raise
+    ResultTooLarge.  Each passes a cap of its own size."""
+    s3 = resolve_coefficients("s3")
+    with pytest.raises(InstanceTooLarge, match="^listing walk of 6 layer-1 colourings exceeds cap 3$"):
+        enumerate_homs(sphere(1), s3, cap=3)
+    assert len(enumerate_homs(sphere(1), s3, cap=6)) == 6
+    spheres, cx = wedge(sphere(2), sphere(2)), resolve_coefficients("cm-z2-z2-zero")
+    with pytest.raises(ResultTooLarge, match="^more than 3 morphisms"):
+        enumerate_homs(spheres, cx, cap=3)
+    assert len(enumerate_homs(spheres, cx, cap=4)) == 4
+
+
+def test_listing_walk_is_refused_before_the_search(monkeypatch):
+    """l 1-cells killed by the relators x_i against s3 have one morphism
+    over 6^l layer-1 colourings.  enumerate_homs refuses the walk at
+    cap 1000 before it builds the search that would visit them: at l = 8
+    walking all 1,679,616 takes about a second, at l = 12 half an hour."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("search built")
+
+    monkeypatch.setattr(enumeration, "_Search", unbuilt)
+    for l1 in (8, 12):
+        p = CWPresentation((1, l1, l1), attach2=tuple(((g, 1),) for g in range(l1)))
+        with pytest.raises(InstanceTooLarge) as refused:
+            enumerate_homs(p, resolve_coefficients("s3"), cap=1000)
+        assert str(refused.value) == f"listing walk of {6 ** l1} layer-1 colourings exceeds cap 1000"
 
 
 def test_bruteforce_cap():
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(InstanceTooLarge) as refused:
         count_homs_bruteforce(torus(), resolve_coefficients("s3"), cap=10)
+    assert str(refused.value) == "brute-force space 36 exceeds cap 10"
+
+
+def test_huge_spaces_are_weighed_by_their_logarithm():
+    """10^12 free 1-cells against z2: the walk of enumerate_homs and the
+    sweep of count_homs_bruteforce, 2^(10^12) colourings each, are refused
+    by their magnitude at once, within 1 GiB of address space, where
+    building the power alone ran out of memory."""
+    import resource
+    import subprocess
+    import sys
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    script = (
+        "from xcomplex.enumeration import count_homs_bruteforce, enumerate_homs\n"
+        "from xcomplex.errors import InstanceTooLarge\n"
+        "from xcomplex.library import resolve_coefficients\n"
+        "from xcomplex.presentations import CWPresentation\n"
+        "p, z2 = CWPresentation((1, 10**12)), resolve_coefficients('z2')\n"
+        "for run in (enumerate_homs, count_homs_bruteforce):\n"
+        "    try:\n"
+        "        run(p, z2)\n"
+        "    except InstanceTooLarge as exc:\n"
+        "        print(exc)\n")
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, preexec_fn=limited)
+    assert time.perf_counter() - started < 5.0
+    assert proc.stdout.splitlines() == [
+        "listing walk of about 10^301029995663 layer-1 colourings exceeds cap 1000000",
+        "brute-force space about 10^301029995663 exceeds cap 1000000"], proc.stderr
+    z2 = resolve_coefficients("z2")
+    with pytest.raises(InstanceTooLarge) as refused:  # 2^20000: 6,021 digits
+        enumerate_homs(CWPresentation((1, 20000)), z2, cap=10)
+    assert str(refused.value) == "listing walk of about 10^6020 layer-1 colourings exceeds cap 10"
 
 
 def test_defect_report_clean_on_disk4():

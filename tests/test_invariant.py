@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from xcomplex.complexes import FiniteCrossedComplex, size_at, validate
+from xcomplex.complexes import FiniteCrossedComplex, homology, pi1, size_at, validate
 from xcomplex.enumeration import cell_orders, count_homs, weigh_answer
 from xcomplex.groups import cyclic_group, trivial_action, zero_hom
 from xcomplex.homotopies import count_homotopies, homotopy_classes, homotopy_orbit
@@ -144,3 +144,16 @@ def test_cell_orders_give_the_written_out_products():
         assert weigh_answer(p, cx, 10**9, normalization=True) == digits, (p.name, cx.name)
         for shift in range(top, top + 3):
             assert cell_orders(p, cx, shift) == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sphere_invariant_is_the_alternating_product_of_homotopy_groups(m):
+    """I_A(sphere:m x A) = prod_{j=m..L} |pi_j|A||^((-1)^(j-m)), with
+    pi_1 = pi1(A) and pi_j = homology(A, j) for j >= 2, since the pointed
+    maps of S^m are Omega^m |A|; an empty product (m > L) is 1.  Over the
+    standard coefficients and the complexes of random_instances(12345, 60)."""
+    for cx in standard_coefficients() + [cx for _, cx in random_instances(SEED, 60)]:
+        orders = [pi1(cx).order] + [homology(cx, j).order for j in range(2, cx.length + 1)]
+        want = math.prod(Fraction(orders[j - 1]) ** (-1) ** (j - m)
+                         for j in range(m, cx.length + 1))
+        assert invariant_ia(sphere(m), cx) == want, (m, cx.name)
