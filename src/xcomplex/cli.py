@@ -10,14 +10,14 @@
 validate, count, invariant and classes take --cap N, a bound on what a
 command enumerates, on the entries of a sized builtin, on the decimal
 digits of the answer and on the counting engine's work estimate: 10^6 by
-default for every command (`--help` shows it).  Answers are
-weighed by their digits from the cell counts and group orders alone
-(`cell_orders`), before anything is planned (`weigh_answer`).  Every
-listing is refused in one order: the count's digits, estimate and
-morphisms, the walk (`enumerate_homs`), and for classes the edges.  A
-refused number past 4,300 digits is reported by its magnitude
-(`printable`).  X is a JSON file path or,
-when no such file exists, a builtin name from `library`.
+default for every command (`--help` shows it).  Answers are weighed by
+their digits from the cell counts and group orders alone (`cell_orders`),
+before anything is planned (`weigh_answer`).  Every listing is admitted
+by `enumerate_homs`, in one order: the count's digits, estimate and
+morphisms, then the walk; classes weighs its edges last.  A refused
+number past 4,300 digits is reported by its magnitude (`printable`).
+X is a JSON file path or, when no such file exists, a builtin name from
+`library`.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
 go to stderr.  Exit codes: 0 success, 1 input error, 2 validation failure,
@@ -56,7 +56,6 @@ from .enumeration import (
     enumerate_homs,
     printable,
     refuse_count,
-    refuse_listing,
     weigh_answer,
 )
 from .errors import (
@@ -176,31 +175,28 @@ def cmd_validate(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def _planned_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
-                   result: dict) -> int:
-    """count_homs(p, cx), after reporting the engine it runs and that
-    engine's work estimate; raises InstanceTooLarge, before planning, when
-    the answer's digits exceed --cap (`weigh_answer`, with the
-    normalization for invariant), and before counting, when the estimate
-    does."""
+def _plan(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
+          result: dict) -> None:
+    """Report the engine count_homs runs and that engine's work estimate;
+    raises InstanceTooLarge, before planning, when the answer's digits
+    exceed --cap (`weigh_answer`, with the normalization for invariant),
+    and after, when the estimate does."""
     weigh_answer(p, cx, args.cap, normalization=args.command == "invariant")
     plan = count_engine(p, cx)
     result["engine"], result["estimate"] = plan.engine, printable(plan.estimate)
     refuse_count(plan, args.cap)
-    return count_homs(p, cx)
 
 
 @_on_valid_inputs
 def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
               result: dict) -> int:
-    n = _planned_count(args, p, cx, result)
+    _plan(args, p, cx, result)
+    if args.enumerate:  # the listing counts, refuses and checks itself
+        result["morphisms"] = enumerate_homs(p, cx, cap=args.cap)
+        n = len(result["morphisms"])
+    else:
+        n = count_homs(p, cx)
     result["count"] = n
-    if args.enumerate:
-        refuse_listing(n, args.cap)
-        morphisms = enumerate_homs(p, cx, cap=args.cap)
-        result["morphisms"] = morphisms
-        if len(morphisms) != n:
-            raise AssertionError(f"listing disagrees: counted {n}, listed {len(morphisms)}")
     if args.oracle:
         oracle = count_homs_bruteforce(p, cx, cap=args.cap)
         result["oracle"] = oracle
@@ -213,7 +209,8 @@ def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComp
 @_on_valid_inputs
 def cmd_invariant(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
                   result: dict) -> int:
-    n = _planned_count(args, p, cx, result)
+    _plan(args, p, cx, result)
+    n = count_homs(p, cx)
     norm = normalization_factor(p, cx)
     inv = n * norm
     result["count"] = n

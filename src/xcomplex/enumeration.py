@@ -44,9 +44,9 @@ by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
 exceed it (`weigh_answer`, over `cell_orders`); the collapse runs before
 the estimate is checked, in time linear in the letters.  Enumeration
 always runs the layered search, in lexicographic order by (dimension,
-cell index, element index).  A listing is refused in one order: its
-count's digits, estimate and morphisms (`count_listing`), then its walk
-of |A_1|^{l_1} layer-1 colourings, by `enumerate_homs` before any visit.
+cell index, element index).  `enumerate_homs` admits every listing, in
+one order: its count's digits, estimate and morphisms, then its walk of
+|A_1|^{l_1} layer-1 colourings, before any visit.
 
 Attaching data of a cell of dimension >= 3, its Terms
 (`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
@@ -648,7 +648,7 @@ def weigh_answer(p: CWPresentation, cx: FiniteCrossedComplex, cap: int,
     digits = 1 + int(sum(ln * math.log10(order)
                          for s in shifts for ln, order in cell_orders(p, cx, s)))
     if digits > cap:
-        raise InstanceTooLarge(f"answer of up to {digits} digits exceeds cap {cap}")
+        raise InstanceTooLarge(f"answer of up to {digits} digits exceeds cap {printable(cap)}")
     return digits
 
 
@@ -662,13 +662,7 @@ def refuse_count(plan: CountPlan, cap: int) -> None:
     """Raise InstanceTooLarge when the plan's work estimate exceeds `cap`."""
     if plan.estimate > cap:
         raise InstanceTooLarge(
-            f"{plan.engine} estimate {printable(plan.estimate)} exceeds cap {cap}")
-
-
-def refuse_listing(morphisms: int, cap: int) -> None:
-    """Raise ResultTooLarge when `morphisms` exceed the listing cap."""
-    if morphisms > cap:
-        raise ResultTooLarge(f"more than {cap} morphisms; raise the cap to list them")
+            f"{plan.engine} estimate {printable(plan.estimate)} exceeds cap {printable(cap)}")
 
 
 def _refuse_size(what: str, shape: Sequence[tuple[int, int]], cap: int) -> None:
@@ -677,20 +671,9 @@ def _refuse_size(what: str, shape: Sequence[tuple[int, int]], cap: int) -> None:
     logarithm first, so no power longer than 4,300 digits or `cap` is built."""
     digits = sum(ln * math.log10(order) for ln, order in shape)
     if digits > MAX_DIGITS and digits > math.log10(max(cap, 1)) + 1:
-        raise InstanceTooLarge(what.format(f"about 10^{int(digits)}", cap))
+        raise InstanceTooLarge(what.format(f"about 10^{int(digits)}", printable(cap)))
     if (size := math.prod(order ** ln for ln, order in shape)) > cap:
-        raise InstanceTooLarge(what.format(printable(size), cap))
-
-
-def count_listing(p: CWPresentation, cx: FiniteCrossedComplex, cap: int) -> int:
-    """#Hom(P, A), counted for a listing: InstanceTooLarge when its digits
-    (`weigh_answer`), then its estimate (`refuse_count`) exceed `cap`, then
-    ResultTooLarge when the morphisms do (`refuse_listing`)."""
-    weigh_answer(p, cx, cap)
-    refuse_count(count_engine(p, cx), cap)
-    n = count_homs(p, cx)
-    refuse_listing(n, cap)
-    return n
+        raise InstanceTooLarge(what.format(printable(size), printable(cap)))
 
 
 def enumerate_homs(
@@ -700,17 +683,30 @@ def enumerate_homs(
 ) -> list[Colouring]:
     """All morphisms P -> A as colourings, in lexicographic order.
 
-    Raises InstanceTooLarge, before any visit, when the walk of |A_1|^{l_1}
-    layer-1 colourings exceeds `cap`, and ResultTooLarge when more than
-    `cap` morphisms exist.  Every listed colouring is checked by the
-    `morphism_checker` of its layer 1.
+    The one admission of a listing, before the search is built: raises
+    InstanceTooLarge when the answer's digits (`weigh_answer`), then the
+    count's estimate (`refuse_count`) exceed `cap`, ResultTooLarge when
+    `count_homs` finds more than `cap` morphisms, and InstanceTooLarge when
+    the walk of |A_1|^{l_1} layer-1 colourings exceeds `cap`.  Every listed
+    colouring is checked by the `morphism_checker` of its layer 1, and the
+    listing by the count: AssertionError as soon as it grows past the
+    count, or when it ends short of it.
     """
+    weigh_answer(p, cx, cap)
+    refuse_count(count_engine(p, cx), cap)
+    n = count_homs(p, cx)
+    if n > cap:
+        raise ResultTooLarge(f"more than {printable(cap)} morphisms; raise the cap to list them")
     _refuse_size("listing walk of {} layer-1 colourings exceeds cap {}",
                  cell_orders(p, cx)[:1], cap)
     s = _Search(p, cx, listing=True)
     found: list[Colouring] = []
+    listed = 0
     for f1 in s.layer1():
         tails = s.below(f1)
+        listed += len(tails)
+        if listed > n:
+            break
         if not tails:
             continue
         check = morphism_checker(p, cx, f1)
@@ -719,7 +715,8 @@ def enumerate_homs(
             if check(c) is not None:  # raised, not asserted: kept under python -O
                 raise AssertionError(f"search produced a non-morphism: {c}")
             found.append(c)
-        refuse_listing(len(found), cap)
+    if listed != n:  # raised, not asserted: kept under python -O
+        raise AssertionError(f"listing disagrees: counted {n}, listed {listed}")
     return found
 
 
@@ -771,8 +768,7 @@ def boundary_defect_report(
     truncated below n and evaluates each n-cell's Terms; a value outside
     ker d_{n-1} is reported as (n, cell, colouring, value).  An empty report
     on a presentation with zero morphism count says nothing.  Each
-    truncation is counted and admitted by `count_listing` before it is
-    listed.
+    truncation is admitted, counted first, by `enumerate_homs`.
     """
     out: list[tuple[int, int, Colouring, int]] = []
     for n in range(4, min(p.dim, cx.length + 1) + 1):
@@ -780,7 +776,6 @@ def boundary_defect_report(
             continue
         trunc = CWPresentation(p.cells[:n], p.attach2, p.attach_terms[:n - 3], name=p.name)
         kerbd, mul = cx.boundary(n - 1).image, cx.groups[n - 2].mul
-        count_listing(trunc, cx, cap)
         compiled = _twist_key(cx, {n - 1: p.terms(n)}, itemgetter(n - 1))
         for f in enumerate_homs(trunc, cx, cap=cap):
             got = _apply(mul, compiled(f[0]), f[n - 2])

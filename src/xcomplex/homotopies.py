@@ -69,12 +69,12 @@ from .enumeration import (
     _shape_violation,
     _twist_key,
     cell_orders,
-    count_listing,
     enumerate_homs,
     eval_word,
     layered_product,
     morphism_checker,
     morphism_violation,
+    printable,
 )
 from .groups import greedy_generators
 from .presentations import CWPresentation, Terms, fox_terms
@@ -211,20 +211,18 @@ def homotopy_classes(
     """Homotopy classes of Hom(P, A), each walked once along generator edges
     from its least member, over the listing of `enumerate_homs`.
 
-    Admitted against `cap` by `count_listing`, then by `enumerate_homs`,
-    whose listing must hold the n morphisms counted; last, ResultTooLarge
-    when the generator edges, n x sum_k l_k |S_{k+1}|, exceed `cap`.
+    The listing is admitted against `cap` by `enumerate_homs`; last,
+    ResultTooLarge when the generator edges of its n morphisms,
+    n x sum_k l_k |S_{k+1}|, exceed `cap`.
     """
-    n = count_listing(p, cx, cap)
     homs = enumerate_homs(p, cx, cap=cap)
-    if len(homs) != n:
-        raise AssertionError(f"listing disagrees: counted {n}, listed {len(homs)}")
+    n = len(homs)
     generators = _generator_edges(p, cx)
     edges = n * sum(ln * len(gens) for ln, gens in generators)
     if edges > cap:
         raise ResultTooLarge(
             f"{n} morphisms x {edges // n} generator edges"
-            f" = {edges} edges exceeds edge cap {cap}")
+            f" = {edges} edges exceeds edge cap {printable(cap)}")
     deltas = _twist_key(cx, dict(enumerate(_homotopy_terms(p, cx), 2)),
                         partial(_edge_deltas, cx, generators))
     changes = {f1: deltas(f1) for f1 in {f[0] for f in homs}}

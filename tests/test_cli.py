@@ -270,8 +270,9 @@ def test_classes_cap_bounds_the_edge_walk():
 
 
 def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
-    """genus:6 x cm-z4-z2-incl has 4^12 morphisms: the count refuses them,
-    so neither command reaches the listing."""
+    """genus:6 x cm-z4-z2-incl has 4^12 morphisms: the listing's own count
+    refuses them, so neither command starts the listing, and count
+    --enumerate, which counts only through its listing, reports no count."""
     from xcomplex import cli
 
     forbid_listing(monkeypatch)
@@ -280,7 +281,8 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
         assert cli.main(argv + pair) == 3
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["error"] == "more than 1000000 morphisms; raise the cap to list them"
-    assert result["count"] == 16777216
+    assert result == {"engine": "elimination", "estimate": 852,
+                      "error": "more than 1000000 morphisms; raise the cap to list them"}
 
 
 def test_listing_walk_is_refused_before_it_starts(tmp_path, monkeypatch, capsys):
@@ -310,7 +312,7 @@ def test_listing_walk_is_refused_before_it_starts(tmp_path, monkeypatch, capsys)
         (trivial_action(z2, z1), trivial_action(z2, z1))))))
     runs = [(["classes", "--presentation", str(killed), "--complex", "s3"], 46656, {}),
             (["count", "--enumerate", "--presentation", str(killed), "--complex", "s3"],
-             46656, {"engine": "elimination", "estimate": 0, "count": 1}),
+             46656, {"engine": "elimination", "estimate": 0}),
             (["validate", "--check-boundaries", "--presentation", str(with_4cell),
               "--complex", str(tower)], 1024, {})]
     with monkeypatch.context() as patched:
@@ -673,11 +675,12 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
 
 
 def test_enumerate_disagreeing_count_is_internal_error(monkeypatch, capsys):
-    """count --enumerate checks the listing's length against the count."""
-    from xcomplex import cli
+    """count --enumerate lists through enumerate_homs, which checks the
+    listing's length against its own count."""
+    from xcomplex import cli, enumeration
 
-    real = cli.count_homs
-    monkeypatch.setattr(cli, "count_homs", lambda p, cx: real(p, cx) + 1)
+    real = enumeration.count_homs
+    monkeypatch.setattr(enumeration, "count_homs", lambda p, cx: real(p, cx) + 1)
     code = cli.main(["count", "--presentation", "genus:2", "--complex", "z2",
                      "--enumerate"])
     out, _ = capsys.readouterr()

@@ -3,6 +3,9 @@
 import itertools
 import json
 import random
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 from functools import partial
@@ -42,6 +45,7 @@ from xcomplex.groups import (
     trivial_action,
     zero_hom,
 )
+from xcomplex.homotopies import homotopy_classes
 from xcomplex.invariant import invariant_ia
 from xcomplex.library import resolve_coefficients, resolve_space, standard_coefficients
 from xcomplex.presentations import (
@@ -870,18 +874,19 @@ def test_attaching_target_dispatch():
 
 
 def test_enumeration_cap():
-    """Both refusals of a listing, each at cap 3: the walk of sphere:1 x s3,
-    6 layer-1 colourings, raises InstanceTooLarge; on a walk of 1 (no
-    1-cells), the 4 morphisms of two 2-spheres against cm-z2-z2-zero raise
-    ResultTooLarge.  Each passes a cap of its own size."""
+    """Both refusals of a listing, each at cap 3, in their order: sphere:1
+    x s3 has 6 morphisms over 6 layer-1 colourings and is refused on its
+    morphisms (ResultTooLarge); two 1-cells killed by the relators x_i
+    against s3 have one morphism over 36 colourings and are refused on
+    the walk (InstanceTooLarge).  Each passes a cap of its own size."""
     s3 = resolve_coefficients("s3")
-    with pytest.raises(InstanceTooLarge, match="^listing walk of 6 layer-1 colourings exceeds cap 3$"):
+    with pytest.raises(ResultTooLarge, match="^more than 3 morphisms; raise the cap to list them$"):
         enumerate_homs(sphere(1), s3, cap=3)
     assert len(enumerate_homs(sphere(1), s3, cap=6)) == 6
-    spheres, cx = wedge(sphere(2), sphere(2)), resolve_coefficients("cm-z2-z2-zero")
-    with pytest.raises(ResultTooLarge, match="^more than 3 morphisms"):
-        enumerate_homs(spheres, cx, cap=3)
-    assert len(enumerate_homs(spheres, cx, cap=4)) == 4
+    killed = CWPresentation((1, 2, 2), attach2=(((0, 1),), ((1, 1),)))
+    with pytest.raises(InstanceTooLarge, match="^listing walk of 36 layer-1 colourings exceeds cap 3$"):
+        enumerate_homs(killed, s3, cap=3)
+    assert enumerate_homs(killed, s3, cap=36) == [((0, 0),)]
 
 
 def test_listing_walk_is_refused_before_the_search(monkeypatch):
@@ -906,19 +911,27 @@ def test_bruteforce_cap():
     assert str(refused.value) == "brute-force space 36 exceeds cap 10"
 
 
-def test_huge_spaces_are_weighed_by_their_logarithm():
-    """10^12 free 1-cells against z2: the walk of enumerate_homs and the
-    sweep of count_homs_bruteforce, 2^(10^12) colourings each, are refused
-    by their magnitude at once, within 1 GiB of address space, where
-    building the power alone ran out of memory."""
-    import resource
-    import subprocess
-    import sys
-
+def limited_run(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter under 1 GiB of address space,
+    asserting that it ends within 5 s."""
     def limited():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    script = (
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, preexec_fn=limited)
+    assert time.perf_counter() - started < 5.0, proc.stderr
+    return proc
+
+
+def test_huge_spaces_are_weighed_by_their_logarithm():
+    """10^12 free 1-cells against z2: the answer of enumerate_homs, up to
+    2^(10^12), is refused on its digits, and the sweep of
+    count_homs_bruteforce, 2^(10^12) colourings, by its magnitude, at once
+    and within 1 GiB of address space, where building the power alone ran
+    out of memory.  A walk of 2^20000 colourings over one morphism is
+    refused by its magnitude too."""
+    proc = limited_run(
         "from xcomplex.enumeration import count_homs_bruteforce, enumerate_homs\n"
         "from xcomplex.errors import InstanceTooLarge\n"
         "from xcomplex.library import resolve_coefficients\n"
@@ -929,17 +942,73 @@ def test_huge_spaces_are_weighed_by_their_logarithm():
         "        run(p, z2)\n"
         "    except InstanceTooLarge as exc:\n"
         "        print(exc)\n")
-    started = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60, preexec_fn=limited)
-    assert time.perf_counter() - started < 5.0
     assert proc.stdout.splitlines() == [
-        "listing walk of about 10^301029995663 layer-1 colourings exceeds cap 1000000",
+        "answer of up to 301029995664 digits exceeds cap 1000000",
         "brute-force space about 10^301029995663 exceeds cap 1000000"], proc.stderr
-    z2 = resolve_coefficients("z2")
+    killed = CWPresentation((1, 20000, 20000), attach2=tuple(((g, 1),) for g in range(20000)))
     with pytest.raises(InstanceTooLarge) as refused:  # 2^20000: 6,021 digits
-        enumerate_homs(CWPresentation((1, 20000)), z2, cap=10)
-    assert str(refused.value) == "listing walk of about 10^6020 layer-1 colourings exceeds cap 10"
+        enumerate_homs(killed, resolve_coefficients("z2"))
+    assert str(refused.value) == "listing walk of about 10^6020 layer-1 colourings exceeds cap 1000000"
+
+
+def test_listing_is_counted_before_its_search_is_built():
+    """22 free 3-cells against l3-z2 have 2^22 = 4,194,304 morphisms over a
+    single layer-1 colouring.  A direct enumerate_homs call at the default
+    cap counts them and refuses the listing before it builds the search
+    for it, within 5 s under 1 GiB of address space, where building the
+    listing ran out of memory."""
+    proc = limited_run(
+        "from xcomplex import enumeration\n"
+        "from xcomplex.errors import ResultTooLarge\n"
+        "from xcomplex.library import resolve_coefficients\n"
+        "from xcomplex.presentations import CWPresentation\n"
+        "class Unlisted(enumeration._Search):\n"
+        "    def __init__(self, p, cx, listing=False):\n"
+        "        if listing:\n"
+        "            raise AssertionError('listing started')\n"
+        "        super().__init__(p, cx)\n"
+        "enumeration._Search = Unlisted\n"
+        "free = CWPresentation((1, 0, 0, 22), attach_terms=(((),) * 22,))\n"
+        "try:\n"
+        "    enumeration.enumerate_homs(free, resolve_coefficients('l3-z2'))\n"
+        "except ResultTooLarge as exc:\n"
+        "    print(exc)\n")
+    assert proc.stdout.splitlines() == [
+        "more than 1000000 morphisms; raise the cap to list them"], proc.stderr
+
+
+def test_refusals_print_a_long_cap_by_its_magnitude():
+    """A library cap of 2^20000 - 1 has 6,021 digits, past CPython's
+    default int/str limit of 4,300: every refusal it reaches names it as
+    "about 10^6020" instead of failing to print it.  (No answer of more
+    than 10^6020 digits, nor a listing long enough to exceed it in
+    generator edges, can be built to reach the other two refusals.)"""
+    cap, long = 2**20000 - 1, "about 10^6020"
+    z2, l3 = resolve_coefficients("z2"), resolve_coefficients("l3-z2")
+    killed = CWPresentation((1, 20100, 20100), attach2=tuple(((g, 1),) for g in range(20100)))
+    runs = [
+        (enumerate_homs, CWPresentation((1, 20000)), z2, ResultTooLarge,
+         f"more than {long} morphisms; raise the cap to list them"),
+        (homotopy_classes, CWPresentation((1, 20000)), z2, ResultTooLarge,
+         f"more than {long} morphisms; raise the cap to list them"),
+        (enumerate_homs, CWPresentation((1, 20100, 0, 1), attach_terms=(((),),)), l3,
+         InstanceTooLarge, f"backtrack estimate about 10^6050 exceeds cap {long}"),
+        (enumerate_homs, killed, z2, InstanceTooLarge,
+         f"listing walk of about 10^6050 layer-1 colourings exceeds cap {long}"),
+        (count_homs_bruteforce, CWPresentation((1, 20100)), z2, InstanceTooLarge,
+         f"brute-force space about 10^6050 exceeds cap {long}"),
+    ]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(4300)
+    try:
+        for run, p, cx, error, message in runs:
+            with pytest.raises(error) as refused:
+                run(p, cx, cap=cap)
+            assert str(refused.value) == message
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_defect_report_clean_on_disk4():

@@ -232,27 +232,25 @@ def test_planted_target_fault_raises(monkeypatch):
 
 
 def test_target_outside_listing_is_a_missed_morphism(monkeypatch):
-    """A morphism the listing drops, with the count short by one to match,
-    is still reached by the walk; it verifies, so the listing, not the
-    target, is at fault."""
+    """A morphism the listing drops is still reached by the walk; it
+    verifies, so the listing, not the target, is at fault."""
     p, cx = resolve_space("disk:2"), resolve_coefficients("cm-z4-z2-incl")
-    real, counted = homotopies.enumerate_homs, homotopies.count_listing
+    real = homotopies.enumerate_homs
     assert homotopy_classes(p, cx).sizes == (len(real(p, cx)),)
     monkeypatch.setattr(homotopies, "enumerate_homs", lambda p, cx, cap: real(p, cx, cap=cap)[:-1])
-    monkeypatch.setattr(homotopies, "count_listing", lambda p, cx, cap: counted(p, cx, cap) - 1)
     with pytest.raises(AssertionError, match="did not list"):
         homotopy_classes(p, cx)
 
 
 @pytest.mark.parametrize("off", [1, -1])
 def test_listing_disagreeing_with_its_count_is_internal_error(monkeypatch, capsys, off):
-    """homotopy_classes checks its listing's length against the count it
-    admitted, as count --enumerate does: a count off by one either way
+    """enumerate_homs checks the listing of homotopy_classes against its own
+    count, as it does for count --enumerate: a count off by one either way
     raises AssertionError before any class is walked, exit 4 from classes."""
-    from xcomplex import cli
+    from xcomplex import cli, enumeration
 
-    real = homotopies.count_listing
-    monkeypatch.setattr(homotopies, "count_listing", lambda p, cx, cap: real(p, cx, cap) + off)
+    real = enumeration.count_homs
+    monkeypatch.setattr(enumeration, "count_homs", lambda p, cx: real(p, cx) + off)
     monkeypatch.setattr(homotopies, "_edge_targets", None)  # walking a class would raise TypeError
     with pytest.raises(AssertionError, match=f"listing disagrees: counted {256 + off}, listed 256"):
         homotopy_classes(resolve_space("genus:2"), resolve_coefficients("cm-z4-z2-incl"))
