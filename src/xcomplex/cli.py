@@ -16,8 +16,9 @@ before anything is planned (`weigh_answer`).  Every listing is admitted
 by `enumerate_homs`, in one order: the count's digits, estimate and
 morphisms, then the walk; classes weighs its edges last.  A refused
 number past 4,300 digits is reported by its magnitude (`printable`).
-X is a JSON file path or, when no such file exists, a builtin name from
-`library`.
+X is a JSON file path or, when no such regular file exists, a builtin
+name from `library`.  Each document is read once, and the provenance hash
+in the report is of the bytes parsed.
 
 A machine-readable run report goes to stdout as JSON; human-oriented lines
 go to stderr.  Exit codes: 0 success, 1 input error, 2 validation failure,
@@ -33,7 +34,6 @@ import json
 import sys
 import time
 import traceback
-from pathlib import Path
 from typing import Any, Optional
 
 from . import __version__
@@ -46,6 +46,7 @@ from .documents import (
     load_group_table,
     load_presentation,
     read_json,
+    read_regular,
 )
 from .enumeration import (
     DEFAULT_ENUM_CAP,
@@ -102,16 +103,18 @@ class _Inputs:
 
     def resolve(self, kind: str, ref: str, cap: int) -> Any:
         """The "presentation", "complex" or "group" named by ref: a JSON file
-        or, when no such file exists, a builtin name of at most `cap` entries."""
+        or, when no such regular file exists, a builtin name of at most `cap`
+        entries.  A file is read once, and its hash is of the bytes parsed."""
         # looked up at call time, so that wrappers installed on this module apply
         load, builtin, dump = {
             "presentation": (load_presentation, resolve_space, dump_presentation),
             "complex": (load_complex, resolve_coefficients, dump_complex),
             "group": (load_group_table, _builtin_group, dump_group),
         }[kind]
-        if Path(ref).is_file():
-            obj = load(read_json(ref))
-            self.provenance[kind] = {"source": ref, "sha256": _sha(Path(ref).read_bytes())}
+        data = read_regular(ref)
+        if data is not None:
+            obj = load(read_json(ref, data))
+            self.provenance[kind] = {"source": ref, "sha256": _sha(data)}
         else:
             obj = builtin(ref, cap)
             self.provenance[kind] = {

@@ -30,6 +30,7 @@ from .groups import (
     GroupAction,
     GroupHom,
     action_violation,
+    greedy_generators,
     group_violations,
     hom_violation,
     table_group,
@@ -131,15 +132,19 @@ def validate(cx: FiniteCrossedComplex) -> ValidationReport:
     length = cx.length
     violations: list[tuple[str, tuple]] = []
 
+    a1 = cx.groups[0]
+    gens = greedy_generators(a1.mul)  # Light's test on A_1 and every action's composition
     for n, g in enumerate(cx.groups, 1):
-        violations.extend((axiom, (n,) + w) for axiom, w in group_violations(g))
+        violations.extend((axiom, (n,) + w)
+                          for axiom, w in group_violations(g, gens if n == 1 else None))
     a1_associative = ("group-associativity", 1) not in ((v, w[0]) for v, w in violations)
+    composers = gens if a1_associative else range(a1.order)
 
     for n in range(2, length + 1):
         w = hom_violation(cx.boundary(n))
         if w is not None:
             violations.append(("boundary-hom", (n,) + w))
-        aw = action_violation(cx.action(n), a1_associative)
+        aw = action_violation(cx.action(n), composers)
         if aw is not None:
             violations.append((aw[0], (n,) + aw[1]))
 
@@ -148,7 +153,6 @@ def validate(cx: FiniteCrossedComplex) -> ValidationReport:
         if w is not None:
             violations.append((axiom, w))
 
-    a1 = cx.groups[0]
     if length >= 2:
         a2 = cx.groups[1]
         bd2, act2 = cx.boundary(2).image, cx.action(2).act

@@ -22,16 +22,20 @@ Both term layouts load as the one `Terms` form of `presentations`,
 
 Shape and schema problems raise ParseError naming the offending path;
 algebraic validity is the business of the validators, not this module.
-`read_json` turns every unreadable file into a ParseError too: bytes that
-are not UTF-8, nesting past the parser's recursion limit, and integer
-literals of more than MAX_DIGITS digits, which it refuses before converting
-them, so the cost of parsing stays linear in the file's size whatever
-CPython's own int/str limit is set to.
+`read_regular` reads a document through one descriptor, and `read_json`
+parses those bytes.  It turns every unreadable document into a ParseError
+too: bytes that are not UTF-8, nesting past the parser's recursion limit,
+and integer literals of more than MAX_DIGITS digits, which it refuses
+before converting them, so the cost of parsing stays linear in the file's
+size whatever CPython's own int/str limit is set to.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -43,6 +47,8 @@ from .presentations import CWPresentation, Terms, Word
 # CPython's default bound on int/str conversion (sys.int_info)
 MAX_DIGITS = 4300
 _DIGITS = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))  # digit -> "0", else " "
+# non-blocking, so that opening a FIFO never waits for a writer; binary where text mode exists
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
 
 
 def _expect(cond: bool, path: str, note: str) -> None:
@@ -65,8 +71,11 @@ def _int_row(row: Any, path: str) -> None:
 
 def _int_matrix(obj: Any, path: str) -> list[list[int]]:
     _expect(isinstance(obj, list) and obj, path, "expected a non-empty array of arrays")
-    for i, row in enumerate(obj):
-        _int_row(row, f"{path}[{i}]")
+    # one type pass over the rows and one over their entries; rows are
+    # scanned only to name the first bad one
+    if not (set(map(type, obj)) <= {list} and set(map(type, chain.from_iterable(obj))) <= {int}):
+        for i, row in enumerate(obj):
+            _int_row(row, f"{path}[{i}]")
     return obj
 
 
@@ -126,9 +135,10 @@ def load_complex(obj: Any, path: str = "complex") -> FiniteCrossedComplex:
         rows = _int_matrix(table, where)
         _expect(len(rows) == groups[0].order, where,
                 f"expected {groups[0].order} rows")
-        for j, row in enumerate(rows):
-            _expect(len(row) == groups[i + 1].order, f"{where}[{j}]",
-                    f"expected {groups[i + 1].order} entries")
+        if set(map(len, rows)) != {groups[i + 1].order}:  # name the first short or long row
+            for j, row in enumerate(rows):
+                _expect(len(row) == groups[i + 1].order, f"{where}[{j}]",
+                        f"expected {groups[i + 1].order} entries")
         actions.append(GroupAction(groups[0], groups[i + 1], tuple(map(tuple, rows))))
     name = obj.get("name", "")
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
@@ -249,11 +259,36 @@ def parse_int(literal: str) -> int:
     return int(literal)
 
 
-def read_json(path: str | Path) -> Any:
-    """Read a UTF-8 JSON file; malformed content raises ParseError with
+def read_regular(path: str) -> bytes | None:
+    """The bytes of the regular file at `path`, opened once and checked with
+    fstat on that descriptor; None when `path` names no regular file (it is
+    missing, a directory, a FIFO, a device, a symlink loop or holds a NUL
+    byte).  A regular file that cannot be opened raises its OSError."""
+    try:
+        fd = os.open(path, _READ_FLAGS)
+    except (OSError, ValueError):
+        if Path(path).is_file():
+            raise
+        return None
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            return None
+        parts = [os.read(fd, st.st_size + 1)]
+        while parts[-1]:  # a short read, or a file that grew since fstat
+            parts.append(os.read(fd, 1 << 16))
+        return b"".join(parts)
+    finally:
+        os.close(fd)
+
+
+def read_json(path: str | Path, data: bytes | None = None) -> Any:
+    """Parse a UTF-8 JSON document: `data`, the bytes read from `path`, or
+    else the file at `path`.  Malformed content raises ParseError with
     position, unreadable content a ParseError naming the cause."""
     try:
-        data = Path(path).read_bytes()
+        if data is None:
+            data = Path(path).read_bytes()
         # a Python parse_int costs ten times the parse: hook it only past a long digit run
         hook = parse_int if b"0" * (MAX_DIGITS + 1) in data.translate(_DIGITS) else None
         return json.loads(data.decode("utf-8"), parse_int=hook)

@@ -101,6 +101,7 @@ Counts are Python ints, hence arbitrary precision.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from collections import Counter
@@ -645,11 +646,22 @@ def weigh_answer(p: CWPresentation, cx: FiniteCrossedComplex, cap: int,
     products at shifts 1..L-1, multiply the bound.  Digits are summed as
     logarithms, so no large number is built."""
     shifts = range(cx.length if normalization else 1)
-    digits = 1 + int(sum(ln * math.log10(order)
-                         for s in shifts for ln, order in cell_orders(p, cx, s)))
+    digits = 1 + int(sum(_log10_size(cell_orders(p, cx, s)) for s in shifts))
     if digits > cap:
-        raise InstanceTooLarge(f"answer of up to {digits} digits exceeds cap {printable(cap)}")
+        raise InstanceTooLarge(
+            f"answer of up to {printable(digits)} digits exceeds cap {printable(cap)}")
     return digits
+
+
+def _log10_size(shape: Sequence[tuple[int, int]]) -> float | int:
+    """log10 of prod order ** l over the (l, order) of shape, summed as
+    logarithms so that no large number is built.  Past a float's range
+    (about 10^308) each log10(order) is rounded up to an integer, so the
+    sum is an int bound from above; an order 1 adds no digits."""
+    with contextlib.suppress(OverflowError):  # an l past a float's range
+        if (digits := sum(ln * math.log10(order) for ln, order in shape)) < math.inf:
+            return digits
+    return sum(ln * math.ceil(math.log10(order)) for ln, order in shape)
 
 
 def printable(n: int) -> int | str:
@@ -669,9 +681,9 @@ def _refuse_size(what: str, shape: Sequence[tuple[int, int]], cap: int) -> None:
     """InstanceTooLarge, `what` formatted with the size and `cap`, when prod
     order ** l over the (l, order) of `shape` exceeds `cap`; weighed by its
     logarithm first, so no power longer than 4,300 digits or `cap` is built."""
-    digits = sum(ln * math.log10(order) for ln, order in shape)
+    digits = _log10_size(shape)
     if digits > MAX_DIGITS and digits > math.log10(max(cap, 1)) + 1:
-        raise InstanceTooLarge(what.format(f"about 10^{int(digits)}", printable(cap)))
+        raise InstanceTooLarge(what.format(f"about 10^{printable(int(digits))}", printable(cap)))
     if (size := math.prod(order ** ln for ln, order in shape)) > cap:
         raise InstanceTooLarge(what.format(printable(size), printable(cap)))
 

@@ -51,23 +51,27 @@ def table_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGro
     if n == 0:
         raise DimensionMismatch("empty multiplication table")
     in_range = set(range(n))
-    for a, row in enumerate(mul):
-        if len(row) != n:
-            raise DimensionMismatch(f"row {a} has length {len(row)}, expected {n}", (a,))
-        if not in_range.issuperset(row):  # entries are scanned only to name the bad one
-            b = next(b for b, v in enumerate(row) if v not in in_range)
-            raise DimensionMismatch(f"mul entry ({a},{b}) = {row[b]} out of range", (a, b))
+    # one length pass and one range pass; rows are scanned only to name the first bad one
+    if set(map(len, mul)) != {n} or not in_range.issuperset(itertools.chain.from_iterable(mul)):
+        for a, row in enumerate(mul):
+            if len(row) != n:
+                raise DimensionMismatch(f"row {a} has length {len(row)}, expected {n}", (a,))
+            if not in_range.issuperset(row):
+                b = next(b for b, v in enumerate(row) if v not in in_range)
+                raise DimensionMismatch(f"mul entry ({a},{b}) = {row[b]} out of range", (a, b))
     return FiniteGroup(n, mul, tuple(_least_inverse(mul, x) for x in range(n)), name)
 
 
 def _least_inverse(mul: tuple[tuple[int, ...], ...], x: int) -> int:
     """The least y with x*y = 0 = y*x, or -1; only the zeros of row x are tried."""
     row, y = mul[x], -1
-    for _ in range(row.count(0)):
-        y = row.index(0, y + 1)
-        if mul[y][x] == 0:
-            return y
-    return -1
+    try:
+        while True:
+            y = row.index(0, y + 1)
+            if mul[y][x] == 0:
+                return y
+    except ValueError:  # no zero left in row x
+        return -1
 
 
 _AXIOM_ERRORS = {
@@ -92,10 +96,12 @@ def make_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGrou
     return g
 
 
-def group_violations(g: FiniteGroup) -> Iterator[tuple[str, tuple]]:
+def group_violations(g: FiniteGroup,
+                     gens: Optional[Sequence[int]] = None) -> Iterator[tuple[str, tuple]]:
     """(axiom, witness) per failing axiom of a raw table, in this order:
     group-identity and group-inverse at the first failing element x, and
-    group-associativity at the triple of `associativity_witness`."""
+    group-associativity at the triple of `associativity_witness` (given
+    `gens`, the table's greedy generators, when the caller has them)."""
     order, mul, inv = g.order, g.mul, g.inv
     x = next((x for x in range(order) if mul[0][x] != x or mul[x][0] != x), None)
     if x is not None:
@@ -104,18 +110,19 @@ def group_violations(g: FiniteGroup) -> Iterator[tuple[str, tuple]]:
               or mul[x][inv[x]] != 0 or mul[inv[x]][x] != 0), None)
     if x is not None:
         yield ("group-inverse", (x,))
-    w = associativity_witness(mul)
+    w = associativity_witness(mul, gens)
     if w is not None:
         yield ("group-associativity", w)
 
 
-def associativity_witness(mul: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+def associativity_witness(mul: Sequence[Sequence[int]],
+                          gens: Optional[Sequence[int]] = None) -> Optional[tuple[int, int, int]]:
     """A triple (x, s, y) with (x*s)*y != x*(s*y), or None if `mul` is associative.
 
     Light's associativity test (Clifford & Preston, The Algebraic Theory of
     Semigroups I, section 1.2) checks s over a generating set S only, so a
-    table of order N costs O(N^2 |S|) lookups instead of N^3.  S is the
-    `greedy_generators` of the table.
+    table of order N costs O(N^2 |S|) lookups instead of N^3.  S is `gens`,
+    the `greedy_generators` of the table, computed here when None.
 
     Soundness holds for any finite magma.  T = {t : (x*t)*y = x*(t*y) for
     all x, y} is closed under the product: for t, u in T, x*(t*u) = (x*t)*u
@@ -131,7 +138,8 @@ def associativity_witness(mul: Sequence[Sequence[int]]) -> Optional[tuple[int, i
     if n == 1:
         return None  # [[0]]; itemgetter below returns tuples only for n >= 2
     rows = [tuple(row) for row in mul]
-    gens = greedy_generators(mul)
+    if gens is None:
+        gens = greedy_generators(mul)
     if rows[0] == tuple(range(n)) and all(row[0] == x for x, row in enumerate(rows)):
         gens = [s for s in gens if s]
     for s in gens:
@@ -260,7 +268,7 @@ class GroupAction:
 
 
 def action_violation(a: GroupAction,
-                     actor_associative: Optional[bool] = None) -> Optional[tuple[str, tuple]]:
+                     composers: Optional[Sequence[int]] = None) -> Optional[tuple[str, tuple]]:
     """First failing action axiom as (kind, witness), or None.
 
     Kinds, in check order: action-bijective (some act[g] is not a
@@ -268,10 +276,11 @@ def action_violation(a: GroupAction,
     action-identity (act[0] is not the identity map), action-composition
     (act[g1*g2] != act[g1] after act[g2]).
 
-    Composition is checked for g2 in `greedy_generators(actor)` only: when
-    the actor is associative (`actor_associative`, tested here when None),
-    the t with act[g*t] = act[g] after act[t] for every g are closed under
-    the product, as in `associativity_witness`.  Otherwise every g2 is.
+    Composition is checked for g2 in `composers` only: the caller's
+    `greedy_generators(actor)` when the actor is associative, where the t
+    with act[g*t] = act[g] after act[t] for every g are closed under the
+    product, as in `associativity_witness`, and every g2 otherwise.  When
+    None, the actor's associativity is tested here to choose.
     """
     n, m, act = a.actor.order, a.space.order, a.act
     if len(act) != n:
@@ -292,9 +301,10 @@ def action_violation(a: GroupAction,
         if act[0][e] != e:
             return ("action-identity", (e,))
     amul = a.actor.mul
-    if actor_associative is None:
-        actor_associative = associativity_witness(amul) is None
-    for g2 in (greedy_generators(amul) if actor_associative else range(n)) if m > 1 else ():
+    if composers is None:
+        gens = greedy_generators(amul)
+        composers = gens if associativity_witness(amul, gens) is None else range(n)
+    for g2 in composers if m > 1 else ():
         after2 = itemgetter(*act[g2])  # row1 after act[g2], as a tuple for m > 1 (m = 1 composes)
         for g1, row1 in enumerate(act):
             row12 = act[amul[g1][g2]]

@@ -1,6 +1,7 @@
 """End-to-end command tests through the installed entry point."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -234,6 +235,85 @@ def test_file_inputs_match_builtins(tmp_path):
     assert code == 0
     assert report["result"]["count"] == 18
     assert report["inputs"]["presentation"]["source"] == str(pf)
+
+
+_OPENS = None  # the paths of "open" audit events while a test collects them
+
+
+def _audit(event, args):
+    if event == "open" and _OPENS is not None:
+        _OPENS.append(args[0])
+
+
+sys.addaudithook(_audit)
+
+
+def test_each_document_is_opened_once(tmp_path, capsys):
+    """Two file documents cost two opens: each is opened once, checked,
+    read, hashed and parsed from the same bytes."""
+    global _OPENS
+    from xcomplex import cli
+
+    pf, cf = tmp_path / "torus.json", tmp_path / "s3.json"
+    pf.write_text(json.dumps(dump_presentation(resolve_space("torus"))))
+    cf.write_text(json.dumps(dump_complex(resolve_coefficients("s3"))))
+    _OPENS = []
+    try:
+        code = cli.main(["count", "--presentation", str(pf), "--complex", str(cf)])
+        opens = _OPENS
+    finally:
+        _OPENS = None
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] == 18
+    assert opens == [str(pf), str(cf)]
+
+
+def test_provenance_hash_is_of_the_file_bytes(tmp_path):
+    import hashlib
+
+    f = tmp_path / "torus.json"
+    f.write_bytes(b"  " + json.dumps(dump_presentation(resolve_space("torus"))).encode() + b"\n")
+    code, report, _ = run_cli("count", "--presentation", str(f), "--complex", "z2")
+    assert code == 0
+    assert report["inputs"]["presentation"] == {
+        "source": str(f), "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
+
+
+def _not_regular(tmp_path, kind):
+    """A ref that names no regular file: it is looked up as a builtin name."""
+    if kind == "directory":
+        return str(tmp_path)
+    if kind == "symlink loop":
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        return str(tmp_path / "a")
+    return {"device": "/dev/null", "missing": str(tmp_path / "missing.json"),
+            "nul byte": "a\0b.json"}[kind]
+
+
+@pytest.mark.parametrize("kind", ["directory", "symlink loop", "device", "missing", "nul byte"])
+def test_a_ref_that_is_no_regular_file_is_a_builtin_name(tmp_path, capsys, kind):
+    from xcomplex import cli
+
+    ref = _not_regular(tmp_path, kind)
+    assert cli.main(["count", "--presentation", ref, "--complex", "z2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert json.loads(out[0])["result"] == {"error": f"unknown builtin space '{ref}'"}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_is_a_builtin_name_and_never_waited_on(tmp_path):
+    """A FIFO with no writer: a blocking open would wait for one, so the
+    run has a timeout that fails the test instead of hanging the suite."""
+    fifo = tmp_path / "pipe.json"
+    os.mkfifo(fifo)
+    proc = subprocess.run(
+        [sys.executable, "-m", "xcomplex.cli", "validate", "--presentation", str(fifo)],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert len(proc.stdout.splitlines()) == 1
+    assert json.loads(proc.stdout)["result"] == {"error": f"unknown builtin space '{fifo}'"}
 
 
 def test_group_document_round_trip(tmp_path):
@@ -534,6 +614,24 @@ def test_oversized_answers_are_refused_before_planning(tmp_path):
             assert result["estimate"] == "about 10^993398"
         else:
             assert list(result) == ["error"], (command, name)
+
+
+@pytest.mark.parametrize("argv", [["count"], ["invariant"], ["classes"],
+                                  ["count", "--enumerate"]])
+@pytest.mark.parametrize("cells, complex_, digits", [
+    (10**400, "z2", 10**400 + 1), (17 * 10**307, "z100", 34 * 10**307 + 1)],
+    ids=["cells-past-a-float", "digits-past-a-float"])
+def test_answer_past_a_floats_range_is_refused(tmp_path, capsys, argv, cells, complex_, digits):
+    """2^(10^400) morphisms, whose cell count is past a float's range, and
+    100^(1.7 * 10^308), whose digits are: each answer's digits are weighed
+    by integer logarithms and refused (exit 3)."""
+    from xcomplex import cli
+
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"cells": [1, cells]}))
+    assert cli.main([*argv, "--presentation", str(f), "--complex", complex_]) == 3
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {"error": f"answer of up to {digits} digits exceeds cap 1000000"}
 
 
 def test_main_restores_digit_limit(capsys):
