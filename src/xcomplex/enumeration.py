@@ -28,7 +28,12 @@ Cells of dimension greater than L+1 impose nothing.  Two engines count:
     with acc v^e = t, weighing weight(t).  This is bucket elimination on
     the cell-relator incidence graph (Dechter, AIJ 1999), whose cost the
     order sets: the plan rotates, inverts and reorders the relators, which
-    changes no weight, so that fewer cells are live at once.
+    changes no weight, so that fewer cells are live at once.  Over an
+    abelian A_1 a relator's value depends only on each cell's exponent sum
+    s, and x^|A_1| = 1, so a relator may be read as one run of |s| letters
+    per cell instead, s reduced into (-|A_1|/2, |A_1|/2] (`_abelianised`):
+    a commutator, a torus or genus word vanishes, and a cell with s = +-1
+    lets the collapse remove its relator.
   * Layered search otherwise: layer 1 by an odometer over all colourings
     of the 1-cells, and layers 2..L below each of them.  At layer n the
     admissible values per cell form a precomputed boundary fiber over its
@@ -38,15 +43,17 @@ Cells of dimension greater than L+1 impose nothing.  Two engines count:
 `count_engine` plans a count once: elimination whenever it applies,
 estimated by the state transitions of the words left after the collapse,
 or by a bound on them past 4,300 digits (never more than the odometer's
-|A_1|^{l_1} x letters word steps), and backtracking otherwise, estimated
+|A_1|^{l_1} x letters word steps), on the abelianised words when that
+estimate is strictly smaller, and backtracking otherwise, estimated
 by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
 --cap before counting, and before planning, an answer whose digits may
 exceed it (`weigh_answer`, over `cell_orders`); the collapse runs before
 the estimate is checked, in time linear in the letters.  Enumeration
 always runs the layered search, in lexicographic order by (dimension,
 cell index, element index).  `enumerate_homs` admits every listing, in
-one order: its count's digits, estimate and morphisms, then its walk of
-|A_1|^{l_1} layer-1 colourings, before any visit.
+one order: its count's digits, estimate and morphisms, then the entries
+of one colouring and its walk of |A_1|^{l_1} layer-1 colourings, before
+any visit.
 
 Attaching data of a cell of dimension >= 3, its Terms
 (`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
@@ -158,6 +165,11 @@ def _twist_key(cx: FiniteCrossedComplex, cells_by_degree: dict[int, Sequence], b
     row of cx.actions[d-2]; a degree with a single row adds no slot.  A
     compile under a key reads the key's value at each term's slot, numbered
     once here so that no word is hashed again, and 0 in a dropped degree.
+
+    Each slot's word is evaluated on from the value of the longest slot
+    word before it that is a prefix of it, found in a trie of the words:
+    a relator's Fox words are all prefixes of its inverse, so keying each
+    one letter by letter would take time quadratic in the relator's length.
     """
     slots: dict[tuple[int, Word], int] = {}
     numbered = {d: [[(slots.setdefault((d, w), len(slots)), gen, power) for w, gen, power in ts]
@@ -167,11 +179,27 @@ def _twist_key(cx: FiniteCrossedComplex, cells_by_degree: dict[int, Sequence], b
         first: dict[tuple[int, ...], int] = {}
         canon[d] = [first.setdefault(tuple(row), x) for x, row in enumerate(cx.actions[d - 2].act)]
     # a degree whose least elements are all 0 has one action row: its words twist by 0
-    live = [(i, canon[d], w) for (d, w), i in slots.items() if any(canon[d])]
+    live = sorted([(i, canon[d], w) for (d, w), i in slots.items() if any(canon[d])],
+                  key=lambda slot: len(slot[2]))
+    chain = []  # per live slot: (least, its prefix's place in `chain` + 1 or 0, the rest)
+    trie: dict = {}  # letter -> subtrie; None -> the place + 1 of the word ending there
+    for place, (_, least, w) in enumerate(live, 1):
+        node, base, cut = trie, 0, 0
+        for k, letter in enumerate(w, 1):
+            node = node.setdefault(letter, {})
+            if None in node:
+                base, cut = node[None], k
+        node[None] = place
+        chain.append((least, base, w[cut:]))
     built: dict[tuple[int, ...], Any] = {}
+    mul = cx.groups[0].mul
 
     def value(f1: tuple[int, ...]):
-        key = tuple([least[eval_word(cx, f1, w)] for _, least, w in live])
+        values, key = [0], []
+        for least, base, rest in chain:
+            values.append(x := mul[values[base]][eval_word(cx, f1, rest)])
+            key.append(least[x])
+        key = tuple(key)
         got = built.get(key)
         if got is None:
             twist = [0] * len(slots)
@@ -372,27 +400,79 @@ def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
 
     Elimination whenever no cell of dimension 3..L+1 constrains the count:
     `_elimination_plan` collapses the relators that hold a 1-cell used once
-    and orders the words left, estimated by their state transitions.  The
-    rule "estimate <= |A_1|^{l_1} x letters", the word steps the odometer
-    takes over its layer-1 colourings, always holds: at each letter the
-    bound, |A_1|^seen states times |A_1| for a new cell, is at most
-    |A_1|^{l_1}, and so is |A_1|^e in the bound `_estimate` gives past
+    and orders the words left, estimated by their state transitions.  When
+    some relator repeats a cell and A_1 is abelian (its table equals its
+    transpose), the `_abelianised` words, one run per cell of its exponent
+    sum, are planned too, and their plan is kept when its estimate is
+    strictly smaller.  That is exact: over an abelian A_1 every colouring
+    gives a word and its abelianised word the same value, hence the same
+    weight, and a cell that leaves every word is counted free, |A_1|
+    colours, as an unused cell is.  An abelianised word is never longer,
+    so the rule "estimate <= |A_1|^{l_1} x letters", the word steps the
+    odometer takes over its layer-1 colourings, always holds: at each
+    letter the bound, |A_1|^seen states times |A_1| for a new cell, is at
+    most |A_1|^{l_1}, and so is |A_1|^e in the bound `_estimate` gives past
     4,300 digits.  A collapsed relator costs no transition, and a relator
     closed on a new cell makes at most the transitions estimated for it.
     Backtracking otherwise, estimated by its |A_1|^{l_1} layer-1
     colourings; that estimate covers layer 1 only, not the fibres searched
     above each colouring.
     """
-    order = cx.groups[0].order
+    a1 = cx.groups[0]
+    order = a1.order
     if any(p.count(n) for n in range(3, cx.length + 2)):
         return CountPlan("backtrack", order ** p.count(1), p.attach2, 0)
     words = tuple([tuple([(g, e) for g, e in w]) for w in p.attach2])  # hashable, for the cache
-    return _elimination_plan(words, order)
+    # the table sweep costs |A_1|^2: only a relator repeating a cell can shrink
+    abelian = (any(len({g for g, _ in w}) < len(w) for w in words)
+               and tuple(zip(*a1.mul)) == a1.mul)
+    return _elimination_plan(words, order, abelian)
 
 
 @lru_cache(maxsize=1)  # a command plans once: its count_homs reuses the plan it reported
-def _elimination_plan(words: tuple[Word, ...], order: int) -> CountPlan:
-    """Elimination's plan for the 2-cell words `words` over |A_1| = order.
+def _elimination_plan(words: tuple[Word, ...], order: int, abelian: bool = False) -> CountPlan:
+    """Elimination's plan for the 2-cell words `words` over |A_1| = order,
+    or, when `abelian`, for their `_abelianised` words if that plan's
+    estimate is strictly smaller.  An abelianised word is never longer,
+    but its plan may take more transitions, since words with at most two
+    cells live at once are kept as given: the relators x4 x3 x0^-1 x4^-1,
+    x2^-1 x3^-1 x2^-1 and x1 x0 x1 plan to 450 transitions over order 6,
+    and their abelianised words to 978.  The strict rule keeps every
+    estimate at most the given words', and so refuses nothing they admit.
+    The given words go unplanned when the abelianised plan's estimate is
+    below their letters left after the collapse, a lower bound on theirs.
+    """
+    if not abelian:
+        return _planned(words, order)
+    shrunk = _planned(tuple([_abelianised(w, order) for w in words]), order)
+    # every letter left after the collapse costs the given words a transition at least
+    if shrunk.estimate < sum(map(len, _collapse(words)[0])):
+        return shrunk
+    plan = _planned(words, order)
+    return shrunk if shrunk.estimate < plan.estimate else plan
+
+
+def _abelianised(w: Word, order: int) -> Word:
+    """w with one run per 1-cell, in the order the cells first appear: |s|
+    letters x^(sign s), s the cell's exponent sum in w reduced into
+    (-order/2, order/2]; a cell with s = 0 drops out.  Over an abelian
+    group of that order w takes the same value under every colouring,
+    since its letters commute and every element's order divides |A_1|.
+    Never longer than w: |s| is at most the cell's letters."""
+    sums: dict[int, int] = {}
+    for g, e in w:
+        sums[g] = sums.get(g, 0) + e
+    out: list[tuple[int, int]] = []
+    for g, s in sums.items():
+        if 2 * (s := s % order) > order:
+            s -= order
+        out.extend([(g, 1 if s > 0 else -1)] * abs(s))
+    return tuple(out)
+
+
+def _planned(words: tuple[Word, ...], order: int) -> CountPlan:
+    """Elimination's plan for the 2-cell words `words` themselves, over
+    |A_1| = order.
 
     First the relators that `_collapse` removes go: each is a free D^2
     factor, counted by `_eliminate` as a weight.  The words left are
@@ -688,6 +768,15 @@ def _refuse_size(what: str, shape: Sequence[tuple[int, int]], cap: int) -> None:
         raise InstanceTooLarge(what.format(printable(size), printable(cap)))
 
 
+def _refuse_entries(what: str, shape: Sequence[tuple[int, int]], cap: int) -> None:
+    """InstanceTooLarge, `what` formatted with the entries and `cap`, when
+    a colouring of `shape` holds more than `cap` entries, the sum of its l:
+    a walk builds every colouring it visits, and a group of order 1 leaves
+    the number of colourings at 1 however many cells there are."""
+    if (entries := sum(ln for ln, _ in shape)) > cap:
+        raise InstanceTooLarge(what.format(printable(entries), printable(cap)))
+
+
 def enumerate_homs(
     p: CWPresentation,
     cx: FiniteCrossedComplex,
@@ -699,7 +788,8 @@ def enumerate_homs(
     InstanceTooLarge when the answer's digits (`weigh_answer`), then the
     count's estimate (`refuse_count`) exceed `cap`, ResultTooLarge when
     `count_homs` finds more than `cap` morphisms, and InstanceTooLarge when
-    the walk of |A_1|^{l_1} layer-1 colourings exceeds `cap`.  Every listed
+    each colouring holds more than `cap` entries, sum_m l_m, or the walk of
+    |A_1|^{l_1} layer-1 colourings exceeds `cap`.  Every listed
     colouring is checked by the `morphism_checker` of its layer 1, and the
     listing by the count: AssertionError as soon as it grows past the
     count, or when it ends short of it.
@@ -709,8 +799,9 @@ def enumerate_homs(
     n = count_homs(p, cx)
     if n > cap:
         raise ResultTooLarge(f"more than {printable(cap)} morphisms; raise the cap to list them")
-    _refuse_size("listing walk of {} layer-1 colourings exceeds cap {}",
-                 cell_orders(p, cx)[:1], cap)
+    shape = cell_orders(p, cx)
+    _refuse_entries("listing of colourings of {} entries each exceeds cap {}", shape, cap)
+    _refuse_size("listing walk of {} layer-1 colourings exceeds cap {}", shape[:1], cap)
     s = _Search(p, cx, listing=True)
     found: list[Colouring] = []
     listed = 0
@@ -740,10 +831,12 @@ def count_homs_bruteforce(
     """Oracle count: sweep the full colouring space, check every constraint.
 
     Shares nothing with the counting engines but attaching-data evaluation.
-    Raises InstanceTooLarge when the space exceeds `cap`.
+    Raises InstanceTooLarge when the space, or the entries of one of its
+    colourings, exceed `cap`.
     """
     shape = cell_orders(p, cx)
     _refuse_size("brute-force space {} exceeds cap {}", shape, cap)
+    _refuse_entries("brute-force colourings of {} entries each exceed cap {}", shape, cap)
     (l1, order), rest = shape[0], shape[1:]
     count = 0
     for f1 in itertools.product(range(order), repeat=l1):

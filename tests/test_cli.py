@@ -18,6 +18,7 @@ from xcomplex.library import (
     standard_spaces,
 )
 from xcomplex.presentations import CWPresentation, rp2
+from xcomplex.selfcheck import _conjugation_crossed_module
 
 
 def run_cli(*args):
@@ -332,27 +333,32 @@ def test_enumerate_cap_exceeded():
     assert "cap" in report["result"]["error"]
 
 
-def test_classes_cap_bounds_the_edge_walk():
-    """genus:2 x cm-z4-z2-incl is counted in 212 transitions and has 256
-    morphisms with 4 generator edges each: each cap below is refused in
-    turn, with nothing but the error in the result."""
-    argv = ("classes", "--presentation", "genus:2", "--complex", "cm-z4-z2-incl")
-    for cap, error in ((211, "elimination estimate 212 exceeds cap 211"),
-                       (255, "more than 255 morphisms; raise the cap to list them"),
-                       (1023, "256 morphisms x 4 generator edges = 1024 edges"
-                              " exceeds edge cap 1023")):
+def test_classes_cap_bounds_the_edge_walk(tmp_path):
+    """genus:2 against S3 acting on itself by conjugation, with the
+    identity as boundary, is counted in 618 transitions (A_1 = S3 is not
+    abelian, so its word is planned as given) and has 6^4 = 1296
+    morphisms with 4 x 2 generator edges each: each cap below is refused
+    in turn, with nothing but the error in the result."""
+    path = tmp_path / "s3-conj.json"
+    path.write_text(json.dumps(dump_complex(_conjugation_crossed_module())))
+    argv = ("classes", "--presentation", "genus:2", "--complex", str(path))
+    for cap, error in ((617, "elimination estimate 618 exceeds cap 617"),
+                       (1295, "more than 1295 morphisms; raise the cap to list them"),
+                       (10367, "1296 morphisms x 8 generator edges = 10368 edges"
+                               " exceeds edge cap 10367")):
         code, report, _ = run_cli(*argv, "--cap", str(cap))
         assert code == 3
         assert report["result"] == {"error": error}
-    code, report, _ = run_cli(*argv, "--cap", "1024")
+    code, report, _ = run_cli(*argv, "--cap", "10368")
     assert code == 0
-    assert report["result"]["count"] == 16
+    assert report["result"]["count"] == 1
 
 
 def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
     """genus:6 x cm-z4-z2-incl has 4^12 morphisms: the listing's own count
     refuses them, so neither command starts the listing, and count
-    --enumerate, which counts only through its listing, reports no count."""
+    --enumerate, which counts only through its listing, reports no count.
+    Over the abelian A_1 = Z/4 the genus word vanishes: estimate 0."""
     from xcomplex import cli
 
     forbid_listing(monkeypatch)
@@ -361,7 +367,7 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
         assert cli.main(argv + pair) == 3
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["error"] == "more than 1000000 morphisms; raise the cap to list them"
-    assert result == {"engine": "elimination", "estimate": 852,
+    assert result == {"engine": "elimination", "estimate": 0,
                       "error": "more than 1000000 morphisms; raise the cap to list them"}
 
 
@@ -430,22 +436,24 @@ def test_chained_collapse_is_linear(tmp_path, capsys):
 
 
 def test_long_peak_is_estimated_by_its_magnitude(tmp_path, capsys):
-    """One relator x_1..x_n x_1..x_n against z2, n = 200,000: every cell is
-    live through the second half, so the states peak at 2^n.  Planning runs
+    """One relator x_1..x_n x_1..x_n against s3, n = 200,000: every cell is
+    live through the second half, so the states peak at 6^n.  Planning runs
     before --cap is weighed, and summing one power per exponent up to that
     peak is quadratic in n; past 4,300 digits the estimate is the bound
-    letters x 2^n instead, refused by its magnitude within seconds."""
+    letters x 6^n instead, refused by its magnitude within seconds.  S3 is
+    not abelian: over an abelian A_1 the word would be planned as x_1^2 ..
+    x_n^2, or as nothing over Z/2."""
     from xcomplex import cli
 
     n = 200_000
     path = tmp_path / "doubled.json"
     path.write_text(json.dumps({"cells": [1, n, 1], "attach": {"2": [[[i, 1] for i in range(n)] * 2]}}))
     started = time.process_time()
-    assert cli.main(["count", "--presentation", str(path), "--complex", "z2"]) == 3
+    assert cli.main(["count", "--presentation", str(path), "--complex", "s3"]) == 3
     assert time.process_time() - started < 5
     result = json.loads(capsys.readouterr().out)["result"]
-    assert result == {"engine": "elimination", "estimate": "about 10^60211",
-                      "error": "elimination estimate about 10^60211 exceeds cap 1000000"}
+    assert result == {"engine": "elimination", "estimate": "about 10^155635",
+                      "error": "elimination estimate about 10^155635 exceeds cap 1000000"}
 
 
 def test_classes_refuses_the_walk_before_the_edges(tmp_path, capsys):
@@ -634,6 +642,41 @@ def test_answer_past_a_floats_range_is_refused(tmp_path, capsys, argv, cells, co
     assert result == {"error": f"answer of up to {digits} digits exceeds cap 1000000"}
 
 
+@pytest.mark.parametrize("argv, fields", [
+    (["classes"], {}),
+    (["count", "--enumerate"], {"engine": "elimination", "estimate": 0}),
+    (["count", "--oracle"], {"engine": "elimination", "estimate": 0, "count": 1})],
+    ids=["classes", "enumerate", "oracle"])
+def test_walk_over_a_trivial_group_is_refused_by_its_entries(tmp_path, capsys, argv, fields):
+    """10^400 free 1-cells against the group of order 1: one morphism of a
+    one-digit answer over one layer-1 colouring, but that colouring holds
+    10^400 entries, past what a listing or a sweep can build.  Each walk is
+    refused (exit 3) before it starts, not crash sizing its colourings."""
+    from xcomplex import cli
+
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"cells": [1, 10**400]}))
+    assert cli.main([*argv, "--presentation", str(f), "--complex", "z:1"]) == 3
+    result = json.loads(capsys.readouterr().out)["result"]
+    what = "brute-force colourings of {} entries each exceed" if "--oracle" in argv \
+        else "listing of colourings of {} entries each exceeds"
+    assert result == {**fields, "error": what.format(10**400) + " cap 1000000"}
+
+
+def test_abelian_genus_word_vanishes(capsys):
+    """genus:20 against Z/200: over an abelian A_1 the genus word's
+    exponent sums vanish, so it is planned as the empty word, estimate 0,
+    and counted at once as 200^40; planned as given it takes 305,640,200
+    transitions, past the default cap."""
+    from xcomplex import cli
+
+    started = time.process_time()
+    assert cli.main(["count", "--presentation", "genus:20", "--complex", "z:200"]) == 0
+    assert time.process_time() - started < 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {"engine": "elimination", "estimate": 0, "count": 200**40}
+
+
 def test_main_restores_digit_limit(capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     from xcomplex import cli
@@ -790,13 +833,13 @@ def test_reports_are_deterministic():
     """Equal reports apart from timing, naming the engine that counted and
     its estimate."""
     for command, space, coeff, engine, estimate in (
-            # 4 + 3 * 4^2 transitions
-            ("invariant", "torus", "cm-z4-z2-incl", "elimination", 52),
+            # over the abelian Z/4 the torus word vanishes
+            ("invariant", "torus", "cm-z4-z2-incl", "elimination", 0),
             # a 3-cell below the kill dimension; one layer-1 colouring
             ("invariant", "disk:3", "cm-z2-z2-zero", "backtrack", 1),
             ("invariant", "genus:2", "s3", "elimination", 618),
             ("count", "disk:3", "l3-z2", "backtrack", 1),
-            ("count", "genus:3", "z3", "elimination", 174)):
+            ("count", "genus:3", "z3", "elimination", 0)):
         _, a, _ = run_cli(command, "--presentation", space, "--complex", coeff)
         _, b, _ = run_cli(command, "--presentation", space, "--complex", coeff)
         a.pop("timing_ms")

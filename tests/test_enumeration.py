@@ -21,8 +21,10 @@ from xcomplex.enumeration import (
     _compile,
     _Search,
     _Tower,
+    _abelianised,
     _collapse,
     _eliminate,
+    _elimination_plan,
     _estimate,
     _rotation,
     boundary_defect_report,
@@ -40,6 +42,7 @@ from xcomplex.groups import (
     GroupAction,
     GroupHom,
     cyclic_group,
+    direct_product,
     fibers_of,
     symmetric_group_3,
     trivial_action,
@@ -258,12 +261,14 @@ def rotations(w):
 
 
 def check_plan(p, cx):
-    """Check elimination's plan for p against the given order and the other
-    counting routes; return how it rearranged the relators left after the
-    collapse."""
-    plan = count_engine(p, cx)
-    assert plan.engine == "elimination"
+    """Check elimination's plan of p's given words (`_elimination_plan`,
+    which abelianises nothing) against the given order, the plan count_homs
+    runs and the other counting routes; return how it rearranged the
+    relators left after the collapse."""
     order = cx.groups[0].order
+    plan = _elimination_plan(p.attach2, order)
+    assert plan.engine == count_engine(p, cx).engine == "elimination"
+    assert count_engine(p, cx).estimate <= plan.estimate
     left, collapsed = _collapse(p.attach2)
     assert plan.collapsed == collapsed == p.count(2) - len(left), p.attach2
     cost, peak = _estimate(left, order)
@@ -284,8 +289,9 @@ def check_plan(p, cx):
             rearranged.add("rotated" if w in rotations(left[i]) else "inverted")
         unmatched.remove(i)
     assert not unmatched, (plan.words, p.attach2)
-    assert _eliminate(p, cx, plan.words, plan.collapsed) == _eliminate(p, cx, p.attach2, 0) \
-        == _backtrack(p, cx) == count_homs_bruteforce(p, cx), p.attach2
+    assert count_homs(p, cx) == _eliminate(p, cx, plan.words, plan.collapsed) \
+        == _eliminate(p, cx, p.attach2, 0) == _backtrack(p, cx) == count_homs_bruteforce(p, cx), \
+        p.attach2
     return rearranged
 
 
@@ -353,7 +359,7 @@ def test_plan_only_rotates_past_three_relators():
         planned += 1
         p = CWPresentation((1, 5, len(words)), attach2=words, name="many-relators")
         assert check_plan(p, cx) <= {"rotated"}, words
-        plan = count_engine(p, cx)
+        plan = _elimination_plan(words, order)
         assert len(plan.words) == len(words)
         assert all(w in rotations(r) for w, r in zip(plan.words, words)), words
         rotated += plan.words != words
@@ -448,14 +454,14 @@ def collapse_coefficients():
 @pytest.mark.parametrize("case", sorted(COLLAPSES))
 def test_collapse_removes_free_disk_factors(case):
     """A relator holding a 1-cell used once in the words left goes, as often
-    as one removal exposes the next; the plan covers the words left only,
-    and every route counts alike."""
+    as one removal exposes the next; the plan of the given words covers the
+    words left only, and every route counts alike."""
     words, left, collapsed = COLLAPSES[case]
     assert _collapse(words) == (left, collapsed)
     l1 = 1 + max(g for w in words for g, _ in w)
     p = CWPresentation((1, l1, len(words)), attach2=words, name=case)
     for cx in collapse_coefficients():
-        plan = count_engine(p, cx)
+        plan = _elimination_plan(words, cx.groups[0].order)
         assert (plan.words, plan.collapsed) == (left, collapsed)
         assert plan.estimate == _estimate(left, cx.groups[0].order)[0]
         assert count_homs(p, cx) == _eliminate(p, cx, words, 0) == _backtrack(p, cx) \
@@ -474,7 +480,7 @@ def test_closing_cell_is_solved(e):
         p = CWPresentation((1, 2, 2), attach2=words, name="closing")
         assert _collapse(words) == (words, 0)
         for cx in collapse_coefficients():
-            plan = count_engine(p, cx)
+            plan = _elimination_plan(words, cx.groups[0].order)
             assert plan.words == words  # the first relator still closes on a new cell
             assert count_homs(p, cx) == _backtrack(p, cx) == count_homs_bruteforce(p, cx), \
                 (words, cx.name)
@@ -500,6 +506,77 @@ def test_free_disk_factor_identities(data):
     assert count_homs(p, cx) == _backtrack(p, cx) \
         == count_homs(base, cx) * count_homs(disk(2), cx)
     assert invariant_ia(p, cx) == invariant_ia(base, cx)
+
+
+def test_abelianised_words():
+    """One run per cell in first-appearance order, of |s| letters, s the
+    exponent sum reduced into (-|A_1|/2, |A_1|/2]; a cell with s = 0 drops
+    out, so a commutator and x^|A_1| vanish."""
+    assert _abelianised(a + b + a + a + B + c + C, 4) == A  # s = 3 -> -1; b, c vanish
+    assert _abelianised(a + b + a + A + a, 4) == a + a + b  # s = 2 = |A_1|/2 stays positive
+    assert _abelianised(a + a + a + b, 5) == A + A + b  # 3 -> -2
+    assert _abelianised(a + b + A + B, 6) == () == _abelianised(a * 6, 6)
+    assert _abelianised(a + b + a, 1) == ()
+
+
+def test_abelianised_plan_only_when_it_is_cheaper():
+    """Over the abelian Z/6 these three relators abelianise to words no
+    longer, two of them shorter, but words under which at most two cells
+    are live at once are planned as given, and theirs take 978
+    transitions against the 450 of the given words' plan: count_engine
+    keeps the given words.  Over Z/2 x Z/2 and Z/2 x Z/3 the genus word
+    vanishes: estimate 0.  Over S3 nothing is abelianised, and the counts
+    agree with the backtracker."""
+    words = ((4, 1), (3, 1), (0, -1), (4, -1)), ((2, -1), (3, -1), (2, -1)), b + a + b
+    shrunk = tuple(_abelianised(w, 6) for w in words)
+    assert [len(w) for w in shrunk] == [2, 3, 3]
+    assert _elimination_plan(shrunk, 6).estimate == 978
+    p = CWPresentation((1, 5, 3), attach2=words)
+    z6 = from_group(cyclic_group(6))
+    assert count_engine(p, z6) == _elimination_plan(words, 6)
+    assert count_engine(p, z6).estimate == 450
+    assert count_homs(p, z6) == _backtrack(p, z6)
+    for cx in (resolve_coefficients("z2xz2"),
+               from_group(direct_product(cyclic_group(2), cyclic_group(3)))):
+        assert count_engine(genus_surface(2), cx) == ("elimination", 0, ((),), 0)
+        assert count_homs(genus_surface(2), cx) == cx.groups[0].order ** 4
+    s3 = resolve_coefficients("s3")
+    assert count_engine(genus_surface(2), s3) == _elimination_plan(genus_surface(2).attach2, 6)
+    assert count_homs(p, s3) == _backtrack(p, s3)
+
+
+def abelianised_coefficients():
+    """A_1 abelian of order 1..6 (Z/n, Z/2 x Z/2, the crossed modules
+    cm-z4-z2-incl and cm-z2-z3-flip, l3-z2), and S3 and S3 acting on
+    itself by conjugation, which no rewrite may touch."""
+    out = [from_group(cyclic_group(n)) for n in (1, 4, 5, 6)]
+    out += [resolve_coefficients(n) for n in ("z2xz2", "cm-z4-z2-incl", "cm-z2-z3-flip",
+                                              "l3-z2", "s3")]
+    return out + [_conjugation_crossed_module()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_abelianised_plan_counts_alike(data):
+    """On random relators over up to three cells, against abelian and
+    non-abelian A_1: count_homs agrees with the backtracker and the
+    brute-force sweep, its plan's estimate is at most that of the given
+    words' plan, and is that plan over a non-abelian A_1, and no
+    abelianised word is longer than its relator."""
+    cx = data.draw(st.sampled_from(abelianised_coefficients()))
+    order = cx.groups[0].order
+    l1 = data.draw(st.integers(1, 3))
+    letter = st.tuples(st.integers(0, l1 - 1), st.sampled_from((1, -1)))
+    words = tuple(data.draw(st.lists(st.lists(letter, max_size=8).map(tuple),
+                                     min_size=1, max_size=3 if cx.length == 1 else 2)))
+    p = CWPresentation((1, l1, len(words)), attach2=words)
+    assert count_homs(p, cx) == _backtrack(p, cx) == count_homs_bruteforce(p, cx), words
+    plan, given = count_engine(p, cx), _elimination_plan(words, order)
+    assert plan.estimate <= given.estimate, words
+    mul = cx.groups[0].mul
+    if any(mul[x][y] != mul[y][x] for x in range(order) for y in range(x)):
+        assert plan == given, words
+    assert all(len(_abelianised(w, order)) <= len(w) for w in words)
 
 
 def test_free_layer_counts_in_linear_time():

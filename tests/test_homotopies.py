@@ -362,18 +362,19 @@ def test_classes_singleton_hom_set():
 
 
 def test_classes_edge_cap():
-    """The cap bounds, in this order, the count's work estimate (212
-    transitions), the morphisms listed (256) and the generator edges walked
-    (256 morphisms x 4 cells x 1 generator of Z/2)."""
-    p, cx = resolve_space("genus:2"), resolve_coefficients("cm-z4-z2-incl")
-    with pytest.raises(InstanceTooLarge, match="elimination estimate 212 exceeds cap 211"):
-        homotopy_classes(p, cx, cap=211)
-    with pytest.raises(ResultTooLarge, match="more than 255 morphisms"):
-        homotopy_classes(p, cx, cap=255)
-    with pytest.raises(ResultTooLarge, match="= 1024 edges"):
-        homotopy_classes(p, cx, cap=1023)
-    assert 256 * edges_per_morphism(p, cx) == 1024
-    assert homotopy_classes(p, cx, cap=1024).count == 16
+    """The cap bounds, in this order, the count's work estimate (618
+    transitions over the non-abelian S3), the morphisms listed (6^4 = 1296,
+    the boundary an isomorphism) and the generator edges walked (1296
+    morphisms x 4 cells x 2 generators of S3)."""
+    p, cx = resolve_space("genus:2"), _conjugation_crossed_module()
+    with pytest.raises(InstanceTooLarge, match="elimination estimate 618 exceeds cap 617"):
+        homotopy_classes(p, cx, cap=617)
+    with pytest.raises(ResultTooLarge, match="more than 1295 morphisms"):
+        homotopy_classes(p, cx, cap=1295)
+    with pytest.raises(ResultTooLarge, match="= 10368 edges"):
+        homotopy_classes(p, cx, cap=10367)
+    assert 1296 * edges_per_morphism(p, cx) == 10368
+    assert homotopy_classes(p, cx, cap=10368).count == 1
     torus_cx = resolve_coefficients("cm-z4-z2-incl")
     assert 16 * edges_per_morphism(torus(), torus_cx) == 32
     assert homotopy_classes(torus(), torus_cx, cap=52).count == 4
