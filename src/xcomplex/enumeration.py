@@ -165,11 +165,6 @@ def _twist_key(cx: FiniteCrossedComplex, cells_by_degree: dict[int, Sequence], b
     row of cx.actions[d-2]; a degree with a single row adds no slot.  A
     compile under a key reads the key's value at each term's slot, numbered
     once here so that no word is hashed again, and 0 in a dropped degree.
-
-    Each slot's word is evaluated on from the value of the longest slot
-    word before it that is a prefix of it, found in a trie of the words:
-    a relator's Fox words are all prefixes of its inverse, so keying each
-    one letter by letter would take time quadratic in the relator's length.
     """
     slots: dict[tuple[int, Word], int] = {}
     numbered = {d: [[(slots.setdefault((d, w), len(slots)), gen, power) for w, gen, power in ts]
@@ -179,27 +174,11 @@ def _twist_key(cx: FiniteCrossedComplex, cells_by_degree: dict[int, Sequence], b
         first: dict[tuple[int, ...], int] = {}
         canon[d] = [first.setdefault(tuple(row), x) for x, row in enumerate(cx.actions[d - 2].act)]
     # a degree whose least elements are all 0 has one action row: its words twist by 0
-    live = sorted([(i, canon[d], w) for (d, w), i in slots.items() if any(canon[d])],
-                  key=lambda slot: len(slot[2]))
-    chain = []  # per live slot: (least, its prefix's place in `chain` + 1 or 0, the rest)
-    trie: dict = {}  # letter -> subtrie; None -> the place + 1 of the word ending there
-    for place, (_, least, w) in enumerate(live, 1):
-        node, base, cut = trie, 0, 0
-        for k, letter in enumerate(w, 1):
-            node = node.setdefault(letter, {})
-            if None in node:
-                base, cut = node[None], k
-        node[None] = place
-        chain.append((least, base, w[cut:]))
+    live = [(i, canon[d], w) for (d, w), i in slots.items() if any(canon[d])]
     built: dict[tuple[int, ...], Any] = {}
-    mul = cx.groups[0].mul
 
     def value(f1: tuple[int, ...]):
-        values, key = [0], []
-        for least, base, rest in chain:
-            values.append(x := mul[values[base]][eval_word(cx, f1, rest)])
-            key.append(least[x])
-        key = tuple(key)
+        key = tuple([least[eval_word(cx, f1, w)] for _, least, w in live])
         got = built.get(key)
         if got is None:
             twist = [0] * len(slots)
@@ -401,18 +380,18 @@ def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
     Elimination whenever no cell of dimension 3..L+1 constrains the count:
     `_elimination_plan` collapses the relators that hold a 1-cell used once
     and orders the words left, estimated by their state transitions.  When
-    some relator repeats a cell and A_1 is abelian (its table equals its
-    transpose), the `_abelianised` words, one run per cell of its exponent
-    sum, are planned too, and their plan is kept when its estimate is
-    strictly smaller.  That is exact: over an abelian A_1 every colouring
-    gives a word and its abelianised word the same value, hence the same
-    weight, and a cell that leaves every word is counted free, |A_1|
-    colours, as an unused cell is.  An abelianised word is never longer,
-    so the rule "estimate <= |A_1|^{l_1} x letters", the word steps the
-    odometer takes over its layer-1 colourings, always holds: at each
-    letter the bound, |A_1|^seen states times |A_1| for a new cell, is at
-    most |A_1|^{l_1}, and so is |A_1|^e in the bound `_estimate` gives past
-    4,300 digits.  A collapsed relator costs no transition, and a relator
+    some relator repeats a cell and A_1 is abelian (`FiniteGroup.abelian`:
+    its table equals its transpose), the `_abelianised` words, one run per
+    cell of its exponent sum, are planned too, and their plan is kept when
+    its estimate is strictly smaller.  That is exact: over an abelian A_1
+    every colouring gives a word and its abelianised word the same value,
+    hence the same weight, and a cell that leaves every word is counted
+    free, |A_1| colours, as an unused cell is.  An abelianised word is
+    never longer, so the rule "estimate <= |A_1|^{l_1} x letters", the word
+    steps the odometer takes over its layer-1 colourings, always holds: at
+    each letter the bound, |A_1|^seen states times |A_1| for a new cell, is
+    at most |A_1|^{l_1}, and so is |A_1|^e in the bound `_estimate` gives
+    past 4,300 digits.  A collapsed relator costs no transition, and a relator
     closed on a new cell makes at most the transitions estimated for it.
     Backtracking otherwise, estimated by its |A_1|^{l_1} layer-1
     colourings; that estimate covers layer 1 only, not the fibres searched
@@ -423,14 +402,12 @@ def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
     if any(p.count(n) for n in range(3, cx.length + 2)):
         return CountPlan("backtrack", order ** p.count(1), p.attach2, 0)
     words = tuple([tuple([(g, e) for g, e in w]) for w in p.attach2])  # hashable, for the cache
-    # the table sweep costs |A_1|^2: only a relator repeating a cell can shrink
-    abelian = (any(len({g for g, _ in w}) < len(w) for w in words)
-               and tuple(zip(*a1.mul)) == a1.mul)
+    abelian = any(len({g for g, _ in w}) < len(w) for w in words) and a1.abelian
     return _elimination_plan(words, order, abelian)
 
 
 @lru_cache(maxsize=1)  # a command plans once: its count_homs reuses the plan it reported
-def _elimination_plan(words: tuple[Word, ...], order: int, abelian: bool = False) -> CountPlan:
+def _elimination_plan(words: tuple[Word, ...], order: int, abelian: bool) -> CountPlan:
     """Elimination's plan for the 2-cell words `words` over |A_1| = order,
     or, when `abelian`, for their `_abelianised` words if that plan's
     estimate is strictly smaller.  An abelianised word is never longer,

@@ -36,6 +36,7 @@ class FiniteGroup:
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     name: str = field(default="", compare=False)
+    abelian: bool = field(default=False, compare=False)  # table_group: mul equals its transpose
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name or '?'}, order={self.order})"
@@ -44,7 +45,8 @@ class FiniteGroup:
 def table_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
     """The square table of ints over 0..n-1 as a FiniteGroup, no axiom checked.
 
-    inv[x] is the least two-sided inverse of x, or -1 when x has none.
+    inv[x] is the least two-sided inverse of x, or -1 when x has none, and
+    `abelian` whether the table equals its transpose, swept once here.
     """
     mul = tuple(map(tuple, mul_table))
     n = len(mul)
@@ -59,7 +61,8 @@ def table_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGro
             if not in_range.issuperset(row):
                 b = next(b for b, v in enumerate(row) if v not in in_range)
                 raise DimensionMismatch(f"mul entry ({a},{b}) = {row[b]} out of range", (a, b))
-    return FiniteGroup(n, mul, tuple(_least_inverse(mul, x) for x in range(n)), name)
+    return FiniteGroup(n, mul, tuple(_least_inverse(mul, x) for x in range(n)), name,
+                       tuple(zip(*mul)) == mul)
 
 
 def _least_inverse(mul: tuple[tuple[int, ...], ...], x: int) -> int:

@@ -24,8 +24,8 @@ from xcomplex.enumeration import (
     _abelianised,
     _collapse,
     _eliminate,
-    _elimination_plan,
     _estimate,
+    _planned,
     _rotation,
     boundary_defect_report,
     count_engine,
@@ -261,12 +261,12 @@ def rotations(w):
 
 
 def check_plan(p, cx):
-    """Check elimination's plan of p's given words (`_elimination_plan`,
+    """Check elimination's plan of p's given words (`_planned`,
     which abelianises nothing) against the given order, the plan count_homs
     runs and the other counting routes; return how it rearranged the
     relators left after the collapse."""
     order = cx.groups[0].order
-    plan = _elimination_plan(p.attach2, order)
+    plan = _planned(p.attach2, order)
     assert plan.engine == count_engine(p, cx).engine == "elimination"
     assert count_engine(p, cx).estimate <= plan.estimate
     left, collapsed = _collapse(p.attach2)
@@ -359,7 +359,7 @@ def test_plan_only_rotates_past_three_relators():
         planned += 1
         p = CWPresentation((1, 5, len(words)), attach2=words, name="many-relators")
         assert check_plan(p, cx) <= {"rotated"}, words
-        plan = _elimination_plan(words, order)
+        plan = _planned(words, order)
         assert len(plan.words) == len(words)
         assert all(w in rotations(r) for w, r in zip(plan.words, words)), words
         rotated += plan.words != words
@@ -461,7 +461,7 @@ def test_collapse_removes_free_disk_factors(case):
     l1 = 1 + max(g for w in words for g, _ in w)
     p = CWPresentation((1, l1, len(words)), attach2=words, name=case)
     for cx in collapse_coefficients():
-        plan = _elimination_plan(words, cx.groups[0].order)
+        plan = _planned(words, cx.groups[0].order)
         assert (plan.words, plan.collapsed) == (left, collapsed)
         assert plan.estimate == _estimate(left, cx.groups[0].order)[0]
         assert count_homs(p, cx) == _eliminate(p, cx, words, 0) == _backtrack(p, cx) \
@@ -480,7 +480,7 @@ def test_closing_cell_is_solved(e):
         p = CWPresentation((1, 2, 2), attach2=words, name="closing")
         assert _collapse(words) == (words, 0)
         for cx in collapse_coefficients():
-            plan = _elimination_plan(words, cx.groups[0].order)
+            plan = _planned(words, cx.groups[0].order)
             assert plan.words == words  # the first relator still closes on a new cell
             assert count_homs(p, cx) == _backtrack(p, cx) == count_homs_bruteforce(p, cx), \
                 (words, cx.name)
@@ -516,6 +516,7 @@ def test_abelianised_words():
     assert _abelianised(a + b + a + A + a, 4) == a + a + b  # s = 2 = |A_1|/2 stays positive
     assert _abelianised(a + a + a + b, 5) == A + A + b  # 3 -> -2
     assert _abelianised(a + b + A + B, 6) == () == _abelianised(a * 6, 6)
+    assert _abelianised(a * 5, 4) == a  # reduced mod |A_1|, since x^|A_1| = 1
     assert _abelianised(a + b + a, 1) == ()
 
 
@@ -530,10 +531,10 @@ def test_abelianised_plan_only_when_it_is_cheaper():
     words = ((4, 1), (3, 1), (0, -1), (4, -1)), ((2, -1), (3, -1), (2, -1)), b + a + b
     shrunk = tuple(_abelianised(w, 6) for w in words)
     assert [len(w) for w in shrunk] == [2, 3, 3]
-    assert _elimination_plan(shrunk, 6).estimate == 978
+    assert _planned(shrunk, 6).estimate == 978
     p = CWPresentation((1, 5, 3), attach2=words)
     z6 = from_group(cyclic_group(6))
-    assert count_engine(p, z6) == _elimination_plan(words, 6)
+    assert count_engine(p, z6) == _planned(words, 6)
     assert count_engine(p, z6).estimate == 450
     assert count_homs(p, z6) == _backtrack(p, z6)
     for cx in (resolve_coefficients("z2xz2"),
@@ -541,7 +542,7 @@ def test_abelianised_plan_only_when_it_is_cheaper():
         assert count_engine(genus_surface(2), cx) == ("elimination", 0, ((),), 0)
         assert count_homs(genus_surface(2), cx) == cx.groups[0].order ** 4
     s3 = resolve_coefficients("s3")
-    assert count_engine(genus_surface(2), s3) == _elimination_plan(genus_surface(2).attach2, 6)
+    assert count_engine(genus_surface(2), s3) == _planned(genus_surface(2).attach2, 6)
     assert count_homs(p, s3) == _backtrack(p, s3)
 
 
@@ -571,7 +572,7 @@ def test_abelianised_plan_counts_alike(data):
                                      min_size=1, max_size=3 if cx.length == 1 else 2)))
     p = CWPresentation((1, l1, len(words)), attach2=words)
     assert count_homs(p, cx) == _backtrack(p, cx) == count_homs_bruteforce(p, cx), words
-    plan, given = count_engine(p, cx), _elimination_plan(words, order)
+    plan, given = count_engine(p, cx), _planned(words, order)
     assert plan.estimate <= given.estimate, words
     mul = cx.groups[0].mul
     if any(mul[x][y] != mul[y][x] for x in range(order) for y in range(x)):

@@ -175,6 +175,21 @@ def test_table_group_inverse_is_least_two_sided(mul, data):
         next((y for y in range(n) if mul[x][y] == 0 == mul[y][x]), -1) for x in range(n))
 
 
+@settings(max_examples=200, deadline=None)
+@given(square_tables(6), st.booleans())
+def test_abelian_is_a_commuting_table(mul, symmetric):
+    """`abelian` holds exactly when x*y = y*x for every pair, on broken
+    tables too; half the tables are made symmetric so that both answers
+    occur."""
+    n = len(mul)
+    if symmetric:
+        mul = [[mul[min(x, y)][max(x, y)] for y in range(n)] for x in range(n)]
+    assert table_group(mul).abelian == all(
+        mul[x][y] == mul[y][x] for x in range(n) for y in range(x))
+    assert cyclic_group(6).abelian and direct_product(cyclic_group(2), cyclic_group(2)).abelian
+    assert not symmetric_group_3().abelian
+
+
 def action_violation_by_sweep(a):
     """The full-sweep definition of action_violation: every kind in check
     order, each at its first witness."""
