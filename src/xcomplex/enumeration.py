@@ -11,7 +11,7 @@ of cell colourings f_n: C_n -> A_n (n = 1..L) such that
 A morphism is passed around as its plain colouring (`Colouring`): one
 tuple of element indices per layer 1..L, compared and hashed by value.
 
-Cells of dimension greater than L+1 impose nothing.  Two engines count:
+Cells of dimension greater than L+1 impose nothing.  Three engines count:
 
   * Elimination, when no cell of dimension 3..L+1 exists, so every
     constraint comes from a 2-cell's word.  A finished relator with value t
@@ -34,6 +34,14 @@ Cells of dimension greater than L+1 impose nothing.  Two engines count:
     per cell instead, s reduced into (-|A_1|/2, |A_1|/2] (`_abelianised`):
     a commutator, a torus or genus word vanishes, and a cell with s = +-1
     lets the collapse remove its relator.
+  * Exponent sums, over an abelian A_1 when elimination applies and some
+    relator repeats a cell: the same bucket elimination, one cell per step
+    instead of one letter.  The count is a sum over the colourings of the 1-cells of the product of
+    the relators' weights, each relator's value the product of f(x)^s over
+    its cells x, so the abelianised words are summed out one cell per
+    step, in order of first appearance (`_count_by_cells`).  A state holds
+    one accumulator per open relator, from its first cell to its last,
+    where it is weighed and dropped.
   * Layered search otherwise: layer 1 by an odometer over all colourings
     of the 1-cells, and layers 2..L below each of them.  At layer n the
     admissible values per cell form a precomputed boundary fiber over its
@@ -43,8 +51,9 @@ Cells of dimension greater than L+1 impose nothing.  Two engines count:
 `count_engine` plans a count once: elimination whenever it applies,
 estimated by the state transitions of the words left after the collapse,
 or by a bound on them past 4,300 digits (never more than the odometer's
-|A_1|^{l_1} x letters word steps), on the abelianised words when that
-estimate is strictly smaller, and backtracking otherwise, estimated
+|A_1|^{l_1} x letters word steps); over an abelian A_1, the abelianised
+words read letter by letter or summed cell by cell when either estimate is
+strictly smaller, and backtracking otherwise, estimated
 by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
 --cap before counting, and before planning, an answer whose digits may
 exceed it (`weigh_answer`, over `cell_orders`); the collapse runs before
@@ -113,7 +122,7 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache, partial
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import FiniteCrossedComplex
@@ -365,8 +374,8 @@ class _Tower:
 
 class CountPlan(NamedTuple):
     """How count_homs counts: the engine, its work estimate, the 2-cell
-    words in the order elimination reads them, and the number of relators
-    collapsed before planning (0 for the backtracker)."""
+    words as elimination or exponent sums read them, and the number of
+    relators collapsed before planning (0 for the backtracker)."""
 
     engine: str
     estimate: int
@@ -382,17 +391,21 @@ def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
     and orders the words left, estimated by their state transitions.  When
     some relator repeats a cell and A_1 is abelian (`FiniteGroup.abelian`:
     its table equals its transpose), the `_abelianised` words, one run per
-    cell of its exponent sum, are planned too, and their plan is kept when
-    its estimate is strictly smaller.  That is exact: over an abelian A_1
-    every colouring gives a word and its abelianised word the same value,
-    hence the same weight, and a cell that leaves every word is counted
-    free, |A_1| colours, as an unused cell is.  An abelianised word is
-    never longer, so the rule "estimate <= |A_1|^{l_1} x letters", the word
-    steps the odometer takes over its layer-1 colourings, always holds: at
+    cell of its exponent sum, are planned too, read letter by letter and
+    summed out cell by cell (`_cell_plan`, engine "exponent-sums"), and the
+    plan of smallest estimate is kept, a later one only when strictly
+    smaller.  That is exact: over an abelian A_1 every colouring gives a
+    word and its abelianised word the same value, hence the same weight,
+    and a cell that leaves every word is counted free, |A_1| colours, as an
+    unused cell is.  An abelianised word is never longer, so the rule
+    "estimate <= |A_1|^{l_1} x letters", the word steps the odometer takes
+    over its layer-1 colourings, always holds for the letter plans: at
     each letter the bound, |A_1|^seen states times |A_1| for a new cell, is
     at most |A_1|^{l_1}, and so is |A_1|^e in the bound `_estimate` gives
-    past 4,300 digits.  A collapsed relator costs no transition, and a relator
-    closed on a new cell makes at most the transitions estimated for it.
+    past 4,300 digits; the cell plan, bounded by the relators open rather
+    than the cells seen, is kept only below a letter plan's estimate.  A
+    collapsed relator costs no transition, and a relator closed on a new
+    cell makes at most the transitions estimated for it.
     Backtracking otherwise, estimated by its |A_1|^{l_1} layer-1
     colourings; that estimate covers layer 1 only, not the fibres searched
     above each colouring.
@@ -408,20 +421,28 @@ def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
 
 @lru_cache(maxsize=1)  # a command plans once: its count_homs reuses the plan it reported
 def _elimination_plan(words: tuple[Word, ...], order: int, abelian: bool) -> CountPlan:
-    """Elimination's plan for the 2-cell words `words` over |A_1| = order,
-    or, when `abelian`, for their `_abelianised` words if that plan's
-    estimate is strictly smaller.  An abelianised word is never longer,
-    but its plan may take more transitions, since words with at most two
-    cells live at once are kept as given: the relators x4 x3 x0^-1 x4^-1,
-    x2^-1 x3^-1 x2^-1 and x1 x0 x1 plan to 450 transitions over order 6,
-    and their abelianised words to 978.  The strict rule keeps every
-    estimate at most the given words', and so refuses nothing they admit.
-    The given words go unplanned when the abelianised plan's estimate is
-    below their letters left after the collapse, a lower bound on theirs.
+    """Elimination's plan for the 2-cell words `words` over |A_1| = order;
+    when `abelian`, the candidate of smallest estimate among three: the
+    given words, their `_abelianised` words read letter by letter, and
+    those words summed out cell by cell (`_cell_plan`), a later candidate
+    kept only when its estimate is strictly smaller, so no estimate rises.
+
+    An abelianised word is never longer, but its letter plan may take more
+    transitions, since words with at most two cells live at once are kept
+    as given: the relators x4 x3 x0^-1 x4^-1, x2^-1 x3^-1 x2^-1 and x1 x0 x1
+    plan to 450 transitions over order 6, and their abelianised words to
+    978.  The cell plan is skipped when the letter plan's estimate is 0
+    (the words vanish), and the given words go unplanned when the best
+    abelianised estimate is below their letters left after the collapse,
+    a lower bound on theirs.
     """
     if not abelian:
         return _planned(words, order)
     shrunk = _planned(tuple([_abelianised(w, order) for w in words]), order)
+    if shrunk.estimate:
+        cells = _cell_plan(shrunk.words, shrunk.collapsed, order)
+        if cells.estimate < shrunk.estimate:
+            shrunk = cells
     # every letter left after the collapse costs the given words a transition at least
     if shrunk.estimate < sum(map(len, _collapse(words)[0])):
         return shrunk
@@ -554,13 +575,50 @@ def _estimate(words: Sequence[Word], order: int) -> tuple[int, int]:
                 live -= 1
             k += 1
             extra = 1
+    return _transitions(steps, order, k), top
+
+
+def _transitions(steps: Sequence[int], order: int, count: int) -> int:
+    """sum_e steps[e] x order^e, by Horner's rule; past 4,300 digits the
+    bound count x order^high instead, high the highest e with steps, where
+    count is sum(steps)."""
     high = max((e for e, n in enumerate(steps) if n), default=0)
     if high * math.log10(order) > MAX_DIGITS:
-        return k * order ** high, top
+        return count * order ** high
     cost = 0
     for n in reversed(steps[:high + 1]):
         cost = cost * order + n
-    return cost, top
+    return cost
+
+
+def _cell_plan(words: tuple[Word, ...], collapsed: int, order: int) -> CountPlan:
+    """The exponent-sums plan (`_count_by_cells`) over an abelian A_1 of
+    order `order` of `words`, the relators left once `_collapse` removed
+    `collapsed`: the words in their given order, and the cells in order of
+    first appearance.
+
+    Before cell k the states number at most |A_1|^open_k, open_k the
+    relators held by a cell before k and by one from k on, and summing out
+    cell k multiplies them by |A_1|; the estimate sums |A_1|^(open_k + 1)
+    over the cells.  It does not use the cells seen, so a state's digits
+    never outnumber the estimate's largest exponent.  The open counts come
+    from a difference array over each relator's first and last cell, so
+    planning is linear in the letters; past 4,300 digits the estimate is
+    the bound of `_transitions`.
+    """
+    step: dict[int, int] = {}  # cell -> its step, in order of first appearance
+    delta = [0] * (sum(map(len, words)) + 1)  # change in the open relators at each step
+    for w in words:
+        if w:
+            ks = [step.setdefault(g, len(step)) for g, _ in w]
+            delta[min(ks) + 1] += 1
+            delta[max(ks) + 1] -= 1
+    steps = [0] * (len(words) + 2)  # steps[e]: cells bounded by |A_1|^e transitions
+    live = 0
+    for k in range(len(step)):
+        live += delta[k]
+        steps[live + 1] += 1
+    return CountPlan("exponent-sums", _transitions(steps, order, len(step)), words, collapsed)
 
 
 def _rotation(w: Word, shared: set[int]) -> Word:
@@ -678,6 +736,95 @@ def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex, words: Sequence[Word
             * order ** (p.count(1) - len(last) - collapsed))
 
 
+def _count_by_cells(p: CWPresentation, cx: FiniteCrossedComplex, words: Sequence[Word],
+                    collapsed: int) -> int:
+    """Count over an abelian A_1 by summing out 1-cells one per step, in
+    order of first appearance along `words`, the `_cell_plan` of p's
+    2-cell words after `collapsed` relators were removed by `_collapse`.
+
+    A relator's value is the product over its cells x of f(x)^s, s the
+    exponent sum of x in it.  A state is one int: each open relator's value
+    so far in the base-|A_1| digit of the slot it holds while open.  The
+    step of cell x multiplies the value of each relator holding x by v^s
+    for every colour v, through the row y -> y^s built once per distinct s,
+    and weighs each relator whose last cell is x and drops its digit.  A
+    relator's lists over the colours depend only on its digit, so each is
+    built once per step and digit.  An empty relator weighs w(0).
+    """
+    a1 = cx.groups[0]
+    order, mul = a1.order, a1.mul
+    weight = _relator_weights(cx)
+    held: dict[int, dict[int, int]] = {}  # cell -> relator -> its exponent sum, in step order
+    for j, w in enumerate(words):
+        for g, e in w:
+            sums = held.setdefault(g, {})
+            sums[j] = sums.get(j, 0) + e
+    last = {j: k for k, sums in enumerate(held.values()) for j in sums}
+    powers: dict[int, list[int]] = {}  # s mod |A_1| -> the row y -> y^s
+    slot_of: dict[int, int] = {}
+    free: list[int] = []
+    states = {0: 1}
+    for k, sums in enumerate(held.values()):
+        holders = []  # (relator, the place its digit is read from or None when it opens, row)
+        for j, s in sums.items():
+            row = powers.get(s := s % order)
+            if row is None:
+                row = [0] * order
+                for _ in range(s):
+                    row = [mul[a][y] for y, a in enumerate(row)]
+                powers[s] = row
+            read = order ** slot_of[j] if j in slot_of else None
+            if last[j] == k and read is not None:
+                free.append(slot_of.pop(j))
+            holders.append((j, read, row))
+        # per relator holding the cell, and per digit d it may hold, a list over the colours
+        # v: of the change d -> d v^s in its digit while it stays open, or of the weight of
+        # d v^s when it closes here
+        keep, close = [], []  # (read place, write place (kept only), row, the lists by digit)
+        for j, read, row in holders:  # a slot freed at this step is reused at once
+            if last[j] == k:
+                close.append((read, row, [None] * order))
+            else:
+                if read is None:
+                    slot_of[j] = free.pop() if free else len(slot_of)
+                keep.append((read, order ** slot_of[j], row, [None] * order))
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for state, cnt in states.items():
+            offsets = weights = None
+            for read, write, row, lists in keep:
+                d = state // read % order if read else 0
+                got = lists[d]
+                if got is None:
+                    r, was = mul[d], d * write
+                    got = lists[d] = [r[y] * write - was for y in row]
+                offsets = got if offsets is None else list(map(add, offsets, got))
+            base = state
+            for read, row, lists in close:
+                d = state // read % order if read else 0
+                base -= d * (read or 0)
+                got = lists[d]
+                if got is None:
+                    r = mul[d]
+                    got = lists[d] = [weight[r[y]] for y in row]
+                weights = got if weights is None else [a * b for a, b in zip(weights, got)]
+            if offsets is None:
+                if total := cnt * sum(weights):
+                    nxt[base] = get(base, 0) + total
+            elif weights is None:
+                for x in offsets:
+                    key = base + x
+                    nxt[key] = get(key, 0) + cnt
+            else:
+                for x, m in zip(offsets, weights):
+                    if m:
+                        key = base + x
+                        nxt[key] = get(key, 0) + cnt * m
+        states = nxt
+    return (sum(states.values()) * weight[0] ** (len(words) - len(last))
+            * sum(weight) ** collapsed * order ** (p.count(1) - len(held) - collapsed))
+
+
 def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     """Number of morphisms P -> A, by the plan count_engine makes.
 
@@ -686,6 +833,8 @@ def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     plan = count_engine(p, cx)
     if plan.engine == "elimination":
         return _eliminate(p, cx, plan.words, plan.collapsed)
+    if plan.engine == "exponent-sums":
+        return _count_by_cells(p, cx, plan.words, plan.collapsed)
     return _backtrack(p, cx)
 
 

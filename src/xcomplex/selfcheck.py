@@ -50,7 +50,7 @@ def _suite_pairs():
 
 
 def check_oracle_equivalence() -> CheckResult:
-    """count_homs, by either engine, equals the brute-force count on random
+    """count_homs, by any engine, equals the brute-force count on random
     and builtin instances."""
     labelled = [(f"random #{i}", p, cx)
                 for i, (p, cx) in enumerate(random_instances(SEED, RANDOM_INSTANCES), start=1)]

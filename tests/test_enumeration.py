@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xcomplex import enumeration
-from xcomplex.complexes import FiniteCrossedComplex, from_group
+from xcomplex.complexes import FiniteCrossedComplex, from_crossed_module, from_group
 from xcomplex.enumeration import (
     _apply,
     _backtrack,
+    _cell_plan,
     _compile,
     _Search,
     _Tower,
@@ -263,11 +264,13 @@ def rotations(w):
 def check_plan(p, cx):
     """Check elimination's plan of p's given words (`_planned`,
     which abelianises nothing) against the given order, the plan count_homs
-    runs and the other counting routes; return how it rearranged the
-    relators left after the collapse."""
+    runs (elimination, or exponent sums over an abelian A_1) and the other
+    counting routes; return how it rearranged the relators left after the
+    collapse."""
     order = cx.groups[0].order
     plan = _planned(p.attach2, order)
-    assert plan.engine == count_engine(p, cx).engine == "elimination"
+    assert plan.engine == "elimination"
+    assert count_engine(p, cx).engine in ("elimination", "exponent-sums")
     assert count_engine(p, cx).estimate <= plan.estimate
     left, collapsed = _collapse(p.attach2)
     assert plan.collapsed == collapsed == p.count(2) - len(left), p.attach2
@@ -578,6 +581,67 @@ def test_abelianised_plan_counts_alike(data):
     if any(mul[x][y] != mul[y][x] for x in range(order) for y in range(x)):
         assert plan == given, words
     assert all(len(_abelianised(w, order)) <= len(w) for w in words)
+
+
+def repeating_word(l1):
+    """A relator over cells 0..l1-1 of up to seven letters that holds some
+    cell at least twice: a word and a copy of one of its letters."""
+    letter = st.tuples(st.integers(0, l1 - 1), st.sampled_from((1, -1)))
+    return st.lists(letter, min_size=1, max_size=6).flatmap(
+        lambda w: st.tuples(st.integers(0, len(w) - 1), st.integers(0, len(w)),
+                            st.sampled_from((1, -1))).map(
+            lambda at: tuple(w[:at[1]]) + ((w[at[0]][0], at[2]),) + tuple(w[at[1]:])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cell_plan_counts_alike(data):
+    """Up to three relators over up to four cells, each holding some cell
+    twice, against abelian and non-abelian A_1: count_homs agrees with the
+    backtracker and the brute-force sweep, and over an abelian A_1 its
+    plan's estimate is at most that of the given words and of the
+    abelianised words read letter by letter (over a non-abelian one the
+    plan is the given words').  Weighing a relator one cell before its
+    last, or building the power row y -> y^s for s reduced mod |A_1| + 1,
+    fails it."""
+    cx = data.draw(st.sampled_from(abelianised_coefficients()))
+    order = cx.groups[0].order
+    l1 = data.draw(st.integers(1, 4))
+    words = tuple(data.draw(st.lists(repeating_word(l1), min_size=1,
+                                     max_size=3 if cx.length == 1 else 2)))
+    p = CWPresentation((1, l1, len(words)), attach2=words)
+    assert count_homs(p, cx) == _backtrack(p, cx) == count_homs_bruteforce(p, cx), words
+    plan, given = count_engine(p, cx), _planned(words, order)
+    mul = cx.groups[0].mul
+    if any(mul[x][y] != mul[y][x] for x in range(order) for y in range(x)):
+        assert plan == given, words
+        return
+    shrunk = _planned(tuple(_abelianised(w, order) for w in words), order)
+    assert plan.estimate <= min(given.estimate, shrunk.estimate), words
+    if plan.engine == "exponent-sums":
+        assert plan == _cell_plan(shrunk.words, shrunk.collapsed, order), words
+
+
+# count-surfaces' narrow-6-2 relators, as random_relators draws them
+NARROW_6_2 = (((0, -1), (0, -1), (1, -1), (2, -1), (3, 1), (4, -1), (5, -1), (5, -1)),
+              ((1, -1), (2, -1), (3, 1), (3, 1), (4, -1), (5, 1), (5, 1), (5, 1)))
+
+
+def test_narrow_relators_are_counted_cell_by_cell():
+    """count-surfaces' narrow-6-2 relators against the inclusion Z/3 -> Z/6
+    share five cells, so read letter by letter their states are bounded by
+    up to 6^5, estimate 28,206.  Summed out cell by cell, at most two
+    accumulators are open at once: 6 + 36 + 4 x 216 = 906 transitions, and
+    the count is the backtracker's."""
+    z6, z3 = cyclic_group(6), cyclic_group(3)
+    cx = from_crossed_module(z6, z3, GroupHom(z3, z6, (0, 2, 4)), trivial_action(z6, z3),
+                             name="incl-z3-z6")
+    p = CWPresentation((1, 6, 2), attach2=NARROW_6_2, name="narrow-6-2")
+    plan = count_engine(p, cx)
+    assert plan.engine == "exponent-sums"
+    assert plan.estimate == 906 <= 1000
+    assert _planned(NARROW_6_2, 6).estimate == 28206
+    assert count_homs(p, cx) == _backtrack(p, cx)
 
 
 def test_free_layer_counts_in_linear_time():
