@@ -13,56 +13,52 @@ tuple of element indices per layer 1..L, compared and hashed by value.
 
 Cells of dimension greater than L+1 impose nothing.  Three engines count:
 
-  * Elimination, when no cell of dimension 3..L+1 exists, so every
-    constraint comes from a 2-cell's word.  A finished relator with value t
-    weighs [t == 0] when L = 1 and |d_2^{-1}(t)| otherwise.  First a
-    relator holding a 1-cell x used once in the words left is collapsed,
-    repeatedly: whatever the other colours, x takes one colour per value
-    of the relator, so x and its relator, a free D^2 factor, weigh
-    W = sum_t weight(t) (|A_2|, or 1 when L = 1) and constrain nothing
-    else.  The relator letters left are read in a planned order; a state is
-    the running product plus the colours of the live 1-cells (seen and used
-    again later), and a cell is summed out at its last letter.  A relator
-    whose last letter x^e is a new cell is solved there: over a running
-    product acc, each value t of nonzero weight gives x the one colour v
-    with acc v^e = t, weighing weight(t).  This is bucket elimination on
-    the cell-relator incidence graph (Dechter, AIJ 1999), whose cost the
-    order sets: the plan rotates, inverts and reorders the relators, which
-    changes no weight, so that fewer cells are live at once.  Over an
-    abelian A_1 a relator's value depends only on each cell's exponent sum
-    s, and x^|A_1| = 1, so a relator may be read as one run of |s| letters
-    per cell instead, s reduced into (-|A_1|/2, |A_1|/2] (`_abelianised`):
-    a commutator, a torus or genus word vanishes, and a cell with s = +-1
-    lets the collapse remove its relator.
-  * Exponent sums, over an abelian A_1 when elimination applies and some
-    relator repeats a cell: the same bucket elimination, one cell per step
-    instead of one letter.  The count is a sum over the colourings of the 1-cells of the product of
-    the relators' weights, each relator's value the product of f(x)^s over
-    its cells x, so the abelianised words are summed out one cell per
-    step, in order of first appearance (`_count_by_cells`).  A state holds
-    one accumulator per open relator, from its first cell to its last,
-    where it is weighed and dropped.
+  * Diagonal, over an abelian A_1 when no cell of dimension 3..L+1 exists,
+    so every constraint comes from a 2-cell's word.  Pi(M) abelianises to
+    the cellular chain complex of M (Brown-Higgins), so a relator's value
+    is the row of S f, S the l_2 x l_1 matrix of exponent sums mod |A_1|,
+    and f is a morphism exactly when S f lies in (im d_2)^{l_2}, each
+    relator then taking |ker d_2| colours.  S is diagonalised by
+    unimodular row and column operations (`_diagonalise`); each entry d
+    admits the colours a with a^d in im d_2, and each cell past the
+    diagonal all of A_1 (`_count_diagonal`).
+  * Elimination, over a non-abelian A_1 under the same condition.  A
+    finished relator with value t weighs [t == 0] when L = 1 and
+    |d_2^{-1}(t)| otherwise.  First a relator holding a 1-cell x used once
+    in the words left is collapsed, repeatedly: whatever the other colours,
+    x takes one colour per value of the relator, so x and its relator, a
+    free D^2 factor, weigh W = sum_t weight(t) (|A_2|, or 1 when L = 1)
+    and constrain nothing else.  The relator letters left are read in a
+    planned order; a state is the running product plus the colours of the
+    live 1-cells (seen and used again later), and a cell is summed out at
+    its last letter.  A relator whose last letter x^e is a new cell is
+    solved there: over a running product acc, each value t of nonzero
+    weight gives x the one colour v with acc v^e = t, weighing weight(t).
+    This is bucket elimination on the cell-relator incidence graph
+    (Dechter, AIJ 1999), whose cost the order sets: the plan rotates,
+    inverts and reorders the relators, which changes no weight, so that
+    fewer cells are live at once.
   * Layered search otherwise: layer 1 by an odometer over all colourings
     of the 1-cells, and layers 2..L below each of them.  At layer n the
     admissible values per cell form a precomputed boundary fiber over its
     entry of the target vector t_n, the n-cells' attaching data evaluated
     in A_{n-1}; an empty fiber prunes exactly.
 
-`count_engine` plans a count once: elimination whenever it applies,
-estimated by the state transitions of the words left after the collapse,
-or by a bound on them past 4,300 digits (never more than the odometer's
-|A_1|^{l_1} x letters word steps); over an abelian A_1, the abelianised
-words read letter by letter or summed cell by cell when either estimate is
-strictly smaller, and backtracking otherwise, estimated
-by its |A_1|^{l_1} layer-1 colourings.  The CLI refuses an estimate above
---cap before counting, and before planning, an answer whose digits may
-exceed it (`weigh_answer`, over `cell_orders`); the collapse runs before
-the estimate is checked, in time linear in the letters.  Enumeration
-always runs the layered search, in lexicographic order by (dimension,
-cell index, element index).  `enumerate_homs` admits every listing, in
-one order: its count's digits, estimate and morphisms, then the entries
-of one colouring and its walk of |A_1|^{l_1} layer-1 colourings, before
-any visit.
+`count_engine` plans a count once.  The diagonal engine is estimated by a
+bound on its row and column operations, computed from the number of rows
+and cells left once the zero rows are dropped and the free D^2 factors
+collapsed.  Elimination is estimated by the state transitions of the
+words left after the collapse, or by a bound on them past 4,300 digits
+(never more than the odometer's |A_1|^{l_1} x letters word steps).
+Backtracking is estimated by its |A_1|^{l_1} layer-1 colourings.  The CLI
+refuses an estimate above --cap before counting, and before planning, an
+answer whose digits may exceed it (`weigh_answer`, over `cell_orders`);
+the collapse and the diagonal plan run before the estimate is checked, in
+time linear in the letters.  Enumeration always runs the layered search,
+in lexicographic order by (dimension, cell index, element index).
+`enumerate_homs` admits every listing, in one order: its count's digits,
+estimate and morphisms, then the entries of one colouring and its walk of
+|A_1|^{l_1} layer-1 colourings, before any visit.
 
 Attaching data of a cell of dimension >= 3, its Terms
 (`CWPresentation.terms(n)`), is evaluated in two steps, for morphisms,
@@ -122,7 +118,7 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache, partial
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import FiniteCrossedComplex
@@ -374,8 +370,9 @@ class _Tower:
 
 class CountPlan(NamedTuple):
     """How count_homs counts: the engine, its work estimate, the 2-cell
-    words as elimination or exponent sums read them, and the number of
-    relators collapsed before planning (0 for the backtracker)."""
+    words as elimination reads them or the exponent-sum rows the diagonal
+    engine reduces, and the number of relators collapsed before planning
+    (0 for the backtracker)."""
 
     engine: str
     estimate: int
@@ -386,26 +383,18 @@ class CountPlan(NamedTuple):
 def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
     """The plan count_homs runs.
 
-    Elimination whenever no cell of dimension 3..L+1 constrains the count:
-    `_elimination_plan` collapses the relators that hold a 1-cell used once
-    and orders the words left, estimated by their state transitions.  When
-    some relator repeats a cell and A_1 is abelian (`FiniteGroup.abelian`:
-    its table equals its transpose), the `_abelianised` words, one run per
-    cell of its exponent sum, are planned too, read letter by letter and
-    summed out cell by cell (`_cell_plan`, engine "exponent-sums"), and the
-    plan of smallest estimate is kept, a later one only when strictly
-    smaller.  That is exact: over an abelian A_1 every colouring gives a
-    word and its abelianised word the same value, hence the same weight,
-    and a cell that leaves every word is counted free, |A_1| colours, as an
-    unused cell is.  An abelianised word is never longer, so the rule
-    "estimate <= |A_1|^{l_1} x letters", the word steps the odometer takes
-    over its layer-1 colourings, always holds for the letter plans: at
-    each letter the bound, |A_1|^seen states times |A_1| for a new cell, is
-    at most |A_1|^{l_1}, and so is |A_1|^e in the bound `_estimate` gives
-    past 4,300 digits; the cell plan, bounded by the relators open rather
-    than the cells seen, is kept only below a letter plan's estimate.  A
-    collapsed relator costs no transition, and a relator closed on a new
-    cell makes at most the transitions estimated for it.
+    When no cell of dimension 3..L+1 constrains the count: over an abelian
+    A_1 (`FiniteGroup.abelian`: its table equals its transpose) the
+    diagonal engine (`_diagonal_plan`), estimated by a bound on its row and
+    column operations; otherwise elimination (`_elimination_plan`), which
+    collapses the relators that hold a 1-cell used once and orders the
+    words left, estimated by their state transitions.  That estimate never
+    exceeds |A_1|^{l_1} x letters, the word steps the odometer takes over
+    its layer-1 colourings: at each letter the bound, |A_1|^seen states
+    times |A_1| for a new cell, is at most |A_1|^{l_1}, and so is |A_1|^e in
+    the bound `_estimate` gives past 4,300 digits.  A collapsed relator
+    costs no transition, and a relator closed on a new cell makes at most
+    the transitions estimated for it.
     Backtracking otherwise, estimated by its |A_1|^{l_1} layer-1
     colourings; that estimate covers layer 1 only, not the fibres searched
     above each colouring.
@@ -415,57 +404,44 @@ def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
     if any(p.count(n) for n in range(3, cx.length + 2)):
         return CountPlan("backtrack", order ** p.count(1), p.attach2, 0)
     words = tuple([tuple([(g, e) for g, e in w]) for w in p.attach2])  # hashable, for the cache
-    abelian = any(len({g for g, _ in w}) < len(w) for w in words) and a1.abelian
-    return _elimination_plan(words, order, abelian)
+    return (_diagonal_plan if a1.abelian else _elimination_plan)(words, order)
 
 
 @lru_cache(maxsize=1)  # a command plans once: its count_homs reuses the plan it reported
-def _elimination_plan(words: tuple[Word, ...], order: int, abelian: bool) -> CountPlan:
-    """Elimination's plan for the 2-cell words `words` over |A_1| = order;
-    when `abelian`, the candidate of smallest estimate among three: the
-    given words, their `_abelianised` words read letter by letter, and
-    those words summed out cell by cell (`_cell_plan`), a later candidate
-    kept only when its estimate is strictly smaller, so no estimate rises.
+def _diagonal_plan(words: tuple[Word, ...], order: int) -> CountPlan:
+    """The diagonal engine's plan for the 2-cell words `words` over an
+    abelian A_1 of order `order`: their exponent-sum rows, each a tuple of
+    (cell, s) with s the cell's exponent sum mod |A_1|, nonzero.
 
-    An abelianised word is never longer, but its letter plan may take more
-    transitions, since words with at most two cells live at once are kept
-    as given: the relators x4 x3 x0^-1 x4^-1, x2^-1 x3^-1 x2^-1 and x1 x0 x1
-    plan to 450 transitions over order 6, and their abelianised words to
-    978.  The cell plan is skipped when the letter plan's estimate is 0
-    (the words vanish), and the given words go unplanned when the best
-    abelianised estimate is below their letters left after the collapse,
-    a lower bound on theirs.
+    A row with no entry goes, and so does every row that `_collapse`
+    removes when a cell of s = +-1 is one letter and any other cell two:
+    a cell with s = +-1 in no other row is a free D^2 factor.  The estimate
+    bounds `_diagonalise`'s operations on the R rows over C cells left: at
+    most r = min(R, C) pivots, the t-th of which takes at most R + C - 2 - 2t
+    operations per pivot value, and at most V = bit_length(|A_1| // 2)
+    values, since each new pivot at least halves and the first is at most
+    |A_1| // 2; so V r (R + C - 1 - r).  Linear in the letters.
     """
-    if not abelian:
-        return _planned(words, order)
-    shrunk = _planned(tuple([_abelianised(w, order) for w in words]), order)
-    if shrunk.estimate:
-        cells = _cell_plan(shrunk.words, shrunk.collapsed, order)
-        if cells.estimate < shrunk.estimate:
-            shrunk = cells
-    # every letter left after the collapse costs the given words a transition at least
-    if shrunk.estimate < sum(map(len, _collapse(words)[0])):
-        return shrunk
-    plan = _planned(words, order)
-    return shrunk if shrunk.estimate < plan.estimate else plan
+    rows = []
+    for w in words:
+        sums: dict[int, int] = {}
+        for g, e in w:
+            sums[g] = sums.get(g, 0) + e
+        if row := tuple([(g, s % order) for g, s in sums.items() if s % order]):
+            # to the collapse a cell of sum +-1 is one letter, any other two
+            rows.append(row + tuple([(g, s) for g, s in row if 1 < s < order - 1]))
+    left, collapsed = _collapse(tuple(rows))
+    left = tuple([tuple(dict(r).items()) for r in left])  # each cell once again
+    nrows, ncols = len(left), len({g for r in left for g, _ in r})
+    r = min(nrows, ncols)
+    return CountPlan("diagonal", (order // 2).bit_length() * r * (nrows + ncols - 1 - r),
+                     left, collapsed)
 
 
-def _abelianised(w: Word, order: int) -> Word:
-    """w with one run per 1-cell, in the order the cells first appear: |s|
-    letters x^(sign s), s the cell's exponent sum in w reduced into
-    (-order/2, order/2]; a cell with s = 0 drops out.  Over an abelian
-    group of that order w takes the same value under every colouring,
-    since its letters commute and every element's order divides |A_1|.
-    Never longer than w: |s| is at most the cell's letters."""
-    sums: dict[int, int] = {}
-    for g, e in w:
-        sums[g] = sums.get(g, 0) + e
-    out: list[tuple[int, int]] = []
-    for g, s in sums.items():
-        if 2 * (s := s % order) > order:
-            s -= order
-        out.extend([(g, 1 if s > 0 else -1)] * abs(s))
-    return tuple(out)
+@lru_cache(maxsize=1)  # a command plans once: its count_homs reuses the plan it reported
+def _elimination_plan(words: tuple[Word, ...], order: int) -> CountPlan:
+    """Elimination's plan (`_planned`) for the 2-cell words over |A_1| = order."""
+    return _planned(words, order)
 
 
 def _planned(words: tuple[Word, ...], order: int) -> CountPlan:
@@ -575,50 +551,13 @@ def _estimate(words: Sequence[Word], order: int) -> tuple[int, int]:
                 live -= 1
             k += 1
             extra = 1
-    return _transitions(steps, order, k), top
-
-
-def _transitions(steps: Sequence[int], order: int, count: int) -> int:
-    """sum_e steps[e] x order^e, by Horner's rule; past 4,300 digits the
-    bound count x order^high instead, high the highest e with steps, where
-    count is sum(steps)."""
     high = max((e for e, n in enumerate(steps) if n), default=0)
     if high * math.log10(order) > MAX_DIGITS:
-        return count * order ** high
+        return k * order ** high, top
     cost = 0
     for n in reversed(steps[:high + 1]):
         cost = cost * order + n
-    return cost
-
-
-def _cell_plan(words: tuple[Word, ...], collapsed: int, order: int) -> CountPlan:
-    """The exponent-sums plan (`_count_by_cells`) over an abelian A_1 of
-    order `order` of `words`, the relators left once `_collapse` removed
-    `collapsed`: the words in their given order, and the cells in order of
-    first appearance.
-
-    Before cell k the states number at most |A_1|^open_k, open_k the
-    relators held by a cell before k and by one from k on, and summing out
-    cell k multiplies them by |A_1|; the estimate sums |A_1|^(open_k + 1)
-    over the cells.  It does not use the cells seen, so a state's digits
-    never outnumber the estimate's largest exponent.  The open counts come
-    from a difference array over each relator's first and last cell, so
-    planning is linear in the letters; past 4,300 digits the estimate is
-    the bound of `_transitions`.
-    """
-    step: dict[int, int] = {}  # cell -> its step, in order of first appearance
-    delta = [0] * (sum(map(len, words)) + 1)  # change in the open relators at each step
-    for w in words:
-        if w:
-            ks = [step.setdefault(g, len(step)) for g, _ in w]
-            delta[min(ks) + 1] += 1
-            delta[max(ks) + 1] -= 1
-    steps = [0] * (len(words) + 2)  # steps[e]: cells bounded by |A_1|^e transitions
-    live = 0
-    for k in range(len(step)):
-        live += delta[k]
-        steps[live + 1] += 1
-    return CountPlan("exponent-sums", _transitions(steps, order, len(step)), words, collapsed)
+    return cost, top
 
 
 def _rotation(w: Word, shared: set[int]) -> Word:
@@ -736,93 +675,101 @@ def _eliminate(p: CWPresentation, cx: FiniteCrossedComplex, words: Sequence[Word
             * order ** (p.count(1) - len(last) - collapsed))
 
 
-def _count_by_cells(p: CWPresentation, cx: FiniteCrossedComplex, words: Sequence[Word],
-                    collapsed: int) -> int:
-    """Count over an abelian A_1 by summing out 1-cells one per step, in
-    order of first appearance along `words`, the `_cell_plan` of p's
-    2-cell words after `collapsed` relators were removed by `_collapse`.
+def _diagonalise(rows: Sequence[Word], order: int) -> tuple[list[int], int]:
+    """The diagonal of the matrix whose rows `rows` list (cell, entry) mod
+    `order`, reached by unimodular row and column operations over Z/order,
+    and the number of operations made.
 
-    A relator's value is the product over its cells x of f(x)^s, s the
-    exponent sum of x in it.  A state is one int: each open relator's value
-    so far in the base-|A_1| digit of the slot it holds while open.  The
-    step of cell x multiplies the value of each relator holding x by v^s
-    for every colour v, through the row y -> y^s built once per distinct s,
-    and weighs each relator whose last cell is x and drops its digit.  A
-    relator's lists over the colours depend only on its digit, so each is
-    built once per step and digit.  An empty relator weighs w(0).
+    Entries are kept in (-order/2, order/2].  A pivot is an entry of least
+    absolute value in its row, held by the fewest rows, since a column
+    operation changes every row holding the pivot's column.  Column
+    operations reduce the rest of its row by nearest-integer quotients, then
+    row operations the rest of its column; a remainder that is left is at
+    most half the pivot and becomes the next pivot, the least in the
+    column, in the shortest row.  So each pivot takes at most
+    bit_length(order // 2) values.  A row whose entries all vanish goes: it
+    holds 0 = 0.
+    """
+    mat: dict[int, dict[int, int]] = {}  # row -> cell -> entry
+    held: dict[int, set[int]] = {}  # cell -> the rows holding it
+    for i, r in enumerate(rows):
+        mat[i] = {g: s - order if 2 * s > order else s for g, s in r}
+        for g, _ in r:
+            held.setdefault(g, set()).add(i)
+    diagonal: list[int] = []
+    ops = 0
+    for start in range(len(rows)):
+        while start in mat:  # a pivot may end in a later row and leave this one
+            i, row = start, mat[start]
+            c = min(row, key=lambda g: (abs(row[g]), len(held[g])))
+            while True:
+                d = row[c]
+                for j in [j for j in row if j != c]:  # column j -= q column c
+                    q = (2 * row[j] + d) // (2 * d)
+                    ops += 1
+                    for k in held[c]:
+                        other = mat[k]
+                        if v := (other.get(j, 0) - q * other[c]) % order:
+                            other[j] = v - order if 2 * v > order else v
+                            held[j].add(k)
+                        elif j in other:
+                            del other[j]
+                            held[j].discard(k)
+                if len(row) > 1:  # remainders at most |d| / 2 are left
+                    c = min(row, key=lambda g: (abs(row[g]), len(held[g])))
+                    continue
+                for k in [k for k in held[c] if k != i]:  # row k -= q row i, which is d at c alone
+                    other = mat[k]
+                    ops += 1
+                    if v := other[c] - (2 * other[c] + d) // (2 * d) * d:
+                        other[c] = v
+                    else:
+                        del other[c]
+                        held[c].discard(k)
+                        if not other:
+                            del mat[k]
+                if len(held[c]) == 1:
+                    break
+                i = min([k for k in held[c] if k != i],
+                        key=lambda k: (abs(mat[k][c]), len(mat[k])))
+                row = mat[i]
+            diagonal.append(d)
+            del mat[i], held[c]
+    return diagonal, ops
+
+
+def _count_diagonal(p: CWPresentation, cx: FiniteCrossedComplex, plan: CountPlan) -> int:
+    """Count over an abelian A_1 from the diagonal of the plan's exponent-sum
+    rows (`_diagonalise`).
+
+    The count is the number of colourings f with each relator's value, the
+    row of S f for S the exponent-sum matrix, in B = im d_2 ({0} when
+    L = 1), times |ker d_2|^{l_2}.  Unimodular row operations map B^{l_2}
+    onto itself and column operations renumber the colourings, so S may be
+    read as its diagonal: an entry d admits N(d) = #{a : a^d in B} colours,
+    which depends only on gcd(d, |A_1|) since a^|A_1| = 1, and each of the
+    l_1 - r cells without an entry admits |A_1|.  A collapsed relator is an
+    entry 1, N(1) = |B|.
     """
     a1 = cx.groups[0]
     order, mul = a1.order, a1.mul
-    weight = _relator_weights(cx)
-    held: dict[int, dict[int, int]] = {}  # cell -> relator -> its exponent sum, in step order
-    for j, w in enumerate(words):
-        for g, e in w:
-            sums = held.setdefault(g, {})
-            sums[j] = sums.get(j, 0) + e
-    last = {j: k for k, sums in enumerate(held.values()) for j in sums}
-    powers: dict[int, list[int]] = {}  # s mod |A_1| -> the row y -> y^s
-    slot_of: dict[int, int] = {}
-    free: list[int] = []
-    states = {0: 1}
-    for k, sums in enumerate(held.values()):
-        holders = []  # (relator, the place its digit is read from or None when it opens, row)
-        for j, s in sums.items():
-            row = powers.get(s := s % order)
-            if row is None:
-                row = [0] * order
-                for _ in range(s):
-                    row = [mul[a][y] for y, a in enumerate(row)]
-                powers[s] = row
-            read = order ** slot_of[j] if j in slot_of else None
-            if last[j] == k and read is not None:
-                free.append(slot_of.pop(j))
-            holders.append((j, read, row))
-        # per relator holding the cell, and per digit d it may hold, a list over the colours
-        # v: of the change d -> d v^s in its digit while it stays open, or of the weight of
-        # d v^s when it closes here
-        keep, close = [], []  # (read place, write place (kept only), row, the lists by digit)
-        for j, read, row in holders:  # a slot freed at this step is reused at once
-            if last[j] == k:
-                close.append((read, row, [None] * order))
-            else:
-                if read is None:
-                    slot_of[j] = free.pop() if free else len(slot_of)
-                keep.append((read, order ** slot_of[j], row, [None] * order))
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for state, cnt in states.items():
-            offsets = weights = None
-            for read, write, row, lists in keep:
-                d = state // read % order if read else 0
-                got = lists[d]
-                if got is None:
-                    r, was = mul[d], d * write
-                    got = lists[d] = [r[y] * write - was for y in row]
-                offsets = got if offsets is None else list(map(add, offsets, got))
-            base = state
-            for read, row, lists in close:
-                d = state // read % order if read else 0
-                base -= d * (read or 0)
-                got = lists[d]
-                if got is None:
-                    r = mul[d]
-                    got = lists[d] = [weight[r[y]] for y in row]
-                weights = got if weights is None else [a * b for a, b in zip(weights, got)]
-            if offsets is None:
-                if total := cnt * sum(weights):
-                    nxt[base] = get(base, 0) + total
-            elif weights is None:
-                for x in offsets:
-                    key = base + x
-                    nxt[key] = get(key, 0) + cnt
-            else:
-                for x, m in zip(offsets, weights):
-                    if m:
-                        key = base + x
-                        nxt[key] = get(key, 0) + cnt * m
-        states = nxt
-    return (sum(states.values()) * weight[0] ** (len(words) - len(last))
-            * sum(weight) ** collapsed * order ** (p.count(1) - len(held) - collapsed))
+    image = cx.boundary(2).image if cx.length > 1 else (0,)  # d_2, or the zero map at L = 1
+    targets = set(image)
+    diagonal, _ = _diagonalise(plan.words, order)
+    count = (image.count(0) ** p.count(2) * len(targets) ** plan.collapsed
+             * order ** (p.count(1) - len(diagonal) - plan.collapsed))
+    admits: dict[int, int] = {}  # gcd(d, |A_1|) -> N(d)
+    for d in diagonal:
+        if (g := math.gcd(d, order)) not in admits:
+            power, base, e = [0] * order, list(range(order)), g  # power: a -> a^g
+            while e:
+                if e & 1:
+                    power = [mul[x][y] for x, y in zip(power, base)]
+                base = [mul[y][y] for y in base]
+                e >>= 1
+            admits[g] = sum(x in targets for x in power)
+        count *= admits[g]
+    return count
 
 
 def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
@@ -833,8 +780,8 @@ def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
     plan = count_engine(p, cx)
     if plan.engine == "elimination":
         return _eliminate(p, cx, plan.words, plan.collapsed)
-    if plan.engine == "exponent-sums":
-        return _count_by_cells(p, cx, plan.words, plan.collapsed)
+    if plan.engine == "diagonal":
+        return _count_diagonal(p, cx, plan)
     return _backtrack(p, cx)
 
 

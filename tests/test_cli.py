@@ -358,7 +358,8 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
     """genus:6 x cm-z4-z2-incl has 4^12 morphisms: the listing's own count
     refuses them, so neither command starts the listing, and count
     --enumerate, which counts only through its listing, reports no count.
-    Over the abelian A_1 = Z/4 the genus word vanishes: estimate 0."""
+    Over the abelian A_1 = Z/4 the genus word's exponent sums vanish: the
+    diagonal engine, estimate 0."""
     from xcomplex import cli
 
     forbid_listing(monkeypatch)
@@ -367,7 +368,7 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch, capsys):
         assert cli.main(argv + pair) == 3
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["error"] == "more than 1000000 morphisms; raise the cap to list them"
-    assert result == {"engine": "elimination", "estimate": 0,
+    assert result == {"engine": "diagonal", "estimate": 0,
                       "error": "more than 1000000 morphisms; raise the cap to list them"}
 
 
@@ -420,19 +421,20 @@ def test_chained_collapse_is_linear(tmp_path, capsys):
     exposes the next cell, so the whole chain collapses one relator at a
     time.  Planning runs before --cap is weighed, so it must stay linear in
     the letters; it plans and counts within seconds: estimate 0, and |A_1|
-    morphisms, since each relator weighs 1 at L = 1."""
+    morphisms, since each relator weighs 1 at L = 1.  Over the abelian z2
+    the exponent-sum rows collapse alike for the diagonal engine."""
     from xcomplex import cli
 
     n = 100_000
     words = [[[i, 1], [i + 1, -1]] for i in range(n - 1)] + [[[n - 1, 1], [n, 1], [n, 1]]]
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({"cells": [1, n + 1, n], "attach": {"2": words[::-1]}}))
-    for coeff, count in (("z2", 2), ("s3", 6)):
+    for coeff, engine, count in (("z2", "diagonal", 2), ("s3", "elimination", 6)):
         started = time.process_time()
         assert cli.main(["count", "--presentation", str(path), "--complex", coeff]) == 0
         assert time.process_time() - started < 5
         result = json.loads(capsys.readouterr().out)["result"]
-        assert result == {"engine": "elimination", "estimate": 0, "count": count}
+        assert result == {"engine": engine, "estimate": 0, "count": count}
 
 
 def test_long_peak_is_estimated_by_its_magnitude(tmp_path, capsys):
@@ -644,8 +646,8 @@ def test_answer_past_a_floats_range_is_refused(tmp_path, capsys, argv, cells, co
 
 @pytest.mark.parametrize("argv, fields", [
     (["classes"], {}),
-    (["count", "--enumerate"], {"engine": "elimination", "estimate": 0}),
-    (["count", "--oracle"], {"engine": "elimination", "estimate": 0, "count": 1})],
+    (["count", "--enumerate"], {"engine": "diagonal", "estimate": 0}),
+    (["count", "--oracle"], {"engine": "diagonal", "estimate": 0, "count": 1})],
     ids=["classes", "enumerate", "oracle"])
 def test_walk_over_a_trivial_group_is_refused_by_its_entries(tmp_path, capsys, argv, fields):
     """10^400 free 1-cells against the group of order 1: one morphism of a
@@ -665,16 +667,16 @@ def test_walk_over_a_trivial_group_is_refused_by_its_entries(tmp_path, capsys, a
 
 def test_abelian_genus_word_vanishes(capsys):
     """genus:20 against Z/200: over an abelian A_1 the genus word's
-    exponent sums vanish, so it is planned as the empty word, estimate 0,
-    and counted at once as 200^40; planned as given it takes 305,640,200
-    transitions, past the default cap."""
+    exponent sums vanish, so the diagonal engine has no row to reduce,
+    estimate 0, and counts at once 200^40; elimination of the word as
+    given takes 305,640,200 transitions, past the default cap."""
     from xcomplex import cli
 
     started = time.process_time()
     assert cli.main(["count", "--presentation", "genus:20", "--complex", "z:200"]) == 0
     assert time.process_time() - started < 2
     result = json.loads(capsys.readouterr().out)["result"]
-    assert result == {"engine": "elimination", "estimate": 0, "count": 200**40}
+    assert result == {"engine": "diagonal", "estimate": 0, "count": 200**40}
 
 
 def test_main_restores_digit_limit(capsys):
@@ -834,12 +836,12 @@ def test_reports_are_deterministic():
     its estimate."""
     for command, space, coeff, engine, estimate in (
             # over the abelian Z/4 the torus word vanishes
-            ("invariant", "torus", "cm-z4-z2-incl", "elimination", 0),
+            ("invariant", "torus", "cm-z4-z2-incl", "diagonal", 0),
             # a 3-cell below the kill dimension; one layer-1 colouring
             ("invariant", "disk:3", "cm-z2-z2-zero", "backtrack", 1),
             ("invariant", "genus:2", "s3", "elimination", 618),
             ("count", "disk:3", "l3-z2", "backtrack", 1),
-            ("count", "genus:3", "z3", "elimination", 0)):
+            ("count", "genus:3", "z3", "diagonal", 0)):
         _, a, _ = run_cli(command, "--presentation", space, "--complex", coeff)
         _, b, _ = run_cli(command, "--presentation", space, "--complex", coeff)
         a.pop("timing_ms")

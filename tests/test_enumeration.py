@@ -18,12 +18,11 @@ from xcomplex.complexes import FiniteCrossedComplex, from_crossed_module, from_g
 from xcomplex.enumeration import (
     _apply,
     _backtrack,
-    _cell_plan,
     _compile,
     _Search,
     _Tower,
-    _abelianised,
     _collapse,
+    _diagonalise,
     _eliminate,
     _estimate,
     _planned,
@@ -46,6 +45,7 @@ from xcomplex.groups import (
     direct_product,
     fibers_of,
     symmetric_group_3,
+    table_group,
     trivial_action,
     zero_hom,
 )
@@ -262,16 +262,20 @@ def rotations(w):
 
 
 def check_plan(p, cx):
-    """Check elimination's plan of p's given words (`_planned`,
-    which abelianises nothing) against the given order, the plan count_homs
-    runs (elimination, or exponent sums over an abelian A_1) and the other
-    counting routes; return how it rearranged the relators left after the
-    collapse."""
+    """Check elimination's plan of p's given words (`_planned`) against the
+    given order, the plan count_homs runs (that plan over a non-abelian
+    A_1, the diagonal engine within its estimate over an abelian one) and
+    the other counting routes; return how it rearranged the relators left
+    after the collapse."""
     order = cx.groups[0].order
     plan = _planned(p.attach2, order)
     assert plan.engine == "elimination"
-    assert count_engine(p, cx).engine in ("elimination", "exponent-sums")
-    assert count_engine(p, cx).estimate <= plan.estimate
+    if cx.groups[0].abelian:
+        diagonal = count_engine(p, cx)
+        assert diagonal.engine == "diagonal"
+        assert _diagonalise(diagonal.words, order)[1] <= diagonal.estimate, p.attach2
+    else:
+        assert count_engine(p, cx) == plan
     left, collapsed = _collapse(p.attach2)
     assert plan.collapsed == collapsed == p.count(2) - len(left), p.attach2
     cost, peak = _estimate(left, order)
@@ -300,10 +304,15 @@ def check_plan(p, cx):
 
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_elimination_agrees_with_backtracker_and_bruteforce(length):
+    """Random presentations of dimension <= 2 against random towers of one
+    length, and the same presentations against the non-abelian s3, whose
+    count runs the planned words."""
     instances = random_2d_instances(seed=40 + length, length=length, count=30)
+    s3 = resolve_coefficients("s3")
     features = set()
     for p, cx in instances:
         check_plan(p, cx)
+        check_plan(p, s3)
         used = [g for w in p.attach2 for g, _ in w]
         if len(set(used)) < p.count(1):
             features.add("unused cell")
@@ -320,11 +329,11 @@ def test_elimination_agrees_with_backtracker_and_bruteforce(length):
 
 def test_planned_order_on_long_relators():
     """Relators long enough for more than two cells to be live at once,
-    against small groups and the twisted modules: the plan reorders, rotates
-    and inverts them, and counts as the given order, the backtracker and
-    the brute-force sweep do."""
+    against s3 and the twisted modules: the plan reorders, rotates and
+    inverts them, and counts as the given order, the backtracker and the
+    brute-force sweep do."""
     rng = random.Random(15)
-    coefficients = [resolve_coefficients(name) for name in ("z2", "z3", "cm-z2-z3-flip")]
+    coefficients = [resolve_coefficients(name) for name in ("s3", "cm-z2-z3-flip")]
     coefficients.append(_conjugation_crossed_module())
     features = set()
     planned = 0
@@ -343,13 +352,13 @@ def test_planned_order_on_long_relators():
 
 
 def test_plan_only_rotates_past_three_relators():
-    """Four or five relators of 4-8 letters over five 1-cells, whose given
-    order peaks above |A_1|^3 states: the plan tries no reordering or
-    inversion there, so it keeps the relator order and rotates each word,
-    and counts as the given order, the backtracker and the brute-force
-    sweep do."""
+    """Four or five relators of 4-8 letters over five 1-cells, none of
+    which collapses, whose given order peaks above |A_1|^3 states: against
+    s3 and cm-z2-z3-flip the plan tries no reordering or inversion there,
+    so it keeps the relator order and rotates each word, and counts as the
+    given order, the backtracker and the brute-force sweep do."""
     rng = random.Random(18)
-    coefficients = [resolve_coefficients(name) for name in ("z2", "z3", "cm-z2-z3-flip")]
+    coefficients = [resolve_coefficients(name) for name in ("s3", "cm-z2-z3-flip")]
     planned = rotated = 0
     while planned < 12:
         cx = rng.choice(coefficients)
@@ -357,7 +366,7 @@ def test_plan_only_rotates_past_three_relators():
         words = tuple(tuple((rng.randrange(5), rng.choice((1, -1)))
                             for _ in range(rng.randint(4, 8)))
                       for _ in range(rng.randint(4, 5)))
-        if _estimate(words, order)[1] <= 3:
+        if _estimate(words, order)[1] <= 3 or _collapse(words)[1]:
             continue
         planned += 1
         p = CWPresentation((1, 5, len(words)), attach2=words, name="many-relators")
@@ -375,16 +384,18 @@ def test_planning_is_linear_in_the_relators():
     collapse nothing.  Planning runs before --cap is weighed, so finding
     each word's shared cells and scoring the words must stay linear: a
     sweep of the other words per word, or a power table over all 20,006
-    cells, takes minutes."""
+    cells, takes minutes.  Against s3, which is not abelian, so that the
+    letter planner runs."""
     n = 20_000
     wide = tuple((g, 1) for g in (0, 1, 2, 3, 4) * 2)
     chain = tuple(((5 + i, 1), (6 + i, 1), (5 + i, -1), (6 + i, -1)) for i in range(n))
     p = CWPresentation((1, 6 + n, n + 1), attach2=(wide,) + chain, name="wide-then-chain")
     started = time.process_time()
-    plan = count_engine(p, resolve_coefficients("z2"))
+    plan = count_engine(p, resolve_coefficients("s3"))
     assert time.process_time() - started < 3
+    assert plan.engine == "elimination"
     assert plan.collapsed == 0 and len(plan.words) == n + 1
-    assert plan.estimate <= 2 ** 6 * sum(map(len, p.attach2))
+    assert plan.estimate <= 6 ** 6 * sum(map(len, p.attach2))
 
 
 def test_rotation_minimises_summed_spans():
@@ -408,14 +419,16 @@ def test_rotation_minimises_summed_spans():
 
 
 def test_engine_choice():
-    """Elimination runs whenever no cell of dimension 3..L+1 constrains the
-    count, at an estimate within the odometer's word steps; otherwise the
+    """When no cell of dimension 3..L+1 constrains the count, elimination
+    runs over a non-abelian A_1, at an estimate within the odometer's word
+    steps, and the diagonal engine over an abelian one; otherwise the
     backtracker counts, estimated by its layer-1 colourings."""
     s3 = resolve_coefficients("s3")
     # torus: 6 + 3 * 6^2 transitions against 6^2 colourings x 4 letters
     assert count_engine(torus(), s3) == ("elimination", 114, torus().attach2, 0)
     assert count_homs(torus(), s3) == _backtrack(torus(), s3) == 18
     assert count_engine(genus_surface(2), s3).engine == "elimination"
+    assert count_engine(torus(), resolve_coefficients("z2xz2")).engine == "diagonal"
     assert count_engine(point(), s3).engine == "elimination"
     # a 3-cell below the kill dimension keeps the backtracker, whatever it costs
     for space, coeff in (("disk:3", "cm-z2-z2-zero"), ("sphere:3", "l3-z2")):
@@ -426,6 +439,29 @@ def test_engine_choice():
     # above the kill dimension a 3-cell is inert
     assert count_engine(wedge(genus_surface(2), sphere(3)), s3).engine == "elimination"
 
+
+
+def test_abelianised_plan_only_when_it_is_cheaper():
+    """Over the abelian Z/6 these three relators plan as given to 450
+    transitions; their exponent-sum rows diagonalise within an estimate of
+    18, so count_engine takes the diagonal plan.  Over Z/2 x Z/2 and
+    Z/2 x Z/3 the genus word's exponent sums vanish, which leaves no row:
+    estimate 0.  Over S3 nothing is abelianised: the genus word keeps its
+    planned words, and the counts agree with the backtracker."""
+    words = ((4, 1), (3, 1), (0, -1), (4, -1)), ((2, -1), (3, -1), (2, -1)), b + a + b
+    p = CWPresentation((1, 5, 3), attach2=words)
+    z6 = from_group(cyclic_group(6))
+    assert _planned(words, 6).estimate == 450
+    assert count_engine(p, z6).engine == "diagonal"
+    assert count_engine(p, z6).estimate == 18
+    assert count_homs(p, z6) == _backtrack(p, z6) == 72
+    for cx in (resolve_coefficients("z2xz2"),
+               from_group(direct_product(cyclic_group(2), cyclic_group(3)))):
+        assert count_engine(genus_surface(2), cx) == ("diagonal", 0, (), 0)
+        assert count_homs(genus_surface(2), cx) == cx.groups[0].order ** 4
+    s3 = resolve_coefficients("s3")
+    assert count_engine(genus_surface(2), s3) == _planned(genus_surface(2).attach2, 6)
+    assert count_homs(p, s3) == _backtrack(p, s3)
 
 # 1-cells 0, 1, 2, 3 as one-letter words, lower case with exponent +1, upper case -1
 a, b, c, d = ((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),)
@@ -511,115 +547,111 @@ def test_free_disk_factor_identities(data):
     assert invariant_ia(p, cx) == invariant_ia(base, cx)
 
 
-def test_abelianised_words():
-    """One run per cell in first-appearance order, of |s| letters, s the
-    exponent sum reduced into (-|A_1|/2, |A_1|/2]; a cell with s = 0 drops
-    out, so a commutator and x^|A_1| vanish."""
-    assert _abelianised(a + b + a + a + B + c + C, 4) == A  # s = 3 -> -1; b, c vanish
-    assert _abelianised(a + b + a + A + a, 4) == a + a + b  # s = 2 = |A_1|/2 stays positive
-    assert _abelianised(a + a + a + b, 5) == A + A + b  # 3 -> -2
-    assert _abelianised(a + b + A + B, 6) == () == _abelianised(a * 6, 6)
-    assert _abelianised(a * 5, 4) == a  # reduced mod |A_1|, since x^|A_1| = 1
-    assert _abelianised(a + b + a, 1) == ()
+def relabelled(g, perm):
+    """g with each element x renamed perm[x]; perm fixes the identity 0."""
+    table = [[0] * g.order for _ in range(g.order)]
+    for x, row in enumerate(g.mul):
+        for y, v in enumerate(row):
+            table[perm[x]][perm[y]] = perm[v]
+    return table_group(table, name=f"{g.name}'")
 
 
-def test_abelianised_plan_only_when_it_is_cheaper():
-    """Over the abelian Z/6 these three relators abelianise to words no
-    longer, two of them shorter, but words under which at most two cells
-    are live at once are planned as given, and theirs take 978
-    transitions against the 450 of the given words' plan: count_engine
-    keeps the given words.  Over Z/2 x Z/2 and Z/2 x Z/3 the genus word
-    vanishes: estimate 0.  Over S3 nothing is abelianised, and the counts
-    agree with the backtracker."""
-    words = ((4, 1), (3, 1), (0, -1), (4, -1)), ((2, -1), (3, -1), (2, -1)), b + a + b
-    shrunk = tuple(_abelianised(w, 6) for w in words)
-    assert [len(w) for w in shrunk] == [2, 3, 3]
-    assert _planned(shrunk, 6).estimate == 978
-    p = CWPresentation((1, 5, 3), attach2=words)
-    z6 = from_group(cyclic_group(6))
-    assert count_engine(p, z6) == _planned(words, 6)
-    assert count_engine(p, z6).estimate == 450
-    assert count_homs(p, z6) == _backtrack(p, z6)
-    for cx in (resolve_coefficients("z2xz2"),
-               from_group(direct_product(cyclic_group(2), cyclic_group(3)))):
-        assert count_engine(genus_surface(2), cx) == ("elimination", 0, ((),), 0)
-        assert count_homs(genus_surface(2), cx) == cx.groups[0].order ** 4
-    s3 = resolve_coefficients("s3")
-    assert count_engine(genus_surface(2), s3) == _planned(genus_surface(2).attach2, 6)
-    assert count_homs(p, s3) == _backtrack(p, s3)
+def diagonal_coefficients():
+    """Abelian A_1 for the diagonal engine: Z/2 x Z/4, as built and with its
+    elements relabelled, Z/2 x Z/2, Z/8 and the group of order 1 at L = 1;
+    at L = 2, Z/4 -> Z/2 x Z/4 onto (0, 2), neither onto nor injective (as
+    built and relabelled), the injective cm-z4-z2-incl and the zero
+    cm-z2-z2-zero; l3-z2 at L = 3."""
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    z2z4 = direct_product(z2, z4)  # (a, b) is a * 4 + b
+    perm = (0, 5, 3, 7, 1, 6, 2, 4)
+    images = (0, 2, 0, 2)
+    out = []
+    for g, images in ((z2z4, images), (relabelled(z2z4, perm), tuple(perm[x] for x in images))):
+        out.append(from_group(g))
+        out.append(from_crossed_module(g, z4, GroupHom(z4, g, images), trivial_action(g, z4),
+                                       name=f"Z/4->{g.name}"))
+    out += [from_group(cyclic_group(n)) for n in (1, 8)]
+    return out + [resolve_coefficients(n) for n in ("z2xz2", "cm-z4-z2-incl", "cm-z2-z2-zero",
+                                                    "l3-z2")]
 
 
-def abelianised_coefficients():
-    """A_1 abelian of order 1..6 (Z/n, Z/2 x Z/2, the crossed modules
-    cm-z4-z2-incl and cm-z2-z3-flip, l3-z2), and S3 and S3 acting on
-    itself by conjugation, which no rewrite may touch."""
-    out = [from_group(cyclic_group(n)) for n in (1, 4, 5, 6)]
-    out += [resolve_coefficients(n) for n in ("z2xz2", "cm-z4-z2-incl", "cm-z2-z3-flip",
-                                              "l3-z2", "s3")]
-    return out + [_conjugation_crossed_module()]
+DIAGONAL_COEFFICIENTS = diagonal_coefficients()
 
 
-@settings(max_examples=120, deadline=None)
+def vanishing_word(l1, order):
+    """A relator over cells 0..l1-1 whose exponent sums are all 0 mod order:
+    a shuffle of a word and its inverse, or a cell's order-th power."""
+    letter = st.tuples(st.integers(0, l1 - 1), st.sampled_from((1, -1)))
+    shuffled = st.lists(letter, max_size=4).flatmap(
+        lambda w: st.permutations(w + list(word_inverse(tuple(w)))).map(tuple))
+    return st.one_of(shuffled, letter.map(lambda x: (x,) * order))
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_abelianised_plan_counts_alike(data):
-    """On random relators over up to three cells, against abelian and
-    non-abelian A_1: count_homs agrees with the backtracker and the
-    brute-force sweep, its plan's estimate is at most that of the given
-    words' plan, and is that plan over a non-abelian A_1, and no
-    abelianised word is longer than its relator."""
-    cx = data.draw(st.sampled_from(abelianised_coefficients()))
+def test_diagonal_counts_alike(data):
+    """Up to three relators over up to three cells, some empty or with every
+    exponent sum 0 mod |A_1|, against abelian A_1 (non-cyclic, relabelled,
+    L = 1, 2 with d_2 not onto, 3): the diagonal engine counts as the
+    backtracker and the brute-force sweep do, within its estimate of row and
+    column operations.  Reading N at gcd(d + 1, |A_1|), or dropping the
+    factor |ker d_2|^{l_2}, fails it."""
+    cx = data.draw(st.sampled_from(DIAGONAL_COEFFICIENTS))
     order = cx.groups[0].order
     l1 = data.draw(st.integers(1, 3))
     letter = st.tuples(st.integers(0, l1 - 1), st.sampled_from((1, -1)))
-    words = tuple(data.draw(st.lists(st.lists(letter, max_size=8).map(tuple),
-                                     min_size=1, max_size=3 if cx.length == 1 else 2)))
+    word = st.one_of(st.lists(letter, max_size=8).map(tuple), vanishing_word(l1, order))
+    words = tuple(data.draw(st.lists(word, min_size=1, max_size=3 if cx.length == 1 else 2)))
     p = CWPresentation((1, l1, len(words)), attach2=words)
-    assert count_homs(p, cx) == _backtrack(p, cx) == count_homs_bruteforce(p, cx), words
-    plan, given = count_engine(p, cx), _planned(words, order)
-    assert plan.estimate <= given.estimate, words
-    mul = cx.groups[0].mul
-    if any(mul[x][y] != mul[y][x] for x in range(order) for y in range(x)):
-        assert plan == given, words
-    assert all(len(_abelianised(w, order)) <= len(w) for w in words)
+    plan = count_engine(p, cx)
+    assert plan.engine == "diagonal"
+    assert _diagonalise(plan.words, order)[1] <= plan.estimate, words
+    assert count_homs(p, cx) == _backtrack(p, cx) == count_homs_bruteforce(p, cx), \
+        (cx.name, words)
 
 
-def repeating_word(l1):
-    """A relator over cells 0..l1-1 of up to seven letters that holds some
-    cell at least twice: a word and a copy of one of its letters."""
-    letter = st.tuples(st.integers(0, l1 - 1), st.sampled_from((1, -1)))
-    return st.lists(letter, min_size=1, max_size=6).flatmap(
-        lambda w: st.tuples(st.integers(0, len(w) - 1), st.integers(0, len(w)),
-                            st.sampled_from((1, -1))).map(
-            lambda at: tuple(w[:at[1]]) + ((w[at[0]][0], at[2]),) + tuple(w[at[1]:])))
+def test_diagonal_count_covers_each_case():
+    """The cases of the property above, each once against every abelian
+    coefficient: an empty relator, vanishing exponent sums (a commutator, a
+    cell's |A_1|-th power), pivots sharing a factor with |A_1| (x^2, x^2
+    y^4) and two relators left after a collapse, with an unused cell."""
+    x, y, z = (0, 1), (1, 1), (2, 1)
+    X, Y = (0, -1), (1, -1)
+    cases = [(), (x, y, X, Y), (x, x), (x, x, y, y, y, y), (x, x, y, z, y), (y, x, x, Y, x)]
+    for cx in DIAGONAL_COEFFICIENTS:
+        order = cx.groups[0].order
+        for words in [(w,) for w in cases] + [((x,) * order, (x, y, y)), (cases[4], cases[2])]:
+            p = CWPresentation((1, 3, len(words)), attach2=words)
+            plan = count_engine(p, cx)
+            assert plan.engine == "diagonal"
+            assert _diagonalise(plan.words, order)[1] <= plan.estimate
+            assert count_homs(p, cx) == _backtrack(p, cx), (cx.name, words)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_cell_plan_counts_alike(data):
-    """Up to three relators over up to four cells, each holding some cell
-    twice, against abelian and non-abelian A_1: count_homs agrees with the
-    backtracker and the brute-force sweep, and over an abelian A_1 its
-    plan's estimate is at most that of the given words and of the
-    abelianised words read letter by letter (over a non-abelian one the
-    plan is the given words').  Weighing a relator one cell before its
-    last, or building the power row y -> y^s for s reduced mod |A_1| + 1,
-    fails it."""
-    cx = data.draw(st.sampled_from(abelianised_coefficients()))
-    order = cx.groups[0].order
-    l1 = data.draw(st.integers(1, 4))
-    words = tuple(data.draw(st.lists(repeating_word(l1), min_size=1,
-                                     max_size=3 if cx.length == 1 else 2)))
-    p = CWPresentation((1, l1, len(words)), attach2=words)
-    assert count_homs(p, cx) == _backtrack(p, cx) == count_homs_bruteforce(p, cx), words
-    plan, given = count_engine(p, cx), _planned(words, order)
-    mul = cx.groups[0].mul
-    if any(mul[x][y] != mul[y][x] for x in range(order) for y in range(x)):
-        assert plan == given, words
-        return
-    shrunk = _planned(tuple(_abelianised(w, order) for w in words), order)
-    assert plan.estimate <= min(given.estimate, shrunk.estimate), words
-    if plan.engine == "exponent-sums":
-        assert plan == _cell_plan(shrunk.words, shrunk.collapsed, order), words
+# the relators x2 x1 x6^-1 x5^-1 x4^-1 x3 x0, x2 x1 x0 x3 x6^-1 and x2^-1 x3 x6^-1 x4^-1 x5:
+# no relator repeats a cell, but every cell is shared across relators
+SHARED_ACROSS = (((2, 1), (1, 1), (6, -1), (5, -1), (4, -1), (3, 1), (0, 1)),
+                 ((2, 1), (1, 1), (0, 1), (3, 1), (6, -1)),
+                 ((2, -1), (3, 1), (6, -1), (4, -1), (5, 1)))
+
+
+def test_relators_shared_across_are_counted(tmp_path, capsys):
+    """Three relators against Z/8 that share cells only across relators:
+    read letter by letter they plan to 1,483,912 transitions, past the
+    default cap; diagonalised, count exits 0 at the default cap with the
+    backtracker's answer."""
+    from xcomplex import cli
+    from xcomplex.documents import dump_presentation
+
+    p = CWPresentation((1, 7, 3), attach2=SHARED_ACROSS)
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(dump_presentation(p)))
+    assert _planned(SHARED_ACROSS, 8).estimate == 1483912
+    assert cli.main(["count", "--presentation", str(path), "--complex", "z8"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["engine"] == "diagonal" and result["estimate"] <= 100
+    assert result["count"] == _backtrack(p, resolve_coefficients("z8"))
 
 
 # count-surfaces' narrow-6-2 relators, as random_relators draws them
@@ -627,21 +659,36 @@ NARROW_6_2 = (((0, -1), (0, -1), (1, -1), (2, -1), (3, 1), (4, -1), (5, -1), (5,
               ((1, -1), (2, -1), (3, 1), (3, 1), (4, -1), (5, 1), (5, 1), (5, 1)))
 
 
-def test_narrow_relators_are_counted_cell_by_cell():
+def test_narrow_relators_are_diagonalised():
     """count-surfaces' narrow-6-2 relators against the inclusion Z/3 -> Z/6
     share five cells, so read letter by letter their states are bounded by
-    up to 6^5, estimate 28,206.  Summed out cell by cell, at most two
-    accumulators are open at once: 6 + 36 + 4 x 216 = 906 transitions, and
-    the count is the backtracker's."""
+    up to 6^5, estimate 28,206.  Diagonalised, two rows over six cells take
+    at most 2 x 2 x (2 + 6 - 1 - 2) = 20 operations, and the count is the
+    backtracker's."""
     z6, z3 = cyclic_group(6), cyclic_group(3)
     cx = from_crossed_module(z6, z3, GroupHom(z3, z6, (0, 2, 4)), trivial_action(z6, z3),
                              name="incl-z3-z6")
     p = CWPresentation((1, 6, 2), attach2=NARROW_6_2, name="narrow-6-2")
     plan = count_engine(p, cx)
-    assert plan.engine == "exponent-sums"
-    assert plan.estimate == 906 <= 1000
+    assert (plan.engine, plan.estimate) == ("diagonal", 20)
+    assert _diagonalise(plan.words, 6)[1] <= 20
     assert _planned(NARROW_6_2, 6).estimate == 28206
     assert count_homs(p, cx) == _backtrack(p, cx)
+
+
+def test_squares_are_refused_by_their_estimate():
+    """200,000 relators x_0^2 x_i^2 against Z/5: no cell has exponent sum
+    +-1, so nothing collapses, and the estimate, a bound on the row and
+    column operations of 200,000 rows over 200,001 cells, is well past the
+    default cap; planning takes time linear in the letters."""
+    n = 200_000
+    words = tuple(((0, 1), (0, 1), (i, 1), (i, 1)) for i in range(1, n + 1))
+    p = CWPresentation((1, n + 1, n), attach2=words)
+    started = time.process_time()
+    plan = count_engine(p, resolve_coefficients("z5"))
+    assert time.process_time() - started < 3
+    assert (plan.engine, plan.collapsed, len(plan.words)) == ("diagonal", 0, n)
+    assert plan.estimate == 2 * n * n > 10**6
 
 
 def test_free_layer_counts_in_linear_time():
