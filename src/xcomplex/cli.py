@@ -50,6 +50,7 @@ from .documents import (
 )
 from .enumeration import (
     DEFAULT_ENUM_CAP,
+    CountPlan,
     boundary_defect_report,
     count_engine,
     count_homs,
@@ -179,8 +180,8 @@ def cmd_validate(args: argparse.Namespace, inputs: _Inputs, result: dict) -> int
 
 
 def _plan(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
-          result: dict) -> None:
-    """Report the engine count_homs runs and that engine's work estimate;
+          result: dict) -> CountPlan:
+    """The plan count_homs runs, with its engine and work estimate reported;
     raises InstanceTooLarge, before planning, when the answer's digits
     exceed --cap (`weigh_answer`, with the normalization for invariant),
     and after, when the estimate does."""
@@ -188,17 +189,18 @@ def _plan(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
     plan = count_engine(p, cx)
     result["engine"], result["estimate"] = plan.engine, printable(plan.estimate)
     refuse_count(plan, args.cap)
+    return plan
 
 
 @_on_valid_inputs
 def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
               result: dict) -> int:
-    _plan(args, p, cx, result)
-    if args.enumerate:  # the listing counts, refuses and checks itself
+    plan = _plan(args, p, cx, result)
+    if args.enumerate:  # the listing plans, counts, refuses and checks itself
         result["morphisms"] = enumerate_homs(p, cx, cap=args.cap)
         n = len(result["morphisms"])
     else:
-        n = count_homs(p, cx)
+        n = count_homs(p, cx, plan)
     result["count"] = n
     if args.oracle:
         oracle = count_homs_bruteforce(p, cx, cap=args.cap)
@@ -212,8 +214,7 @@ def cmd_count(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComp
 @_on_valid_inputs
 def cmd_invariant(args: argparse.Namespace, p: CWPresentation, cx: FiniteCrossedComplex,
                   result: dict) -> int:
-    _plan(args, p, cx, result)
-    n = count_homs(p, cx)
+    n = count_homs(p, cx, _plan(args, p, cx, result))
     norm = normalization_factor(p, cx)
     inv = n * norm
     result["count"] = n

@@ -21,7 +21,9 @@ Cells of dimension greater than L+1 impose nothing.  Three engines count:
     relator then taking |ker d_2| colours.  S is diagonalised by
     unimodular row and column operations (`_diagonalise`); each entry d
     admits the colours a with a^d in im d_2, and each cell past the
-    diagonal all of A_1 (`_count_diagonal`).
+    diagonal all of A_1 (`_count_diagonal`).  A relator holding a cell of
+    unit exponent sum mod |A_1| in no other row goes first: a free D^2
+    factor, weighing |im d_2|.
   * Elimination, over a non-abelian A_1 under the same condition.  A
     finished relator with value t weighs [t == 0] when L = 1 and
     |d_2^{-1}(t)| otherwise.  First a relator holding a 1-cell x used once
@@ -44,7 +46,9 @@ Cells of dimension greater than L+1 impose nothing.  Three engines count:
     entry of the target vector t_n, the n-cells' attaching data evaluated
     in A_{n-1}; an empty fiber prunes exactly.
 
-`count_engine` plans a count once.  The diagonal engine is estimated by a
+`count_engine` plans a count, and decides there whether A_1 commutes; a
+caller that reports or refuses the plan passes it on to `count_homs`, so
+each count is planned once.  The diagonal engine is estimated by a
 bound on its row and column operations, computed from the number of rows
 and cells left once the zero rows are dropped and the free D^2 factors
 collapsed.  Elimination is estimated by the state transitions of the
@@ -117,7 +121,7 @@ import contextlib
 import itertools
 import math
 from collections import Counter
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -384,40 +388,41 @@ def count_engine(p: CWPresentation, cx: FiniteCrossedComplex) -> CountPlan:
     """The plan count_homs runs.
 
     When no cell of dimension 3..L+1 constrains the count: over an abelian
-    A_1 (`FiniteGroup.abelian`: its table equals its transpose) the
-    diagonal engine (`_diagonal_plan`), estimated by a bound on its row and
-    column operations; otherwise elimination (`_elimination_plan`), which
-    collapses the relators that hold a 1-cell used once and orders the
-    words left, estimated by their state transitions.  That estimate never
-    exceeds |A_1|^{l_1} x letters, the word steps the odometer takes over
-    its layer-1 colourings: at each letter the bound, |A_1|^seen states
-    times |A_1| for a new cell, is at most |A_1|^{l_1}, and so is |A_1|^e in
-    the bound `_estimate` gives past 4,300 digits.  A collapsed relator
-    costs no transition, and a relator closed on a new cell makes at most
-    the transitions estimated for it.
+    A_1, decided here once per planned count by comparing its table with
+    the transpose, the diagonal engine (`_diagonal_plan`), estimated by a
+    bound on its row and column operations; otherwise elimination
+    (`_planned`), which collapses the relators that hold a 1-cell used once
+    and orders the words left, estimated by their state transitions.  A
+    table that commutes but does not compare equal to its transpose (list
+    rows, say) selects elimination, which is exact for any group.  That
+    estimate never exceeds |A_1|^{l_1} x letters, the word steps the
+    odometer takes over its layer-1 colourings: at each letter the bound,
+    |A_1|^seen states times |A_1| for a new cell, is at most |A_1|^{l_1},
+    and so is |A_1|^e in the bound `_estimate` gives past 4,300 digits.  A
+    collapsed relator costs no transition, and a relator closed on a new
+    cell makes at most the transitions estimated for it.
     Backtracking otherwise, estimated by its |A_1|^{l_1} layer-1
     colourings; that estimate covers layer 1 only, not the fibres searched
     above each colouring.
     """
     a1 = cx.groups[0]
-    order = a1.order
     if any(p.count(n) for n in range(3, cx.length + 2)):
-        return CountPlan("backtrack", order ** p.count(1), p.attach2, 0)
-    words = tuple([tuple([(g, e) for g, e in w]) for w in p.attach2])  # hashable, for the cache
-    return (_diagonal_plan if a1.abelian else _elimination_plan)(words, order)
+        return CountPlan("backtrack", a1.order ** p.count(1), p.attach2, 0)
+    plan = _diagonal_plan if tuple(zip(*a1.mul)) == a1.mul else _planned
+    return plan(p.attach2, a1.order)
 
 
-@lru_cache(maxsize=1)  # a command plans once: its count_homs reuses the plan it reported
 def _diagonal_plan(words: tuple[Word, ...], order: int) -> CountPlan:
     """The diagonal engine's plan for the 2-cell words `words` over an
     abelian A_1 of order `order`: their exponent-sum rows, each a tuple of
     (cell, s) with s the cell's exponent sum mod |A_1|, nonzero.
 
     A row with no entry goes, and so does every row that `_collapse`
-    removes when a cell of s = +-1 is one letter and any other cell two:
-    a cell with s = +-1 in no other row is a free D^2 factor.  The estimate
-    bounds `_diagonalise`'s operations on the R rows over C cells left: at
-    most r = min(R, C) pivots, the t-th of which takes at most R + C - 2 - 2t
+    removes when a cell of unit s, gcd(s, |A_1|) = 1, is one letter and any
+    other cell two: a cell of unit sum in no other row is a free D^2
+    factor, since x -> x^s permutes A_1.  The estimate bounds
+    `_diagonalise`'s operations on the R rows over C cells left: at most
+    r = min(R, C) pivots, the t-th of which takes at most R + C - 2 - 2t
     operations per pivot value, and at most V = bit_length(|A_1| // 2)
     values, since each new pivot at least halves and the first is at most
     |A_1| // 2; so V r (R + C - 1 - r).  Linear in the letters.
@@ -428,8 +433,8 @@ def _diagonal_plan(words: tuple[Word, ...], order: int) -> CountPlan:
         for g, e in w:
             sums[g] = sums.get(g, 0) + e
         if row := tuple([(g, s % order) for g, s in sums.items() if s % order]):
-            # to the collapse a cell of sum +-1 is one letter, any other two
-            rows.append(row + tuple([(g, s) for g, s in row if 1 < s < order - 1]))
+            # to the collapse a cell of unit sum is one letter, any other two
+            rows.append(row + tuple([(g, s) for g, s in row if math.gcd(s, order) > 1]))
     left, collapsed = _collapse(tuple(rows))
     left = tuple([tuple(dict(r).items()) for r in left])  # each cell once again
     nrows, ncols = len(left), len({g for r in left for g, _ in r})
@@ -438,15 +443,8 @@ def _diagonal_plan(words: tuple[Word, ...], order: int) -> CountPlan:
                      left, collapsed)
 
 
-@lru_cache(maxsize=1)  # a command plans once: its count_homs reuses the plan it reported
-def _elimination_plan(words: tuple[Word, ...], order: int) -> CountPlan:
-    """Elimination's plan (`_planned`) for the 2-cell words over |A_1| = order."""
-    return _planned(words, order)
-
-
 def _planned(words: tuple[Word, ...], order: int) -> CountPlan:
-    """Elimination's plan for the 2-cell words `words` themselves, over
-    |A_1| = order.
+    """Elimination's plan for the 2-cell words `words` over |A_1| = order.
 
     First the relators that `_collapse` removes go: each is a free D^2
     factor, counted by `_eliminate` as a weight.  The words left are
@@ -749,7 +747,7 @@ def _count_diagonal(p: CWPresentation, cx: FiniteCrossedComplex, plan: CountPlan
     read as its diagonal: an entry d admits N(d) = #{a : a^d in B} colours,
     which depends only on gcd(d, |A_1|) since a^|A_1| = 1, and each of the
     l_1 - r cells without an entry admits |A_1|.  A collapsed relator is an
-    entry 1, N(1) = |B|.
+    entry u prime to |A_1|, and N(u) = N(1) = |B|.
     """
     a1 = cx.groups[0]
     order, mul = a1.order, a1.mul
@@ -772,12 +770,11 @@ def _count_diagonal(p: CWPresentation, cx: FiniteCrossedComplex, plan: CountPlan
     return count
 
 
-def count_homs(p: CWPresentation, cx: FiniteCrossedComplex) -> int:
-    """Number of morphisms P -> A, by the plan count_engine makes.
-
-    Assumes both inputs validated.
-    """
-    plan = count_engine(p, cx)
+def count_homs(p: CWPresentation, cx: FiniteCrossedComplex,
+               plan: Optional[CountPlan] = None) -> int:
+    """Number of morphisms P -> A, by `plan` (count_engine's), made here
+    when it is None.  Assumes both inputs validated."""
+    plan = plan or count_engine(p, cx)
     if plan.engine == "elimination":
         return _eliminate(p, cx, plan.words, plan.collapsed)
     if plan.engine == "diagonal":
@@ -868,8 +865,8 @@ def enumerate_homs(
     count, or when it ends short of it.
     """
     weigh_answer(p, cx, cap)
-    refuse_count(count_engine(p, cx), cap)
-    n = count_homs(p, cx)
+    refuse_count(plan := count_engine(p, cx), cap)
+    n = count_homs(p, cx, plan)
     if n > cap:
         raise ResultTooLarge(f"more than {printable(cap)} morphisms; raise the cap to list them")
     shape = cell_orders(p, cx)

@@ -9,8 +9,10 @@ Conventions used everywhere in the package:
 `make_group` is the only validating constructor.  `table_group` checks the
 shape only, so that complex documents leave the group axioms to
 `complexes.validate`; the dataclass constructor itself is dumb on purpose,
-so tests can build deliberately broken tables.  There are no subgroup or
-quotient types: `complexes` builds pi1 and homology as coset tables itself.
+so tests can build deliberately broken tables; a group holds its table
+and inverses only (`enumeration.count_engine` decides commutativity when it
+plans).  There are no subgroup or quotient types: `complexes` builds pi1
+and homology as coset tables itself.
 """
 
 from __future__ import annotations
@@ -36,18 +38,14 @@ class FiniteGroup:
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     name: str = field(default="", compare=False)
-    abelian: bool = field(default=False, compare=False)  # table_group: mul equals its transpose
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name or '?'}, order={self.order})"
 
 
 def table_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
-    """The square table of ints over 0..n-1 as a FiniteGroup, no axiom checked.
-
-    inv[x] is the least two-sided inverse of x, or -1 when x has none, and
-    `abelian` whether the table equals its transpose, swept once here.
-    """
+    """The square table of ints over 0..n-1 as a FiniteGroup, no axiom checked:
+    inv[x] is the least two-sided inverse of x, or -1 when x has none."""
     mul = tuple(map(tuple, mul_table))
     n = len(mul)
     if n == 0:
@@ -61,8 +59,7 @@ def table_group(mul_table: Sequence[Sequence[int]], name: str = "") -> FiniteGro
             if not in_range.issuperset(row):
                 b = next(b for b, v in enumerate(row) if v not in in_range)
                 raise DimensionMismatch(f"mul entry ({a},{b}) = {row[b]} out of range", (a, b))
-    return FiniteGroup(n, mul, tuple(_least_inverse(mul, x) for x in range(n)), name,
-                       tuple(zip(*mul)) == mul)
+    return FiniteGroup(n, mul, tuple(_least_inverse(mul, x) for x in range(n)), name)
 
 
 def _least_inverse(mul: tuple[tuple[int, ...], ...], x: int) -> int:

@@ -529,17 +529,28 @@ def test_oversized_count_is_refused_before_it_starts(tmp_path, capsys):
         capsys.readouterr()
 
 
-def test_count_plans_once(capsys):
-    """count and invariant plan elimination once: count_homs runs the plan
-    whose engine and estimate the report names."""
+def test_count_plans_once(monkeypatch, capsys):
+    """count and invariant plan once: count_homs runs the plan whose engine
+    and estimate the report names.  classes plans once, in the listing's
+    admission; count --enumerate plans for its report and again in the
+    listing's own admission."""
     from xcomplex import cli, enumeration
 
-    for command in ("count", "invariant"):
-        enumeration._elimination_plan.cache_clear()
-        assert cli.main([command, "--presentation", "genus:2", "--complex", "s3"]) == 0
+    calls = []
+    real = enumeration.count_engine
+
+    def counted(p, cx):
+        calls.append(p.name)
+        return real(p, cx)
+
+    monkeypatch.setattr(enumeration, "count_engine", counted)
+    monkeypatch.setattr(cli, "count_engine", counted)
+    for argv, plans in ((["count"], 1), (["invariant"], 1), (["classes"], 1),
+                        (["count", "--enumerate"], 2)):
+        calls.clear()
+        assert cli.main(argv + ["--presentation", "genus:2", "--complex", "s3"]) == 0
         capsys.readouterr()
-        info = enumeration._elimination_plan.cache_info()
-        assert (info.misses, info.hits) == (1, 1), command
+        assert len(calls) == plans, argv
 
 
 def test_cap_past_digit_limit_is_input_error():
@@ -823,7 +834,8 @@ def test_enumerate_disagreeing_count_is_internal_error(monkeypatch, capsys):
     from xcomplex import cli, enumeration
 
     real = enumeration.count_homs
-    monkeypatch.setattr(enumeration, "count_homs", lambda p, cx: real(p, cx) + 1)
+    monkeypatch.setattr(enumeration, "count_homs",
+                        lambda p, cx, plan=None: real(p, cx, plan) + 1)
     code = cli.main(["count", "--presentation", "genus:2", "--complex", "z2",
                      "--enumerate"])
     out, _ = capsys.readouterr()

@@ -267,10 +267,11 @@ def check_plan(p, cx):
     A_1, the diagonal engine within its estimate over an abelian one) and
     the other counting routes; return how it rearranged the relators left
     after the collapse."""
-    order = cx.groups[0].order
+    a1 = cx.groups[0]
+    order = a1.order
     plan = _planned(p.attach2, order)
     assert plan.engine == "elimination"
-    if cx.groups[0].abelian:
+    if all(a1.mul[x][y] == a1.mul[y][x] for x in range(order) for y in range(x)):
         diagonal = count_engine(p, cx)
         assert diagonal.engine == "diagonal"
         assert _diagonalise(diagonal.words, order)[1] <= diagonal.estimate, p.attach2
@@ -558,7 +559,7 @@ def relabelled(g, perm):
 
 def diagonal_coefficients():
     """Abelian A_1 for the diagonal engine: Z/2 x Z/4, as built and with its
-    elements relabelled, Z/2 x Z/2, Z/8 and the group of order 1 at L = 1;
+    elements relabelled, Z/2 x Z/2, Z/5, Z/8 and the group of order 1 at L = 1;
     at L = 2, Z/4 -> Z/2 x Z/4 onto (0, 2), neither onto nor injective (as
     built and relabelled), the injective cm-z4-z2-incl and the zero
     cm-z2-z2-zero; l3-z2 at L = 3."""
@@ -571,7 +572,7 @@ def diagonal_coefficients():
         out.append(from_group(g))
         out.append(from_crossed_module(g, z4, GroupHom(z4, g, images), trivial_action(g, z4),
                                        name=f"Z/4->{g.name}"))
-    out += [from_group(cyclic_group(n)) for n in (1, 8)]
+    out += [from_group(cyclic_group(n)) for n in (1, 5, 8)]
     return out + [resolve_coefficients(n) for n in ("z2xz2", "cm-z4-z2-incl", "cm-z2-z2-zero",
                                                     "l3-z2")]
 
@@ -592,17 +593,22 @@ def vanishing_word(l1, order):
 @given(st.data())
 def test_diagonal_counts_alike(data):
     """Up to three relators over up to three cells, some empty or with every
-    exponent sum 0 mod |A_1|, against abelian A_1 (non-cyclic, relabelled,
-    L = 1, 2 with d_2 not onto, 3): the diagonal engine counts as the
-    backtracker and the brute-force sweep do, within its estimate of row and
-    column operations.  Reading N at gcd(d + 1, |A_1|), or dropping the
-    factor |ker d_2|^{l_2}, fails it."""
+    exponent sum 0 mod |A_1|, the first one perhaps with a private cell's
+    power x^k (k = 2 is a unit mod 5, but not mod 4 or in Z/2 x Z/4),
+    against abelian A_1 (non-cyclic, relabelled, L = 1, 2 with d_2 not
+    onto, 3): the diagonal engine counts as the backtracker and the
+    brute-force sweep do, within its estimate of row and column operations.
+    Reading N at gcd(d + 1, |A_1|), dropping the factor |ker d_2|^{l_2}, or
+    collapsing a private cell of a sum that is no unit, fails it."""
     cx = data.draw(st.sampled_from(DIAGONAL_COEFFICIENTS))
     order = cx.groups[0].order
     l1 = data.draw(st.integers(1, 3))
     letter = st.tuples(st.integers(0, l1 - 1), st.sampled_from((1, -1)))
     word = st.one_of(st.lists(letter, max_size=8).map(tuple), vanishing_word(l1, order))
     words = tuple(data.draw(st.lists(word, min_size=1, max_size=3 if cx.length == 1 else 2)))
+    if k := data.draw(st.integers(0, 3)):  # the private cell l1
+        words = (words[0] + ((l1, 1),) * k,) + words[1:]
+        l1 += 1
     p = CWPresentation((1, l1, len(words)), attach2=words)
     plan = count_engine(p, cx)
     assert plan.engine == "diagonal"
@@ -676,19 +682,48 @@ def test_narrow_relators_are_diagonalised():
     assert count_homs(p, cx) == _backtrack(p, cx)
 
 
-def test_squares_are_refused_by_their_estimate():
-    """200,000 relators x_0^2 x_i^2 against Z/5: no cell has exponent sum
-    +-1, so nothing collapses, and the estimate, a bound on the row and
-    column operations of 200,000 rows over 200,001 cells, is well past the
-    default cap; planning takes time linear in the letters."""
-    n = 200_000
+def squares(n):
+    """The n relators x_0^2 x_i^2, i = 1..n."""
     words = tuple(((0, 1), (0, 1), (i, 1), (i, 1)) for i in range(1, n + 1))
-    p = CWPresentation((1, n + 1, n), attach2=words)
+    return CWPresentation((1, n + 1, n), attach2=words)
+
+
+def test_squares_collapse_on_a_unit_sum():
+    """200,000 relators x_0^2 x_i^2 against Z/5: x_i has exponent sum 2, a
+    unit mod 5, in its relator alone, so every relator collapses, estimate
+    0, and x_0 is left free: 5 morphisms, planned and counted in time
+    linear in the letters."""
+    p, cx = squares(200_000), resolve_coefficients("z5")
     started = time.process_time()
-    plan = count_engine(p, resolve_coefficients("z5"))
+    plan = count_engine(p, cx)
+    assert (plan.engine, plan.estimate, plan.words, plan.collapsed) == (
+        "diagonal", 0, (), 200_000)
+    assert count_homs(p, cx, plan) == 5
+    assert time.process_time() - started < 3
+
+
+def test_squares_are_refused_by_their_estimate():
+    """The same relators against Z/6: 2 is no unit mod 6, so nothing
+    collapses, and the estimate, a bound on the row and column operations
+    of 200,000 rows over 200,001 cells, is well past the default cap;
+    planning takes time linear in the letters."""
+    n = 200_000
+    p = squares(n)
+    started = time.process_time()
+    plan = count_engine(p, resolve_coefficients("z6"))
     assert time.process_time() - started < 3
     assert (plan.engine, plan.collapsed, len(plan.words)) == ("diagonal", 0, n)
     assert plan.estimate == 2 * n * n > 10**6
+
+
+@pytest.mark.parametrize("name", ["z5", "z7", "z6"])
+def test_few_squares_count_alike(name):
+    """Three relators x_0^2 x_i^2, collapsed against Z/5 and Z/7 and
+    diagonalised against Z/6, count as the backtracker and the brute-force
+    sweep do."""
+    p, cx = squares(3), resolve_coefficients(name)
+    assert count_engine(p, cx).collapsed == (0 if name == "z6" else 3)
+    assert count_homs(p, cx) == _backtrack(p, cx) == count_homs_bruteforce(p, cx)
 
 
 def test_free_layer_counts_in_linear_time():

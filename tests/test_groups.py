@@ -11,7 +11,10 @@ from xcomplex.errors import (
     NoIdentityAtZero,
     NotAssociative,
 )
+from xcomplex.complexes import from_group
+from xcomplex.enumeration import _backtrack, count_engine, count_homs
 from xcomplex.groups import (
+    FiniteGroup,
     GroupAction,
     GroupHom,
     action_violation,
@@ -29,6 +32,7 @@ from xcomplex.groups import (
     trivial_action,
     zero_hom,
 )
+from xcomplex.library import resolve_space
 from xcomplex.randomgen import all_actions, group_pool
 
 
@@ -178,16 +182,25 @@ def test_table_group_inverse_is_least_two_sided(mul, data):
 @settings(max_examples=200, deadline=None)
 @given(square_tables(6), st.booleans())
 def test_abelian_is_a_commuting_table(mul, symmetric):
-    """`abelian` holds exactly when x*y = y*x for every pair, on broken
-    tables too; half the tables are made symmetric so that both answers
-    occur."""
+    """count_engine plans the diagonal engine for a 2-cell presentation
+    exactly when A_1's table has x*y = y*x for every pair, on broken tables
+    too; half the tables are made symmetric so that both answers occur.  A
+    commuting group built by the FiniteGroup constructor is diagonalised,
+    and one given by list rows, which do not compare equal to the
+    transpose's tuples, counts alike by elimination."""
     n = len(mul)
     if symmetric:
         mul = [[mul[min(x, y)][max(x, y)] for y in range(n)] for x in range(n)]
-    assert table_group(mul).abelian == all(
+    torus = resolve_space("torus")
+    assert (count_engine(torus, from_group(table_group(mul))).engine == "diagonal") == all(
         mul[x][y] == mul[y][x] for x in range(n) for y in range(x))
-    assert cyclic_group(6).abelian and direct_product(cyclic_group(2), cyclic_group(2)).abelian
-    assert not symmetric_group_3().abelian
+    z6 = cyclic_group(6)
+    for g, engine in ((z6, "diagonal"), (direct_product(cyclic_group(2), cyclic_group(2)),
+                                         "diagonal"), (symmetric_group_3(), "elimination"),
+                      (FiniteGroup(6, z6.mul, z6.inv), "diagonal"),
+                      (FiniteGroup(6, [list(row) for row in z6.mul], z6.inv), "elimination")):
+        assert count_engine(torus, from_group(g)).engine == engine, g
+        assert count_homs(torus, from_group(g)) == _backtrack(torus, from_group(g))
 
 
 def action_violation_by_sweep(a):

@@ -250,7 +250,8 @@ def test_listing_disagreeing_with_its_count_is_internal_error(monkeypatch, capsy
     from xcomplex import cli, enumeration
 
     real = enumeration.count_homs
-    monkeypatch.setattr(enumeration, "count_homs", lambda p, cx: real(p, cx) + off)
+    monkeypatch.setattr(enumeration, "count_homs",
+                        lambda p, cx, plan=None: real(p, cx, plan) + off)
     monkeypatch.setattr(homotopies, "_edge_targets", None)  # walking a class would raise TypeError
     with pytest.raises(AssertionError, match=f"listing disagrees: counted {256 + off}, listed 256"):
         homotopy_classes(resolve_space("genus:2"), resolve_coefficients("cm-z4-z2-incl"))
