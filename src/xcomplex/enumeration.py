@@ -108,9 +108,15 @@ is applied once per distinct f_{n-1} under f1 and kept by that checker
 alone.  It reads nothing of the layered search (no twist key, canonical
 element, compiled tower or memo), so it checks the search instead of
 repeating it.
-`enumerate_homs` checks every listed colouring with the checker of its
-layer 1, `count_homs_bruteforce` checks the colourings under each f1 with
-one checker, and `morphism_violation` is shape checks plus a new checker.
+The checker reads f1 only through its *checker key*: the 2-cell word
+values and the compiled Terms, per degree n = 3..L+1 with cells each
+cell's (row, lower cell) pairs.  Two layer-1 colourings with equal keys
+give each suffix (f_2, .., f_L) the same verdict.  So `enumerate_homs`
+checks the suffixes listed under f1 unless the same suffixes were checked
+under an earlier f1 with an equal key; the key is computed from f1 by
+the checker, never taken from the search.  `count_homs_bruteforce`
+checks the colourings under each f1 with one checker, and
+`morphism_violation` is shape checks plus a new checker.
 
 Counts are Python ints, hence arbitrary precision.
 """
@@ -152,16 +158,17 @@ def eval_word(cx: FiniteCrossedComplex, f1: tuple[int, ...], w: Word) -> int:
     return acc
 
 
-def _compile(cx: FiniteCrossedComplex, k: int, cells, twist) -> list[list[tuple]]:
+def _compile(cx: FiniteCrossedComplex, k: int, cells, twist) -> tuple[tuple[tuple, ...], ...]:
     """Each cell's Terms (twisting word, lower cell, power) as degree-k
     pairs (row, lower cell) with row[y] = (x |> y)^power in A_k, where
     x = twist(word) in A_1.  A power reduces mod |A_k|, which every element
-    order divides; a zero power contributes nothing and is dropped."""
+    order divides; a zero power contributes nothing and is dropped.  The
+    result is hashable: rows are tuples."""
     order = cx.groups[k - 1].order
     act, powered = cx.actions[k - 2].act, cx.actions[k - 2].powered
-    return [[((act if e == 1 else powered(e))[twist(w)], gen)
-             for w, gen, power in terms if (e := power % order)]
-            for terms in cells]
+    return tuple([tuple([((act if e == 1 else powered(e))[twist(w)], gen)
+                         for w, gen, power in terms if (e := power % order)])
+                  for terms in cells])
 
 
 def _twist_key(cx: FiniteCrossedComplex, cells_by_degree: dict[int, Sequence], build: Callable):
@@ -262,6 +269,12 @@ def morphism_checker(
     one f1 share their lower layers, and kept while this checker lives, up
     to 4,096 per layer: past that the kept targets are dropped, so that a
     sweep of every f_{n-1} holds no copy of the layer's colourings.
+
+    The function's `key` attribute is its *checker key*: the 2-cell word
+    values and, per degree with cells, the compiled Terms, each cell's
+    (row, lower cell) pairs.  A call reads f1 through the key alone and
+    reads layers 2..L of the colouring, so two checkers with equal keys
+    give every suffix (f_2, .., f_L) the same verdict.
     """
     length = cx.length
     words = tuple([eval_word(cx, f1, w) for w in p.attach2])
@@ -290,6 +303,7 @@ def morphism_checker(
                 return ("kill" if bd is None else "layer", n, cell)
         return None
 
+    violation.key = (words, tuple([compiled for _, compiled, *_ in checks if compiled is not None]))
     return violation
 
 
@@ -337,7 +351,7 @@ class _Tower:
     """Layers 2..L for the layer-1 colourings of one twist key: the cells'
     compiled terms and the memo on (n, t_n)."""
 
-    def __init__(self, s: _Search, terms: dict[int, list[list[tuple]]]):
+    def __init__(self, s: _Search, terms: dict[int, tuple[tuple[tuple, ...], ...]]):
         self.s = s
         self.terms = terms  # by degree: the (n+1)-cells' at n
         self.memo: dict[tuple[int, tuple[int, ...]], int | list[Colouring]] = {}
@@ -459,9 +473,10 @@ def _planned(words: tuple[Word, ...], order: int) -> CountPlan:
     them costs more than it could save.  Otherwise each word is rotated by
     `_rotation`, and every relator order and choice of inversions of the
     rotated words (up to three relators; the rotations alone for more) is
-    scored by `_estimate`.  The given words stay unless a candidate makes
-    fewer transitions, or as many with a smaller peak, and its peak is no
-    larger than theirs.
+    scored by `_estimate`, except a candidate equal to the words kept so
+    far, which scores as they do.  The given words stay unless a candidate
+    makes fewer transitions, or as many with a smaller peak, and its peak
+    is no larger than theirs.
     """
     words, collapsed = _collapse(words)
     cost, peak = _estimate(words, order)
@@ -477,6 +492,8 @@ def _planned(words: tuple[Word, ...], order: int) -> CountPlan:
         given = peak
         for perm in perms:
             for cand in itertools.product(*[choices[i] for i in perm]):
+                if cand == words:  # a word that rotates to itself, say
+                    continue
                 c, top = _estimate(cand, order)
                 if (c, top) < (cost, peak) and top <= given:
                     cost, peak, words = c, top, cand
@@ -863,6 +880,13 @@ def enumerate_homs(
     colouring is checked by the `morphism_checker` of its layer 1, and the
     listing by the count: AssertionError as soon as it grows past the
     count, or when it ends short of it.
+
+    The suffixes listed under f1 are checked once per checker key: when an
+    earlier f1 had a checker with an equal key and the same suffixes, in
+    order, they passed there and pass here, since equal keys give equal
+    verdicts.  The key comes from f1 through the checker alone, and the
+    suffixes are compared with a copy of those checked, so a search that
+    lists other suffixes, or changes a listed list, is checked again.
     """
     weigh_answer(p, cx, cap)
     refuse_count(plan := count_engine(p, cx), cap)
@@ -874,6 +898,7 @@ def enumerate_homs(
     _refuse_size("listing walk of {} layer-1 colourings exceeds cap {}", shape[:1], cap)
     s = _Search(p, cx, listing=True)
     found: list[Colouring] = []
+    verified: dict[tuple, list] = {}  # checker key -> a copy of the suffixes checked under it
     listed = 0
     for f1 in s.layer1():
         tails = s.below(f1)
@@ -883,11 +908,13 @@ def enumerate_homs(
         if not tails:
             continue
         check = morphism_checker(p, cx, f1)
-        for tail in tails:
-            c = (f1,) + tail
-            if check(c) is not None:  # raised, not asserted: kept under python -O
-                raise AssertionError(f"search produced a non-morphism: {c}")
-            found.append(c)
+        homs = [(f1,) + tail for tail in tails]
+        if verified.get(check.key) != tails:  # one pointer comparison per shared suffix
+            for c in homs:
+                if check(c) is not None:  # raised, not asserted: kept under python -O
+                    raise AssertionError(f"search produced a non-morphism: {c}")
+            verified[check.key] = list(tails)
+        found += homs
     if listed != n:  # raised, not asserted: kept under python -O
         raise AssertionError(f"listing disagrees: counted {n}, listed {listed}")
     return found

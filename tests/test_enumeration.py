@@ -399,6 +399,23 @@ def test_planning_is_linear_in_the_relators():
     assert plan.estimate <= 6 ** 6 * sum(map(len, p.attach2))
 
 
+def test_planning_scores_a_word_that_rotates_to_itself_once(monkeypatch):
+    """x_0..x_4 x_0..x_4 against s3 turns the planner on and rotates to
+    itself, so its candidates are the given word, scored once, and its
+    inverse: two estimates, and the word stays as given."""
+    scored = []
+
+    def counted(words, order):
+        scored.append(words)
+        return _estimate(words, order)
+
+    monkeypatch.setattr(enumeration, "_estimate", counted)
+    word = tuple((g, 1) for g in range(5)) * 2
+    plan = count_engine(CWPresentation((1, 5, 1), attach2=(word,)), resolve_coefficients("s3"))
+    assert len(scored) == 2 and scored[1] == (word_inverse(word),)
+    assert plan.engine == "elimination" and plan.words == (word,)
+
+
 def test_rotation_minimises_summed_spans():
     """_rotation picks the earliest cut of least summed span, against a
     direct sweep of every cut."""
@@ -1020,6 +1037,106 @@ def test_planted_altered_suffix_is_named(monkeypatch, layer, index, kind):
         return got
 
     monkeypatch.setattr(_Tower, "below", planted)
+    with pytest.raises(AssertionError) as caught:
+        enumerate_homs(p, cx)
+    assert str(caught.value) == f"search produced a non-morphism: {bad}"
+
+
+def _count_checked(monkeypatch):
+    """Wrap `morphism_checker` in enumeration so that each colouring passed
+    to a checker is recorded; returns the record."""
+    checked = []
+
+    def wrapped(p, cx, f1):
+        check = morphism_checker(p, cx, f1)
+
+        def counted(colours):
+            checked.append(colours)
+            return check(colours)
+
+        counted.key = check.key
+        return counted
+
+    monkeypatch.setattr(enumeration, "morphism_checker", wrapped)
+    return checked
+
+
+def test_listing_is_checked_once_per_checker_key(monkeypatch):
+    """Under the trivial action every layer-1 colouring of the parity
+    presentation has one checker key and one list of suffixes, so the
+    listing checks the suffixes of one (key, suffixes) pair, fewer than
+    its morphisms.  Under the negation of twisted_tower4 the four layer-1
+    colourings have four keys, and every morphism is checked.  Both
+    listings equal the brute-force sweep's."""
+    cases = [(parity_presentation(), parity_complexes()["trivial"], "trivial"),
+             (tower4_presentation(), twisted_tower4(), "twisted")]
+    for p, cx, name in cases:
+        pairs = {}
+        for h in lexicographic_sweep(p, cx):
+            pairs.setdefault(h[0], []).append(h[1:])
+        distinct = {(morphism_checker(p, cx, f1).key, tuple(tails)) for f1, tails in pairs.items()}
+        checked = _count_checked(monkeypatch)
+        homs = enumerate_homs(p, cx)
+        monkeypatch.undo()
+        assert homs == lexicographic_sweep(p, cx) and len(homs) == count_homs_bruteforce(p, cx)
+        assert checked == homs[:len(checked)], name
+        assert len(checked) == sum(len(tails) for _, tails in distinct), name
+        if name == "trivial":
+            assert len(distinct) == 1 and len(pairs) == 16 and len(checked) < len(homs)
+        else:
+            assert len(distinct) == len(pairs) and len(checked) == len(homs)
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_planted_suffix_under_an_equal_key_is_named(monkeypatch, in_place):
+    """A search fault that recolours one 2-cell in the first suffix listed
+    under a later layer-1 colouring, one whose checker key equals that of
+    the first colouring listed, fails the listing, naming the colouring:
+    its suffixes differ from those checked under the key, so they are
+    checked again.  So they are too when the fault changes the search's
+    own list in place, which the first colouring's suffixes came from."""
+    p, cx = parity_presentation(), parity_complexes()["trivial"]
+    homs = enumerate_homs(p, cx)
+    first, later = homs[0][0], homs[-1][0]
+    assert first != later
+    assert morphism_checker(p, cx, first).key == morphism_checker(p, cx, later).key
+    f2, *rest = next(h for h in homs if h[0] == later)[1:]
+    bad = (later, ((f2[0] + 1) % 3,) + f2[1:], *rest)
+    assert morphism_violation(p, cx, bad) is not None
+    real = _Search.below
+
+    def planted(self, f1):
+        got = real(self, f1)
+        if self.listing and f1 == later:
+            if not in_place:
+                got = list(got)
+            got[0] = bad[1:]
+        return got
+
+    monkeypatch.setattr(_Search, "below", planted)
+    with pytest.raises(AssertionError) as caught:
+        enumerate_homs(p, cx)
+    assert str(caught.value) == f"search produced a non-morphism: {bad}"
+
+
+def test_planted_suffixes_of_another_key_are_named(monkeypatch):
+    """A search fault that lists, under the layer-1 colouring (0, 1) of
+    twisted_tower4, the very list of suffixes found under (0, 0) fails the
+    listing, naming the first that is no morphism there: the two checker
+    keys differ in their compiled Terms, though not in their 2-cell word
+    values, so equal suffixes do not spare the check."""
+    p, cx = tower4_presentation(), twisted_tower4()
+    first, later = (0, 0), (0, 1)
+    keys = [morphism_checker(p, cx, f1).key for f1 in (first, later)]
+    assert keys[0] != keys[1] and keys[0][0] == keys[1][0]
+    real = _Search.below
+    tails = real(_Search(p, cx, listing=True), first)
+    bad = next((later,) + t for t in tails if morphism_violation(p, cx, (later,) + t))
+
+    def planted(self, f1):
+        return real(self, first if self.listing and f1 == later else f1)
+
+    monkeypatch.setattr(_Search, "below", planted)
     with pytest.raises(AssertionError) as caught:
         enumerate_homs(p, cx)
     assert str(caught.value) == f"search produced a non-morphism: {bad}"
