@@ -262,12 +262,12 @@ def parse_int(literal: str) -> int:
 def read_regular(path: str) -> bytes | None:
     """The bytes of the regular file at `path`, opened once and checked with
     fstat on that descriptor; None when `path` names no regular file (it is
-    missing, a directory, a FIFO, a device, a symlink loop or holds a NUL
-    byte).  A regular file that cannot be opened raises its OSError."""
+    missing, too long, a directory, a FIFO, a device, a symlink loop or holds
+    a NUL byte).  A regular file that cannot be opened raises its OSError."""
     try:
         fd = os.open(path, _READ_FLAGS)
     except (OSError, ValueError):
-        if Path(path).is_file():
+        if os.path.isfile(path):  # False, not raised, on any OSError or ValueError
             raise
         return None
     try:

@@ -108,15 +108,12 @@ is applied once per distinct f_{n-1} under f1 and kept by that checker
 alone.  It reads nothing of the layered search (no twist key, canonical
 element, compiled tower or memo), so it checks the search instead of
 repeating it.
-The checker reads f1 only through its *checker key*: the 2-cell word
-values and the compiled Terms, per degree n = 3..L+1 with cells each
-cell's (row, lower cell) pairs.  Two layer-1 colourings with equal keys
-give each suffix (f_2, .., f_L) the same verdict.  So `enumerate_homs`
-checks the suffixes listed under f1 unless the same suffixes were checked
-under an earlier f1 with an equal key; the key is computed from f1 by
-the checker, never taken from the search.  `count_homs_bruteforce`
-checks the colourings under each f1 with one checker, and
-`morphism_violation` is shape checks plus a new checker.
+A checker reads f1 only through the values under f1 of the 2-cell words
+and of the twisting words of degrees whose action has more than one row;
+`enumerate_homs` builds one only for suffixes not yet checked under equal
+values.  `count_homs_bruteforce` checks the colourings under each f1
+with one checker, and `morphism_violation` is shape checks plus a new
+checker.
 
 Counts are Python ints, hence arbitrary precision.
 """
@@ -158,17 +155,16 @@ def eval_word(cx: FiniteCrossedComplex, f1: tuple[int, ...], w: Word) -> int:
     return acc
 
 
-def _compile(cx: FiniteCrossedComplex, k: int, cells, twist) -> tuple[tuple[tuple, ...], ...]:
+def _compile(cx: FiniteCrossedComplex, k: int, cells, twist) -> list[list[tuple]]:
     """Each cell's Terms (twisting word, lower cell, power) as degree-k
     pairs (row, lower cell) with row[y] = (x |> y)^power in A_k, where
     x = twist(word) in A_1.  A power reduces mod |A_k|, which every element
-    order divides; a zero power contributes nothing and is dropped.  The
-    result is hashable: rows are tuples."""
+    order divides; a zero power contributes nothing and is dropped."""
     order = cx.groups[k - 1].order
     act, powered = cx.actions[k - 2].act, cx.actions[k - 2].powered
-    return tuple([tuple([((act if e == 1 else powered(e))[twist(w)], gen)
-                         for w, gen, power in terms if (e := power % order)])
-                  for terms in cells])
+    return [[((act if e == 1 else powered(e))[twist(w)], gen)
+             for w, gen, power in terms if (e := power % order)]
+            for terms in cells]
 
 
 def _twist_key(cx: FiniteCrossedComplex, cells_by_degree: dict[int, Sequence], build: Callable):
@@ -269,12 +265,6 @@ def morphism_checker(
     one f1 share their lower layers, and kept while this checker lives, up
     to 4,096 per layer: past that the kept targets are dropped, so that a
     sweep of every f_{n-1} holds no copy of the layer's colourings.
-
-    The function's `key` attribute is its *checker key*: the 2-cell word
-    values and, per degree with cells, the compiled Terms, each cell's
-    (row, lower cell) pairs.  A call reads f1 through the key alone and
-    reads layers 2..L of the colouring, so two checkers with equal keys
-    give every suffix (f_2, .., f_L) the same verdict.
     """
     length = cx.length
     words = tuple([eval_word(cx, f1, w) for w in p.attach2])
@@ -303,7 +293,6 @@ def morphism_checker(
                 return ("kill" if bd is None else "layer", n, cell)
         return None
 
-    violation.key = (words, tuple([compiled for _, compiled, *_ in checks if compiled is not None]))
     return violation
 
 
@@ -351,7 +340,7 @@ class _Tower:
     """Layers 2..L for the layer-1 colourings of one twist key: the cells'
     compiled terms and the memo on (n, t_n)."""
 
-    def __init__(self, s: _Search, terms: dict[int, tuple[tuple[tuple, ...], ...]]):
+    def __init__(self, s: _Search, terms: dict[int, list[list[tuple]]]):
         self.s = s
         self.terms = terms  # by degree: the (n+1)-cells' at n
         self.memo: dict[tuple[int, tuple[int, ...]], int | list[Colouring]] = {}
@@ -881,12 +870,13 @@ def enumerate_homs(
     listing by the count: AssertionError as soon as it grows past the
     count, or when it ends short of it.
 
-    The suffixes listed under f1 are checked once per checker key: when an
-    earlier f1 had a checker with an equal key and the same suffixes, in
-    order, they passed there and pass here, since equal keys give equal
-    verdicts.  The key comes from f1 through the checker alone, and the
-    suffixes are compared with a copy of those checked, so a search that
-    lists other suffixes, or changes a listed list, is checked again.
+    The suffixes listed under f1 are keyed by all a checker reads of f1: the
+    values under f1 of the 2-cell words and of the twisting words of cells
+    of dimension n whose action at degree n-1 has more than one row (one
+    row compiles alike under every f1).  Suffixes equal, in order, to those
+    last checked under an equal key pass unchecked.  The key never comes
+    from the search, and a copy of the suffixes is kept, so a search that
+    changes a listed list is checked again.
     """
     weigh_answer(p, cx, cap)
     refuse_count(plan := count_engine(p, cx), cap)
@@ -897,8 +887,11 @@ def enumerate_homs(
     _refuse_entries("listing of colourings of {} entries each exceeds cap {}", shape, cap)
     _refuse_size("listing walk of {} layer-1 colourings exceeds cap {}", shape[:1], cap)
     s = _Search(p, cx, listing=True)
+    read = dict.fromkeys([*p.attach2, *[w for n in range(3, cx.length + 2)
+                                        if len(set(cx.actions[n - 3].act)) > 1
+                                        for terms in p.terms(n) for w, _, _ in terms]])
     found: list[Colouring] = []
-    verified: dict[tuple, list] = {}  # checker key -> a copy of the suffixes checked under it
+    verified: dict[tuple[int, ...], list] = {}  # key -> a copy of the suffixes checked under it
     listed = 0
     for f1 in s.layer1():
         tails = s.below(f1)
@@ -907,13 +900,14 @@ def enumerate_homs(
             break
         if not tails:
             continue
-        check = morphism_checker(p, cx, f1)
         homs = [(f1,) + tail for tail in tails]
-        if verified.get(check.key) != tails:  # one pointer comparison per shared suffix
+        key = tuple([eval_word(cx, f1, w) for w in read])
+        if verified.get(key) != tails:  # one pointer comparison per shared suffix
+            check = morphism_checker(p, cx, f1)
             for c in homs:
                 if check(c) is not None:  # raised, not asserted: kept under python -O
                     raise AssertionError(f"search produced a non-morphism: {c}")
-            verified[check.key] = list(tails)
+            verified[key] = list(tails)
         found += homs
     if listed != n:  # raised, not asserted: kept under python -O
         raise AssertionError(f"listing disagrees: counted {n}, listed {listed}")

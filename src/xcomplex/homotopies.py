@@ -152,7 +152,7 @@ def _generator_edges(p: CWPresentation, cx: FiniteCrossedComplex) -> list[tuple[
 
 
 def _edge_deltas(cx: FiniteCrossedComplex, generators: list[tuple[int, list[int]]],
-                 compiled: dict[int, tuple[tuple[tuple, ...], ...]]) -> list[tuple]:
+                 compiled: dict[int, list[list[tuple]]]) -> list[tuple]:
     """The generator edges out of morphisms whose layer 1 has one twist key,
     given the Terms of degrees 2..L compiled under it, as sparse changes
     (i, c, v, b, ups) in (k, c, v) order: the edge with H_k(c) = v,

@@ -12,6 +12,8 @@ import re
 from typing import Callable, Optional
 
 from .complexes import FiniteCrossedComplex, from_crossed_module, from_group
+from .documents import parse_int
+from .enumeration import printable
 from .errors import InstanceTooLarge, ParseError
 from .groups import (
     GroupAction,
@@ -94,11 +96,13 @@ def _sized(build: Callable[[int], object], size: str, name: str,
            entries: Callable[[int], int], cap: Optional[int]):
     """Build a sized builtin, refused before it is built when it holds more
     than `cap` entries; an out-of-range size is an input error."""
-    if cap is not None and (k := entries(int(size))) > cap:
-        raise InstanceTooLarge(f"builtin '{name}' holds {k} entries, more than the cap {cap}")
     try:
-        return build(int(size))
-    except ValueError as exc:
+        n = parse_int(size)
+        if cap is not None and (k := entries(n)) > cap:
+            raise InstanceTooLarge(f"builtin '{name}' holds {printable(k)} entries, "
+                                   f"more than the cap {printable(cap)}")
+        return build(n)
+    except (ParseError, ValueError) as exc:
         raise ParseError(f"builtin '{name}': {exc}") from exc
 
 

@@ -765,6 +765,22 @@ def test_builtin_sizes_meet_the_cap_inclusively(capsys):
     capsys.readouterr()
 
 
+def test_a_name_too_long_for_a_file_is_a_builtin_name(capsys):
+    """A ref too long to be a file name names no regular file, so it
+    resolves as a builtin: sphere with a 300-digit size is refused on its
+    entries (exit 3), and 300 x's are an unknown builtin (exit 1)."""
+    from xcomplex import cli
+
+    name = "sphere:" + "9" * 300
+    assert cli.main(["count", "--presentation", name, "--complex", "z2"]) == 3
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "error": f"builtin '{name}' holds {10 ** 300} entries, more than the cap 1000000"}
+    ref = "x" * 300
+    assert cli.main(["validate", "--presentation", ref]) == 1
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "error": f"unknown builtin space '{ref}'"}
+
+
 def test_negative_cap_is_input_error():
     code, report, _ = run_cli("count", "--presentation", "torus", "--complex",
                               "s3", "--enumerate", "--cap", "-5")

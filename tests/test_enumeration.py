@@ -1042,55 +1042,86 @@ def test_planted_altered_suffix_is_named(monkeypatch, layer, index, kind):
     assert str(caught.value) == f"search produced a non-morphism: {bad}"
 
 
+def listing_key(p, cx, f1):
+    """The key under which enumerate_homs checks the suffixes of f1, from its
+    definition: the values under f1 of the 2-cell words and of the distinct
+    twisting words of the cells of dimension n = 3..L+1 whose action at
+    degree n-1 has more than one row."""
+    words = list(p.attach2)
+    for n in range(3, cx.length + 2):
+        if len(set(cx.actions[n - 3].act)) > 1:
+            words += [w for terms in p.terms(n) for w, _, _ in terms if w not in words]
+    return tuple(eval_word(cx, f1, w) for w in words)
+
+
 def _count_checked(monkeypatch):
-    """Wrap `morphism_checker` in enumeration so that each colouring passed
-    to a checker is recorded; returns the record."""
-    checked = []
+    """Wrap `morphism_checker` in enumeration so that each checker built and
+    each colouring passed to one is recorded; returns (built, checked)."""
+    built, checked = [], []
 
     def wrapped(p, cx, f1):
+        built.append(f1)
         check = morphism_checker(p, cx, f1)
 
         def counted(colours):
             checked.append(colours)
             return check(colours)
 
-        counted.key = check.key
         return counted
 
     monkeypatch.setattr(enumeration, "morphism_checker", wrapped)
-    return checked
+    return built, checked
 
 
-def test_listing_is_checked_once_per_checker_key(monkeypatch):
+def _compiled_terms(p, cx, f1):
+    """The Terms of the cells of dimension 3..L+1 compiled under f1, as the
+    checker holds them, in a hashable form."""
+    return repr([_compile(cx, n - 1, p.terms(n), partial(eval_word, cx, f1))
+                 for n in range(3, cx.length + 2)])
+
+
+def test_listing_is_checked_once_per_listing_key(monkeypatch):
     """Under the trivial action every layer-1 colouring of the parity
-    presentation has one checker key and one list of suffixes, so the
-    listing checks the suffixes of one (key, suffixes) pair, fewer than
-    its morphisms.  Under the negation of twisted_tower4 the four layer-1
-    colourings have four keys, and every morphism is checked.  Both
-    listings equal the brute-force sweep's."""
-    cases = [(parity_presentation(), parity_complexes()["trivial"], "trivial"),
-             (tower4_presentation(), twisted_tower4(), "twisted")]
-    for p, cx, name in cases:
+    presentation has one listing key and one list of suffixes, so the
+    listing builds one checker and checks fewer colourings than it lists.
+    Under the negation of twisted_tower4 the four layer-1 colourings have
+    four keys: four checkers, and every morphism is checked.  Under the
+    parity action of Z/4, where two elements share each action row, the 16
+    layer-1 colourings compile to 4 distinct Terms but have 16 keys, so
+    each is checked: the key is finer than the compiled Terms, never
+    coarser.  Every listing equals the brute-force sweep's."""
+    complexes = parity_complexes()
+    cases = [(parity_presentation(), complexes["trivial"], "trivial", 1),
+             (tower4_presentation(), twisted_tower4(), "twisted", 4),
+             (parity_presentation(), complexes["parity"], "parity", 16)]
+    for p, cx, name, builds in cases:
         pairs = {}
         for h in lexicographic_sweep(p, cx):
             pairs.setdefault(h[0], []).append(h[1:])
-        distinct = {(morphism_checker(p, cx, f1).key, tuple(tails)) for f1, tails in pairs.items()}
-        checked = _count_checked(monkeypatch)
+        verified, want = {}, []
+        for f1, tails in pairs.items():
+            key = listing_key(p, cx, f1)
+            if verified.get(key) != tails:
+                want.append(f1)
+                verified[key] = tails
+        built, checked = _count_checked(monkeypatch)
         homs = enumerate_homs(p, cx)
         monkeypatch.undo()
         assert homs == lexicographic_sweep(p, cx) and len(homs) == count_homs_bruteforce(p, cx)
-        assert checked == homs[:len(checked)], name
-        assert len(checked) == sum(len(tails) for _, tails in distinct), name
+        assert built == want and len(built) == builds, name
+        assert checked == [(f1,) + tail for f1 in built for tail in pairs[f1]], name
         if name == "trivial":
-            assert len(distinct) == 1 and len(pairs) == 16 and len(checked) < len(homs)
+            assert len(pairs) == 16 and len(checked) < len(homs)
         else:
-            assert len(distinct) == len(pairs) and len(checked) == len(homs)
+            assert len(checked) == len(homs)
+        if name == "parity":
+            assert len({_compiled_terms(p, cx, f1) for f1 in pairs}) == 4
 
 
 @pytest.mark.parametrize("in_place", [False, True])
 def test_planted_suffix_under_an_equal_key_is_named(monkeypatch, in_place):
     """A search fault that recolours one 2-cell in the first suffix listed
-    under a later layer-1 colouring, one whose checker key equals that of
+    under a later layer-1 colouring, one whose listing key equals that of
     the first colouring listed, fails the listing, naming the colouring:
     its suffixes differ from those checked under the key, so they are
     checked again.  So they are too when the fault changes the search's
@@ -1098,8 +1129,7 @@ def test_planted_suffix_under_an_equal_key_is_named(monkeypatch, in_place):
     p, cx = parity_presentation(), parity_complexes()["trivial"]
     homs = enumerate_homs(p, cx)
     first, later = homs[0][0], homs[-1][0]
-    assert first != later
-    assert morphism_checker(p, cx, first).key == morphism_checker(p, cx, later).key
+    assert first != later and listing_key(p, cx, first) == listing_key(p, cx, later)
     f2, *rest = next(h for h in homs if h[0] == later)[1:]
     bad = (later, ((f2[0] + 1) % 3,) + f2[1:], *rest)
     assert morphism_violation(p, cx, bad) is not None
@@ -1122,13 +1152,14 @@ def test_planted_suffix_under_an_equal_key_is_named(monkeypatch, in_place):
 def test_planted_suffixes_of_another_key_are_named(monkeypatch):
     """A search fault that lists, under the layer-1 colouring (0, 1) of
     twisted_tower4, the very list of suffixes found under (0, 0) fails the
-    listing, naming the first that is no morphism there: the two checker
-    keys differ in their compiled Terms, though not in their 2-cell word
-    values, so equal suffixes do not spare the check."""
+    listing, naming the first that is no morphism there: the two listing
+    keys differ in their twisting words' values, though not in their
+    2-cell word values, so equal suffixes do not spare the check."""
     p, cx = tower4_presentation(), twisted_tower4()
     first, later = (0, 0), (0, 1)
-    keys = [morphism_checker(p, cx, f1).key for f1 in (first, later)]
-    assert keys[0] != keys[1] and keys[0][0] == keys[1][0]
+    keys = [listing_key(p, cx, f1) for f1 in (first, later)]
+    cut = len(p.attach2)
+    assert keys[0] != keys[1] and keys[0][:cut] == keys[1][:cut]
     real = _Search.below
     tails = real(_Search(p, cx, listing=True), first)
     bad = next((later,) + t for t in tails if morphism_violation(p, cx, (later,) + t))

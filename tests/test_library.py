@@ -3,7 +3,7 @@
 import pytest
 
 from xcomplex.complexes import validate
-from xcomplex.errors import ParseError
+from xcomplex.errors import InstanceTooLarge, ParseError
 from xcomplex.library import (
     resolve_coefficients,
     resolve_space,
@@ -61,6 +61,21 @@ def test_unknown_names_raise():
         resolve_space("klein-bottle")
     with pytest.raises(ParseError, match="coefficients"):
         resolve_coefficients("q8")
+
+
+def test_sizes_past_the_digit_limit_raise_no_bare_value_error():
+    """A size past CPython's 4,300-digit conversion limit is a ParseError
+    naming the builtin, and a refused size's square is reported by its
+    magnitude, (10^3000 - 1)^2 as about 10^6000: neither conversion raises
+    a bare ValueError."""
+    name = "sphere:" + "9" * 5000
+    with pytest.raises(ParseError) as caught:
+        resolve_space(name, cap=10)
+    assert str(caught.value) == f"builtin '{name}': integer literal: more than 4300 digits"
+    name = "z:" + "9" * 3000
+    with pytest.raises(InstanceTooLarge) as caught:
+        resolve_coefficients(name, cap=10)
+    assert str(caught.value) == f"builtin '{name}' holds about 10^6000 entries, more than the cap 10"
 
 
 def test_flip_complex_really_flips():
