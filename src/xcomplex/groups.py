@@ -122,7 +122,11 @@ def associativity_witness(mul: Sequence[Sequence[int]],
     Light's associativity test (Clifford & Preston, The Algebraic Theory of
     Semigroups I, section 1.2) checks s over a generating set S only, so a
     table of order N costs O(N^2 |S|) lookups instead of N^3.  S is `gens`,
-    the `greedy_generators` of the table, computed here when None.
+    the `greedy_generators` of the table, computed here when None.  When N <=
+    256 and every entry lies in 0..N-1, a byte kernel runs first: the table
+    passes if row x*s is row s translated by row x (`bytes.translate`) for
+    every s in S and every x.  Any other table, or a mismatch, runs the
+    `itemgetter` sweep below, which names the witness.
 
     Soundness holds for any finite magma.  T = {t : (x*t)*y = x*(t*y) for
     all x, y} is closed under the product: for t, u in T, x*(t*u) = (x*t)*u
@@ -142,6 +146,15 @@ def associativity_witness(mul: Sequence[Sequence[int]],
         gens = greedy_generators(mul)
     if rows[0] == tuple(range(n)) and all(row[0] == x for x, row in enumerate(rows)):
         gens = [s for s in gens if s]
+    try:  # the byte kernel takes n entries per row, none left once bytes 0..n-1 are deleted
+        brows = [bytes(row) for row in rows] if n <= 256 else ()
+    except (TypeError, ValueError):  # an entry bytes() refuses
+        brows = ()
+    if set(map(len, brows)) == {n} and not b"".join(brows).translate(None, bytes(range(n))):
+        through = [row.ljust(256, b"\0") for row in brows]
+        if all(brows[bx[s]] == brows[s].translate(through[x])  # x*(s*y) for every y
+               for s in gens for x, bx in enumerate(brows)):
+            return None
     for s in gens:
         through_s = itemgetter(*rows[s])  # row x -> (x*(s*y) for every y)
         for x, mx in enumerate(rows):
@@ -274,7 +287,8 @@ def action_violation(a: GroupAction,
     Kinds, in check order: action-bijective (some act[g] is not a
     permutation), action-hom (act[g] does not preserve multiplication),
     action-identity (act[0] is not the identity map), action-composition
-    (act[g1*g2] != act[g1] after act[g2]).
+    (act[g1*g2] != act[g1] after act[g2]).  The first two are checked once
+    per distinct row and name the least g holding it.
 
     Composition is checked for g2 in `composers` only: the caller's
     `greedy_generators(actor)` when the actor is associative, where the t
@@ -291,12 +305,12 @@ def action_violation(a: GroupAction,
         if min(row) < 0 or max(row) >= m:
             v = next(v for v in row if not 0 <= v < m)
             raise DimensionMismatch(f"action value {v} out of range in row {g}")
-    for g, row in enumerate(act):
+    for row in dict.fromkeys(act):  # each distinct row once, the least g holding it named
         if len(set(row)) != m:
-            return ("action-bijective", (g,))
+            return ("action-bijective", (act.index(row),))
         w = hom_violation(GroupHom(a.space, a.space, row))
         if w is not None:
-            return ("action-hom", (g,) + w)
+            return ("action-hom", (act.index(row),) + w)
     for e in range(m):
         if act[0][e] != e:
             return ("action-identity", (e,))

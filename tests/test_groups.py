@@ -1,6 +1,7 @@
 """Table groups: construction, homs, actions and fibres; no subgroups or quotients."""
 
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +167,88 @@ def test_associativity_witness_matches_sweep_with_identity_0(mul):
     assert_witness_agrees(mul)
 
 
+def light_sweep(mul, gens):
+    """The itemgetter sweep of Light's test over `gens`, with no byte kernel:
+    the first (x, s, y) with (x*s)*y != x*(s*y), or None."""
+    rows = [tuple(row) for row in mul]
+    for s in gens:
+        through_s = itemgetter(*rows[s])
+        for x, mx in enumerate(rows):
+            lhs, rhs = rows[mx[s]], through_s(mx)
+            if lhs != rhs:
+                return (x, s, next(y for y in range(len(mul)) if lhs[y] != rhs[y]))
+    return None
+
+
+@st.composite
+def medium_tables(draw):
+    """Z/a x Z/b of order 60..300, relabelled (0 kept fixed half the time),
+    with zero or one entry replaced; orders 255, 256 and 257 sit on either
+    side of the byte kernel's bound."""
+    n = draw(st.one_of(st.sampled_from([255, 256, 257]), st.integers(60, 300)))
+    a = draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
+    b = n // a
+    label = list(range(n))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(label)
+    if draw(st.booleans()):
+        label[label.index(0)], label[0] = label[0], 0
+    mul = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            mul[label[x]][label[y]] = label[(x // b + y // b) % a * b + (x + y) % b]
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        mul[x][y] = (mul[x][y] + draw(st.integers(1, n - 1))) % n
+    return mul
+
+
+@settings(max_examples=40, deadline=None)
+@given(medium_tables())
+def test_associativity_witness_is_genuine_on_medium_tables(mul):
+    """The byte kernel accepts only what the sweep over the greedy generators
+    accepts, so the answer is the sweep's, and each triple returned is a
+    genuine violation."""
+    w = associativity_witness(mul)
+    assert w == light_sweep(mul, greedy_generators(mul))
+    if w is not None:
+        x, s, y = w
+        assert mul[mul[x][s]][y] != mul[x][mul[s][y]], w
+
+
+@settings(max_examples=4, deadline=None)
+@given(medium_tables())
+def test_associativity_witness_matches_full_light_sweep_on_medium_tables(mul):
+    """None exactly when Light's sweep over every s, an N^3 oracle, finds no
+    violation."""
+    assert (associativity_witness(mul) is None) == (light_sweep(mul, range(len(mul))) is None)
+
+
+@pytest.mark.parametrize("n", [200, 256, 300])
+def test_transposed_composition_is_not_associativity(n):
+    """x*0 = 0 and x*y = (1 if x == 0 else 2) otherwise satisfy (x*s)*y =
+    s*(x*y) for every x, s, y, yet (1*0)*1 = 1 != 2 = 1*(0*1): composing
+    row x by row s in place of row s by row x would accept the table."""
+    mul = [[0] + [1 if x == 0 else 2] * (n - 1) for x in range(n)]
+    assert associativity_witness(mul) == light_sweep(mul, greedy_generators(mul)) == (1, 0, 1)
+
+
+def test_entry_past_the_order_never_passes_the_byte_kernel():
+    """The zero semigroup x*y = 0 is associative.  Set one entry to 230 in
+    a table of order 200, built by the dataclass constructor: translating
+    it through a row padded with zeros would accept the table, so the
+    kernel must leave it to the sweep, which indexes row 0 at 230."""
+    n, a = 200, 7
+    zero = FiniteGroup(n, ((0,) * n,) * n, (0,) * n)
+    assert associativity_witness(zero.mul, [a]) is None
+    planted = [list(row) for row in zero.mul]
+    planted[a][9] = 230
+    g = FiniteGroup(n, tuple(map(tuple, planted)), zero.inv)
+    with pytest.raises(IndexError):
+        light_sweep(g.mul, [a])
+    with pytest.raises(IndexError):
+        associativity_witness(g.mul, [a])
+
+
 @settings(max_examples=300, deadline=None)
 @given(square_tables(6), st.data())
 def test_table_group_inverse_is_least_two_sided(mul, data):
@@ -252,6 +335,10 @@ def test_action_violation_matches_full_sweep(a):
     non-associative actors; each composition witness is genuine, and every
     other kind has the sweep's witness.  Composers handed in agree: the
     greedy generators of an associative actor, every element otherwise."""
+    assert_action_violation_agrees(a)
+
+
+def assert_action_violation_agrees(a):
     expected = action_violation_by_sweep(a)
     gens = greedy_generators(a.actor.mul)
     composers = (gens if associativity_witness(a.actor.mul, gens) is None
@@ -266,6 +353,29 @@ def test_action_violation_matches_full_sweep(a):
                 assert act[amul[g1][g2]][e] != act[g1][act[g2][e]]
             else:
                 assert found == expected
+
+
+@st.composite
+def repeated_row_actions(draw):
+    """An action of a pool group on a pool group whose rows are drawn, with
+    repeats, from up to four maps of the space, automorphisms or arbitrary
+    maps, so that distinct failing rows occur in either order."""
+    pool = group_pool() + [symmetric_group_3()]
+    actor, space = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    m = space.order
+    automorphisms = sorted({row for v in all_actions(actor, space) for row in v.act})
+    maps = st.lists(st.integers(0, m - 1), min_size=m, max_size=m).map(tuple)
+    palette = st.sampled_from(draw(st.lists(st.one_of(st.sampled_from(automorphisms), maps),
+                                            min_size=1, max_size=4)))
+    return GroupAction(actor, space, tuple(draw(palette) for _ in range(actor.order)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_row_actions())
+def test_action_violation_with_repeated_rows_matches_full_sweep(a):
+    """Rows are checked once per distinct row, and a failing one is named at
+    the least g holding it, as the per-g sweep names it."""
+    assert_action_violation_agrees(a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -406,8 +516,24 @@ def test_action_rejects_bad_composition():
     z4, z3 = cyclic_group(4), cyclic_group(3)
     ident, flip = (0, 1, 2), (0, 2, 1)
     a = GroupAction(z4, z3, (ident, flip, flip, ident))
-    w = action_violation(a)
-    assert w is not None and w[0] == "action-composition"
+    assert action_violation(a) == ("action-composition", (1, 1, 1))
+
+
+@pytest.mark.parametrize("last_rows, expected", [
+    (((0, 0, 0), (0, 0, 0)), ("action-bijective", (2,))),
+    (((1, 0, 2), (1, 0, 2)), ("action-hom", (2, 0, 0))),
+    (((0, 0, 1), (0, 0, 0)), ("action-bijective", (2,))),
+])
+def test_repeated_failing_row_names_its_least_g(last_rows, expected):
+    """A Z/4 action on Z/3 whose first failing row sits at g = 2 and recurs
+    at g = 3: the row is checked once and named at g = 2, with the pair of
+    `hom_violation` when it is no homomorphism.  Another failing row at
+    g = 3, which a set of the rows visits first, does not displace it."""
+    z4, z3 = cyclic_group(4), cyclic_group(3)
+    a = GroupAction(z4, z3, ((0, 1, 2), (0, 2, 1)) + last_rows)
+    assert action_violation(a) == action_violation_by_sweep(a) == expected
+    if expected[0] == "action-hom":
+        assert expected[1][1:] == hom_violation(GroupHom(z3, z3, last_rows[0]))
 
 
 def test_action_negation_of_z3_by_z2():
