@@ -803,9 +803,7 @@ def weigh_answer(p: CWPresentation, cx: FiniteCrossedComplex, cap: int,
     logarithms, so no large number is built."""
     shifts = range(cx.length if normalization else 1)
     digits = 1 + int(sum(_log10_size(cell_orders(p, cx, s)) for s in shifts))
-    if digits > cap:
-        raise InstanceTooLarge(
-            f"answer of up to {printable(digits)} digits exceeds cap {printable(cap)}")
+    refuse(digits, cap, "answer of up to {} digits exceeds cap {}")
     return digits
 
 
@@ -826,11 +824,16 @@ def printable(n: int) -> int | str:
     return n if n < _LONG else f"about 10^{int(math.log10(n))}"
 
 
+def refuse(value: int, cap: int, what: str, error: type[Exception] = InstanceTooLarge) -> None:
+    """Raise `error`, `what` formatted with `value` and `cap` (`printable`),
+    when `value` exceeds `cap`: every refusal of exact work against `--cap`."""
+    if value > cap:
+        raise error(what.format(printable(value), printable(cap)))
+
+
 def refuse_count(plan: CountPlan, cap: int) -> None:
     """Raise InstanceTooLarge when the plan's work estimate exceeds `cap`."""
-    if plan.estimate > cap:
-        raise InstanceTooLarge(
-            f"{plan.engine} estimate {printable(plan.estimate)} exceeds cap {printable(cap)}")
+    refuse(plan.estimate, cap, plan.engine + " estimate {} exceeds cap {}")
 
 
 def _refuse_size(what: str, shape: Sequence[tuple[int, int]], cap: int) -> None:
@@ -840,17 +843,7 @@ def _refuse_size(what: str, shape: Sequence[tuple[int, int]], cap: int) -> None:
     digits = _log10_size(shape)
     if digits > MAX_DIGITS and digits > math.log10(max(cap, 1)) + 1:
         raise InstanceTooLarge(what.format(f"about 10^{printable(int(digits))}", printable(cap)))
-    if (size := math.prod(order ** ln for ln, order in shape)) > cap:
-        raise InstanceTooLarge(what.format(printable(size), printable(cap)))
-
-
-def _refuse_entries(what: str, shape: Sequence[tuple[int, int]], cap: int) -> None:
-    """InstanceTooLarge, `what` formatted with the entries and `cap`, when
-    a colouring of `shape` holds more than `cap` entries, the sum of its l:
-    a walk builds every colouring it visits, and a group of order 1 leaves
-    the number of colourings at 1 however many cells there are."""
-    if (entries := sum(ln for ln, _ in shape)) > cap:
-        raise InstanceTooLarge(what.format(printable(entries), printable(cap)))
+    refuse(math.prod(order ** ln for ln, order in shape), cap, what)
 
 
 def enumerate_homs(
@@ -881,10 +874,10 @@ def enumerate_homs(
     weigh_answer(p, cx, cap)
     refuse_count(plan := count_engine(p, cx), cap)
     n = count_homs(p, cx, plan)
-    if n > cap:
-        raise ResultTooLarge(f"more than {printable(cap)} morphisms; raise the cap to list them")
-    shape = cell_orders(p, cx)
-    _refuse_entries("listing of colourings of {} entries each exceeds cap {}", shape, cap)
+    refuse(n, cap, "more than {1} morphisms; raise the cap to list them", ResultTooLarge)
+    shape = cell_orders(p, cx)  # entries are weighed apart: |A_1| = 1 has one colouring
+    refuse(sum(ln for ln, _ in shape), cap,
+           "listing of colourings of {} entries each exceeds cap {}")
     _refuse_size("listing walk of {} layer-1 colourings exceeds cap {}", shape[:1], cap)
     s = _Search(p, cx, listing=True)
     read = dict.fromkeys([*p.attach2, *[w for n in range(3, cx.length + 2)
@@ -927,7 +920,8 @@ def count_homs_bruteforce(
     """
     shape = cell_orders(p, cx)
     _refuse_size("brute-force space {} exceeds cap {}", shape, cap)
-    _refuse_entries("brute-force colourings of {} entries each exceed cap {}", shape, cap)
+    refuse(sum(ln for ln, _ in shape), cap,
+           "brute-force colourings of {} entries each exceed cap {}")
     (l1, order), rest = shape[0], shape[1:]
     count = 0
     for f1 in itertools.product(range(order), repeat=l1):

@@ -122,11 +122,11 @@ def associativity_witness(mul: Sequence[Sequence[int]],
     Light's associativity test (Clifford & Preston, The Algebraic Theory of
     Semigroups I, section 1.2) checks s over a generating set S only, so a
     table of order N costs O(N^2 |S|) lookups instead of N^3.  S is `gens`,
-    the `greedy_generators` of the table, computed here when None.  When N <=
-    256 and every entry lies in 0..N-1, a byte kernel runs first: the table
-    passes if row x*s is row s translated by row x (`bytes.translate`) for
-    every s in S and every x.  Any other table, or a mismatch, runs the
-    `itemgetter` sweep below, which names the witness.
+    the `greedy_generators` of the table, computed here when None.  When 32
+    <= N <= 256 (below 32, converting rows costs more than it saves) and
+    every entry lies in 0..N-1, a byte kernel runs first: the table passes
+    if row x*s is row s translated by row x (`bytes.translate`) for every s
+    in S and x.  Otherwise, or on a mismatch, the `itemgetter` sweep runs.
 
     Soundness holds for any finite magma.  T = {t : (x*t)*y = x*(t*y) for
     all x, y} is closed under the product: for t, u in T, x*(t*u) = (x*t)*u
@@ -147,7 +147,7 @@ def associativity_witness(mul: Sequence[Sequence[int]],
     if rows[0] == tuple(range(n)) and all(row[0] == x for x, row in enumerate(rows)):
         gens = [s for s in gens if s]
     try:  # the byte kernel takes n entries per row, none left once bytes 0..n-1 are deleted
-        brows = [bytes(row) for row in rows] if n <= 256 else ()
+        brows = [bytes(row) for row in rows] if 32 <= n <= 256 else ()
     except (TypeError, ValueError):  # an entry bytes() refuses
         brows = ()
     if set(map(len, brows)) == {n} and not b"".join(brows).translate(None, bytes(range(n))):

@@ -74,7 +74,7 @@ from .enumeration import (
     layered_product,
     morphism_checker,
     morphism_violation,
-    printable,
+    refuse,
 )
 from .groups import greedy_generators
 from .presentations import CWPresentation, Terms, fox_terms
@@ -218,11 +218,10 @@ def homotopy_classes(
     homs = enumerate_homs(p, cx, cap=cap)
     n = len(homs)
     generators = _generator_edges(p, cx)
-    edges = n * sum(ln * len(gens) for ln, gens in generators)
-    if edges > cap:
-        raise ResultTooLarge(
-            f"{n} morphisms x {edges // n} generator edges"
-            f" = {edges} edges exceeds edge cap {printable(cap)}")
+    per = sum(ln * len(gens) for ln, gens in generators)
+    refuse(n * per, cap,
+           f"{n} morphisms x {per} generator edges = {{}} edges exceeds edge cap {{}}",
+           ResultTooLarge)
     deltas = _twist_key(cx, dict(enumerate(_homotopy_terms(p, cx), 2)),
                         partial(_edge_deltas, cx, generators))
     changes = {f1: deltas(f1) for f1 in {f[0] for f in homs}}

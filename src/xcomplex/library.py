@@ -13,8 +13,8 @@ from typing import Callable, Optional
 
 from .complexes import FiniteCrossedComplex, from_crossed_module, from_group
 from .documents import parse_int
-from .enumeration import printable
-from .errors import InstanceTooLarge, ParseError
+from .enumeration import refuse
+from .errors import ParseError
 from .groups import (
     GroupAction,
     GroupHom,
@@ -98,9 +98,8 @@ def _sized(build: Callable[[int], object], size: str, name: str,
     than `cap` entries; an out-of-range size is an input error."""
     try:
         n = parse_int(size)
-        if cap is not None and (k := entries(n)) > cap:
-            raise InstanceTooLarge(f"builtin '{name}' holds {printable(k)} entries, "
-                                   f"more than the cap {printable(cap)}")
+        if cap is not None:  # name is letters, ':' and digits: no braces reach the template
+            refuse(entries(n), cap, f"builtin '{name}' holds {{}} entries, more than the cap {{}}")
         return build(n)
     except (ParseError, ValueError) as exc:
         raise ParseError(f"builtin '{name}': {exc}") from exc

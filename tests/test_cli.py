@@ -189,10 +189,12 @@ def test_validate_broken_complex_file(tmp_path):
      "complex.boundaries[0][1]: image value 7 out of range 0..3"),
     (lambda doc: doc["actions"][0][1].__setitem__(0, -1),
      "complex.actions[0][1][0]: action value -1 out of range 0..1"),
-], ids=["boundaries", "actions"])
+    (lambda doc: doc["actions"][0][1].pop(), "complex.actions[0][1]: expected 2 entries"),
+], ids=["boundaries", "actions", "ragged-action"])
 def test_out_of_range_table_entry_is_input_error(tmp_path, edit, error):
-    """An entry outside its group is a document error naming its path, as
-    an out-of-range `mul` entry is, under every command that loads it."""
+    """An entry outside its group, or an action row of the wrong length, is
+    a document error naming its path, as an out-of-range `mul` entry is,
+    under every command that loads it."""
     doc = dump_complex(resolve_coefficients("cm-z4-z2-incl"))
     edit(doc)
     f = tmp_path / "complex.json"

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import resource
 import subprocess
@@ -576,10 +577,10 @@ def relabelled(g, perm):
 
 def diagonal_coefficients():
     """Abelian A_1 for the diagonal engine: Z/2 x Z/4, as built and with its
-    elements relabelled, Z/2 x Z/2, Z/5, Z/8 and the group of order 1 at L = 1;
-    at L = 2, Z/4 -> Z/2 x Z/4 onto (0, 2), neither onto nor injective (as
-    built and relabelled), the injective cm-z4-z2-incl and the zero
-    cm-z2-z2-zero; l3-z2 at L = 3."""
+    elements relabelled, Z/2 x Z/2, Z/5, Z/6, Z/8, Z/12 and the group of
+    order 1 at L = 1; at L = 2, Z/4 -> Z/2 x Z/4 onto (0, 2), neither onto
+    nor injective (as built and relabelled), the injective cm-z4-z2-incl
+    and the zero cm-z2-z2-zero; l3-z2 at L = 3."""
     z2, z4 = cyclic_group(2), cyclic_group(4)
     z2z4 = direct_product(z2, z4)  # (a, b) is a * 4 + b
     perm = (0, 5, 3, 7, 1, 6, 2, 4)
@@ -589,7 +590,7 @@ def diagonal_coefficients():
         out.append(from_group(g))
         out.append(from_crossed_module(g, z4, GroupHom(z4, g, images), trivial_action(g, z4),
                                        name=f"Z/4->{g.name}"))
-    out += [from_group(cyclic_group(n)) for n in (1, 5, 8)]
+    out += [from_group(cyclic_group(n)) for n in (1, 5, 6, 8, 12)]
     return out + [resolve_coefficients(n) for n in ("z2xz2", "cm-z4-z2-incl", "cm-z2-z2-zero",
                                                     "l3-z2")]
 
@@ -650,6 +651,23 @@ def test_diagonal_count_covers_each_case():
             assert plan.engine == "diagonal"
             assert _diagonalise(plan.words, order)[1] <= plan.estimate
             assert count_homs(p, cx) == _backtrack(p, cx), (cx.name, words)
+
+
+@pytest.mark.parametrize("powers, order, expected", [((2, 3), 6, 6), ((4, 6), 12, 24)])
+def test_diagonal_reduces_a_remainder_within_its_row(powers, order, expected):
+    """x^a y^b against Z/order with gcd(a, b) a proper divisor of a: the
+    column reduction by the pivot a leaves a remainder in the pivot's row,
+    which becomes the next pivot there (Euclid's step within the row), so
+    the diagonal is (+-gcd(a, b)).  Taking a as the diagonal entry counts
+    12 and 48, twice the backtracker's and the brute-force sweep's count."""
+    a, b = powers
+    p = CWPresentation((1, 2, 1), attach2=(((0, 1),) * a + ((1, 1),) * b,))
+    cx = from_group(cyclic_group(order))
+    plan = count_engine(p, cx)
+    assert plan.engine == "diagonal"
+    assert [abs(d) for d in _diagonalise(plan.words, order)[0]] == [math.gcd(a, b)]
+    assert count_homs(p, cx, plan) == _backtrack(p, cx) == count_homs_bruteforce(p, cx) \
+        == expected
 
 
 # the relators x2 x1 x6^-1 x5^-1 x4^-1 x3 x0, x2 x1 x0 x3 x6^-1 and x2^-1 x3 x6^-1 x4^-1 x5:

@@ -213,10 +213,13 @@ def test_validation_reports_malformed_letters():
     (CWPresentation((1, 1, 1), attach2=5), (2,)),
     (CWPresentation((1, 1, 1, 1), attach2=(((0, 1),),), attach_terms=(7,)), (3,)),
     (CWPresentation((1, 1, 1, 1), attach2=(((0, 1),),), attach_terms=5), (3,)),
+    (CWPresentation((1, 1, 1), attach2=(5,)), (2, 0)),
+    (CWPresentation((1, 1, 1, 1), attach2=(((0, 1),),), attach_terms=((7,),)), (3, 0)),
 ])
 def test_validation_reports_non_sequence_attaching_data(p, where):
-    """attach2, attach_terms or one level of it that is no sequence is an
-    attach-shape violation naming its first dimension, not a TypeError."""
+    """attach2, attach_terms or one level of it (a 2-cell's word, a cell's
+    Terms) that is no sequence is an attach-shape violation naming its
+    first dimension, not a TypeError."""
     assert validate_presentation(p).violations == [("attach-shape", where)]
 
 
