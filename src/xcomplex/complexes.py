@@ -108,6 +108,9 @@ def _check_shape(cx: FiniteCrossedComplex) -> None:
         raise DimensionMismatch(
             f"length {l} complex needs {l - 1} boundaries and actions, "
             f"got {len(cx.boundaries)} and {len(cx.actions)}")
+    for n, g in enumerate(cx.groups, 1):  # lengths only: entry ranges are table_group's
+        if len(g.mul) != g.order or set(map(len, g.mul)) != {g.order} or len(g.inv) != g.order:
+            raise DimensionMismatch(f"group {n} tables do not fit its order {g.order}")
     for n in range(2, l + 1):
         bd = cx.boundary(n)
         if bd.source.order != cx.groups[n - 1].order or len(bd.image) != bd.source.order:

@@ -36,28 +36,11 @@ from .presentations import (
 )
 
 
-def _cm_z2_z2_zero() -> FiniteCrossedComplex:
-    g = cyclic_group(2)
-    e = cyclic_group(2)
-    return from_crossed_module(g, e, zero_hom(e, g), trivial_action(g, e),
-                               name="cm-z2-z2-zero")
-
-
-def _cm_z4_z2_incl() -> FiniteCrossedComplex:
-    g = cyclic_group(4)
-    e = cyclic_group(2)
-    incl = GroupHom(e, g, (0, 2))
-    return from_crossed_module(g, e, incl, trivial_action(g, e),
-                               name="cm-z4-z2-incl")
-
-
-def _cm_z2_z3_flip() -> FiniteCrossedComplex:
-    """Z/2 acting on Z/3 by negation, zero boundary; the nontrivial action
-    makes crossed-word evaluation order matter."""
-    g = cyclic_group(2)
-    e = cyclic_group(3)
-    act = GroupAction(g, e, ((0, 1, 2), (0, 2, 1)))
-    return from_crossed_module(g, e, zero_hom(e, g), act, name="cm-z2-z3-flip")
+def _cyclic_module(n: int, m: int, image: tuple[int, ...], act: tuple[tuple[int, ...], ...],
+                   name: str) -> FiniteCrossedComplex:
+    """The crossed module Z/m -> Z/n with boundary `image` and action rows `act`."""
+    g, e = cyclic_group(n), cyclic_group(m)
+    return from_crossed_module(g, e, GroupHom(e, g, image), GroupAction(g, e, act), name=name)
 
 
 def _l3_z2() -> FiniteCrossedComplex:
@@ -81,9 +64,12 @@ _SPACES: dict[str, Callable[[], CWPresentation]] = {
 _COEFFICIENTS: dict[str, Callable[[], FiniteCrossedComplex]] = {
     "s3": lambda: from_group(symmetric_group_3()),
     "z2xz2": lambda: from_group(direct_product(cyclic_group(2), cyclic_group(2))),
-    "cm-z2-z2-zero": _cm_z2_z2_zero,
-    "cm-z4-z2-incl": _cm_z4_z2_incl,
-    "cm-z2-z3-flip": _cm_z2_z3_flip,
+    "cm-z2-z2-zero": lambda: _cyclic_module(2, 2, (0, 0), ((0, 1),) * 2, "cm-z2-z2-zero"),
+    "cm-z4-z2-incl": lambda: _cyclic_module(4, 2, (0, 2), ((0, 1),) * 4, "cm-z4-z2-incl"),
+    # Z/2 acting on Z/3 by negation: the nontrivial action makes crossed-word
+    # evaluation order matter
+    "cm-z2-z3-flip": lambda: _cyclic_module(2, 3, (0, 0, 0), ((0, 1, 2), (0, 2, 1)),
+                                            "cm-z2-z3-flip"),
     "l3-z2": _l3_z2,
 }
 

@@ -14,7 +14,7 @@ computed, and equality of attaching data is plain structural equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .errors import ValidationReport
@@ -239,10 +239,7 @@ def disk(n: int) -> CWPresentation:
 
 
 def torus() -> CWPresentation:
-    return CWPresentation(
-        (1, 2, 1),
-        attach2=(((0, 1), (1, 1), (0, -1), (1, -1)),),
-        name="torus")
+    return replace(genus_surface(1), name="torus")
 
 
 def genus_surface(g: int) -> CWPresentation:

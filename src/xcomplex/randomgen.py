@@ -74,40 +74,22 @@ def all_actions(actor: FiniteGroup, space: FiniteGroup) -> tuple[GroupAction, ..
 
 
 @lru_cache(maxsize=None)
-def _valid_layers(a1: FiniteGroup, a2: FiniteGroup) -> tuple[tuple[GroupHom, GroupAction], ...]:
-    """All (boundary, action) pairs making (a1, a2) a crossed module."""
-    out = []
-    for bd in all_homs(a2, a1):
-        for act in all_actions(a1, a2):
-            cx = FiniteCrossedComplex((a1, a2), (bd,), (act,))
-            if validate(cx).ok:
-                out.append((bd, act))
-    return tuple(out)
+def _extensions(cx: FiniteCrossedComplex, top: FiniteGroup) -> tuple[FiniteCrossedComplex, ...]:
+    """Every valid complex extending `cx` by one degree with group `top`, in
+    (boundary, action) order, each named by its length."""
+    trials = (FiniteCrossedComplex(cx.groups + (top,), cx.boundaries + (bd,), cx.actions + (act,),
+                                   name=f"random-l{cx.length + 1}")
+              for bd in all_homs(top, cx.groups[-1]) for act in all_actions(cx.groups[0], top))
+    return tuple(t for t in trials if validate(t).ok)
 
 
 def random_complex(rng: random.Random) -> FiniteCrossedComplex:
+    """Length, then A_1, then per further degree its group and one valid extension."""
     pool = group_pool()
     length = rng.choice((1, 2, 2, 3))
-    a1 = rng.choice(pool)
-    if length == 1:
-        cx = FiniteCrossedComplex((a1,), (), (), name="random-l1")
-    else:
-        a2 = rng.choice(pool)
-        bd2, act2 = rng.choice(_valid_layers(a1, a2))
-        if length == 2:
-            cx = FiniteCrossedComplex((a1, a2), (bd2,), (act2,), name="random-l2")
-        else:
-            a3 = rng.choice(pool)
-            candidates = []
-            for bd3 in all_homs(a3, a2):
-                for act3 in all_actions(a1, a3):
-                    trial = FiniteCrossedComplex(
-                        (a1, a2, a3), (bd2, bd3), (act2, act3))
-                    if validate(trial).ok:
-                        candidates.append(trial)
-            cx = rng.choice(candidates)
-            cx = FiniteCrossedComplex(
-                cx.groups, cx.boundaries, cx.actions, name="random-l3")
+    cx = FiniteCrossedComplex((rng.choice(pool),), (), (), name="random-l1")
+    for _ in range(length - 1):
+        cx = rng.choice(_extensions(cx, rng.choice(pool)))
     if not (report := validate(cx)).ok:  # raised, not asserted: kept under python -O
         raise AssertionError(f"generated an invalid complex: {report.violations}")
     return cx

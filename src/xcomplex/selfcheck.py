@@ -45,6 +45,14 @@ class CheckResult:
     details: str
 
 
+def _result(number: int, name: str, details: str, label: str, bad: list[str]) -> CheckResult:
+    """A criterion's result: it passes when `bad` is empty, else `details`
+    goes on to name each failure after `label`."""
+    if bad:
+        details += f"; {label}: " + "; ".join(bad)
+    return CheckResult(number, name, not bad, details)
+
+
 def _suite_pairs():
     return [(p, cx) for p in standard_spaces() for cx in standard_coefficients()]
 
@@ -60,8 +68,7 @@ def check_oracle_equivalence() -> CheckResult:
         fast, slow = count_homs(p, cx), count_homs_bruteforce(p, cx)
         if fast != slow:
             bad.append(f"{label}: {fast} != {slow}")
-    details = f"{len(labelled)} instances" + (f"; mismatches: {'; '.join(bad)}" if bad else "")
-    return CheckResult(1, "oracle equivalence", not bad, details)
+    return _result(1, "oracle equivalence", f"{len(labelled)} instances", "mismatches", bad)
 
 
 def check_decomposition_invariance() -> CheckResult:
@@ -84,10 +91,8 @@ def check_decomposition_invariance() -> CheckResult:
                 names = ", ".join(p.name for p in family)
                 bad.append(f"{{{names}}} x {cx.name}: "
                            + ", ".join(format_rational(v) for v in vals))
-    details = f"{checked} family/coefficient combinations"
-    if bad:
-        details += "; disagreements: " + "; ".join(bad)
-    return CheckResult(2, "decomposition invariance", not bad, details)
+    return _result(2, "decomposition invariance", f"{checked} family/coefficient combinations",
+                   "disagreements", bad)
 
 
 def check_disk_wedge_counts() -> CheckResult:
@@ -102,10 +107,7 @@ def check_disk_wedge_counts() -> CheckResult:
             checked += 1
             if lhs != rhs:
                 bad.append(f"{p.name} v disk:{n} x {cx.name}: {lhs} != {rhs}")
-    details = f"{checked} identities"
-    if bad:
-        details += "; failures: " + "; ".join(bad)
-    return CheckResult(3, "disk-wedge count identity", not bad, details)
+    return _result(3, "disk-wedge count identity", f"{checked} identities", "failures", bad)
 
 
 def check_euler_identity() -> CheckResult:
@@ -140,10 +142,8 @@ def check_euler_identity() -> CheckResult:
                        f" != normalization x {format_rational(total)}")
         checked += 1
         classes += dec.count
-    details = f"{checked} instances, {classes} classes"
-    if bad:
-        details += "; mismatches: " + "; ".join(bad[:5])
-    return CheckResult(4, "euler characteristic identity", not bad, details)
+    return _result(4, "euler characteristic identity", f"{checked} instances, {classes} classes",
+                   "mismatches", bad[:5])
 
 
 def check_named_values() -> CheckResult:
@@ -174,10 +174,7 @@ def check_named_values() -> CheckResult:
         got = format_rational(invariant_ia(p, cx))
         if got != want:
             bad.append(f"{label}: got {got}, want {want}")
-    details = f"{len(cases)} named values"
-    if bad:
-        details += "; wrong: " + "; ".join(bad)
-    return CheckResult(5, "named invariant values", not bad, details)
+    return _result(5, "named invariant values", f"{len(cases)} named values", "wrong", bad)
 
 
 def check_class_counts() -> CheckResult:
@@ -189,10 +186,8 @@ def check_class_counts() -> CheckResult:
         got = homotopy_classes(circle, cx).count
         if got != want:
             bad.append(f"{cx.name}: {got} classes, |pi1| = {want}")
-    details = f"{len(standard_coefficients())} coefficient complexes"
-    if bad:
-        details += "; mismatches: " + "; ".join(bad)
-    return CheckResult(6, "circle classes count pi1", not bad, details)
+    return _result(6, "circle classes count pi1",
+                   f"{len(standard_coefficients())} coefficient complexes", "mismatches", bad)
 
 
 def _conjugation_crossed_module() -> FiniteCrossedComplex:
@@ -220,10 +215,8 @@ def check_connection_validity() -> CheckResult:
                 homotopy_orbit(p, cx, f)
             except TargetNotMorphism as exc:
                 failures.append(f"{p.name} x {cx.name}: {exc}")
-    details = f"{edges} homotopy targets verified"
-    if failures:
-        details += "; failures: " + "; ".join(failures[:5])
-    return CheckResult(7, "homotopy targets are morphisms", not failures, details)
+    return _result(7, "homotopy targets are morphisms", f"{edges} homotopy targets verified",
+                   "failures", failures[:5])
 
 
 def _mutation_sites(cx: FiniteCrossedComplex) -> list[tuple]:
@@ -306,10 +299,8 @@ def check_mutation_fuzzing() -> CheckResult:
         elif not (report.names() & expected):
             bad.append(f"#{i} {cx.name} {site}: reported {sorted(report.names())}, "
                        f"expected one of {sorted(expected)}")
-    details = f"{MUTATIONS} mutations"
-    if bad:
-        details += "; failures: " + "; ".join(bad[:5])
-    return CheckResult(8, "mutation fuzzing names axioms", not bad, details)
+    return _result(8, "mutation fuzzing names axioms", f"{MUTATIONS} mutations", "failures",
+                   bad[:5])
 
 
 def check_relabelling_invariance() -> CheckResult:
@@ -334,10 +325,9 @@ def check_relabelling_invariance() -> CheckResult:
         sq = sorted(homotopy_classes(q, cx).sizes)
         if sp != sq:
             bad.append(f"classes {p.name} x {cx.name}: {sp} != {sq}")
-    details = f"{len(instances)} instances, {partitions} class partitions"
-    if bad:
-        details += "; changed by relabelling: " + "; ".join(bad)
-    return CheckResult(9, "cell relabelling invariance", not bad, details)
+    return _result(9, "cell relabelling invariance",
+                   f"{len(instances)} instances, {partitions} class partitions",
+                   "changed by relabelling", bad)
 
 
 def run_all() -> list[CheckResult]:

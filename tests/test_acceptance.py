@@ -11,8 +11,10 @@ import pytest
 
 from xcomplex import selfcheck
 from xcomplex.complexes import validate
-from xcomplex.errors import ValidationReport
+from xcomplex.errors import TargetNotMorphism, ValidationReport
+from xcomplex.groups import cyclic_group
 from xcomplex.library import standard_coefficients
+from xcomplex.presentations import point
 
 EXPECTED = [
     (1, "oracle equivalence"),
@@ -73,3 +75,45 @@ def test_mutation_fuzzing_can_fail(monkeypatch):
     r = selfcheck.check_mutation_fuzzing()
     assert not r.ok
     assert "mutation not detected" in r.details
+
+
+def _raise_not_morphism(p, cx, f):
+    raise TargetNotMorphism(f"planted target of {f}")
+
+
+# (criterion, name in selfcheck, planted fault given the genuine function, label in details)
+PLANTS = [
+    (1, "count_homs", lambda real: lambda *a: real(*a) + 1, "mismatches"),
+    (2, "invariant_ia", lambda real: lambda p, cx: real(p, cx) + sum(p.cells), "disagreements"),
+    (3, "count_homs", lambda real: lambda *a: real(*a) + 1, "failures"),
+    (4, "homotopy_orbit", lambda real: lambda *a: (real(*a)[0] + 1, real(*a)[1]), "mismatches"),
+    (5, "invariant_ia", lambda real: lambda p, cx: real(p, cx) + sum(p.cells), "wrong"),
+    (6, "pi1", lambda real: lambda cx: cyclic_group(real(cx).order + 1), "mismatches"),
+    (7, "homotopy_orbit", lambda real: _raise_not_morphism, "failures"),
+    (8, "validate", lambda real: lambda cx: ValidationReport.from_violations([("CM1", (1,))]),
+     "failures"),
+    (9, "relabel_cells", lambda real: lambda p, perms: point(), "changed by relabelling"),
+]
+
+
+@pytest.mark.parametrize("number,name,plant,label", PLANTS,
+                         ids=[f"criterion-{n}-{name}" for n, name, _, _ in PLANTS])
+def test_every_criterion_can_fail(monkeypatch, number, name, plant, label):
+    """A planted fault in what a criterion checks fails it, and its details
+    name the failures after the criterion's label; criteria 4, 7 and 8 list
+    at most five."""
+    monkeypatch.setattr(selfcheck, name, plant(getattr(selfcheck, name)))
+    check = [selfcheck.check_oracle_equivalence, selfcheck.check_decomposition_invariance,
+             selfcheck.check_disk_wedge_counts, selfcheck.check_euler_identity,
+             selfcheck.check_named_values, selfcheck.check_class_counts,
+             selfcheck.check_connection_validity, selfcheck.check_mutation_fuzzing,
+             selfcheck.check_relabelling_invariance][number - 1]
+    r = check()
+    assert (r.number, r.name) == EXPECTED[number - 1]
+    assert not r.ok
+    head, failures = r.details.split(f"; {label}: ")
+    assert head and failures
+    if number in (4, 7, 8):
+        assert failures.count("; ") == 4
+    if number == 8:
+        assert "expected one of" in failures

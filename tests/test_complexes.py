@@ -17,6 +17,7 @@ from xcomplex.errors import (
     InvalidComplex,
 )
 from xcomplex.groups import (
+    FiniteGroup,
     GroupAction,
     GroupHom,
     cyclic_group,
@@ -117,6 +118,42 @@ def test_validate_rejects_bad_shape():
     z2 = cyclic_group(2)
     cx = FiniteCrossedComplex((z2, z2), (), ())
     with pytest.raises(DimensionMismatch):
+        validate(cx)
+
+
+def _shape_cases():
+    """(label, complex, message) per shape problem `validate` names."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    ragged = FiniteGroup(3, ((0, 1, 2), (1, 2), (2, 0, 1)), z3.inv)
+    few_rows = FiniteGroup(3, z3.mul[:2], z3.inv)
+    short_inv = FiniteGroup(3, z3.mul, z3.inv[:2])
+
+    def cm(g, e, bd, act):
+        return FiniteCrossedComplex((g, e), (bd,), (act,))
+
+    ok_bd, ok_act = zero_hom(z3, z2), trivial_action(z2, z3)
+    return [
+        ("no-degree", FiniteCrossedComplex((), (), ()), "at least degree 1"),
+        ("ragged-a1", from_group(ragged), "group 1 tables do not fit its order 3"),
+        ("few-rows-a1", from_group(few_rows), "group 1 tables do not fit"),
+        ("short-inv-a1", from_group(short_inv), "group 1 tables do not fit"),
+        ("ragged-a2", cm(z2, ragged, ok_bd, ok_act), "group 2 tables do not fit"),
+        ("short-inv-a2", cm(z2, short_inv, ok_bd, ok_act), "group 2 tables do not fit"),
+        ("boundary-source", cm(z2, z3, zero_hom(z2, z2), ok_act), "boundary 2 source shape"),
+        ("boundary-image", cm(z2, z3, GroupHom(z3, z2, (0, 0)), ok_act),
+         "boundary 2 source shape"),
+        ("boundary-target", cm(z2, z3, zero_hom(z3, z3), ok_act), "boundary 2 target shape"),
+        ("action-actor", cm(z2, z3, ok_bd, trivial_action(z3, z3)), "action 2 shape"),
+        ("action-space", cm(z2, z3, ok_bd, trivial_action(z2, z2)), "action 2 shape"),
+    ]
+
+
+@pytest.mark.parametrize("label,cx,message", _shape_cases(),
+                         ids=[label for label, _, _ in _shape_cases()])
+def test_validate_names_each_shape_problem(label, cx, message):
+    """Every shape problem raises DimensionMismatch, never IndexError, with
+    the message of its own check; a group's tables are held to its order."""
+    with pytest.raises(DimensionMismatch, match=message):
         validate(cx)
 
 

@@ -249,6 +249,35 @@ def test_entry_past_the_order_never_passes_the_byte_kernel():
         associativity_witness(g.mul, [a])
 
 
+@pytest.mark.parametrize("entry", [300, -1])
+def test_byte_kernel_falls_back_to_the_sweep_on_a_non_byte_entry(entry):
+    """An entry bytes() refuses in a table the kernel would take (order 40)
+    leaves the answer to the sweep: its witness, or its IndexError."""
+    planted = [list(row) for row in cyclic_group(40).mul]
+    planted[5][3] = entry
+
+    def outcome(witness):
+        try:
+            return witness(planted, [1])
+        except IndexError:
+            return IndexError
+
+    assert outcome(associativity_witness) == outcome(light_sweep)
+
+
+@pytest.mark.parametrize("act,message", [
+    (((0, 1, 2),), "action has 1 rows, expected 2"),
+    (((0, 1, 2), (0, 1)), "action row 1 has length 2, expected 3"),
+    (((0, 1, 2), (0, 1, 3)), "action value 3 out of range in row 1"),
+    (((0, 1, 2), (0, -1, 2)), "action value -1 out of range in row 1"),
+], ids=["rows", "row-length", "past-range", "negative"])
+def test_action_shape_errors(act, message):
+    """A GroupAction built by the dataclass constructor with a table that
+    does not fit its groups raises DimensionMismatch naming the problem."""
+    with pytest.raises(DimensionMismatch, match=message):
+        action_violation(GroupAction(cyclic_group(2), cyclic_group(3), act))
+
+
 @settings(max_examples=300, deadline=None)
 @given(square_tables(6), st.data())
 def test_table_group_inverse_is_least_two_sided(mul, data):

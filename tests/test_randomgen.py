@@ -1,8 +1,13 @@
 """Instance generator: determinism, validity, bounded brute-force spaces."""
 
+import hashlib
+import json
 import random
 
+import pytest
+
 from xcomplex.complexes import validate
+from xcomplex.documents import dump_complex, dump_presentation
 from xcomplex.presentations import validate_presentation
 from xcomplex.randomgen import (
     BRUTE_SPACE_LIMIT,
@@ -21,6 +26,19 @@ def test_instances_deterministic():
     assert [cx.groups for _, cx in a] == [cx.groups for _, cx in b]
     c = random_instances(seed=100, count=8)
     assert a != c  # different seed, different stream (overwhelmingly)
+
+
+@pytest.mark.parametrize("seed,count,digest", [
+    (12345, 200, "b99bbc18ad254b8b75038d3b8d6528ede6184f9381a8085d1bac981fe52c28f0"),
+    (20260819, 24, "7cb66626d168a0f484884b3a5692923a8e30b14c4628021804c6729226c96515"),  # selfcheck's
+])
+def test_seeded_draws_are_pinned(seed, count, digest):
+    """The seeded draws are fixed: a change to the draw order, a candidate
+    list or a name shows here, and must be made on purpose."""
+    h = hashlib.sha256()
+    for p, cx in random_instances(seed, count):
+        h.update(json.dumps([dump_presentation(p), dump_complex(cx)], sort_keys=True).encode())
+    assert h.hexdigest() == digest
 
 
 def test_instances_valid_and_bounded():
