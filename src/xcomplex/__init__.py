@@ -24,8 +24,6 @@ from .groups import (
     GroupHom,
     action_violation,
     associativity_witness,
-    check_action,
-    check_hom,
     cyclic_group,
     direct_product,
     fibers_of,

@@ -182,7 +182,7 @@ def validate(cx: FiniteCrossedComplex) -> ValidationReport:
         first("factoring", ((n, x, a) for x in sorted(set(bd2)) for a in range(an.order)
                             if actn[x][a] != a))
 
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(violations)
 
 
 def _cosets(g: FiniteGroup, within: Iterable[int], members: set[int], name: str) -> FiniteGroup:

@@ -4,7 +4,7 @@ container used by the group, complex and presentation validators."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class XComplexError(Exception):
@@ -56,9 +56,9 @@ class ValidationReport:
     """Outcome of an exhaustive axiom sweep.
 
     `violations` holds (axiom, witness) pairs, one entry per failing check
-    site with the first witness found there.  `ok` is true exactly when the
-    list is empty.  Axiom names are stable strings; the complex validator
-    uses: group-identity, group-inverse, group-associativity, boundary-hom,
+    site with the first witness found there; `ok` says the list is empty.
+    Axiom names are stable strings; the complex validator uses:
+    group-identity, group-inverse, group-associativity, boundary-hom,
     action-bijective, action-hom, action-identity, action-composition, CM1,
     Peiffer, equivariance, complex, abelian, factoring.  The presentation
     validator uses: base-cells, cell-count, attach-arity, attach-shape (any
@@ -67,13 +67,11 @@ class ValidationReport:
     generator-range, exponent, boundary-boundary.
     """
 
-    ok: bool
     violations: list[tuple[str, tuple]] = field(default_factory=list)
 
-    @classmethod
-    def from_violations(cls, violations: Iterable[tuple[str, tuple]]) -> "ValidationReport":
-        vs = list(violations)
-        return cls(ok=not vs, violations=vs)
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def names(self) -> set[str]:
         return {name for name, _ in self.violations}

@@ -6,13 +6,15 @@ Conventions used everywhere in the package:
   * index 0 is always the identity;
   * tables are tuples of tuples and never change after construction.
 
-`make_group` is the only validating constructor.  `table_group` checks the
-shape only, so that complex documents leave the group axioms to
-`complexes.validate`; the dataclass constructor itself is dumb on purpose,
-so tests can build deliberately broken tables; a group holds its table
-and inverses only (`enumeration.count_engine` decides commutativity when it
-plans).  There are no subgroup or quotient types: `complexes` builds pi1
-and homology as coset tables itself.
+`make_group` validates a caller's table, and `direct_product`, built from
+the caller's groups, goes through it.  `table_group` checks the shape only:
+documents leave the group axioms to `complexes.validate`, and
+`cyclic_group` and `symmetric_group_3` build tables fixed by their
+arguments.  The dataclass constructor is dumb on purpose, so tests can
+build broken tables; a group holds its table and inverses only
+(`enumeration.count_engine` decides commutativity when it plans).  There
+are no subgroup or quotient types: `complexes` builds pi1 and homology as
+coset tables itself.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic_group needs n >= 1")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return make_group(table, name=f"Z/{n}")
+    return table_group(table, name=f"Z/{n}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -220,7 +222,7 @@ def symmetric_group_3() -> FiniteGroup:
         [index[tuple(p[q[x]] for x in range(3))] for q in perms]
         for p in perms
     ]
-    return make_group(table, name="S3")
+    return table_group(table, name="S3")
 
 
 @dataclass(frozen=True)
@@ -248,10 +250,6 @@ def hom_violation(h: GroupHom) -> Optional[tuple[int, int]]:
         if itemgetter(*row)(im) != itemgetter(*im)(tmul[im[x]]):
             return (x, next(y for y in range(len(im)) if im[row[y]] != tmul[im[x]][im[y]]))
     return None
-
-
-def check_hom(h: GroupHom) -> bool:
-    return hom_violation(h) is None
 
 
 def zero_hom(source: FiniteGroup, target: FiniteGroup) -> GroupHom:
@@ -326,10 +324,6 @@ def action_violation(a: GroupAction,
                 return ("action-composition",
                         (g1, g2, next(e for e in range(m) if row12[e] != row1[act[g2][e]])))
     return None
-
-
-def check_action(a: GroupAction) -> bool:
-    return action_violation(a) is None
 
 
 def trivial_action(actor: FiniteGroup, space: FiniteGroup) -> GroupAction:

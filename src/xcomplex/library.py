@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Optional
 
-from .complexes import FiniteCrossedComplex, from_crossed_module, from_group
+from .complexes import FiniteCrossedComplex, from_group
 from .documents import parse_int
 from .enumeration import refuse
 from .errors import ParseError
@@ -40,7 +40,7 @@ def _cyclic_module(n: int, m: int, image: tuple[int, ...], act: tuple[tuple[int,
                    name: str) -> FiniteCrossedComplex:
     """The crossed module Z/m -> Z/n with boundary `image` and action rows `act`."""
     g, e = cyclic_group(n), cyclic_group(m)
-    return from_crossed_module(g, e, GroupHom(e, g, image), GroupAction(g, e, act), name=name)
+    return FiniteCrossedComplex((g, e), (GroupHom(e, g, image),), (GroupAction(g, e, act),), name)
 
 
 def _l3_z2() -> FiniteCrossedComplex:

@@ -157,7 +157,7 @@ def validate_presentation(p: CWPresentation) -> ValidationReport:
             if reduced:
                 violations.append(("boundary-boundary", (c, reduced)))
 
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(violations)
 
 
 def _shift_word(w: Word, by: int) -> Word:

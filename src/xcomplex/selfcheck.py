@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .complexes import FiniteCrossedComplex, from_crossed_module, pi1, size_at, validate
+from .complexes import FiniteCrossedComplex, pi1, size_at, validate
 from .documents import dump_complex, load_complex
 from .enumeration import count_homs, count_homs_bruteforce, enumerate_homs
 from .errors import InstanceTooLarge, ResultTooLarge, TargetNotMorphism
@@ -194,8 +194,8 @@ def _conjugation_crossed_module() -> FiniteCrossedComplex:
     """S3 acting on itself by conjugation, with the identity as boundary."""
     s3 = symmetric_group_3()
     act = tuple(tuple(s3.mul[s3.mul[g][e]][s3.inv[g]] for e in range(6)) for g in range(6))
-    return from_crossed_module(s3, s3, GroupHom(s3, s3, tuple(range(6))),
-                               GroupAction(s3, s3, act), name="s3-conj")
+    return FiniteCrossedComplex((s3, s3), (GroupHom(s3, s3, tuple(range(6))),),
+                                (GroupAction(s3, s3, act),), name="s3-conj")
 
 
 def check_connection_validity() -> CheckResult:

@@ -71,7 +71,7 @@ def test_every_mutation_site_is_detected():
 
 def test_mutation_fuzzing_can_fail(monkeypatch):
     """A validator that passes everything fails criterion 8."""
-    monkeypatch.setattr(selfcheck, "validate", lambda cx: ValidationReport(ok=True))
+    monkeypatch.setattr(selfcheck, "validate", lambda cx: ValidationReport())
     r = selfcheck.check_mutation_fuzzing()
     assert not r.ok
     assert "mutation not detected" in r.details
@@ -90,7 +90,7 @@ PLANTS = [
     (5, "invariant_ia", lambda real: lambda p, cx: real(p, cx) + sum(p.cells), "wrong"),
     (6, "pi1", lambda real: lambda cx: cyclic_group(real(cx).order + 1), "mismatches"),
     (7, "homotopy_orbit", lambda real: _raise_not_morphism, "failures"),
-    (8, "validate", lambda real: lambda cx: ValidationReport.from_violations([("CM1", (1,))]),
+    (8, "validate", lambda real: lambda cx: ValidationReport([("CM1", (1,))]),
      "failures"),
     (9, "relabel_cells", lambda real: lambda p, perms: point(), "changed by relabelling"),
 ]

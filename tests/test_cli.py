@@ -212,6 +212,24 @@ def test_validate_needs_an_input():
     assert "error" in report["result"]
 
 
+def test_check_boundaries_needs_both_inputs(capsys):
+    from xcomplex import cli
+
+    code = cli.main(["validate", "--check-boundaries", "--presentation", "torus"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["result"]["error"] == \
+        "--check-boundaries needs a valid --presentation and --complex"
+
+
+def test_group_builtin_longer_than_one_degree_is_input_error(capsys):
+    from xcomplex import cli
+
+    code = cli.main(["validate", "--group", "cm-z4-z2-incl"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["result"]["error"] == \
+        "'cm-z4-z2-incl' is not a group document or group name"
+
+
 def test_malformed_json_is_input_error(tmp_path):
     f = tmp_path / "broken.json"
     f.write_text("{not json")
@@ -844,6 +862,19 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert code == 4
     assert json.loads(out)["result"]["error"] == "internal error: RuntimeError: planted"
     assert "Traceback" in err
+
+
+def test_oracle_disagreeing_count_is_internal_error(monkeypatch, capsys):
+    """count --oracle fails the run when the brute-force sweep differs."""
+    from xcomplex import cli
+
+    real = cli.count_homs
+    monkeypatch.setattr(cli, "count_homs", lambda p, cx, plan=None: real(p, cx, plan) + 1)
+    code = cli.main(["count", "--presentation", "torus", "--complex", "s3", "--oracle"])
+    out, _ = capsys.readouterr()
+    assert code == 4
+    assert json.loads(out)["result"]["error"] == \
+        "internal check failed: oracle disagrees: fast 19, brute 18"
 
 
 def test_enumerate_disagreeing_count_is_internal_error(monkeypatch, capsys):

@@ -11,6 +11,7 @@ from xcomplex.library import (
     standard_spaces,
 )
 from xcomplex.presentations import validate_presentation
+from xcomplex.selfcheck import _conjugation_crossed_module
 
 
 @pytest.mark.parametrize("name,cells", [
@@ -44,10 +45,14 @@ def test_space_name_forms():
     ("cm-z4-z2-incl", (4, 2)),
     ("cm-z2-z3-flip", (2, 3)),
     ("l3-z2", (2, 2, 2)),
+    pytest.param(_conjugation_crossed_module, (6, 6), id="s3-conj"),  # selfcheck's
 ])
 def test_resolve_coefficients(name, orders):
-    cx = resolve_coefficients(name)
+    """Each builtin has its orders and is valid: builtins are built without
+    a run-time check, so this is the one that pins their tables."""
+    cx = name() if callable(name) else resolve_coefficients(name)
     assert tuple(g.order for g in cx.groups) == orders
+    assert validate(cx).ok
 
 
 def test_coefficient_name_forms():

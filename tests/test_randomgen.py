@@ -42,13 +42,17 @@ def test_seeded_draws_are_pinned(seed, count, digest):
 
 
 def test_instances_valid_and_bounded():
-    for p, cx in random_instances(seed=3, count=12):
-        assert validate(cx).ok
-        assert validate_presentation(p).ok
-        space = 1
-        for n in range(1, cx.length + 1):
-            space *= cx.groups[n - 1].order ** p.count(n)
-        assert space <= BRUTE_SPACE_LIMIT
+    """randomgen does not validate its draws again, so this does, at every
+    seed the tests and selfcheck draw from and the longest count drawn
+    there: a shorter draw is a prefix of a longer one."""
+    for seed, count in ((3, 12), (12345, 200), (20260819, 100), (11, 120), (5, 6)):
+        for p, cx in random_instances(seed=seed, count=count):
+            assert validate(cx).ok
+            assert validate_presentation(p).ok
+            space = 1
+            for n in range(1, cx.length + 1):
+                space *= cx.groups[n - 1].order ** p.count(n)
+            assert space <= BRUTE_SPACE_LIMIT
 
 
 def test_all_homs_counts():
